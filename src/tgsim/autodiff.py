@@ -6,10 +6,21 @@ in reverse, accumulating gradients with += semantics so parameters shared
 across many operations (recurrent weights applied at every timestep) collect
 a contribution from each use. Leaf gradients persist across backward calls
 until explicitly zeroed; intermediate gradients are pass-local.
+
+A tape entry is one call of `record`: an output value, the input tensors and
+a rule that pulls the output's gradient back into them. The elementwise and
+matrix operations below record one entry each; a caller can also compute a
+whole layer in numpy and record it as a single fused entry with its own
+hand-written rule (the model's layers do), which keeps the tape short.
+
+The tape owns its entries, and an output tensor refers back to its tape only
+weakly, so a step's graph is freed by reference counting as soon as the tape
+itself is dropped.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -31,21 +42,28 @@ def _as_matrix(value) -> np.ndarray:
 class Tensor:
     """A (rows, cols) float64 matrix, optionally tracked for gradients."""
 
-    __slots__ = ("value", "grad", "requires_grad", "tape")
+    __slots__ = ("value", "grad", "requires_grad", "_tape_ref", "__weakref__")
 
     def __init__(self, value, requires_grad: bool = False):
         self.value = _as_matrix(value)
         self.requires_grad = requires_grad
         self.grad = np.zeros_like(self.value) if requires_grad else None
-        self.tape = None  # set when this tensor is the output of a recorded op
+        # weak reference to the recording tape, set when this tensor is the
+        # output of a recorded op; a strong one would make every step a cycle
+        self._tape_ref = None
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.value.shape
 
     @property
+    def tape(self):
+        """The tape that recorded this tensor, or None for a leaf or a dropped tape."""
+        return None if self._tape_ref is None else self._tape_ref()
+
+    @property
     def is_leaf(self) -> bool:
-        return self.tape is None
+        return self._tape_ref is None
 
     def zero_grad(self) -> None:
         if self.grad is not None:
@@ -92,13 +110,21 @@ def active_tape():
     return _ACTIVE_TAPE
 
 
-def _record(kind: str, inputs: tuple, out_value: np.ndarray, rule: Callable) -> Tensor:
+def record(kind: str, inputs: tuple, out_value: np.ndarray, rule: Callable) -> Tensor:
+    """Wrap `out_value` in a tensor and, under an active tape, log one entry.
+
+    The entry is kept only when some input requires a gradient. `rule(g)`
+    receives the output's gradient during `backward` and must add the
+    matching contribution into the grad of every input that requires one.
+    It must not hold the output tensor, or the tape and its entries would
+    form a reference cycle.
+    """
     out = Tensor(out_value)
     tape = _ACTIVE_TAPE
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.grad = np.zeros_like(out.value)
-        out.tape = tape
+        out._tape_ref = weakref.ref(tape)
         tape.entries.append((kind, inputs, out, rule))
     return out
 
@@ -118,7 +144,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += av.T @ g
 
-    return _record("matmul", (a, b), av @ bv, rule)
+    return record("matmul", (a, b), av @ bv, rule)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -140,7 +166,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(
             f"add: shapes {av.shape} and {bv.shape} do not conform "
             "(second operand may be a 1xC bias)")
-    return _record("add", (a, b), av + bv, rule)
+    return record("add", (a, b), av + bv, rule)
 
 
 def subtract(a: Tensor, b: Tensor) -> Tensor:
@@ -154,7 +180,7 @@ def subtract(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad -= g
 
-    return _record("subtract", (a, b), av - bv, rule)
+    return record("subtract", (a, b), av - bv, rule)
 
 
 def multiply(a: Tensor, b: Tensor) -> Tensor:
@@ -169,26 +195,30 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += g * av
 
-    return _record("elementwise-multiply", (a, b), av * bv, rule)
+    return record("elementwise-multiply", (a, b), av * bv, rule)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function that never overflows: exp is taken of -|x| only.
+
+    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|).
+    """
+    e = np.abs(x)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    out = e + 1.0
+    np.divide(np.where(x >= 0, 1.0, e), out, out=out)
     return out
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    y = _stable_sigmoid(a.value)
+    y = stable_sigmoid(a.value)
 
     def rule(g):
         if a.requires_grad:
             a.grad += g * y * (1.0 - y)
 
-    return _record("sigmoid", (a,), y, rule)
+    return record("sigmoid", (a,), y, rule)
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -198,7 +228,7 @@ def tanh(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += g * (1.0 - y * y)
 
-    return _record("tanh", (a,), y, rule)
+    return record("tanh", (a,), y, rule)
 
 
 def relu(a: Tensor) -> Tensor:
@@ -208,7 +238,7 @@ def relu(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += g * (av > 0)
 
-    return _record("relu", (a,), np.maximum(av, 0.0), rule)
+    return record("relu", (a,), np.maximum(av, 0.0), rule)
 
 
 def concat_columns(a: Tensor, b: Tensor) -> Tensor:
@@ -223,7 +253,7 @@ def concat_columns(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.grad += g[:, split:]
 
-    return _record("concat-columns", (a, b), np.hstack((av, bv)), rule)
+    return record("concat-columns", (a, b), np.hstack((av, bv)), rule)
 
 
 def mean_rows(a: Tensor) -> Tensor:
@@ -234,7 +264,7 @@ def mean_rows(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += g / rows
 
-    return _record("mean-rows", (a,), a.value.mean(axis=0, keepdims=True), rule)
+    return record("mean-rows", (a,), a.value.mean(axis=0, keepdims=True), rule)
 
 
 def mean_all(a: Tensor) -> Tensor:
@@ -244,7 +274,7 @@ def mean_all(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += g / size
 
-    return _record("mean-all", (a,), a.value.mean().reshape(1, 1), rule)
+    return record("mean-all", (a,), a.value.mean().reshape(1, 1), rule)
 
 
 def softmax_rows(a: Tensor) -> Tensor:
@@ -257,7 +287,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += y * (g - (g * y).sum(axis=1, keepdims=True))
 
-    return _record("softmax-over-rows", (a,), y, rule)
+    return record("softmax-over-rows", (a,), y, rule)
 
 
 def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
@@ -267,7 +297,7 @@ def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
         if a.requires_grad:
             a.grad += g * s
 
-    return _record("scalar-multiply", (a,), a.value * s, rule)
+    return record("scalar-multiply", (a,), a.value * s, rule)
 
 
 def square(a: Tensor) -> Tensor:
@@ -277,7 +307,7 @@ def square(a: Tensor) -> Tensor:
         if a.requires_grad:
             a.grad += g * (2.0 * av)
 
-    return _record("square", (a,), av * av, rule)
+    return record("square", (a,), av * av, rule)
 
 
 _UNARY = {
@@ -332,7 +362,7 @@ def backward(output: Tensor) -> None:
         raise ContractError(f"backward requires a 1x1 scalar output, got {output.value.shape}")
     tape = output.tape
     if tape is None:
-        raise ContractError("output was not recorded on a tape")
+        raise ContractError("output was not recorded on a tape, or its tape is gone")
     # Intermediate grads are pass-local: reset them so a second backward call
     # scales leaf grads by exactly one more unit of output gradient.
     for _, _, out, _ in tape.entries:

@@ -91,6 +91,11 @@ class LabeledBucket:
         return float(self.label_exact)
 
     @property
+    def perturbed(self) -> frozenset[int]:
+        """The redrawn node indices; the same set as `perturbed_nodes`."""
+        return self.perturbed_nodes
+
+    @property
     def history(self) -> np.ndarray:
         return self.bucket.history
 
@@ -154,8 +159,7 @@ def inject_noise(buckets, bounds: NodeBounds, spec: NoiseSpec) -> list[LabeledBu
         if rng.random() < spec.corrupt_probability:
             k = int(rng.integers(1, n + 1))
             nodes = rng.choice(n, size=k, replace=False)
-            for node in nodes:
-                candidate[node] = rng.uniform(bounds.mins[node], bounds.maxs[node])
+            candidate[nodes] = rng.uniform(bounds.mins[nodes], bounds.maxs[nodes])
             perturbed = frozenset(int(i) for i in nodes)
         labeled.append(LabeledBucket(bucket, candidate, perturbed))
     return labeled

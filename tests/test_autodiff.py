@@ -229,3 +229,48 @@ def test_softmax_rows_sum_to_one():
     y = ad.softmax_rows(Tensor(rng.normal(size=(6, 4)) * 10)).value
     assert np.allclose(y.sum(axis=1), 1.0, atol=1e-12)
     assert (y >= 0).all()
+
+
+def _masked_sigmoid(x):
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_stable_sigmoid_is_bitwise_the_masked_formula():
+    grid = np.concatenate([
+        np.linspace(-800.0, 800.0, 6401),
+        [0.0, -0.0, 800.0, -800.0, 709.8, -709.8, 745.2, -745.2, 1e-300, -1e-300],
+        np.random.default_rng(4).normal(0.0, 8.0, 3000),
+    ]).reshape(1, -1)
+    # exp(-800) underflowing to 0 is exact in the limit and shared by both
+    # forms; every other floating-point fault raises
+    with np.errstate(all="raise", under="ignore"):
+        fast = ad.stable_sigmoid(grid)
+        masked = _masked_sigmoid(grid)
+    assert np.array_equal(fast.view(np.int64), masked.view(np.int64))
+    assert fast[grid == 800.0].tolist() == [1.0, 1.0] and (fast[grid == -800.0] == 0.0).all()
+
+
+def test_graph_is_freed_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    w = Tensor(np.random.default_rng(2).normal(size=(3, 3)), requires_grad=True)
+    gc.disable()
+    try:
+        with Tape() as tape:
+            hidden = ad.tanh(ad.matmul(w, w))
+            loss = ad.mean_all(ad.square(hidden))
+            backward(loss)
+        probe, tape_ref = weakref.ref(hidden), weakref.ref(tape)
+        del tape, hidden
+        assert probe() is None and tape_ref() is None
+        assert loss.tape is None and not loss.is_leaf
+        with pytest.raises(ContractError, match="tape is gone"):
+            backward(loss)
+    finally:
+        gc.enable()

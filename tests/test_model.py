@@ -14,6 +14,7 @@ from tgsim.model import (
     Provenance,
     attention_weights,
     cell_step,
+    dense_head,
     forward,
     forward_pass,
     gcn_embed,
@@ -422,6 +423,169 @@ class TestGradients:
             backward(loss)
         dead = [name for name, t in params.items() if np.abs(t.grad).max() == 0]
         assert dead == []
+
+
+class TestFusedOpGradients:
+    """Each layer's hand-written rule against central differences."""
+
+    def check(self, op, point, out_shape, seed):
+        mixer = Tensor(np.random.default_rng(seed).normal(size=out_shape))
+
+        def f(*args):
+            return ad.mean_all(ad.multiply(op(*args), mixer))
+
+        assert grad_check(f, point, eps=1e-5) < 1e-6
+
+    def leaf(self, rng, shape, offset=0.0):
+        return Tensor(rng.normal(size=shape) + offset, requires_grad=True)
+
+    def test_embed(self):
+        rng = np.random.default_rng(41)
+        params = ModelParams.initialize(small_config("tgcn", f=2, d=4), 1)
+        params["b_in"].value[:] = 0.5
+        point = [self.leaf(rng, (4, 2)), Tensor(path_a_hat(4)), params["w_in"], params["b_in"]]
+
+        def op(x, a_hat, *_):
+            return gcn_embed(x, a_hat, params)
+
+        self.check(op, point, (4, 4), 1)
+
+    @pytest.mark.parametrize("kind", ["tgcn", "gconv_gru"])
+    def test_cell_step(self, kind):
+        rng = np.random.default_rng(42)
+        params = ModelParams.initialize(small_config(kind), 2)
+        names = [n for n in parameter_shapes(small_config(kind))
+                 if n not in ("w_in", "b_in") and "head" not in n]
+        # h0 leans positive so the tgcn graph-conv relu stays off its kink
+        point = [self.leaf(rng, (4, 4), 0.8), self.leaf(rng, (4, 4)), Tensor(path_a_hat(4))]
+        point += [params[n] for n in names]
+
+        def op(h0, h_prev, a_hat, *_):
+            return cell_step(kind, h0, h_prev, a_hat, params)
+
+        self.check(op, point, (4, 4), 2)
+
+    def test_temporal_attention(self):
+        rng = np.random.default_rng(43)
+        params = ModelParams.initialize(small_config("a3tgcn"), 3)
+        params["b_a"].value[:] = rng.normal(size=(1, 3))
+        states = [self.leaf(rng, (4, 4)) for _ in range(4)]
+        point = states + [params["w_a"], params["b_a"], params["v_a"]]
+
+        def op(*args):
+            return temporal_attention(args[:4], params)
+
+        self.check(op, point, (4, 4), 3)
+
+    def test_dense_head(self):
+        rng = np.random.default_rng(44)
+        params = ModelParams.initialize(small_config("tgcn"), 4)
+        for i in (1, 2, 3):
+            params[f"b_head{i}"].value[:] = rng.normal(0.0, 0.3, size=params[f"b_head{i}"].shape)
+        heads = [params[f"{p}_head{i}"] for i in (1, 2, 3) for p in ("w", "b")]
+
+        def op(final, *_):
+            return dense_head(final, params)
+
+        self.check(op, [self.leaf(rng, (5, 4))] + heads, (1, 1), 4)
+
+
+def composed_forward(snapshots, a_hat, params, config):
+    """The forward pass built from elementary autodiff ops, one entry per op.
+
+    Reference for the fused layers: same scores and gradients, bit for bit.
+    """
+    p = params
+    a = Tensor(a_hat)
+    h = Tensor(np.zeros((snapshots.shape[1], config.embed_dim)))
+    states = []
+    for x in snapshots:
+        h0 = ad.relu(ad.add(ad.matmul(ad.matmul(a, Tensor(x)), p["w_in"]), p["b_in"]))
+        ones = Tensor(np.ones(h.shape))
+        if config.cell_kind == "gconv_gru":
+            mi, mp = ad.matmul(a, h0), ad.matmul(a, h)
+
+            def gate(n, prev):
+                return ad.add(ad.add(ad.matmul(mi, p[f"w_{n}"]), ad.matmul(prev, p[f"u_{n}"])),
+                              p[f"b_{n}"])
+
+            z, r = ad.sigmoid(gate("z", mp)), ad.sigmoid(gate("r", mp))
+            c = ad.tanh(gate("h", ad.matmul(a, ad.multiply(r, h))))
+            gate_open = z
+        else:
+            g = ad.relu(ad.matmul(ad.matmul(a, h0), p["w_g"]))
+            joint = ad.concat_columns(g, h)
+            u = ad.sigmoid(ad.add(ad.matmul(joint, p["w_u"]), p["b_u"]))
+            r = ad.sigmoid(ad.add(ad.matmul(joint, p["w_r"]), p["b_r"]))
+            gated = ad.concat_columns(g, ad.multiply(r, h))
+            c = ad.tanh(ad.add(ad.matmul(gated, p["w_c"]), p["b_c"]))
+            gate_open = u
+        h = ad.add(ad.multiply(gate_open, h), ad.multiply(ad.subtract(ones, gate_open), c))
+        states.append(h)
+    final = h
+    if config.cell_kind == "a3tgcn":
+        scores = None
+        for state in states:
+            score = ad.matmul(ad.tanh(ad.add(ad.matmul(state, p["w_a"]), p["b_a"])), p["v_a"])
+            scores = score if scores is None else ad.concat_columns(scores, score)
+        alpha = ad.softmax_rows(scores)
+        tile = Tensor(np.ones((1, config.embed_dim)))
+        final = None
+        for t, state in enumerate(states):
+            unit = np.zeros((len(states), 1))
+            unit[t, 0] = 1.0
+            weighted = ad.multiply(ad.matmul(ad.matmul(alpha, Tensor(unit)), tile), state)
+            final = weighted if final is None else ad.add(final, weighted)
+    hidden = ad.mean_rows(final)
+    for i in (1, 2):
+        hidden = ad.relu(ad.add(ad.matmul(hidden, p[f"w_head{i}"]), p[f"b_head{i}"]))
+    return ad.sigmoid(ad.add(ad.matmul(hidden, p["w_head3"]), p["b_head3"]))
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_fused_layers_match_composed_ops_bitwise(kind):
+    rng = np.random.default_rng(51)
+    config = ModelConfig(kind, 1)
+    params = ModelParams.initialize(config, 52)
+    for name, t in params.items():
+        t.value *= 3.0  # push gates towards saturation too
+        if name.startswith("b_"):
+            t.value += rng.normal(0.0, 0.5, t.value.shape)
+    window = rng.uniform(size=(10, 12, 1))
+    a_hat = path_a_hat(12)
+    results = []
+    for forward_fn in (forward_pass, composed_forward):
+        ad.zero_grads(params.tensors())
+        with Tape():
+            out = forward_fn(window, a_hat, params, config)
+            backward(ad.square(ad.subtract(out, Tensor([[0.3]]))))
+        results.append((out.value.copy(), {n: t.grad.copy() for n, t in params.items()}))
+    (fused, fused_grads), (composed, composed_grads) = results
+    assert np.array_equal(fused, composed)
+    for name in fused_grads:
+        assert np.array_equal(fused_grads[name], composed_grads[name]), name
+
+
+class TestTape:
+    def test_training_step_is_short_and_freed(self):
+        import gc
+        import weakref
+
+        config = ModelConfig("a3tgcn", 1)
+        params = ModelParams.initialize(config, 7)
+        window = np.random.default_rng(8).uniform(size=(10, 6, 1))
+        gc.disable()
+        try:
+            with Tape() as tape:
+                out = forward_pass(window, path_a_hat(6), params, config)
+                loss = ad.square(ad.subtract(out, Tensor([[0.4]])))
+                backward(loss)
+            assert len(tape) <= 24
+            embedded = weakref.ref(tape.entries[0][2])
+            del tape
+            assert embedded() is None
+        finally:
+            gc.enable()
 
 
 class TestCheckpoint:

@@ -172,6 +172,25 @@ class TestInjectNoise:
         with pytest.raises(ContractError, match="bounds shape"):
             inject_noise(bucketize(signal, 5), bad, NoiseSpec(0.5, seed=0))
 
+    def test_matches_per_node_redraw_loop(self, signal):
+        # the one-call redraw consumes the stream in the same node-major
+        # order as drawing each node's channels in turn
+        buckets = bucketize(signal, 5)
+        bounds = node_bounds(signal)
+        for seed in range(20):
+            spec = NoiseSpec(0.5, seed=seed)
+            for index, (bucket, item) in enumerate(zip(buckets, inject_noise(buckets, bounds, spec))):
+                rng = np.random.default_rng([seed, index])
+                candidate = bucket.candidate.copy()
+                nodes = []
+                if rng.random() < spec.corrupt_probability:
+                    nodes = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+                    for node in nodes:
+                        candidate[node] = rng.uniform(bounds.mins[node], bounds.maxs[node])
+                assert np.array_equal(item.candidate, candidate)
+                assert item.perturbed == frozenset(int(i) for i in nodes)
+                assert item.label_exact == Fraction(6 - len(nodes), 6)
+
     def test_snapshots_property_swaps_in_candidate(self, signal):
         item = inject_noise(bucketize(signal, 5)[:1], node_bounds(signal), NoiseSpec(1.0, seed=2))[0]
         stack = item.snapshots
