@@ -1,9 +1,10 @@
 """Streaming anomaly flags on top of a trained similarity checkpoint.
 
-score_stream slides the scoring window over a recorded signal; detect
-turns the score series into discrete events under one of two policies.
-The model itself is unchanged here, so detection quality is exactly
-similarity quality.
+score_stream scores every window of a recorded signal in one batched call
+of `model.score_windows`, which embeds each snapshot once however many
+windows hold it; detect turns the score series into discrete events under
+one of two policies. The model itself is unchanged here, so detection
+quality is exactly similarity quality.
 """
 
 import csv
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TemporalGraphSignal, normalize_features, normalized_adjacency
+from .data import TemporalGraphSignal
 from .errors import ConfigError, ContractError
-from .model import Checkpoint, forward_pass
+from .model import Checkpoint, score_windows
 
 ALARM_MODES = ("fixed", "zscore")
 
@@ -75,25 +76,8 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
         raise ContractError(
             f"signal has {signal.num_snapshots} snapshots, need at least {length}"
         )
-    config = checkpoint.config
-    if signal.num_channels != config.input_channels:
-        raise ConfigError(
-            f"signal has {signal.num_channels} channels, checkpoint expects {config.input_channels}"
-        )
-    features = signal.features
-    if checkpoint.feature_bounds is not None:
-        bounds = checkpoint.feature_bounds
-        if bounds.mins.shape != (signal.num_nodes, signal.num_channels):
-            raise ConfigError(
-                f"checkpoint bounds cover {bounds.mins.shape}, signal needs "
-                f"({signal.num_nodes}, {signal.num_channels})"
-            )
-        features = normalize_features(features, bounds)
-    a_hat = normalized_adjacency(signal)
-    return [
-        forward_pass(features[start:start + length], a_hat, checkpoint.params, config).item()
-        for start in range(signal.num_snapshots - length + 1)
-    ]
+    starts = range(signal.num_snapshots - length + 1)
+    return score_windows(signal, checkpoint, starts, length).tolist()
 
 
 def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):

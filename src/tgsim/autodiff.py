@@ -106,10 +106,6 @@ class Tape:
         return len(self.entries)
 
 
-def active_tape():
-    return _ACTIVE_TAPE
-
-
 def record(kind: str, inputs: tuple, out_value: np.ndarray, rule: Callable) -> Tensor:
     """Wrap `out_value` in a tensor and, under an active tape, log one entry.
 

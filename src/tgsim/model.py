@@ -6,17 +6,29 @@ temporal attention over the per-step states), mean-pools the final node
 states, and maps the pooled vector through a fixed three-layer dense head
 to a logistic similarity score in (0, 1).
 
-Each layer (embedding, one cell step, attention, head) computes its forward
-in numpy and records one fused `autodiff` entry whose hand-written rule
-pulls the layer's output gradient back into its inputs and parameters, so
-the same code path serves both training (on a tape) and plain evaluation,
-and a training window of L snapshots costs 2L + 2 tape entries plus the
-loss. The forwards use the same numpy operations in the same order as a
-composition of the elementary autodiff operations would, and each rule sums
-its terms in the order that composition's backward would, so scores and
-gradients are bit-for-bit those of the composed form. Training is sensitive
-enough to round-off that this matters: a 1e-13 relative difference in the
-gradients is enough to send a fold of a 30-epoch run to a different optimum.
+Two code paths compute it. `forward_pass` scores one window and is the one
+training uses: each layer (embedding, one cell step, attention, head)
+computes its forward in numpy and records one fused `autodiff` entry whose
+hand-written rule pulls the layer's output gradient back into its inputs
+and parameters, so a training window of L snapshots costs 2L + 2 tape
+entries plus the loss. The forwards use the same numpy operations in the
+same order as a composition of the elementary autodiff operations would,
+and each rule sums its terms in the order that composition's backward
+would, so scores and gradients are bit-for-bit those of the composed form.
+Training is sensitive enough to round-off that this matters: a 1e-13
+relative difference in the gradients is enough to send a fold of a 30-epoch
+run to a different optimum.
+
+`score_windows` scores many windows of one signal without a tape; it
+serves evaluation and stream scoring. Every part of a cell step that
+depends on its snapshot alone (the embedding, the step's own graph
+convolution and the snapshot's half of each gate pre-activation) runs once
+per distinct snapshot instead of once per window holding it; the state's
+half of each gate, the attention and the head then run over a block of
+windows at once. Splitting each gate's product in two reassociates its
+sums, so its scores agree with `forward_pass` to a few 1e-16, not bit for
+bit.
+
 Cell formulas: T-GCN (Zhao et al., arXiv:1811.05320), A3T-GCN (Bai et al.,
 arXiv:2006.11583) and GConvGRU (Seo et al., arXiv:1612.07659).
 """
@@ -38,6 +50,12 @@ CELL_KINDS = ("gconv_gru", "tgcn", "a3tgcn")
 
 # dense head is fixed: d -> 32 -> 64 -> 1, relu between, logistic output
 HEAD_WIDTHS = (32, 64, 1)
+
+# floats held by the recurrent states of one block of windows in
+# score_windows: bounds its memory whatever the number of windows, and small
+# enough that scoring never needs more than a training step (at N = 20 a
+# step holds about 1 MB); larger blocks were no faster at N = 207
+_BLOCK_FLOATS = 1 << 14
 
 
 def _canonical_kind(kind: str) -> str:
@@ -141,9 +159,6 @@ class ModelParams:
 
     def tensors(self):
         return list(self._tensors.values())
-
-    def values_dict(self) -> dict[str, np.ndarray]:
-        return {name: t.value.copy() for name, t in self._tensors.items()}
 
 
 @dataclass(frozen=True)
@@ -340,6 +355,20 @@ def attention_weights(states, params: ModelParams) -> np.ndarray:
     return _attention(values, params)[1]
 
 
+def _head_layers(params: ModelParams):
+    return [(params[f"w_head{i}"], params[f"b_head{i}"]) for i in range(1, len(HEAD_WIDTHS) + 1)]
+
+
+def _head_activations(pooled: np.ndarray, layers):
+    """Activations (input first) and pre-activations of the head, one row per pooled vector."""
+    acts, pres = [pooled], []
+    for i, (w, b) in enumerate(layers):
+        pres.append(acts[-1] @ w.value + b.value)
+        last = i == len(layers) - 1
+        acts.append(ad.stable_sigmoid(pres[-1]) if last else np.maximum(pres[-1], 0.0))
+    return acts, pres
+
+
 def dense_head(final, params: ModelParams) -> Tensor:
     """Mean-pool the N x d node states and map them through the dense head.
 
@@ -347,13 +376,8 @@ def dense_head(final, params: ModelParams) -> Tensor:
     a 1 x 1 similarity in (0, 1).
     """
     final = _tensor(final)
-    layers = [(params[f"w_head{i}"], params[f"b_head{i}"]) for i in range(1, len(HEAD_WIDTHS) + 1)]
-    acts = [final.value.mean(axis=0, keepdims=True)]
-    pres = []
-    for i, (w, b) in enumerate(layers):
-        pres.append(acts[-1] @ w.value + b.value)
-        last = i == len(layers) - 1
-        acts.append(ad.stable_sigmoid(pres[-1]) if last else np.maximum(pres[-1], 0.0))
+    layers = _head_layers(params)
+    acts, pres = _head_activations(final.value.mean(axis=0, keepdims=True), layers)
 
     def rule(g):
         g = _sigmoid_grad(g, acts[-1])
@@ -397,30 +421,216 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     return dense_head(final, params)
 
 
-def forward(bucket, checkpoint: Checkpoint, a_hat: np.ndarray | None = None) -> float:
-    """Similarity score for a bucket under a trained checkpoint.
-
-    Normalizes the window with the checkpoint's stored feature bounds when
-    present, then runs the forward pass without a tape.  Pass a precomputed
-    `a_hat` to skip rebuilding the adjacency per call.
-    """
-    signal = bucket.bucket.signal if hasattr(bucket, "bucket") else bucket.signal
+def _checked_bounds(signal, checkpoint: Checkpoint) -> NodeBounds | None:
+    """The checkpoint's feature bounds, once the model and the bounds are known to fit `signal`."""
     config = checkpoint.config
     if signal.num_channels != config.input_channels:
         raise ConfigError(
-            f"bucket has {signal.num_channels} channels, checkpoint expects {config.input_channels}"
+            f"signal has {signal.num_channels} channels, checkpoint expects {config.input_channels}"
         )
+    bounds = checkpoint.feature_bounds
+    if bounds is not None and bounds.mins.shape != (signal.num_nodes, signal.num_channels):
+        raise ConfigError(
+            f"checkpoint bounds cover {bounds.mins.shape}, "
+            f"signal needs ({signal.num_nodes}, {signal.num_channels})"
+        )
+    return bounds
+
+
+def forward(bucket, checkpoint: Checkpoint) -> float:
+    """Similarity score for a bucket under a trained checkpoint.
+
+    Normalizes the window with the checkpoint's stored feature bounds when
+    present, then runs the forward pass without a tape.  To score many
+    windows of one signal, `score_windows` does it in one call.
+    """
+    signal = bucket.bucket.signal if hasattr(bucket, "bucket") else bucket.signal
+    bounds = _checked_bounds(signal, checkpoint)
     snapshots = bucket.snapshots
-    if checkpoint.feature_bounds is not None:
-        if checkpoint.feature_bounds.mins.shape != (signal.num_nodes, signal.num_channels):
-            raise ConfigError(
-                f"checkpoint bounds cover {checkpoint.feature_bounds.mins.shape}, "
-                f"bucket needs ({signal.num_nodes}, {signal.num_channels})"
+    if bounds is not None:
+        snapshots = normalize_features(snapshots, bounds)
+    a_hat = normalized_adjacency(signal)
+    return forward_pass(snapshots, a_hat, checkpoint.params, checkpoint.config).item()
+
+
+def _split_cell(params: ModelParams, config: ModelConfig):
+    """The cell's weights split by what they multiply, transposed for `score_windows`.
+
+    The scorer keeps node states feature-major (d x rows), so every weight
+    comes back transposed: the snapshot-side weights of the three
+    pre-activations stacked (3d x d: [u; r; c] for tgcn and a3tgcn,
+    [z; r; h] for gconv_gru) with their biases (3d x 1), and the state-side
+    weights of the two gates (2d x d) and of the candidate (d x d).
+    """
+    d = config.embed_dim
+    if config.cell_kind == "gconv_gru":
+        parts = [(params[f"w_{g}"].value, params[f"u_{g}"].value, params[f"b_{g}"].value)
+                 for g in "zrh"]
+    else:  # the stacked weight [W; U] of each gate multiplies [G_t, state]
+        parts = [(params[f"w_{g}"].value[:d], params[f"w_{g}"].value[d:], params[f"b_{g}"].value)
+                 for g in "urc"]
+    w_snap, w_state, bias = (np.ascontiguousarray(np.hstack(cols).T) for cols in zip(*parts))
+    return w_snap, bias, w_state[:2 * d], w_state[2 * d:]
+
+
+def _snapshot_stage(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, bias):
+    """Every part of a cell step that depends on its snapshot alone: 3d x N.
+
+    The embedding E = gcn_embed(x), then the step's graph input (A_hat E for
+    gconv_gru, G = relu(A_hat E W_g) for the T-GCN step) times the
+    snapshot-side weights of the three pre-activations, plus their biases.
+    """
+    mixed = a_hat @ gcn_embed(x, a_hat, params).value
+    if config.cell_kind != "gconv_gru":
+        mixed = np.maximum(mixed @ params["w_g"].value, 0.0)
+    out = w_snap @ mixed.T
+    out += bias
+    return out
+
+
+def _propagate(a_hat, states, n):
+    """A_hat times each window's node states, for d x (B N) feature-major states."""
+    return (states.reshape(-1, n) @ a_hat.T).reshape(states.shape)
+
+
+def _recurrence(steps, a_hat, config: ModelConfig, w_gates, w_cand, n) -> list:
+    """The recurrent states of a block of windows, one d x (B N) array per step.
+
+    `steps` yields each step's snapshot stage for every window of the block,
+    side by side as 3d x (B N); the state-side half of every pre-activation
+    is computed here, per window and step. The gates take the logistic
+    function as 1 / (1 + exp(-x)), which is exact where the per-window
+    step's overflow-free form takes the same branch and within an ulp
+    elsewhere; exp overflows to inf for x < -709, giving 0 as it should.
+    """
+    d = config.embed_dim
+    graph_state = config.cell_kind == "gconv_gru"
+    states = []
+    h = None
+    for snap in steps:
+        if h is None:
+            h = np.zeros((d, snap.shape[1]))
+        gates = w_gates @ (_propagate(a_hat, h, n) if graph_state else h)
+        gates += snap[:2 * d]
+        np.negative(gates, out=gates)
+        np.exp(gates, out=gates)
+        gates += 1.0
+        np.reciprocal(gates, out=gates)
+        u, r = gates[:d], gates[d:]
+        gated = r * h
+        if graph_state:
+            gated = _propagate(a_hat, gated, n)
+        candidate = w_cand @ gated
+        candidate += snap[2 * d:]
+        np.tanh(candidate, out=candidate)
+        h = u * h  # u * h + (1 - u) * c, in the per-window step's order
+        np.subtract(1.0, u, out=u)
+        u *= candidate
+        h += u
+        states.append(h)
+    return states
+
+
+def _stacked_attention(states, params: ModelParams) -> np.ndarray:
+    """`temporal_attention` over feature-major d x rows states, returned d x rows.
+
+    Per row, the softmax over steps of tanh(H_t W_a + b_a) v_a weights the
+    states, summed in step order.
+    """
+    w_a, b_a, v_a = (params[name].value.T for name in ("w_a", "b_a", "v_a"))
+    energies = []
+    for h in states:
+        hidden = w_a @ h
+        hidden += b_a
+        energies.append(v_a @ np.tanh(hidden, out=hidden))
+    energies = np.concatenate(energies)
+    weights = np.exp(energies - energies.max(axis=0))
+    weights /= weights.sum(axis=0)
+    context = weights[0] * states[0]
+    for t in range(1, len(states)):
+        context += weights[t] * states[t]
+    return context
+
+
+def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
+                  candidates=None) -> np.ndarray:
+    """Scores of many windows of one signal, computed in one call without a tape.
+
+    Window i covers snapshots [starts[i], starts[i] + length) of `signal`.
+    `candidates`, when given, holds one raw N x F snapshot per window that
+    replaces the window's last snapshot (a labeled bucket's candidate).
+    Features are normalized with the checkpoint's stored bounds, as
+    `forward` does.  Returns one score per window, in the order of `starts`.
+
+    Windows are taken in start order, a block at a time; a block holds as
+    many windows as fit their recurrent states in a fixed float budget. The
+    snapshot stage of a signal snapshot runs once per call and is kept while
+    a later window still holds that snapshot; a candidate's runs once for
+    its window. Call it outside any tape.
+    """
+    bounds = _checked_bounds(signal, checkpoint)
+    config = checkpoint.config
+    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
+        raise ContractError(f"window length must be a positive integer, got {length!r}")
+    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    last_start = signal.num_snapshots - length
+    if starts.size and (starts.min() < 0 or starts.max() > last_start):
+        raise ContractError(
+            f"window starts must lie in [0, {last_start}] for {signal.num_snapshots} "
+            f"snapshots and length {length}, got {starts.min()}..{starts.max()}"
+        )
+    n, d = signal.num_nodes, config.embed_dim
+    if candidates is not None:
+        candidates = np.asarray(candidates, dtype=np.float64)
+        if candidates.shape != (len(starts), n, signal.num_channels):
+            raise ContractError(
+                f"expected {len(starts)} candidates of shape ({n}, {signal.num_channels}), "
+                f"got {candidates.shape}"
             )
-        snapshots = normalize_features(snapshots, checkpoint.feature_bounds)
-    if a_hat is None:
-        a_hat = normalized_adjacency(signal)
-    return forward_pass(snapshots, a_hat, checkpoint.params, config).item()
+    scores = np.empty(len(starts))
+    if not len(starts):
+        return scores
+
+    first = int(starts.min())
+    features = signal.features[first:int(starts.max()) + length]
+    if bounds is not None:
+        features = normalize_features(features, bounds)
+        if candidates is not None:
+            candidates = normalize_features(candidates, bounds)
+    a_hat = normalized_adjacency(signal)
+    params = checkpoint.params
+    w_snap, bias, w_gates, w_cand = _split_cell(params, config)
+    layers = _head_layers(params)
+
+    def stage(x):
+        return _snapshot_stage(x, a_hat, params, config, w_snap, bias)
+
+    shared = length if candidates is None else length - 1
+    order = np.argsort(starts, kind="stable")
+    block = max(1, _BLOCK_FLOATS // (n * d * length))
+    cache: dict[int, np.ndarray] = {}
+    for at in range(0, len(order), block):
+        part = order[at:at + block]
+        block_starts = starts[part].tolist()
+        # keep what this block holds; with starts in order, nothing dropped
+        # here is held by a later block
+        needed = {s + k for s in block_starts for k in range(shared)}
+        cache = {j: cache[j] if j in cache else stage(features[j - first]) for j in needed}
+
+        def steps():
+            for k in range(shared):
+                yield np.concatenate([cache[s + k] for s in block_starts], axis=1)
+            if shared < length:
+                yield np.concatenate([stage(candidates[i]) for i in part], axis=1)
+
+        with np.errstate(over="ignore"):
+            states = _recurrence(steps(), a_hat, config, w_gates, w_cand, n)
+        final = states[-1]
+        if config.cell_kind == "a3tgcn":
+            final = _stacked_attention(states, params)
+        pooled = final.reshape(d, len(part), n).mean(axis=2).T
+        scores[part] = _head_activations(pooled, layers)[0][-1][:, 0]
+    return scores
 
 
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:

@@ -17,7 +17,7 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .data import NodeBounds, normalize_features, normalized_adjacency
 from .errors import ConfigError, ContractError, ParseError, TrainingError
-from .model import Checkpoint, ModelConfig, ModelParams, Provenance, forward, forward_pass
+from .model import Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows
 
 OPTIMIZER_KINDS = ("adam", "sgd")
 
@@ -40,7 +40,6 @@ class TrainConfig:
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
-    batch_size: int = 1
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 1:
@@ -61,9 +60,6 @@ class TrainConfig:
             raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1!r}, {self.beta2!r})")
         if not (self.epsilon > 0):
             raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
-        if self.batch_size != 1:
-            # the update rule is defined per bucket; batching would change it
-            raise ConfigError(f"only batch_size=1 is supported, got {self.batch_size!r}")
 
 
 class Sgd:
@@ -325,13 +321,29 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *,
 
 
 def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
-    """Score every bucket with the checkpoint and wrap the metrics in a report."""
+    """Score every bucket with the checkpoint and wrap the metrics in a report.
+
+    All buckets must be windows of one length over one signal; they are
+    scored in one `score_windows` call, and the report keeps their order.
+    """
     test_set = list(test_set)
     if not test_set:
         raise ContractError("need at least one bucket")
-    signal = test_set[0].bucket.signal
-    a_hat = normalized_adjacency(signal)
-    preds = [forward(b, checkpoint, a_hat=a_hat) for b in test_set]
+    first = test_set[0].bucket
+    for i, b in enumerate(test_set):
+        if b.bucket.signal is not first.signal:
+            raise ContractError(
+                f"bucket {i} (start {b.bucket.start}) is a window of another signal than "
+                f"bucket 0; evaluate scores the windows of one signal"
+            )
+        if b.bucket.length != first.length:
+            raise ContractError(
+                f"bucket {i} (start {b.bucket.start}) has length {b.bucket.length}, "
+                f"bucket 0 has length {first.length}"
+            )
+    signal = first.signal
+    preds = score_windows(signal, checkpoint, [b.bucket.start for b in test_set], first.length,
+                          candidates=np.stack([b.candidate for b in test_set])).tolist()
     labels = [b.label for b in test_set]
     fold = fold_result(preds, labels, [b.bucket.start for b in test_set])
     echo = {

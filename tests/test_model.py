@@ -2,8 +2,15 @@ import numpy as np
 import pytest
 
 from tgsim import autodiff as ad
+from tgsim import model as model_module
 from tgsim.autodiff import Tensor, Tape, backward, grad_check
-from tgsim.data import NodeBounds, TemporalGraphSignal, normalized_adjacency
+from tgsim.data import (
+    NodeBounds,
+    TemporalGraphSignal,
+    node_bounds,
+    normalize_features,
+    normalized_adjacency,
+)
 from tgsim.errors import ConfigError, ContractError, ParseError
 from tgsim.model import (
     CELL_KINDS,
@@ -21,6 +28,7 @@ from tgsim.model import (
     load_checkpoint,
     parameter_shapes,
     save_checkpoint,
+    score_windows,
     temporal_attention,
 )
 from tgsim.noise import Bucket, LabeledBucket
@@ -664,3 +672,108 @@ class TestCheckpoint:
         checkpoint = Checkpoint(config, ModelParams.zeros(config))
         with pytest.raises(ConfigError, match="1.*2|2.*1"):
             forward(Bucket(signal, 0, 4), checkpoint)
+
+
+def scored_signal(kind, n=5, s=40, f=2, seed=41):
+    """A signal on a path-plus-chord graph and a checkpoint whose bounds it fits."""
+    rng = np.random.default_rng(seed)
+    edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
+    signal = TemporalGraphSignal("scored", n, edges, None, rng.uniform(10.0, 20.0, (s, n, f)))
+    config = small_config(kind, f=f, d=6, a=4)
+    # cell weights three times the initial draw move every gate well off 0.5
+    drawn = ModelParams.initialize(config, seed)
+    params = ModelParams(config, {
+        name: t.value if "head" in name else 3.0 * t.value for name, t in drawn.items()
+    })
+    return signal, Checkpoint(config, params, node_bounds(signal))
+
+
+def per_window_scores(signal, checkpoint, starts, length, candidates=None):
+    """The score of each window through `forward_pass`, one window at a time."""
+    bounds = checkpoint.feature_bounds
+    a_hat = normalized_adjacency(signal)
+    out = []
+    for i, start in enumerate(starts):
+        window = signal.features[start:start + length].copy()
+        if candidates is not None:
+            window[-1] = candidates[i]
+        window = normalize_features(window, bounds)
+        out.append(forward_pass(window, a_hat, checkpoint.params, checkpoint.config).item())
+    return np.array(out)
+
+
+def blocks_of(monkeypatch, windows, signal, checkpoint, length):
+    """Make score_windows take `windows` windows per block."""
+    n, d = signal.num_nodes, checkpoint.config.embed_dim
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", windows * n * d * length)
+
+
+class TestScoreWindows:
+    @pytest.mark.parametrize("length", [2, 6])
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_stream_matches_forward_pass_across_blocks(self, monkeypatch, kind, length):
+        signal, checkpoint = scored_signal(kind)
+        starts = list(range(signal.num_snapshots - length + 1))
+        # 4 windows a block: several blocks, the last one partial
+        blocks_of(monkeypatch, 4, signal, checkpoint, length)
+        assert len(starts) % 4 != 0
+        got = score_windows(signal, checkpoint, starts, length)
+        want = per_window_scores(signal, checkpoint, starts, length)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_candidates_in_any_order_match_forward_pass(self, monkeypatch, kind):
+        signal, checkpoint = scored_signal(kind)
+        rng = np.random.default_rng(43)
+        # shuffled, with repeated starts and sparse gaps between them
+        starts = rng.choice(30, size=17, replace=True).tolist()
+        candidates = rng.uniform(8.0, 22.0, (len(starts), signal.num_nodes, 2))
+        blocks_of(monkeypatch, 3, signal, checkpoint, 6)
+        got = score_windows(signal, checkpoint, starts, 6, candidates)
+        want = per_window_scores(signal, checkpoint, starts, 6, candidates)
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_two_calls_are_bitwise_equal(self, kind):
+        signal, checkpoint = scored_signal(kind)
+        starts = list(range(0, 35, 2))[::-1]
+        first = score_windows(signal, checkpoint, starts, 6)
+        again = score_windows(signal, checkpoint, starts, 6)
+        assert first.tobytes() == again.tobytes()
+
+    @pytest.mark.parametrize("windows", [1, 4, 1000])
+    def test_each_snapshot_is_embedded_once(self, monkeypatch, windows):
+        signal, checkpoint = scored_signal("a3tgcn")
+        calls = []
+        embed = model_module.gcn_embed
+        monkeypatch.setattr(model_module, "gcn_embed",
+                            lambda *args: calls.append(1) or embed(*args))
+        blocks_of(monkeypatch, windows, signal, checkpoint, 6)
+        score_windows(signal, checkpoint, range(35), 6)
+        assert len(calls) == signal.num_snapshots
+        calls.clear()
+        # candidates replace the last snapshot: the history snapshots 0..33
+        # once each, plus one candidate per window
+        score_windows(signal, checkpoint, range(30), 6, np.zeros((30, 5, 2)))
+        assert len(calls) == 34 + 30
+
+    def test_no_windows_gives_no_scores(self):
+        signal, checkpoint = scored_signal("tgcn")
+        assert score_windows(signal, checkpoint, [], 6).shape == (0,)
+
+    @pytest.mark.parametrize("starts", [[-1, 0], [0, 35], [40]])
+    def test_starts_outside_the_signal_rejected(self, starts):
+        signal, checkpoint = scored_signal("tgcn")
+        with pytest.raises(ContractError, match="window starts"):
+            score_windows(signal, checkpoint, starts, 6)
+
+    def test_candidate_shape_checked(self):
+        signal, checkpoint = scored_signal("tgcn")
+        with pytest.raises(ContractError, match="candidates"):
+            score_windows(signal, checkpoint, [0, 1], 6, np.zeros((2, 5, 3)))
+
+    @pytest.mark.parametrize("length", [0, True, 2.0])
+    def test_bad_length_rejected(self, length):
+        signal, checkpoint = scored_signal("tgcn")
+        with pytest.raises(ContractError, match="window length"):
+            score_windows(signal, checkpoint, [0], length)

@@ -9,7 +9,7 @@ import pytest
 from tgsim.autodiff import Tensor
 from tgsim.data import TemporalGraphSignal, node_bounds
 from tgsim.errors import ConfigError, ContractError, ParseError, TrainingError
-from tgsim.model import Checkpoint, ModelConfig, ModelParams
+from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward
 from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import (
     Adam,
@@ -67,7 +67,6 @@ class TestTrainConfig:
         assert config.folds == 3
         assert config.optimizer == "adam"
         assert config.beta1 == 0.9 and config.beta2 == 0.999 and config.epsilon == 1e-8
-        assert config.batch_size == 1
 
     def test_optimizer_name_is_normalized(self):
         assert TrainConfig(optimizer="Adam").optimizer == "adam"
@@ -88,7 +87,6 @@ class TestTrainConfig:
             {"beta1": 1.0},
             {"beta2": -0.1},
             {"epsilon": 0.0},
-            {"batch_size": 2},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -390,6 +388,37 @@ class TestEvaluate:
         checkpoint, _ = train(labeled, TrainConfig(epochs=1, bucket_length=5), tiny_model())
         with pytest.raises(ContractError, match="at least one bucket"):
             evaluate(checkpoint, [])
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_shuffled_buckets_match_forward_in_input_order(self, kind):
+        labeled = make_labeled(n=4, s=30, length=5, seed=23)
+        model_config = tiny_model(kind)
+        checkpoint = Checkpoint(model_config, ModelParams.initialize(model_config, 24),
+                                bounds_from_buckets(labeled))
+        order = np.random.default_rng(25).permutation(len(labeled))
+        shuffled = [labeled[i] for i in order]
+        fold = evaluate(checkpoint, shuffled).folds[0]
+        assert list(fold.starts) == [b.bucket.start for b in shuffled]
+        assert list(fold.labels) == [b.label for b in shuffled]
+        want = [forward(b, checkpoint) for b in shuffled]
+        assert np.max(np.abs(np.array(fold.predictions) - want)) <= 1e-15
+
+    def test_bucket_from_another_signal_rejected(self):
+        # same node count and channels, other features: one graph would
+        # silently score the other signal's windows
+        ours = make_labeled(n=4, s=14, length=5, seed=26)
+        theirs = make_labeled(n=4, s=14, length=5, seed=27)
+        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()))
+        with pytest.raises(ContractError, match=r"bucket 3 \(start 7\).*signal"):
+            evaluate(checkpoint, ours[:3] + [theirs[7]] + ours[3:])
+
+    def test_mixed_lengths_rejected(self):
+        signal = make_signal(n=4, s=14)
+        short = inject_noise(bucketize(signal, 4), node_bounds(signal), NoiseSpec(seed=28))
+        long = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(seed=28))
+        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()))
+        with pytest.raises(ContractError, match=r"bucket 2 \(start 6\) has length 4"):
+            evaluate(checkpoint, long[:2] + [short[6]])
 
 
 class TestCrossValidate:
