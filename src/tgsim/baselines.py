@@ -44,6 +44,41 @@ def random_baseline(buckets, seed: int) -> list[BaselinePrediction]:
     ]
 
 
+def _fit_lines(t, v):
+    """Least-squares slope and intercept of every row of v (..., T) against t (T,)."""
+    t_mean = t.mean()
+    v_mean = v.mean(axis=-1)
+    variance = np.mean((t - t_mean) ** 2)
+    if variance == 0.0:
+        raise ContractError("cannot fit a line when every time is equal")
+    slope = np.mean((t - t_mean) * (v - v_mean[..., None]), axis=-1) / variance
+    return slope, v_mean - slope * t_mean
+
+
+def _extrapolation_scores(series):
+    """`extrapolation_score` of every row of series (..., T), T >= 3."""
+    size = series.shape[-1]
+    slope, intercept = _fit_lines(np.arange(size - 1, dtype=np.float64), series[..., :-1])
+    predicted = slope * (size - 1) + intercept
+    return np.clip(1.0 - np.abs(series[..., -1] - predicted), 0.0, 1.0)
+
+
+def _tsr_scores(series):
+    """`tsr_series_score` of every row of series (..., T), T >= 3."""
+    low = series.min(axis=-1, keepdims=True)
+    span = series.max(axis=-1, keepdims=True) - low
+    scaled = np.zeros_like(series)
+    np.divide(series - low, span, out=scaled, where=span != 0.0)
+    return _extrapolation_scores(scaled)
+
+
+def _flat_series(series) -> np.ndarray:
+    s = np.asarray(series, dtype=np.float64)
+    if s.ndim != 1 or s.size < 3:
+        raise ContractError(f"need a flat series of at least 3 points, got shape {s.shape}")
+    return s
+
+
 def ols_fit(times, values) -> tuple[float, float]:
     """Closed-form least squares line through (times, values).
 
@@ -56,13 +91,8 @@ def ols_fit(times, values) -> tuple[float, float]:
         raise ContractError(f"times and values must be flat and equal-length, got {t.shape} and {v.shape}")
     if t.size < 2:
         raise ContractError(f"need at least 2 points to fit a line, got {t.size}")
-    t_mean = t.mean()
-    v_mean = v.mean()
-    variance = float(np.mean((t - t_mean) ** 2))
-    if variance == 0.0:
-        raise ContractError("cannot fit a line when every time is equal")
-    slope = float(np.mean((t - t_mean) * (v - v_mean))) / variance
-    return slope, float(v_mean - slope * t_mean)
+    slope, intercept = _fit_lines(t, v)
+    return float(slope), float(intercept)
 
 
 def extrapolation_score(series) -> float:
@@ -71,13 +101,7 @@ def extrapolation_score(series) -> float:
     The series is taken as already scaled; the per-point score is
     1 - |last - predicted|, clamped into [0, 1].
     """
-    s = np.asarray(series, dtype=np.float64)
-    if s.ndim != 1 or s.size < 3:
-        raise ContractError(f"need a flat series of at least 3 points, got shape {s.shape}")
-    times = np.arange(s.size - 1, dtype=np.float64)
-    slope, intercept = ols_fit(times, s[:-1])
-    predicted = slope * (s.size - 1) + intercept
-    return float(min(1.0, max(0.0, 1.0 - abs(s[-1] - predicted))))
+    return float(_extrapolation_scores(_flat_series(series)))
 
 
 def tsr_series_score(series) -> float:
@@ -88,24 +112,22 @@ def tsr_series_score(series) -> float:
     stretches the range shifts the whole series; this mirrors how the
     method is defined, leak and all.
     """
-    s = np.asarray(series, dtype=np.float64)
-    low, high = s.min(), s.max()
-    scaled = np.zeros_like(s) if high == low else (s - low) / (high - low)
-    return extrapolation_score(scaled)
+    return float(_tsr_scores(_flat_series(series)))
 
 
 def tsr_baseline(bucket) -> float:
-    """Mean per-node-and-channel trend score for one bucket."""
+    """Mean per-node-and-channel trend score for one bucket.
+
+    All N x F series are scored at once, each along its own time row.
+    """
     window = np.asarray(bucket.snapshots, dtype=np.float64)
-    length, nodes, channels = window.shape
+    length = window.shape[0]
     if length < 3:
         raise ContractError(f"trend regression needs buckets of length >= 3, got {length}")
-    scores = [
-        tsr_series_score(window[:, node, channel])
-        for node in range(nodes)
-        for channel in range(channels)
-    ]
-    return float(np.mean(scores))
+    # one row per node and channel, in that order; time contiguous, so each
+    # row reduces exactly as a lone series does
+    series = np.ascontiguousarray(np.moveaxis(window, 0, -1))
+    return float(np.mean(_tsr_scores(series)))
 
 
 def tsr_predictions(buckets) -> list[BaselinePrediction]:

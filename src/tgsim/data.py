@@ -5,16 +5,29 @@ N nodes, F feature channels per node.  The topology never changes across
 snapshots.  This module owns the canonical JSON format for such signals,
 the degree-normalized adjacency used by the graph convolutions, and
 per-node-channel feature bounds with min-max normalization.
+
+The JSON file is the only source of truth.  `write_canonical` also leaves a
+binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
+SHA-256 of the exact JSON bytes.  `load_canonical` builds the signal from
+the sidecar only when that hash matches the file it just read, so a missing,
+stale or damaged sidecar costs nothing but the JSON parse it would have done
+anyway.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import json
+import os
+import shutil
+import tempfile
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.format import read_array
 
 from .errors import ContractError, ParseError
 
@@ -177,19 +190,93 @@ def _locate_ragged(raw, n, path):
                 _parse_number(value, f"features[{i}][{j}][{k}]", path)
 
 
+_SIDECAR_FORMAT = "tgsim-canonical-sidecar/1"
+
+
+def _sidecar_path(path: Path) -> Path:
+    return path.with_name(path.name + ".npy")
+
+
+def _write_sidecar(signal: TemporalGraphSignal, digest: bytes, path: Path) -> None:
+    """Consecutive `np.save` arrays: digest, metadata, edges, weights, features.
+
+    Written to a temporary file in the same directory and renamed over the
+    old sidecar, so a reader never sees a partial one.  `np.save` stamps no
+    time, so one signal always gives the same bytes.
+    """
+    meta = json.dumps([_SIDECAR_FORMAT, signal.name, signal.frequency, signal.num_nodes])
+    arrays = (
+        np.frombuffer(digest, dtype=np.uint8),
+        np.frombuffer(meta.encode("utf-8"), dtype=np.uint8),
+        np.array(signal.edges, dtype=np.int64).reshape(-1, 2),
+        signal.weights,
+        signal.features,
+    )
+    sidecar = _sidecar_path(path)
+    fd, tmp = tempfile.mkstemp(prefix=f".{sidecar.name}.", dir=sidecar.parent)
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            for array in arrays:
+                np.save(handle, array, allow_pickle=False)
+        shutil.copymode(path, tmp)  # mkstemp makes it owner-only
+        os.replace(tmp, sidecar)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
+def _load_sidecar(path: Path, digest: bytes) -> TemporalGraphSignal | None:
+    """The signal stored in `path`'s sidecar, or None unless it matches `digest`.
+
+    A missing, truncated, foreign or stale sidecar, or one that does not
+    describe a valid signal, gives None.
+    """
+    try:
+        with open(_sidecar_path(path), "rb") as handle:
+            # read_array, unlike np.load, reads only .npy arrays (no zip, no pickle)
+            stored = read_array(handle, allow_pickle=False)
+            if stored.dtype != np.uint8 or stored.tobytes() != digest:
+                return None
+            meta, edges, weights, features = (
+                read_array(handle, allow_pickle=False) for _ in range(4)
+            )
+        if (meta.dtype, edges.dtype, weights.dtype, features.dtype) != (
+            np.uint8, np.int64, np.float64, np.float64
+        ):
+            return None
+        fmt, name, frequency, n = json.loads(meta.tobytes())
+        # TemporalGraphSignal leaves these two unchecked; the JSON path does not
+        if fmt != _SIDECAR_FORMAT or type(name) is not str or type(frequency) is not str:
+            return None
+        return TemporalGraphSignal(name, n, edges.tolist(), weights, features, frequency)
+    except (OSError, ValueError, TypeError, MemoryError, ContractError):
+        return None
+
+
 def load_canonical(path, strict: bool = True) -> TemporalGraphSignal:
     """Load and validate a canonical-format signal file.
 
     Malformed input is rejected with a `ParseError` naming the offending
     location, never repaired.  Unknown top-level fields are an error when
     `strict`, a warning otherwise.
+
+    The file's bytes are always read and hashed.  When the sidecar that
+    `write_canonical` left carries the same SHA-256, the signal is built
+    from its arrays (still through `TemporalGraphSignal` validation), which
+    gives the same signal as parsing, bit for bit; otherwise the JSON is
+    parsed.  Nothing is ever written here.
     """
     path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    data = path.read_bytes()
+    signal = _load_sidecar(path, hashlib.sha256(data).digest())
+    if signal is not None:
+        return signal
+    # the same decoding, newline handling included, as reading in text mode
+    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    try:
+        doc = json.load(handle)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
@@ -278,7 +365,15 @@ def load_canonical(path, strict: bool = True) -> TemporalGraphSignal:
 
 
 def write_canonical(signal: TemporalGraphSignal, path) -> None:
-    """Write a signal in the canonical format; inverse of `load_canonical`."""
+    """Write a signal in the canonical format; inverse of `load_canonical`.
+
+    After the JSON file, writes its binary sidecar `<path>.npy`: the same
+    name, frequency, node count, edges, weights and features, plus the
+    SHA-256 of the JSON bytes, so a later `load_canonical` of this exact
+    file can skip the parse.  Editing the JSON afterwards leaves the
+    sidecar unused, not wrong.  A sidecar that cannot be written is left
+    out: the JSON alone is complete.
+    """
     doc = {
         "name": signal.name,
         "num_nodes": signal.num_nodes,
@@ -288,7 +383,12 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         "features": signal.features.tolist(),
     }
     path = Path(path)
-    path.write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
+    data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
+    path.write_bytes(data)
+    try:
+        _write_sidecar(signal, hashlib.sha256(data).digest(), path)
+    except OSError:
+        pass
 
 
 def normalized_adjacency(signal: TemporalGraphSignal, symmetrize: bool = True) -> np.ndarray:
@@ -345,8 +445,3 @@ def normalize_features(values: np.ndarray, bounds: NodeBounds) -> np.ndarray:
     out = np.zeros_like(shifted)
     np.divide(shifted, span, out=out, where=span > 0)
     return out
-
-
-def min_max_normalize(signal: TemporalGraphSignal, bounds: NodeBounds) -> TemporalGraphSignal:
-    """Signal with every snapshot min-max normalized against `bounds`."""
-    return signal.with_features(normalize_features(signal.features, bounds))

@@ -488,6 +488,11 @@ def _snapshot_stage(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, 
     return out
 
 
+def _side_by_side(stages):
+    """A block's snapshot stages side by side as 3d x (B N); a lone stage is not copied."""
+    return stages[0] if len(stages) == 1 else np.concatenate(stages, axis=1)
+
+
 def _propagate(a_hat, states, n):
     """A_hat times each window's node states, for d x (B N) feature-major states."""
     return (states.reshape(-1, n) @ a_hat.T).reshape(states.shape)
@@ -497,8 +502,9 @@ def _recurrence(steps, a_hat, config: ModelConfig, w_gates, w_cand, n) -> list:
     """The recurrent states of a block of windows, one d x (B N) array per step.
 
     `steps` yields each step's snapshot stage for every window of the block,
-    side by side as 3d x (B N); the state-side half of every pre-activation
-    is computed here, per window and step. The gates take the logistic
+    side by side as 3d x (B N), and is only read, so a cached stage can be
+    yielded as is; the state-side half of every pre-activation is computed
+    here, per window and step. The gates take the logistic
     function as 1 / (1 + exp(-x)), which is exact where the per-window
     step's overflow-free form takes the same branch and within an ulp
     elsewhere; exp overflows to inf for x < -709, giving 0 as it should.
@@ -619,9 +625,9 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
 
         def steps():
             for k in range(shared):
-                yield np.concatenate([cache[s + k] for s in block_starts], axis=1)
+                yield _side_by_side([cache[s + k] for s in block_starts])
             if shared < length:
-                yield np.concatenate([stage(candidates[i]) for i in part], axis=1)
+                yield _side_by_side([stage(candidates[i]) for i in part])
 
         with np.errstate(over="ignore"):
             states = _recurrence(steps(), a_hat, config, w_gates, w_cand, n)

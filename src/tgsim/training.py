@@ -77,8 +77,9 @@ class Sgd:
 class Adam:
     """Moment-corrected gradient steps.
 
-    State arrays are kept parallel to the tensor list; `steps` counts
-    completed updates and drives the bias correction.
+    The moments are flat vectors over every tensor in list order, so a step
+    does its arithmetic once over the concatenated gradients; `steps`
+    counts completed updates and drives the bias correction.
     """
 
     def __init__(self, tensors, learning_rate: float, beta1: float = 0.9,
@@ -88,22 +89,28 @@ class Adam:
         self.beta1 = float(beta1)
         self.beta2 = float(beta2)
         self.epsilon = float(epsilon)
-        self.first = [np.zeros_like(t.value) for t in self.tensors]
-        self.second = [np.zeros_like(t.value) for t in self.tensors]
+        size = sum(t.value.size for t in self.tensors)
+        self.first = np.zeros(size)
+        self.second = np.zeros(size)
         self.steps = 0
 
     def step(self) -> None:
         self.steps += 1
         first_correction = 1.0 - self.beta1 ** self.steps
         second_correction = 1.0 - self.beta2 ** self.steps
-        for t, m, v in zip(self.tensors, self.first, self.second):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * t.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * t.grad ** 2
-            t.value -= self.learning_rate * (m / first_correction) / (
-                np.sqrt(v / second_correction) + self.epsilon
-            )
+        grad = np.concatenate([t.grad.reshape(-1) for t in self.tensors])
+        m, v = self.first, self.second
+        m *= self.beta1
+        m += (1.0 - self.beta1) * grad
+        v *= self.beta2
+        v += (1.0 - self.beta2) * grad ** 2
+        update = self.learning_rate * (m / first_correction) / (
+            np.sqrt(v / second_correction) + self.epsilon
+        )
+        at = 0
+        for t in self.tensors:
+            t.value -= update[at:at + t.value.size].reshape(t.value.shape)
+            at += t.value.size
 
 
 def make_optimizer(params: ModelParams, config: TrainConfig):

@@ -167,6 +167,29 @@ class TestTsrBaseline:
                 expected.append(np.clip(1.0 - miss, 0.0, 1.0))
         assert abs(tsr_baseline(bucket) - np.mean(expected)) < 1e-9
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_series_by_series_loop(self, seed):
+        # the per-series form, one 1-D fit per node and channel
+        def series_score(series):
+            low, high = series.min(), series.max()
+            scaled = np.zeros_like(series) if high == low else (series - low) / (high - low)
+            t = np.arange(scaled.size - 1, dtype=np.float64)
+            v = scaled[:-1]
+            slope = np.mean((t - t.mean()) * (v - v.mean())) / np.mean((t - t.mean()) ** 2)
+            predicted = slope * (scaled.size - 1) + v.mean() - slope * t.mean()
+            return min(1.0, max(0.0, 1.0 - abs(scaled[-1] - predicted)))
+
+        rng = np.random.default_rng(seed)
+        features = rng.normal(size=(40, 9, 3)) * 10.0 ** rng.integers(-3, 4, size=(1, 9, 3))
+        features[:, 2, 1] = 4.0
+        labeled = make_labeled(make_signal(n=9, s=40, f=3, features=features),
+                               length=int(rng.integers(3, 13)), seed=seed)
+        for bucket in labeled[:8]:
+            window = bucket.snapshots
+            expected = np.mean([series_score(window[:, node, channel])
+                                for node in range(9) for channel in range(3)])
+            assert abs(tsr_baseline(bucket) - expected) <= 1e-12
+
     def test_score_stays_in_unit_interval(self):
         labeled = make_labeled(make_signal(n=3, s=30, seed=44), length=5, seed=44)
         for bucket in labeled:

@@ -7,7 +7,6 @@ from tgsim.data import (
     NodeBounds,
     TemporalGraphSignal,
     load_canonical,
-    min_max_normalize,
     node_bounds,
     normalize_features,
     normalized_adjacency,
@@ -148,6 +147,156 @@ class TestCanonicalFormat:
         path = write_doc(tmp_path, doc)
         with pytest.raises(ParseError, match=r"edges\[0\]"):
             load_canonical(path)
+
+
+def sidecar_of(path):
+    return path.with_name(path.name + ".npy")
+
+
+def assert_same_signal(a, b):
+    assert (a.name, a.num_nodes, a.frequency, a.edges) == (b.name, b.num_nodes, b.frequency, b.edges)
+    assert a.weights.tobytes() == b.weights.tobytes()
+    assert a.features.shape == b.features.shape
+    assert a.features.tobytes() == b.features.tobytes()
+
+
+def awkward_signal(seed=3, n=5, s=7, f=2, name="awkward"):
+    rng = np.random.default_rng(seed)
+    features = rng.normal(size=(s, n, f)) * 10.0 ** rng.integers(-300, 300, size=(s, n, f))
+    features[0, 0, 0] = -0.0
+    features[0, 1, 0] = 5e-324
+    features[1, 0, 1] = -2.2250738585072e-310
+    weights = rng.random(4)
+    weights[0] = -0.0
+    weights[1] = 1e-320
+    return TemporalGraphSignal(
+        name, n, ((0, 1), (1, 2), (3, 3), (4, 0)), weights, features, "irregular"
+    )
+
+
+class TestCanonicalSidecar:
+    @pytest.mark.parametrize("make", [
+        lambda: awkward_signal(),
+        lambda: random_signal(np.random.default_rng(11)),
+        lambda: TemporalGraphSignal("no edges \u00e9\ud800", 3, (), None, np.ones((2, 3, 1))),
+    ])
+    def test_sidecar_and_json_give_the_same_signal(self, tmp_path, monkeypatch, make):
+        signal = make()
+        path = tmp_path / "signal.json"
+        write_canonical(signal, path)
+        assert sidecar_of(path).is_file()
+        with monkeypatch.context() as patched:
+            # with a matching sidecar the JSON is hashed, never parsed
+            patched.setattr(json, "load", None)
+            from_sidecar = load_canonical(path)
+        sidecar_of(path).unlink()
+        from_json = load_canonical(path)
+        assert_same_signal(from_sidecar, from_json)
+        assert_same_signal(from_sidecar, signal)
+        assert not from_sidecar.features.flags.writeable
+        assert not from_sidecar.weights.flags.writeable
+
+    def test_writes_are_byte_identical(self, tmp_path):
+        signal = awkward_signal()
+        first, second = tmp_path / "a" / "s.json", tmp_path / "b" / "s.json"
+        for path in (first, second, first):
+            path.parent.mkdir(exist_ok=True)
+            write_canonical(signal, path)
+        assert sidecar_of(first).read_bytes() == sidecar_of(second).read_bytes()
+        assert sorted(p.name for p in first.parent.iterdir()) == ["s.json", "s.json.npy"]
+
+    def test_unwritable_sidecar_leaves_the_json_alone(self, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise PermissionError("read-only directory")
+
+        path = tmp_path / "signal.json"
+        signal = awkward_signal()
+        write_canonical(signal, path)
+        stale = sidecar_of(path).read_bytes()
+        edited = TemporalGraphSignal("edited", 2, ((0, 1),), None, np.ones((2, 2, 1)))
+        monkeypatch.setattr("tgsim.data.tempfile.mkstemp", refuse)
+        write_canonical(edited, path)
+        assert sidecar_of(path).read_bytes() == stale
+        assert_same_signal(load_canonical(path), edited)
+
+    def test_json_edited_after_writing_wins(self, tmp_path):
+        path = tmp_path / "signal.json"
+        write_canonical(awkward_signal(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["features"][2][3][1] = 42.0
+        doc["name"] = "edited"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        signal = load_canonical(path)
+        assert signal.name == "edited"
+        assert signal.features[2, 3, 1] == 42.0
+        sidecar_of(path).unlink()
+        assert_same_signal(signal, load_canonical(path))
+
+    def test_damaged_sidecar_is_ignored(self, tmp_path):
+        path = tmp_path / "signal.json"
+        write_canonical(awkward_signal(), path)
+        whole = sidecar_of(path).read_bytes()
+        sidecar_of(path).unlink()
+        expected = load_canonical(path)
+        at = whole.rindex(b"<f8")  # the features' dtype in their .npy header
+        for damaged in (b"", whole[:10], whole[:200], whole[:-1], whole + b"\0",
+                        b"PK\x03\x04" + whole[4:], whole[:at] + b"<f4" + whole[at + 3:]):
+            sidecar_of(path).write_bytes(damaged)
+            assert_same_signal(load_canonical(path), expected)
+
+    def test_sidecar_of_another_signal_is_ignored(self, tmp_path):
+        path, other = tmp_path / "signal.json", tmp_path / "other.json"
+        write_canonical(awkward_signal(seed=3), path)
+        write_canonical(awkward_signal(seed=4), other)
+        sidecar_of(path).write_bytes(sidecar_of(other).read_bytes())
+        signal = load_canonical(path)
+        sidecar_of(path).unlink()
+        assert_same_signal(signal, load_canonical(path))
+        assert not np.array_equal(signal.features, load_canonical(other).features)
+
+    def test_parse_errors_still_raise_beside_a_sidecar(self, tmp_path):
+        path = tmp_path / "broken.json"
+        write_canonical(awkward_signal(), path)
+        path.write_text("{not json", encoding="utf-8")
+        with pytest.raises(ParseError, match="broken.json"):
+            load_canonical(path)
+        doc = minimal_doc()
+        doc["edges"] = [[5, 0]]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"edges\[0\].*out of range"):
+            load_canonical(path)
+
+    @pytest.mark.parametrize("field", ["name", "frequency"])
+    def test_non_string_metadata_is_rejected_despite_the_sidecar(self, tmp_path, field):
+        # the signal type accepts these, the canonical format does not
+        values = {"name": "ok", "frequency": "ok", field: 7}
+        signal = TemporalGraphSignal(
+            values["name"], 2, ((0, 1),), None, np.ones((2, 2, 1)), values["frequency"]
+        )
+        path = tmp_path / "signal.json"
+        write_canonical(signal, path)
+        with pytest.raises(ParseError, match=field):
+            load_canonical(path)
+
+    def test_loading_writes_nothing(self, tmp_path):
+        fresh, stale = tmp_path / "fresh.json", tmp_path / "stale.json"
+        write_canonical(awkward_signal(), fresh)
+        write_canonical(awkward_signal(), stale)
+        stale.write_text(stale.read_text(encoding="utf-8").replace("irregular", "daily"),
+                         encoding="utf-8")
+        plain = write_doc(tmp_path, minimal_doc(), name="plain.json")
+
+        def listing():
+            return sorted((p.name, p.stat().st_mtime_ns) for p in tmp_path.iterdir())
+
+        before = listing()
+        tmp_path.chmod(0o555)
+        try:
+            for path in (fresh, stale, plain):
+                load_canonical(path)
+        finally:
+            tmp_path.chmod(0o755)
+        assert listing() == before
 
 
 class TestSignalType:
@@ -311,14 +460,14 @@ class TestMinMaxNormalize:
     def test_simple_series(self):
         features = np.array([2.0, 4.0, 6.0]).reshape(3, 1, 1)
         signal = TemporalGraphSignal("s", 1, (), None, features)
-        normalized = min_max_normalize(signal, node_bounds(signal))
-        assert normalized.features.reshape(-1).tolist() == [0.0, 0.5, 1.0]
+        normalized = normalize_features(signal.features, node_bounds(signal))
+        assert normalized.reshape(-1).tolist() == [0.0, 0.5, 1.0]
 
     def test_degenerate_range_maps_to_zero(self):
         features = np.full((3, 1, 1), 7.0)
         signal = TemporalGraphSignal("s", 1, (), None, features)
-        normalized = min_max_normalize(signal, node_bounds(signal))
-        assert np.array_equal(normalized.features, np.zeros((3, 1, 1)))
+        normalized = normalize_features(signal.features, node_bounds(signal))
+        assert np.array_equal(normalized, np.zeros((3, 1, 1)))
 
     def test_out_of_range_input_is_allowed(self):
         bounds = NodeBounds(mins=np.zeros((1, 1)), maxs=np.ones((1, 1)))
@@ -329,14 +478,14 @@ class TestMinMaxNormalize:
         rng = np.random.default_rng(23)
         signal = random_signal(rng, n=5, s=50, f=2)
         bounds = node_bounds(signal)
-        normalized = min_max_normalize(signal, bounds)
+        normalized = normalize_features(signal.features, bounds)
         node, channel = 0, 1
         lo = bounds.mins[node, channel]
         hi = bounds.maxs[node, channel]
         oracle = (signal.features[:, node, channel] - lo) / (hi - lo)
-        assert np.allclose(normalized.features[:, node, channel], oracle, atol=1e-15)
-        assert normalized.features.min() >= 0.0
-        assert normalized.features.max() <= 1.0
+        assert np.allclose(normalized[:, node, channel], oracle, atol=1e-15)
+        assert normalized.min() >= 0.0
+        assert normalized.max() <= 1.0
 
     def test_shape_mismatch_rejected(self):
         bounds = NodeBounds(mins=np.zeros((2, 1)), maxs=np.ones((2, 1)))

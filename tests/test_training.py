@@ -186,6 +186,29 @@ class TestOptimizers:
             w -= 0.05 * (m / (1 - 0.9 ** step)) / (math.sqrt(v / (1 - 0.999 ** step)) + 1e-8)
             assert abs(t.value[0, 0] - w) < 1e-15
 
+    def test_adam_matches_per_tensor_updates_bitwise(self):
+        rng = np.random.default_rng(4)
+        shapes = [(3, 5), (1, 5), (5, 1), (1, 1)]
+        tensors = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        values = [t.value.copy() for t in tensors]
+        first = [np.zeros(shape) for shape in shapes]
+        second = [np.zeros(shape) for shape in shapes]
+        opt = Adam(tensors, 0.02, beta1=0.8, beta2=0.99, epsilon=1e-7)
+        for step in range(1, 30):
+            for t, w, m, v in zip(tensors, values, first, second):
+                g = rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 3)
+                t.grad[...] = g
+                m *= 0.8
+                m += (1.0 - 0.8) * g
+                v *= 0.99
+                v += (1.0 - 0.99) * g ** 2
+                w -= 0.02 * (m / (1.0 - 0.8 ** step)) / (
+                    np.sqrt(v / (1.0 - 0.99 ** step)) + 1e-7
+                )
+            opt.step()
+            for t, w in zip(tensors, values):
+                assert np.array_equal(t.value, w)
+
     def test_adam_first_step_is_signed_unit(self):
         # bias correction makes the first update ~lr regardless of grad scale
         for g in (0.5, 200.0, -0.003):
