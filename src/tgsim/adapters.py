@@ -203,6 +203,7 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
         raise AdapterError(f"{key}: {raw} is not valid JSON: {exc}") from exc
 
     edges, weights, features = _ADAPTERS[key](doc)
+    del doc  # as large as the signal itself; free it before the canonical write
     signal = TemporalGraphSignal(
         name=key,
         num_nodes=features.shape[1],

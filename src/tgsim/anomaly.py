@@ -1,10 +1,13 @@
 """Streaming anomaly flags on top of a trained similarity checkpoint.
 
-score_stream scores every window of a recorded signal in one batched call
-of `model.score_windows`, which embeds each snapshot once however many
-windows hold it; detect turns the score series into discrete events under
-one of two policies. The model itself is unchanged here, so detection
-quality is exactly similarity quality.
+score_stream scores every window of a recorded signal with
+`model.score_windows`, which embeds each snapshot once however many
+windows hold it. A long stream is split into one contiguous chunk per
+worker of the fork pool (`_pool`, one BLAS thread per worker); the scores
+are bitwise those of one serial call under one BLAS thread. detect turns
+the score series into discrete events under one of two policies. The
+model itself is unchanged here, so detection quality is exactly
+similarity quality.
 
 Windows overlap: a snapshot sits at the end of one window and in the
 history of the L - 1 windows after it, so one corrupted snapshot pulls
@@ -19,14 +22,28 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from . import _pool
 from .data import TemporalGraphSignal
 from .errors import ConfigError, ContractError
-from .model import Checkpoint, score_windows
+from .model import Checkpoint, _block_windows, score_windows
 
 ALARM_MODES = ("fixed", "zscore")
+
+# zscore mode's floor on the trailing std. Saturated models score every
+# window within 1e-12 of 1.0 and, unfloored, fire on about one window in
+# 18 of that round-off; the acceptance streams' trails have std 0.017 and
+# up, and their planted dips lie 3 x 0.098 or more below the trailing mean
+MIN_STD = 1e-4
+
+# windows x nodes below which score_stream stays in-process. Two forked
+# workers break even with one serial call at about 40 windows at N = 207
+# and 300 to 500 at N = 20 (a round trip of trivial jobs takes 10 to 20 ms,
+# and a fresh worker's first calls run slower than the parent's)
+_POOL_FLOOR = 10_000
 
 
 def _canonical_mode(mode: str) -> str:
@@ -47,12 +64,18 @@ class AlarmPolicy:
     After each fire the next `index_offset` windows (L - 1 for
     score_stream output) are muted echoes: they raise no event and stay
     out of the trail too.  See detect_with_thresholds.
+
+    The threshold uses max(trailing std, `min_std`), so a trail of
+    near-equal scores (a saturated model's round-off) cannot set a
+    threshold within round-off of its mean.  Events report the trail's own
+    std; their rule names the floor when it was used.
     """
 
     mode: str = "fixed"
     threshold: float = 0.7
     window: int = 20
     multiplier: float = 3.0
+    min_std: float = MIN_STD
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _canonical_mode(self.mode))
@@ -62,6 +85,8 @@ class AlarmPolicy:
             raise ConfigError(f"window must be an integer >= 3, got {self.window!r}")
         if not (self.multiplier > 0):
             raise ConfigError(f"multiplier must be positive, got {self.multiplier!r}")
+        if not (0.0 <= self.min_std < math.inf):
+            raise ConfigError(f"min_std must be finite and nonnegative, got {self.min_std!r}")
 
 
 @dataclass(frozen=True)
@@ -89,6 +114,12 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
     The first score covers snapshots [0, length); the last ends at the final
     snapshot.  Entry i corresponds to the window ending at snapshot
     i + length - 1.
+
+    A long stream is cut into one contiguous chunk of windows per worker
+    of the fork pool (`_pool`), each scored by one score_windows call; the
+    cuts fall on score_windows block boundaries, so each chunk's blocks
+    are the serial call's.  The scores are bitwise those of one serial
+    call run under one BLAS thread.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 2:
         raise ContractError(f"window length must be an integer >= 2, got {length!r}")
@@ -96,8 +127,16 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
         raise ContractError(
             f"signal has {signal.num_snapshots} snapshots, need at least {length}"
         )
-    starts = range(signal.num_snapshots - length + 1)
-    return score_windows(signal, checkpoint, starts, length).tolist()
+    count = signal.num_snapshots - length + 1
+    chunks = 1 if count * signal.num_nodes < _POOL_FLOOR else _pool.workers()
+    block = _block_windows(signal.num_nodes, checkpoint.config.embed_dim, length)
+    blocks = -(-count // block)
+    size = -(-blocks // chunks) * block
+    parts = _pool.run_jobs(
+        partial(score_windows, signal, checkpoint, range(at, min(at + size, count)), length)
+        for at in range(0, count, size)
+    )
+    return np.concatenate(parts).tolist()
 
 
 def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
@@ -117,6 +156,9 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
     second real anomaly within L - 1 snapshots of a fired one shows up in
     that event's echo_indices, not as its own event.  With index_offset 0
     nothing is muted.  Fixed mode never mutes.
+
+    In zscore mode the threshold is trailing mean - multiplier *
+    max(trailing std, policy.min_std).
     """
     scores = [float(s) for s in scores]
     for i, s in enumerate(scores):
@@ -149,16 +191,19 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
             continue
         mean = float(np.mean(trail))
         std = float(np.std(trail))
-        bound = mean - policy.multiplier * std
+        bound = mean - policy.multiplier * max(std, policy.min_std)
         thresholds.append(bound)
         if i <= muted_through:
             continue
         if s < bound:
             muted_through = min(i + index_offset, len(scores) - 1)
+            spread = f"std {std:.6g}"
+            if std < policy.min_std:
+                spread = f"min_std {policy.min_std:g} (std {std:.6g})"
             events.append(AnomalyEvent(
                 index=index_offset + i,
                 score=s,
-                rule=f"score {s:.6g} < trailing mean {mean:.6g} - {policy.multiplier:g} * std {std:.6g}",
+                rule=f"score {s:.6g} < trailing mean {mean:.6g} - {policy.multiplier:g} * {spread}",
                 trailing_mean=mean,
                 trailing_std=std,
                 echo_indices=tuple(range(index_offset + i + 1, index_offset + muted_through + 1)),

@@ -21,13 +21,15 @@ itself is dropped.
 from __future__ import annotations
 
 import weakref
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import ContractError, DimensionError
 
-_ACTIVE_TAPE = None
+# the tape recording in this thread (or task); each thread starts with none
+_ACTIVE_TAPE: ContextVar[Tape | None] = ContextVar("tgsim_active_tape", default=None)
 
 
 def _as_matrix(value) -> np.ndarray:
@@ -85,21 +87,22 @@ class Tape:
     Entries are (kind, inputs, out, rule) tuples appended in execution order,
     which is by construction a topological order of the computation. A tape and
     its tensors are a single-owner unit; nesting or sharing tapes is rejected.
+    The active tape is a context variable, so each thread records on its own.
     """
 
     def __init__(self):
         self.entries: list[tuple] = []
+        self._token = None
 
     def __enter__(self) -> "Tape":
-        global _ACTIVE_TAPE
-        if _ACTIVE_TAPE is not None:
+        if _ACTIVE_TAPE.get() is not None:
             raise ContractError("a tape is already active; tapes do not nest")
-        _ACTIVE_TAPE = self
+        self._token = _ACTIVE_TAPE.set(self)
         return self
 
     def __exit__(self, *exc) -> bool:
-        global _ACTIVE_TAPE
-        _ACTIVE_TAPE = None
+        _ACTIVE_TAPE.reset(self._token)
+        self._token = None
         return False
 
     def __len__(self) -> int:
@@ -116,7 +119,7 @@ def record(kind: str, inputs: tuple, out_value: np.ndarray, rule: Callable) -> T
     form a reference cycle.
     """
     out = Tensor(out_value)
-    tape = _ACTIVE_TAPE
+    tape = _ACTIVE_TAPE.get()
     if tape is not None and any(t.requires_grad for t in inputs):
         out.requires_grad = True
         out.grad = np.zeros_like(out.value)
@@ -304,44 +307,6 @@ def square(a: Tensor) -> Tensor:
             a.grad += g * (2.0 * av)
 
     return record("square", (a,), av * av, rule)
-
-
-_UNARY = {
-    "sigmoid": sigmoid,
-    "tanh": tanh,
-    "relu": relu,
-    "mean-rows": mean_rows,
-    "mean-all": mean_all,
-    "softmax-over-rows": softmax_rows,
-    "square": square,
-}
-
-_BINARY = {
-    "matmul": matmul,
-    "add": add,
-    "subtract": subtract,
-    "elementwise-multiply": multiply,
-    "concat-columns": concat_columns,
-}
-
-OPERATION_KINDS = tuple(_UNARY) + tuple(_BINARY) + ("scalar-multiply",)
-
-
-def tensor_op(kind: str, inputs: Sequence[Tensor], scalar: float | None = None) -> Tensor:
-    """Apply the named operation kind to `inputs`; generic entry point over the catalogue."""
-    if kind == "scalar-multiply":
-        if len(inputs) != 1 or scalar is None:
-            raise ContractError("scalar-multiply takes one tensor input and a scalar")
-        return scalar_multiply(inputs[0], scalar)
-    if kind in _UNARY:
-        if len(inputs) != 1:
-            raise ContractError(f"{kind} takes exactly one input, got {len(inputs)}")
-        return _UNARY[kind](inputs[0])
-    if kind in _BINARY:
-        if len(inputs) != 2:
-            raise ContractError(f"{kind} takes exactly two inputs, got {len(inputs)}")
-        return _BINARY[kind](inputs[0], inputs[1])
-    raise ContractError(f"unknown operation kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

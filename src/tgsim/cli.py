@@ -4,6 +4,11 @@ Every command resolves its arguments, writes them as run_config.json next
 to its outputs, and can be replayed from that file with --config.  Errors
 leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
+
+`train` fits its folds, and `detect` scores its stream, in the fork pool
+of `_pool`: one worker per CPU, one BLAS thread per worker.  Their
+outputs are byte-identical to a serial run under one BLAS thread, and an
+error raised in a worker reaches the caller as it would serially.
 """
 
 import argparse
@@ -11,14 +16,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .adapters import DATASET_KINDS, adapt_dataset
-from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
+from .anomaly import ALARM_MODES, MIN_STD, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
 from .data import load_canonical, node_bounds
 from .errors import ContractError, ParseError, TgsimError, TrainingError
@@ -28,11 +33,11 @@ from .training import (
     OPTIMIZER_KINDS,
     MetricsReport,
     TrainConfig,
+    config_echo,
     evaluate,
-    fold_seed,
     kfold_split,
     load_report,
-    train,
+    run_folds,
     write_report,
     write_report_csv,
 )
@@ -155,17 +160,22 @@ def _train_configs(args, signal) -> tuple[TrainConfig, ModelConfig]:
     return config, model_config
 
 
-def _make_resampler(fold_index, train_buckets, signal, probability, seed):
-    clean = [b.bucket for b in train_buckets]
+def _resampler_for(signal, probability, seed):
+    """run_folds' resample_for: fresh corruption of a fold's clean windows each epoch."""
     bounds = node_bounds(signal)
 
-    def resample(epoch):
-        derived = int(
-            np.random.SeedSequence([seed, 4, fold_index, epoch]).generate_state(1)[0]
-        )
-        return inject_noise(clean, bounds, NoiseSpec(probability, derived))
+    def resample_for(fold_index, train_buckets):
+        clean = [b.bucket for b in train_buckets]
 
-    return resample
+        def resample(epoch):
+            derived = int(
+                np.random.SeedSequence([seed, 4, fold_index, epoch]).generate_state(1)[0]
+            )
+            return inject_noise(clean, bounds, NoiseSpec(probability, derived))
+
+        return resample
+
+    return resample_for
 
 
 def _cmd_train(args) -> int:
@@ -181,16 +191,12 @@ def _cmd_train(args) -> int:
         recorded = bucket_file_noise(args.buckets)
         redraw_probability = recorded.corrupt_probability if recorded else 0.5
 
+    resample_for = None
+    if args.redraw_noise:
+        resample_for = _resampler_for(signal, redraw_probability, config.seed)
+    runs = run_folds(pairs, config, model_config, resample_for=resample_for, score=False)
     histories = []
-    for index, (train_buckets, _) in enumerate(pairs):
-        resample = None
-        if args.redraw_noise:
-            resample = _make_resampler(
-                index, train_buckets, signal, redraw_probability, config.seed,
-            )
-        fold_config = replace(config, seed=fold_seed(config.seed, index))
-        checkpoint, history = train(train_buckets, fold_config, model_config,
-                                    resample=resample)
+    for index, (checkpoint, history, _) in enumerate(runs):
         save_checkpoint(checkpoint, out_dir / f"checkpoint_fold_{index}.json")
         histories.append(history)
 
@@ -247,13 +253,7 @@ def _cmd_eval(args) -> int:
         checkpoint = load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
         folds.append(evaluate(checkpoint, test_buckets).folds[0])
 
-    echo = dict(asdict(config))
-    echo.update(
-        cell_kind=model_config.cell_kind,
-        input_channels=model_config.input_channels,
-        embed_dim=model_config.embed_dim,
-        attention_dim=model_config.attention_dim,
-    )
+    echo = config_echo(config, model_config)
     echo.update(_noise_metadata(buckets_path))
     report = MetricsReport(
         dataset=signal.name, model=model_config.cell_kind,
@@ -291,7 +291,7 @@ def _cmd_detect(args) -> int:
     scores = score_stream(signal, checkpoint, args.bucket_length)
     policy = AlarmPolicy(
         mode=args.mode, threshold=args.threshold,
-        window=args.window, multiplier=args.multiplier,
+        window=args.window, multiplier=args.multiplier, min_std=args.min_std,
     )
     offset = args.bucket_length - 1
     events, thresholds = detect_with_thresholds(scores, policy, index_offset=offset)
@@ -410,6 +410,8 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--multiplier", type=float, default=3.0)
+    p.add_argument("--min-std", type=float, default=MIN_STD,
+                   help="zscore mode: floor on the trailing standard deviation")
     p.set_defaults(func=_cmd_detect)
 
     p = commands["report"] = sub.add_parser(

@@ -4,15 +4,22 @@ The model module stays purely functional; everything stateful about a run
 (optimizer moments, epoch shuffles, fold assignment) lives here.  Every
 source of randomness is seeded, so a (buckets, config) pair pins the
 resulting report down to the byte.
+
+The folds are independent jobs: run_folds, which serves cross_validate and
+the CLI's train, runs them in the fork pool of `_pool`, one worker per CPU
+and one BLAS thread per worker.  The results are bitwise those of a serial
+loop under one BLAS thread.  train and evaluate themselves stay serial.
 """
 
 import csv
 import json
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
+from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .data import NodeBounds, normalize_features, normalized_adjacency
@@ -381,26 +388,50 @@ def fold_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, 2, index]).generate_state(1)[0])
 
 
+def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
+              resample_for=None, score: bool = True) -> list:
+    """Train, and with `score` evaluate, every fold of kfold_split `pairs`.
+
+    Returns one (checkpoint, loss history, FoldResult or None) per fold.
+    Fold i trains from fold_seed(config.seed, i); `resample_for(i,
+    train_buckets)`, when given, returns that fold's per-epoch `resample`
+    for train.  The folds are independent jobs of the fork pool
+    (`_pool.run_jobs`); the results are bitwise those of a serial loop run
+    under one BLAS thread.
+    """
+    def fold(index):
+        train_buckets, test_buckets = pairs[index]
+        resample = None if resample_for is None else resample_for(index, train_buckets)
+        fold_config = replace(config, seed=fold_seed(config.seed, index))
+        checkpoint, history = train(train_buckets, fold_config, model_config,
+                                    resample=resample)
+        result = evaluate(checkpoint, test_buckets).folds[0] if score else None
+        return checkpoint, history, result
+
+    return _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
+
+
 def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig, *,
                    shuffle: bool = True, resample=None):
     """K-fold protocol: train on K-1 chunks, test on the held-out one.
 
     Returns (report, checkpoints) with one checkpoint per fold.  Each fold
-    trains from its own derived seed so fold models are independent draws.
+    trains from its own derived seed so fold models are independent draws;
+    the folds run through run_folds, so in parallel where the fork pool can.
     """
     labeled = list(labeled)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
-    dataset = labeled[0].bucket.signal.name
-    folds = []
-    checkpoints = []
-    for index, (train_buckets, test_buckets) in enumerate(pairs):
-        fold_config = replace(config, seed=fold_seed(config.seed, index))
-        checkpoint, _ = train(
-            train_buckets, fold_config, model_config, resample=resample,
-        )
-        report = evaluate(checkpoint, test_buckets)
-        folds.append(report.folds[0])
-        checkpoints.append(checkpoint)
+    runs = run_folds(pairs, config, model_config,
+                     resample_for=None if resample is None else lambda index, _: resample)
+    report = MetricsReport(
+        dataset=labeled[0].bucket.signal.name, model=model_config.cell_kind,
+        folds=tuple(result for _, _, result in runs), config=config_echo(config, model_config),
+    )
+    return report, [checkpoint for checkpoint, _, _ in runs]
+
+
+def config_echo(config: TrainConfig, model_config: ModelConfig) -> dict:
+    """The report's config block: the train config plus the model's shape."""
     echo = dict(asdict(config))
     echo.update(
         cell_kind=model_config.cell_kind,
@@ -408,10 +439,7 @@ def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig, *,
         embed_dim=model_config.embed_dim,
         attention_dim=model_config.attention_dim,
     )
-    report = MetricsReport(
-        dataset=dataset, model=model_config.cell_kind, folds=tuple(folds), config=echo,
-    )
-    return report, checkpoints
+    return echo
 
 
 def write_report(report: MetricsReport, path) -> None:

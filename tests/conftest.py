@@ -7,6 +7,7 @@ collected in ACCEPTANCE_LINES and echoed in the terminal summary.
 """
 
 import json
+import multiprocessing
 import time
 
 import numpy as np
@@ -30,6 +31,17 @@ def record(check: str, passed: bool, detail: str) -> None:
     line = f"acceptance {check}: {'PASS' if passed else 'FAIL'} - {detail}"
     ACCEPTANCE_LINES.append(line)
     print(line)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_running():
+    """Fail any test that leaves a live child process; the benchmark refuses such a run."""
+    yield
+    left = multiprocessing.active_children()
+    for child in left:
+        child.terminate()
+        child.join()
+    assert not left, f"the test left {len(left)} child process(es) running: {left}"
 
 
 @pytest.fixture(scope="session")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from tgsim import autodiff as ad
-from tgsim.autodiff import Tape, Tensor, backward, grad_check, tensor_op
+from tgsim.autodiff import Tape, Tensor, backward, grad_check
 from tgsim.errors import ContractError, DimensionError
 
 
@@ -37,11 +37,6 @@ def test_shape_mismatch_names_kind_and_shapes():
         ad.add(Tensor(np.ones((2, 2))), Tensor(np.ones((2, 1))))
     with pytest.raises(DimensionError, match="concat-columns"):
         ad.concat_columns(Tensor(np.ones((2, 2))), Tensor(np.ones((3, 2))))
-
-
-def test_unknown_kind_rejected():
-    with pytest.raises(ContractError, match="unknown operation kind"):
-        tensor_op("transpose", [Tensor([[1.0]])])
 
 
 def test_no_recording_without_tape():
@@ -136,6 +131,24 @@ def test_grad_check_rejects_nonscalar_f():
         grad_check(lambda x: ad.square(x), [x], eps=1e-5)
 
 
+# every elementary operation, by the kind name its tape entries carry
+OPERATIONS = {
+    "sigmoid": ad.sigmoid,
+    "tanh": ad.tanh,
+    "relu": ad.relu,
+    "mean-rows": ad.mean_rows,
+    "mean-all": ad.mean_all,
+    "softmax-over-rows": ad.softmax_rows,
+    "square": ad.square,
+    "matmul": ad.matmul,
+    "add": ad.add,
+    "subtract": ad.subtract,
+    "elementwise-multiply": ad.multiply,
+    "concat-columns": ad.concat_columns,
+    "scalar-multiply": lambda t: ad.scalar_multiply(t, 1.7),
+}
+
+
 def _random_inputs(kind, rng):
     shape = (3, 4)
     x = rng.normal(size=shape)
@@ -152,20 +165,26 @@ def _random_inputs(kind, rng):
             Tensor(rng.normal(size=shape), requires_grad=True)]
 
 
-@pytest.mark.parametrize("kind", ad.OPERATION_KINDS)
+@pytest.mark.parametrize("kind", OPERATIONS)
 def test_every_kind_matches_finite_differences(kind):
     rng = np.random.default_rng(hash(kind) % 2**32)
+    op = OPERATIONS[kind]
     for _ in range(100):
         inputs = _random_inputs(kind, rng)
 
         def f(*ts):
-            if kind == "scalar-multiply":
-                out = tensor_op(kind, ts, scalar=1.7)
-            else:
-                out = tensor_op(kind, ts)
+            out = op(*ts)
             return ad.mean_all(ad.square(out)) if out.value.shape != (1, 1) else out
 
         assert grad_check(f, inputs, eps=1e-5) < 1e-4
+
+
+def test_every_kind_names_its_tape_entry():
+    rng = np.random.default_rng(8)
+    for kind, op in OPERATIONS.items():
+        with Tape() as tape:
+            op(*_random_inputs(kind, rng))
+        assert [entry[0] for entry in tape.entries] == [kind]
 
 
 def test_bias_broadcast_add_gradient():
@@ -222,6 +241,44 @@ def test_nested_tapes_rejected():
         with pytest.raises(ContractError, match="already active"):
             with Tape():
                 pass
+
+
+def test_threads_record_on_their_own_tapes():
+    import threading
+
+    rng = np.random.default_rng(12)
+    values = [rng.normal(size=(4, 4)) for _ in range(2)]
+    expected = []
+    for v in values:
+        w = Tensor(v.copy(), requires_grad=True)
+        with Tape():
+            backward(ad.mean_all(ad.tanh(ad.matmul(w, w))))
+        expected.append(w.grad.copy())
+
+    inside = threading.Barrier(2)
+    results = [None, None]
+
+    def run(i):
+        w = Tensor(values[i].copy(), requires_grad=True)
+        with Tape() as tape:
+            hidden = ad.tanh(ad.matmul(w, w))
+            inside.wait(timeout=60)  # both tapes are active and recording at once
+            out = ad.mean_all(hidden)
+            inside.wait(timeout=60)
+            backward(out)
+        results[i] = (len(tape), w.grad.copy())
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    with Tape() as outer:  # the main thread's tape sees none of their entries
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    assert len(outer) == 0
+    for (entries, grad), want in zip(results, expected):
+        assert entries == 3
+        assert np.array_equal(grad, want)
 
 
 def test_softmax_rows_sum_to_one():
