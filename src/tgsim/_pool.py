@@ -9,6 +9,13 @@ has only as many CPUs as workers. The parent's BLAS thread count is never
 changed. The jobs run serially in this process when one CPU is available,
 when `fork` is not, when no OpenBLAS thread setter is found, and when the
 caller is itself a worker.
+
+What a worker records in its own memory stays there. Instrumentation
+that patches functions in the parent and keeps its records in the
+parent, such as the spans of `bench/run.py --trace 1`, sees none of the
+calls made inside workers: traced runs must be started with a one-CPU
+affinity mask (`taskset -c 0 python3 bench/run.py ... --trace 1`), under
+which every job runs in-process and is recorded.
 """
 
 import ctypes

@@ -29,7 +29,7 @@ import numpy as np
 from . import _pool
 from .data import TemporalGraphSignal
 from .errors import ConfigError, ContractError
-from .model import Checkpoint, _block_windows, score_windows
+from .model import Checkpoint, score_windows
 
 ALARM_MODES = ("fixed", "zscore")
 
@@ -39,10 +39,12 @@ ALARM_MODES = ("fixed", "zscore")
 # up, and their planted dips lie 3 x 0.098 or more below the trailing mean
 MIN_STD = 1e-4
 
-# windows x nodes below which score_stream stays in-process. Two forked
-# workers break even with one serial call at about 40 windows at N = 207
-# and 300 to 500 at N = 20 (a round trip of trivial jobs takes 10 to 20 ms,
-# and a fresh worker's first calls run slower than the parent's)
+# windows x nodes below which score_stream stays in-process. Measured by a
+# standalone probe on a 2-CPU VM, not by the benchmark, whose one scored
+# stream (3215 windows at N = 207) lies far above it: two forked workers
+# broke even with one serial call at about 40 windows at N = 207 and 300
+# to 500 at N = 20 (a round trip of trivial jobs took 10 to 20 ms, and a
+# fresh worker's first calls ran slower than the parent's)
 _POOL_FLOOR = 10_000
 
 
@@ -65,7 +67,7 @@ class AlarmPolicy:
     score_stream output) are muted echoes: they raise no event and stay
     out of the trail too.  See detect_with_thresholds.
 
-    The threshold uses max(trailing std, `min_std`), so a trail of
+    The threshold uses max(trailing std, MIN_STD), so a trail of
     near-equal scores (a saturated model's round-off) cannot set a
     threshold within round-off of its mean.  Events report the trail's own
     std; their rule names the floor when it was used.
@@ -75,7 +77,6 @@ class AlarmPolicy:
     threshold: float = 0.7
     window: int = 20
     multiplier: float = 3.0
-    min_std: float = MIN_STD
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _canonical_mode(self.mode))
@@ -85,8 +86,6 @@ class AlarmPolicy:
             raise ConfigError(f"window must be an integer >= 3, got {self.window!r}")
         if not (self.multiplier > 0):
             raise ConfigError(f"multiplier must be positive, got {self.multiplier!r}")
-        if not (0.0 <= self.min_std < math.inf):
-            raise ConfigError(f"min_std must be finite and nonnegative, got {self.min_std!r}")
 
 
 @dataclass(frozen=True)
@@ -116,10 +115,10 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
     i + length - 1.
 
     A long stream is cut into one contiguous chunk of windows per worker
-    of the fork pool (`_pool`), each scored by one score_windows call; the
-    cuts fall on score_windows block boundaries, so each chunk's blocks
-    are the serial call's.  The scores are bitwise those of one serial
-    call run under one BLAS thread.
+    of the fork pool (`_pool`), each scored by one score_windows call.
+    A cut may fall inside one of score_windows' blocks; the scores still
+    equal those of one serial call run under one BLAS thread, which
+    tests/test_pool.py checks byte for byte at N = 20 and N = 207.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 2:
         raise ContractError(f"window length must be an integer >= 2, got {length!r}")
@@ -129,9 +128,7 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
         )
     count = signal.num_snapshots - length + 1
     chunks = 1 if count * signal.num_nodes < _POOL_FLOOR else _pool.workers()
-    block = _block_windows(signal.num_nodes, checkpoint.config.embed_dim, length)
-    blocks = -(-count // block)
-    size = -(-blocks // chunks) * block
+    size = -(-count // chunks)
     parts = _pool.run_jobs(
         partial(score_windows, signal, checkpoint, range(at, min(at + size, count)), length)
         for at in range(0, count, size)
@@ -158,7 +155,7 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
     nothing is muted.  Fixed mode never mutes.
 
     In zscore mode the threshold is trailing mean - multiplier *
-    max(trailing std, policy.min_std).
+    max(trailing std, MIN_STD).
     """
     scores = [float(s) for s in scores]
     for i, s in enumerate(scores):
@@ -191,15 +188,15 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
             continue
         mean = float(np.mean(trail))
         std = float(np.std(trail))
-        bound = mean - policy.multiplier * max(std, policy.min_std)
+        bound = mean - policy.multiplier * max(std, MIN_STD)
         thresholds.append(bound)
         if i <= muted_through:
             continue
         if s < bound:
             muted_through = min(i + index_offset, len(scores) - 1)
             spread = f"std {std:.6g}"
-            if std < policy.min_std:
-                spread = f"min_std {policy.min_std:g} (std {std:.6g})"
+            if std < MIN_STD:
+                spread = f"min_std {MIN_STD:g} (std {std:.6g})"
             events.append(AnomalyEvent(
                 index=index_offset + i,
                 score=s,

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .adapters import DATASET_KINDS, adapt_dataset
-from .anomaly import ALARM_MODES, MIN_STD, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
+from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
 from .data import load_canonical, node_bounds
 from .errors import ContractError, ParseError, TgsimError, TrainingError
@@ -291,7 +291,7 @@ def _cmd_detect(args) -> int:
     scores = score_stream(signal, checkpoint, args.bucket_length)
     policy = AlarmPolicy(
         mode=args.mode, threshold=args.threshold,
-        window=args.window, multiplier=args.multiplier, min_std=args.min_std,
+        window=args.window, multiplier=args.multiplier,
     )
     offset = args.bucket_length - 1
     events, thresholds = detect_with_thresholds(scores, policy, index_offset=offset)
@@ -410,8 +410,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--window", type=int, default=20)
     p.add_argument("--multiplier", type=float, default=3.0)
-    p.add_argument("--min-std", type=float, default=MIN_STD,
-                   help="zscore mode: floor on the trailing standard deviation")
     p.set_defaults(func=_cmd_detect)
 
     p = commands["report"] = sub.add_parser(

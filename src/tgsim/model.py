@@ -58,11 +58,6 @@ HEAD_WIDTHS = (32, 64, 1)
 _BLOCK_FLOATS = 1 << 14
 
 
-def _block_windows(num_nodes: int, embed_dim: int, length: int) -> int:
-    """How many windows score_windows takes per block for this shape."""
-    return max(1, _BLOCK_FLOATS // (num_nodes * embed_dim * length))
-
-
 def _canonical_kind(kind: str) -> str:
     key = str(kind).lower().replace("-", "_")
     if key == "gconvgru":
@@ -618,7 +613,7 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
 
     shared = length if candidates is None else length - 1
     order = np.argsort(starts, kind="stable")
-    block = _block_windows(n, d, length)
+    block = max(1, _BLOCK_FLOATS // (n * d * length))
     cache: dict[int, np.ndarray] = {}
     for at in range(0, len(order), block):
         part = order[at:at + block]

@@ -396,8 +396,11 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
     Fold i trains from fold_seed(config.seed, i); `resample_for(i,
     train_buckets)`, when given, returns that fold's per-epoch `resample`
     for train.  The folds are independent jobs of the fork pool
-    (`_pool.run_jobs`); the results are bitwise those of a serial loop run
-    under one BLAS thread.
+    (`_pool.run_jobs`), and a forked fold starts from the parent's state,
+    not from the state an earlier fold left: `resample_for` must derive
+    everything a fold draws from the fold index, as the CLI's resampler
+    seeds from (seed, fold, epoch).  Then the results are bitwise those of
+    a serial loop run under one BLAS thread.
     """
     def fold(index):
         train_buckets, test_buckets = pairs[index]
@@ -412,7 +415,7 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
 
 
 def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig, *,
-                   shuffle: bool = True, resample=None):
+                   shuffle: bool = True):
     """K-fold protocol: train on K-1 chunks, test on the held-out one.
 
     Returns (report, checkpoints) with one checkpoint per fold.  Each fold
@@ -421,8 +424,7 @@ def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig, *,
     """
     labeled = list(labeled)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
-    runs = run_folds(pairs, config, model_config,
-                     resample_for=None if resample is None else lambda index, _: resample)
+    runs = run_folds(pairs, config, model_config)
     report = MetricsReport(
         dataset=labeled[0].bucket.signal.name, model=model_config.cell_kind,
         folds=tuple(result for _, _, result in runs), config=config_echo(config, model_config),

@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
+from tgsim import anomaly
 from tgsim.anomaly import (
+    MIN_STD,
     AlarmPolicy,
     AnomalyEvent,
     detect,
@@ -61,9 +63,6 @@ class TestAlarmPolicy:
             {"window": 2.5},
             {"multiplier": 0.0},
             {"multiplier": -1.0},
-            {"min_std": -1e-9},
-            {"min_std": math.nan},
-            {"min_std": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -203,26 +202,27 @@ class TestDetectZscore:
         assert event.trailing_mean == pytest.approx(0.9)
         assert event.trailing_std == pytest.approx(0.0, abs=1e-12)
 
-    def test_round_off_dips_stay_below_the_std_floor(self):
+    def test_round_off_dips_stay_below_the_std_floor(self, monkeypatch):
         # a saturated model: every score within 1e-12 of 1.0
         scores = [1.0 - 1e-13 * (i % 3) for i in range(60)]
         scores[40] = 1.0 - 1e-12
         assert detect(scores, AlarmPolicy(mode="zscore")) == []
-        unfloored = AlarmPolicy(mode="zscore", min_std=0.0)
-        assert [e.index for e in detect(scores, unfloored)] == [40]
+        monkeypatch.setattr(anomaly, "MIN_STD", 0.0)
+        assert [e.index for e in detect(scores, AlarmPolicy(mode="zscore"))] == [40]
 
-    def test_std_floor_sets_the_threshold_and_is_named_in_the_rule(self):
-        scores = [0.9] * 19 + [0.8985, 0.5]
-        policy = AlarmPolicy(mode="zscore", window=10, min_std=1e-3)
+    def test_std_floor_sets_the_threshold_and_is_named_in_the_rule(self, monkeypatch):
+        assert MIN_STD == 1e-4
+        scores = [0.9] * 19 + [0.89985, 0.5]
+        policy = AlarmPolicy(mode="zscore", window=10)
         events, thresholds = detect_with_thresholds(scores, policy)
-        assert thresholds[10:20] == [pytest.approx(0.897, abs=1e-12)] * 10
+        assert thresholds[10:20] == [pytest.approx(0.8997, abs=1e-12)] * 10
         assert [e.index for e in events] == [20]
         event = events[0]
-        assert event.trailing_std == pytest.approx(np.std([0.9] * 9 + [0.8985]), abs=1e-15)
-        assert thresholds[20] == pytest.approx(event.trailing_mean - 3e-3, abs=1e-12)
-        assert "min_std 0.001 (std " in event.rule
-        unfloored = AlarmPolicy(mode="zscore", window=10, min_std=0.0)
-        assert [e.index for e in detect(scores, unfloored)] == [19, 20]
+        assert event.trailing_std == pytest.approx(np.std([0.9] * 9 + [0.89985]), abs=1e-15)
+        assert thresholds[20] == pytest.approx(event.trailing_mean - 3e-4, abs=1e-12)
+        assert "min_std 0.0001 (std " in event.rule
+        monkeypatch.setattr(anomaly, "MIN_STD", 0.0)
+        assert [e.index for e in detect(scores, policy)] == [19, 20]
 
     def test_adjacent_dip_is_not_suppressed(self):
         scores = [0.9] * 25 + [0.05, 0.07] + [0.9] * 5

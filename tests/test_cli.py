@@ -306,24 +306,6 @@ class TestDetect:
         assert rows[1].split(",")[0] == "3"
         assert json.loads((out / "events.json").read_text()) == []
 
-    def test_min_std_is_echoed_and_replayed(self, ws, tmp_path):
-        out = tmp_path / "det"
-        assert cli.main([
-            "detect", "--dataset", str(ws.dataset),
-            "--checkpoint", str(ws.train_dir / "checkpoint_fold_0.json"),
-            "-L", "4", "--mode", "zscore", "--window", "5", "--min-std", "0.25",
-            "--out-dir", str(out),
-        ]) == 0
-        config = json.loads((out / "run_config.json").read_text())
-        assert config["arguments"]["min_std"] == 0.25
-        rows = [r.split(",") for r in (out / "scores.csv").read_text().splitlines()[1:]]
-        scores = [float(r[1]) for r in rows]
-        # every trail here is far tighter than the floor
-        assert float(rows[5][2]) == pytest.approx(np.mean(scores[:5]) - 0.75, abs=1e-12)
-        assert cli.main(["detect", "--config", str(out / "run_config.json"),
-                         "--out-dir", str(tmp_path / "again")]) == 0
-        assert digest(tmp_path / "again" / "scores.csv") == digest(out / "scores.csv")
-
     def test_oversized_trail_window_is_a_data_error(self, ws, tmp_path, capsys):
         code = cli.main([
             "detect", "--dataset", str(ws.dataset),
