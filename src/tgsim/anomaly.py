@@ -4,17 +4,17 @@ score_stream scores every window of a recorded signal with
 `model.score_windows`, which embeds each snapshot once however many
 windows hold it. A long stream is split into one contiguous chunk per
 worker of the fork pool (`_pool`, one BLAS thread per worker); the scores
-are bitwise those of one serial call under one BLAS thread. detect turns
-the score series into discrete events under one of two policies. The
-model itself is unchanged here, so detection quality is exactly
-similarity quality.
+are bitwise those of one serial call under one BLAS thread.
+detect_with_thresholds turns the score series into discrete events under
+one of two policies. The model itself is unchanged here, so detection
+quality is exactly similarity quality.
 
 Windows overlap: a snapshot sits at the end of one window and in the
 history of the L - 1 windows after it, so one corrupted snapshot pulls
-down L consecutive scores. In zscore mode only the first of them fires;
+down L consecutive scores. In either mode only the first of them fires;
 the next L - 1 windows (the `index_offset` that places score_stream's
 entries on snapshots) are muted echoes, listed on the event that owns
-them and kept out of the trailing statistics. Fixed mode does not mute.
+them and, in zscore mode, kept out of the trailing statistics.
 """
 
 import csv
@@ -61,9 +61,10 @@ def _canonical_mode(mode: str) -> str:
 class AlarmPolicy:
     """When to fire: a flat threshold, or a dip below the trailing mean.
 
-    In zscore mode the trail holds the last `window` accepted scores;
-    fired scores never enter it, so one deep dip cannot hide the next.
-    After each fire the next `index_offset` windows (L - 1 for
+    Fixed mode fires below `threshold` from the first score on.  In
+    zscore mode the trail holds the last `window` accepted scores; fired
+    scores never enter it, so one deep dip cannot hide the next.  In both
+    modes the `index_offset` windows after each fire (L - 1 for
     score_stream output) are muted echoes: they raise no event and stay
     out of the trail too.  See detect_with_thresholds.
 
@@ -93,10 +94,10 @@ class AnomalyEvent:
     """One fired window, at absolute index `index`.
 
     `echo_indices` lists the absolute indices of the windows muted after
-    it in zscore mode; it is empty in fixed mode, for index_offset 0 and
-    for a fire on the last score.
+    it; it is empty for index_offset 0 and for a fire on the last score.
     A second real anomaly within L - 1 snapshots of this one is listed
-    here, not raised as an event of its own.
+    here, not raised as an event of its own.  The trailing statistics are
+    None in fixed mode.
     """
 
     index: int
@@ -139,68 +140,68 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
 def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
     """Run a policy over a score series; returns (events, threshold per index).
 
-    Thresholds are None where the policy is still warming up.  Indices in
+    Thresholds are None where the policy is still warming up (the first
+    `window` scores in zscore mode; fixed mode has no warm-up).  Indices in
     the events are shifted by `index_offset` so callers can report absolute
     snapshot positions.  For the output of score_stream(signal, checkpoint,
     L), whose entry i ends at snapshot i + L - 1, pass index_offset = L - 1.
 
     That same L - 1 is the number of later windows whose history still
-    holds the end snapshot of a fired window, so in zscore mode it is also
-    the mute length: after a fire, the next `index_offset` windows raise
-    no event, whatever their score, and their scores do not enter the
-    trail.  Their thresholds are still reported, and their absolute
+    holds the end snapshot of a fired window, so it is also the mute
+    length in both modes: after a fire, the next `index_offset` windows
+    raise no event, whatever their score, and their scores do not enter
+    the trail.  Their thresholds are still reported, and their absolute
     indices go to the firing event's `echo_indices`.  The trade-off: a
     second real anomaly within L - 1 snapshots of a fired one shows up in
     that event's echo_indices, not as its own event.  With index_offset 0
-    nothing is muted.  Fixed mode never mutes.
+    nothing is muted.
 
-    In zscore mode the threshold is trailing mean - multiplier *
-    max(trailing std, MIN_STD).
+    The threshold is `threshold` in fixed mode and trailing mean -
+    multiplier * max(trailing std, MIN_STD) in zscore mode.
     """
     scores = [float(s) for s in scores]
     for i, s in enumerate(scores):
         if not math.isfinite(s):
             raise ContractError(f"score at position {i} is not finite: {s!r}")
-    events: list[AnomalyEvent] = []
-    thresholds: list[float | None] = []
-    if policy.mode == "fixed":
-        for i, s in enumerate(scores):
-            thresholds.append(policy.threshold)
-            if s < policy.threshold:
-                events.append(AnomalyEvent(
-                    index=index_offset + i,
-                    score=s,
-                    rule=f"score {s:.6g} < threshold {policy.threshold:.6g}",
-                ))
-        return events, thresholds
-
-    if len(scores) < policy.window:
+    fixed = policy.mode == "fixed"
+    if not fixed and len(scores) < policy.window:
         raise ContractError(
             f"zscore mode needs at least {policy.window} scores, got {len(scores)}"
         )
+    events: list[AnomalyEvent] = []
+    thresholds: list[float | None] = []
     trail: deque = deque(maxlen=policy.window)
     muted_through = -1
     for i, s in enumerate(scores):
-        if len(trail) < policy.window:
+        if fixed:
+            mean = std = None
+            bound = policy.threshold
+        elif len(trail) < policy.window:
             # warm-up: everything is accepted, nothing can fire yet
             thresholds.append(None)
             trail.append(s)
             continue
-        mean = float(np.mean(trail))
-        std = float(np.std(trail))
-        bound = mean - policy.multiplier * max(std, MIN_STD)
+        else:
+            mean = float(np.mean(trail))
+            std = float(np.std(trail))
+            bound = mean - policy.multiplier * max(std, MIN_STD)
         thresholds.append(bound)
         if i <= muted_through:
             continue
         if s < bound:
             muted_through = min(i + index_offset, len(scores) - 1)
-            spread = f"std {std:.6g}"
-            if std < MIN_STD:
-                spread = f"min_std {MIN_STD:g} (std {std:.6g})"
+            if fixed:
+                rule = f"score {s:.6g} < threshold {bound:.6g}"
+            else:
+                spread = f"std {std:.6g}"
+                if std < MIN_STD:
+                    spread = f"min_std {MIN_STD:g} (std {std:.6g})"
+                rule = (f"score {s:.6g} < trailing mean {mean:.6g}"
+                        f" - {policy.multiplier:g} * {spread}")
             events.append(AnomalyEvent(
                 index=index_offset + i,
                 score=s,
-                rule=f"score {s:.6g} < trailing mean {mean:.6g} - {policy.multiplier:g} * {spread}",
+                rule=rule,
                 trailing_mean=mean,
                 trailing_std=std,
                 echo_indices=tuple(range(index_offset + i + 1, index_offset + muted_through + 1)),
@@ -208,11 +209,6 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
         else:
             trail.append(s)
     return events, thresholds
-
-
-def detect(scores, policy: AlarmPolicy, index_offset: int = 0) -> list[AnomalyEvent]:
-    events, _ = detect_with_thresholds(scores, policy, index_offset)
-    return events
 
 
 def write_events(events, path) -> None:

@@ -44,75 +44,28 @@ def random_baseline(buckets, seed: int) -> list[BaselinePrediction]:
     ]
 
 
-def _fit_lines(t, v):
-    """Least-squares slope and intercept of every row of v (..., T) against t (T,)."""
-    t_mean = t.mean()
-    v_mean = v.mean(axis=-1)
-    variance = np.mean((t - t_mean) ** 2)
-    if variance == 0.0:
-        raise ContractError("cannot fit a line when every time is equal")
-    slope = np.mean((t - t_mean) * (v - v_mean[..., None]), axis=-1) / variance
-    return slope, v_mean - slope * t_mean
-
-
-def _extrapolation_scores(series):
-    """`extrapolation_score` of every row of series (..., T), T >= 3."""
-    size = series.shape[-1]
-    slope, intercept = _fit_lines(np.arange(size - 1, dtype=np.float64), series[..., :-1])
-    predicted = slope * (size - 1) + intercept
-    return np.clip(1.0 - np.abs(series[..., -1] - predicted), 0.0, 1.0)
-
-
 def _tsr_scores(series):
-    """`tsr_series_score` of every row of series (..., T), T >= 3."""
+    """Trend score of every row of series (..., T), T >= 3, along its last axis.
+
+    Each row is min-max scaled over all T points (a constant row scales to
+    zeros, which extrapolates perfectly), a least-squares line is fit
+    through the first T - 1 scaled points, and the score is
+    1 - |last - predicted|, clamped into [0, 1].  The scaling range includes
+    the final point, so a candidate that stretches the range shifts the
+    whole series; this mirrors how the method is defined, leak and all.
+    """
     low = series.min(axis=-1, keepdims=True)
     span = series.max(axis=-1, keepdims=True) - low
     scaled = np.zeros_like(series)
     np.divide(series - low, span, out=scaled, where=span != 0.0)
-    return _extrapolation_scores(scaled)
-
-
-def _flat_series(series) -> np.ndarray:
-    s = np.asarray(series, dtype=np.float64)
-    if s.ndim != 1 or s.size < 3:
-        raise ContractError(f"need a flat series of at least 3 points, got shape {s.shape}")
-    return s
-
-
-def ols_fit(times, values) -> tuple[float, float]:
-    """Closed-form least squares line through (times, values).
-
-    Returns (slope, intercept).  Constant values are fine (slope 0);
-    constant times are not (the slope is undefined).
-    """
-    t = np.asarray(times, dtype=np.float64)
-    v = np.asarray(values, dtype=np.float64)
-    if t.ndim != 1 or t.shape != v.shape:
-        raise ContractError(f"times and values must be flat and equal-length, got {t.shape} and {v.shape}")
-    if t.size < 2:
-        raise ContractError(f"need at least 2 points to fit a line, got {t.size}")
-    slope, intercept = _fit_lines(t, v)
-    return float(slope), float(intercept)
-
-
-def extrapolation_score(series) -> float:
-    """Fit a line to all but the last point, score how well it lands.
-
-    The series is taken as already scaled; the per-point score is
-    1 - |last - predicted|, clamped into [0, 1].
-    """
-    return float(_extrapolation_scores(_flat_series(series)))
-
-
-def tsr_series_score(series) -> float:
-    """Extrapolation score after bucket-local min-max scaling of the series.
-
-    A constant series scales to all zeros, which extrapolates perfectly.
-    Note the scaling range includes the final point, so a candidate that
-    stretches the range shifts the whole series; this mirrors how the
-    method is defined, leak and all.
-    """
-    return float(_tsr_scores(_flat_series(series)))
+    size = series.shape[-1]
+    t = np.arange(size - 1, dtype=np.float64)
+    v = scaled[..., :-1]
+    t_mean = t.mean()
+    v_mean = v.mean(axis=-1)
+    slope = np.mean((t - t_mean) * (v - v_mean[..., None]), axis=-1) / np.mean((t - t_mean) ** 2)
+    predicted = slope * (size - 1) + (v_mean - slope * t_mean)
+    return np.clip(1.0 - np.abs(scaled[..., -1] - predicted), 0.0, 1.0)
 
 
 def tsr_baseline(bucket) -> float:

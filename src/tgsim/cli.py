@@ -25,7 +25,7 @@ from . import __version__
 from .adapters import DATASET_KINDS, adapt_dataset
 from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
-from .data import load_canonical, node_bounds
+from .data import load_canonical, node_bounds, read_json
 from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucket_file_noise, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
@@ -80,12 +80,7 @@ def save_run_config(out_dir, command: str, args: argparse.Namespace) -> RunConfi
 
 
 def load_run_config(path) -> RunConfig:
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    doc = read_json(path)
     try:
         return RunConfig(
             command=doc["command"], version=doc["version"], arguments=dict(doc["arguments"]),
@@ -222,25 +217,25 @@ def _cmd_eval(args) -> int:
             f"{run_dir}: expected a train run, found {run_config.command!r}"
         )
     stored = argparse.Namespace(**run_config.arguments)
-
-    dataset_path = args.dataset or stored.dataset
-    buckets_path = args.buckets or stored.buckets
     if args.out_dir is None:
         # keep the train run's own run_config.json intact
         args.out_dir = str(run_dir / "eval")
     out_dir = _resolve_out_dir(args, "eval")
 
-    signal = load_canonical(dataset_path)
-    labeled = load_labeled_buckets(buckets_path, signal)
     try:
-        config, model_config = _train_configs(stored, signal)
+        dataset_path = args.dataset or stored.dataset
+        buckets_path = args.buckets or stored.buckets
         shuffle = not stored.no_shuffle_folds
+        signal = load_canonical(dataset_path)
+        config, model_config = _train_configs(stored, signal)
     except AttributeError as exc:
         raise ParseError(f"{run_dir}/run_config.json is missing a field: {exc}") from None
+    labeled = load_labeled_buckets(buckets_path, signal)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
 
-    with open(run_dir / "folds.json", encoding="utf-8") as fh:
-        recorded = json.load(fh)
+    recorded = read_json(run_dir / "folds.json")
+    if not isinstance(recorded, dict):
+        raise ParseError(f"{run_dir}/folds.json: expected an object with 'test_starts'")
     starts = [[b.bucket.start for b in test] for _, test in pairs]
     if recorded.get("test_starts") != starts:
         raise ParseError(

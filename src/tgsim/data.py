@@ -3,8 +3,10 @@
 A signal is one fixed graph plus an S x N x F feature tensor: S snapshots,
 N nodes, F feature channels per node.  The topology never changes across
 snapshots.  This module owns the canonical JSON format for such signals,
-the degree-normalized adjacency used by the graph convolutions, and
-per-node-channel feature bounds with min-max normalization.
+the degree-normalized adjacency used by the graph convolutions,
+per-node-channel feature bounds with min-max normalization, and
+`read_json`, the one reader of the JSON files the toolkit writes and
+loads back.
 
 The JSON file is the only source of truth.  `write_canonical` also leaves a
 binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
@@ -22,7 +24,6 @@ import json
 import os
 import shutil
 import tempfile
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -106,16 +107,6 @@ class TemporalGraphSignal:
     def num_edges(self) -> int:
         return len(self.edges)
 
-    def snapshot(self, t: int) -> np.ndarray:
-        """Read-only N x F view of snapshot t."""
-        return self.features[t]
-
-    def with_features(self, features) -> "TemporalGraphSignal":
-        """Same topology and metadata, new S' x N x F' feature tensor."""
-        return TemporalGraphSignal(
-            self.name, self.num_nodes, self.edges, self.weights, features, self.frequency
-        )
-
 
 @dataclass(frozen=True, eq=False)
 class NodeBounds:
@@ -151,6 +142,24 @@ class NodeBounds:
 
 def _fail(path, where, what):
     raise ParseError(f"{path}: {where}: {what}")
+
+
+def read_json(path, data: bytes | None = None):
+    """The JSON document in `path`, or in `data`, that file's bytes if already read.
+
+    Decoded as UTF-8 with the newline handling of text mode.  Bytes that
+    are not UTF-8 and text that is not JSON raise `ParseError` naming the
+    file; the caller checks the document's shape.  Not part of `tgsim`'s
+    public API: the loaders of the other modules share it.
+    """
+    if data is None:
+        data = Path(path).read_bytes()
+    try:
+        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{path}: not valid JSON: {exc}") from None
 
 
 def _parse_index(value, n, where, path):
@@ -253,12 +262,11 @@ def _load_sidecar(path: Path, digest: bytes) -> TemporalGraphSignal | None:
         return None
 
 
-def load_canonical(path, strict: bool = True) -> TemporalGraphSignal:
+def load_canonical(path) -> TemporalGraphSignal:
     """Load and validate a canonical-format signal file.
 
-    Malformed input is rejected with a `ParseError` naming the offending
-    location, never repaired.  Unknown top-level fields are an error when
-    `strict`, a warning otherwise.
+    Malformed input, unknown top-level fields included, is rejected with a
+    `ParseError` naming the offending location, never repaired.
 
     The file's bytes are always read and hashed.  When the sidecar that
     `write_canonical` left carries the same SHA-256, the signal is built
@@ -271,12 +279,7 @@ def load_canonical(path, strict: bool = True) -> TemporalGraphSignal:
     signal = _load_sidecar(path, hashlib.sha256(data).digest())
     if signal is not None:
         return signal
-    # the same decoding, newline handling included, as reading in text mode
-    handle = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    try:
-        doc = json.load(handle)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path, data)
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
@@ -284,11 +287,8 @@ def load_canonical(path, strict: bool = True) -> TemporalGraphSignal:
         if name not in doc:
             raise ParseError(f"{path}: missing required field '{name}'")
     for name in doc:
-        if name in REQUIRED_FIELDS or name in OPTIONAL_FIELDS:
-            continue
-        if strict:
+        if name not in REQUIRED_FIELDS and name not in OPTIONAL_FIELDS:
             raise ParseError(f"{path}: unknown field '{name}'")
-        warnings.warn(f"{path}: ignoring unknown field '{name}'")
 
     if not isinstance(doc["name"], str):
         _fail(path, "name", f"expected a string, got {doc['name']!r}")
@@ -391,13 +391,12 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         pass
 
 
-def normalized_adjacency(signal: TemporalGraphSignal, symmetrize: bool = True) -> np.ndarray:
+def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
     """Degree-normalized adjacency D^(-1/2) (A + I) D^(-1/2) as a dense N x N array.
 
-    `symmetrize` folds each edge into both directions (by maximum weight),
-    the default reading for the bundled datasets; pass False to keep a
-    directed adjacency.  Nodes that already carry a self-loop keep its
-    weight: the +I fills in only the missing diagonal entries, so an
+    Each edge counts in both directions (by maximum weight), the reading
+    of every bundled dataset.  Nodes that already carry a self-loop keep
+    its weight: the +I fills in only the missing diagonal entries, so an
     isolated node never divides by zero.
     """
     n = signal.num_nodes
@@ -406,25 +405,16 @@ def normalized_adjacency(signal: TemporalGraphSignal, symmetrize: bool = True) -
         src = np.fromiter((s for s, _ in signal.edges), dtype=np.intp)
         dst = np.fromiter((d for _, d in signal.edges), dtype=np.intp)
         np.add.at(adj, (src, dst), signal.weights)
-    if symmetrize:
-        adj = np.maximum(adj, adj.T)
+    adj = np.maximum(adj, adj.T)
     diag = np.arange(n)
     adj[diag, diag] = np.where(adj[diag, diag] == 0.0, 1.0, adj[diag, diag])
     inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
     return inv_sqrt_degree[:, None] * adj * inv_sqrt_degree[None, :]
 
 
-def node_bounds(signal: TemporalGraphSignal, start: int = 0, stop: int | None = None) -> NodeBounds:
-    """Per-(node, channel) min and max of the features over snapshots [start, stop)."""
-    total = signal.num_snapshots
-    if stop is None:
-        stop = total
-    if not 0 <= start < stop <= total:
-        raise ContractError(
-            f"empty snapshot range [{start}, {stop}) for {total} snapshots"
-        )
-    window = signal.features[start:stop]
-    return NodeBounds(mins=window.min(axis=0), maxs=window.max(axis=0))
+def node_bounds(signal: TemporalGraphSignal) -> NodeBounds:
+    """Per-(node, channel) min and max of the features over every snapshot."""
+    return NodeBounds(mins=signal.features.min(axis=0), maxs=signal.features.max(axis=0))
 
 
 def normalize_features(values: np.ndarray, bounds: NodeBounds) -> np.ndarray:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import NodeBounds, normalize_features, normalized_adjacency
+from .data import NodeBounds, normalize_features, normalized_adjacency, read_json
 from .errors import ConfigError, ContractError, ParseError
 
 CELL_KINDS = ("gconv_gru", "tgcn", "a3tgcn")
@@ -669,12 +669,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     try:
         raw_config = doc["config"]
         config = ModelConfig(
@@ -707,6 +702,7 @@ def load_checkpoint(path) -> Checkpoint:
             epochs=raw_prov.get("epochs", 0),
             final_loss=raw_prov.get("final_loss"),
         )
-    except (KeyError, TypeError, ValueError, ConfigError, ContractError) as exc:
+    # AttributeError: a section that is not an object, such as a list of params
+    except (AttributeError, KeyError, TypeError, ValueError, ConfigError, ContractError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(config=config, params=params, feature_bounds=bounds, provenance=provenance)

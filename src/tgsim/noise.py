@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NodeBounds, TemporalGraphSignal
+from .data import NodeBounds, TemporalGraphSignal, read_json
 from .errors import ContractError, ParseError
 
 
@@ -60,14 +60,15 @@ class Bucket:
 class LabeledBucket:
     """A bucket whose candidate snapshot was materialized, possibly corrupted.
 
-    `label_exact` is the rational 1 - k/N for k perturbed nodes; `label` is
-    its float value.  History snapshots always come straight from the source
-    signal and are never modified.
+    `perturbed` holds the redrawn node indices; `label_exact` is the
+    rational 1 - k/N for those k nodes, and `label` is its float value.
+    History snapshots always come straight from the source signal and are
+    never modified.
     """
 
     bucket: Bucket
     candidate: np.ndarray
-    perturbed_nodes: frozenset[int]
+    perturbed: frozenset[int]
     label_exact: Fraction = field(init=False)
 
     def __post_init__(self):
@@ -78,22 +79,17 @@ class LabeledBucket:
                 f"candidate shape {candidate.shape} does not match "
                 f"the bucket's {self.bucket.candidate.shape}"
             )
-        perturbed = frozenset(int(i) for i in self.perturbed_nodes)
+        perturbed = frozenset(int(i) for i in self.perturbed)
         if any(not 0 <= i < n for i in perturbed):
             raise ContractError(f"perturbed node indices out of range for {n} nodes")
         candidate.setflags(write=False)
         object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "perturbed_nodes", perturbed)
+        object.__setattr__(self, "perturbed", perturbed)
         object.__setattr__(self, "label_exact", Fraction(n - len(perturbed), n))
 
     @property
     def label(self) -> float:
         return float(self.label_exact)
-
-    @property
-    def perturbed(self) -> frozenset[int]:
-        """The redrawn node indices; the same set as `perturbed_nodes`."""
-        return self.perturbed_nodes
 
     @property
     def history(self) -> np.ndarray:
@@ -188,7 +184,7 @@ def write_labeled_buckets(labeled, path, spec: NoiseSpec | None = None) -> None:
             {
                 "start": item.bucket.start,
                 "label": item.label,
-                "perturbed_nodes": sorted(item.perturbed_nodes),
+                "perturbed_nodes": sorted(item.perturbed),
                 "candidate": item.candidate.tolist(),
             }
             for item in labeled
@@ -201,12 +197,7 @@ def write_labeled_buckets(labeled, path, spec: NoiseSpec | None = None) -> None:
 
 def bucket_file_noise(path) -> NoiseSpec | None:
     """The recorded noise settings of a bucket file, if any were stored."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
+    doc = read_json(path)
     stored = doc.get("noise") if isinstance(doc, dict) else None
     if stored is None:
         return None
@@ -225,14 +216,8 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> list[LabeledBucke
     perturbed-node list, so a tampered file cannot smuggle in an
     inconsistent pair.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        try:
-            doc = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-
-    if not isinstance(doc, dict) or "buckets" not in doc or "length" not in doc:
+    doc = read_json(path)
+    if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and "length" in doc):
         raise ParseError(f"{path}: expected an object with 'dataset', 'length', 'buckets'")
     if doc.get("dataset") != signal.name:
         raise ParseError(

@@ -22,7 +22,7 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import NodeBounds, normalize_features, normalized_adjacency
+from .data import NodeBounds, normalize_features, normalized_adjacency, read_json
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows
 
@@ -44,9 +44,6 @@ class TrainConfig:
     folds: int = 3
     seed: int = 0
     optimizer: str = "adam"
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 1:
@@ -63,10 +60,6 @@ class TrainConfig:
         if kind not in OPTIMIZER_KINDS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZER_KINDS}")
         object.__setattr__(self, "optimizer", kind)
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ConfigError(f"betas must lie in [0, 1), got ({self.beta1!r}, {self.beta2!r})")
-        if not (self.epsilon > 0):
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon!r}")
 
 
 class Sgd:
@@ -82,20 +75,20 @@ class Sgd:
 
 
 class Adam:
-    """Moment-corrected gradient steps.
+    """Moment-corrected gradient steps with the usual constants.
 
     The moments are flat vectors over every tensor in list order, so a step
     does its arithmetic once over the concatenated gradients; `steps`
     counts completed updates and drives the bias correction.
     """
 
-    def __init__(self, tensors, learning_rate: float, beta1: float = 0.9,
-                 beta2: float = 0.999, epsilon: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    epsilon = 1e-8
+
+    def __init__(self, tensors, learning_rate: float):
         self.tensors = list(tensors)
         self.learning_rate = float(learning_rate)
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.epsilon = float(epsilon)
         size = sum(t.value.size for t in self.tensors)
         self.first = np.zeros(size)
         self.second = np.zeros(size)
@@ -123,7 +116,7 @@ class Adam:
 def make_optimizer(params: ModelParams, config: TrainConfig):
     if config.optimizer == "sgd":
         return Sgd(params.tensors(), config.learning_rate)
-    return Adam(params.tensors(), config.learning_rate, config.beta1, config.beta2, config.epsilon)
+    return Adam(params.tensors(), config.learning_rate)
 
 
 def compute_metrics(preds, labels) -> tuple[float, float, float]:
@@ -261,36 +254,24 @@ def _check_buckets(buckets, config: TrainConfig, model_config: ModelConfig):
     return signal
 
 
-def train(train_set, config: TrainConfig, model_config: ModelConfig, *,
-          bounds: NodeBounds | None = None, initial: ModelParams | None = None,
-          resample=None):
+def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample=None):
     """Fit a model on labeled buckets; returns (checkpoint, loss history).
 
-    One optimizer step per bucket, squared error against the bucket label,
-    buckets visited in a fresh seeded shuffle each epoch.  `bounds` defaults
-    to the min and max of the training windows themselves and is stored in
-    the checkpoint so later scoring normalizes identically.  `resample`,
-    when given, is called with the epoch index before each epoch and must
-    return the bucket list to use for that epoch (fresh corruption draws,
-    typically).  The loss history holds one mean per epoch.
+    The parameters start from ModelParams.initialize(model_config,
+    config.seed).  One optimizer step per bucket, squared error against the
+    bucket label, buckets visited in a fresh seeded shuffle each epoch.  The
+    min and max of the training windows themselves normalize the features
+    and are stored in the checkpoint so later scoring normalizes
+    identically.  `resample`, when given, is called with the epoch index
+    before each epoch and must return the bucket list to use for that epoch
+    (fresh corruption draws, typically).  The loss history holds one mean
+    per epoch.
     """
     train_set = list(train_set)
     signal = _check_buckets(train_set, config, model_config)
-    if bounds is None:
-        bounds = bounds_from_buckets(train_set)
-    if bounds.mins.shape != (signal.num_nodes, signal.num_channels):
-        raise ContractError(
-            f"bounds cover {bounds.mins.shape}, buckets need "
-            f"({signal.num_nodes}, {signal.num_channels})"
-        )
+    bounds = bounds_from_buckets(train_set)
     a_hat = normalized_adjacency(signal)
-
-    if initial is None:
-        params = ModelParams.initialize(model_config, config.seed)
-    else:
-        if initial.config != model_config:
-            raise ConfigError("initial parameters were built for a different model config")
-        params = initial
+    params = ModelParams.initialize(model_config, config.seed)
     optimizer = make_optimizer(params, config)
     tensors = params.tensors()
 
@@ -335,10 +316,12 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *,
 
 
 def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
-    """Score every bucket with the checkpoint and wrap the metrics in a report.
+    """Score every bucket with the checkpoint: a report of one fold.
 
     All buckets must be windows of one length over one signal; they are
-    scored in one `score_windows` call, and the report keeps their order.
+    scored in one `score_windows` call, and the fold keeps their order.
+    The report's config is empty: callers that write a report build its
+    echo with config_echo.
     """
     test_set = list(test_set)
     if not test_set:
@@ -360,17 +343,7 @@ def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
                           candidates=np.stack([b.candidate for b in test_set])).tolist()
     labels = [b.label for b in test_set]
     fold = fold_result(preds, labels, [b.bucket.start for b in test_set])
-    echo = {
-        "cell_kind": checkpoint.config.cell_kind,
-        "input_channels": checkpoint.config.input_channels,
-        "embed_dim": checkpoint.config.embed_dim,
-        "attention_dim": checkpoint.config.attention_dim,
-        "seed": checkpoint.provenance.seed,
-        "epochs": checkpoint.provenance.epochs,
-    }
-    return MetricsReport(
-        dataset=signal.name, model=checkpoint.config.cell_kind, folds=(fold,), config=echo,
-    )
+    return MetricsReport(dataset=signal.name, model=checkpoint.config.cell_kind, folds=(fold,))
 
 
 def fold_result(preds, labels, starts) -> FoldResult:
@@ -414,16 +387,15 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
     return _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
 
 
-def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig, *,
-                   shuffle: bool = True):
-    """K-fold protocol: train on K-1 chunks, test on the held-out one.
+def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig):
+    """K-fold protocol on a shuffled split: train on K-1 chunks, test on the held-out one.
 
     Returns (report, checkpoints) with one checkpoint per fold.  Each fold
     trains from its own derived seed so fold models are independent draws;
     the folds run through run_folds, so in parallel where the fork pool can.
     """
     labeled = list(labeled)
-    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
+    pairs = kfold_split(labeled, config.folds, config.seed)
     runs = run_folds(pairs, config, model_config)
     report = MetricsReport(
         dataset=labeled[0].bucket.signal.name, model=model_config.cell_kind,
@@ -475,11 +447,7 @@ def write_report(report: MetricsReport, path) -> None:
 
 
 def load_report(path) -> MetricsReport:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+    doc = read_json(path)
     try:
         folds = tuple(
             FoldResult(
@@ -497,14 +465,14 @@ def load_report(path) -> MetricsReport:
             dataset=doc["dataset"], model=doc["model"], folds=folds,
             config=dict(doc["config"]),
         )
-        stored_mean = doc["mean"]
+        stored_mean = {name: float(doc["mean"][name]) for name in ("mse", "mae", "rmse")}
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed report ({exc})") from None
     for name, value in (("mse", report.mean_mse), ("mae", report.mean_mae),
                         ("rmse", report.mean_rmse)):
-        if abs(float(stored_mean[name]) - value) > 1e-12:
+        if abs(stored_mean[name] - value) > 1e-12:
             raise ParseError(
                 f"{path}: stored mean {name} {stored_mean[name]!r} does not match folds"
             )

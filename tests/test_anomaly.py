@@ -11,7 +11,6 @@ from tgsim.anomaly import (
     MIN_STD,
     AlarmPolicy,
     AnomalyEvent,
-    detect,
     detect_with_thresholds,
     score_stream,
     write_events,
@@ -171,30 +170,35 @@ class TestDetectFixed:
         assert thresholds == [0.7] * 30
 
     def test_fires_below_threshold(self):
-        events = detect([0.8, 0.6, 0.9, 0.2], AlarmPolicy(threshold=0.7))
+        events, _ = detect_with_thresholds([0.8, 0.6, 0.9, 0.2], AlarmPolicy(threshold=0.7))
         assert [e.index for e in events] == [1, 3]
         assert [e.score for e in events] == [0.6, 0.2]
         assert all("threshold" in e.rule for e in events)
         assert all(e.trailing_mean is None for e in events)
 
     def test_index_offset(self):
-        events = detect([0.8, 0.6, 0.9, 0.2], AlarmPolicy(threshold=0.7), index_offset=5)
-        assert [e.index for e in events] == [6, 8]
+        # the dip at 8 lies in the mute after the fire at 6
+        events, _ = detect_with_thresholds([0.8, 0.6, 0.9, 0.2], AlarmPolicy(threshold=0.7),
+                                           index_offset=5)
+        assert [(e.index, e.echo_indices) for e in events] == [(6, (7, 8))]
 
-    def test_index_offset_does_not_mute(self):
+    def test_index_offset_mutes_echoes(self):
         scores = [0.9] * 5 + [0.1] * 4 + [0.9] * 3
-        events = detect(scores, AlarmPolicy(threshold=0.7), index_offset=3)
-        assert [e.index for e in events] == [8, 9, 10, 11]
-        assert all(e.echo_indices == () for e in events)
+        events, thresholds = detect_with_thresholds(
+            scores, AlarmPolicy(threshold=0.7), index_offset=3)
+        assert [(e.index, e.echo_indices) for e in events] == [(8, (9, 10, 11))]
+        assert thresholds == [0.7] * len(scores)
 
     def test_short_streams_are_fine(self):
-        assert detect([0.5], AlarmPolicy(threshold=0.7))[0].index == 0
+        events, _ = detect_with_thresholds([0.5], AlarmPolicy(threshold=0.7))
+        assert events[0].index == 0
 
 
 class TestDetectZscore:
     def test_single_deep_dip(self):
         scores = [0.9] * 19 + [0.1]
-        events = detect(scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0))
+        events, _ = detect_with_thresholds(
+            scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0))
         assert len(events) == 1
         event = events[0]
         assert event.index == 19
@@ -206,9 +210,10 @@ class TestDetectZscore:
         # a saturated model: every score within 1e-12 of 1.0
         scores = [1.0 - 1e-13 * (i % 3) for i in range(60)]
         scores[40] = 1.0 - 1e-12
-        assert detect(scores, AlarmPolicy(mode="zscore")) == []
+        assert detect_with_thresholds(scores, AlarmPolicy(mode="zscore"))[0] == []
         monkeypatch.setattr(anomaly, "MIN_STD", 0.0)
-        assert [e.index for e in detect(scores, AlarmPolicy(mode="zscore"))] == [40]
+        events, _ = detect_with_thresholds(scores, AlarmPolicy(mode="zscore"))
+        assert [e.index for e in events] == [40]
 
     def test_std_floor_sets_the_threshold_and_is_named_in_the_rule(self, monkeypatch):
         assert MIN_STD == 1e-4
@@ -222,11 +227,12 @@ class TestDetectZscore:
         assert thresholds[20] == pytest.approx(event.trailing_mean - 3e-4, abs=1e-12)
         assert "min_std 0.0001 (std " in event.rule
         monkeypatch.setattr(anomaly, "MIN_STD", 0.0)
-        assert [e.index for e in detect(scores, policy)] == [19, 20]
+        assert [e.index for e in detect_with_thresholds(scores, policy)[0]] == [19, 20]
 
     def test_adjacent_dip_is_not_suppressed(self):
         scores = [0.9] * 25 + [0.05, 0.07] + [0.9] * 5
-        events = detect(scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0))
+        events, _ = detect_with_thresholds(
+            scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0))
         assert [e.index for e in events] == [25, 26]
 
     def test_matches_brute_force_rescan(self):
@@ -235,7 +241,7 @@ class TestDetectZscore:
         dips = rng.choice(np.arange(25, 300), size=12, replace=False)
         scores[dips] = rng.uniform(0.0, 0.2, size=12)
         policy = AlarmPolicy(mode="zscore", window=20, multiplier=2.0)
-        events = detect(list(scores), policy)
+        events, _ = detect_with_thresholds(list(scores), policy)
 
         accepted, expected = [], []
         for i, s in enumerate(scores):
@@ -255,24 +261,24 @@ class TestDetectZscore:
     def test_dip_echoes_are_muted_onto_the_event(self):
         length = 6
         scores = [0.9] * 25 + [0.05] * length + [0.9] * 5
-        events = detect(scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0),
-                        index_offset=length - 1)
+        policy = AlarmPolicy(mode="zscore", window=10, multiplier=3.0)
+        events, _ = detect_with_thresholds(scores, policy, index_offset=length - 1)
         assert [e.index for e in events] == [30]
         assert events[0].echo_indices == (31, 32, 33, 34, 35)
 
     def test_dip_after_the_mute_fires_again(self):
         length = 4
         scores = [0.9] * 20 + [0.1] * length + [0.9] * 6 + [0.1] + [0.9] * 4
-        events = detect(scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0),
-                        index_offset=length - 1)
+        policy = AlarmPolicy(mode="zscore", window=10, multiplier=3.0)
+        events, _ = detect_with_thresholds(scores, policy, index_offset=length - 1)
         assert [e.index - (length - 1) for e in events] == [20, 30]
         assert events[0].echo_indices == (24, 25, 26)
         assert events[1].echo_indices == (34, 35, 36)
 
     def test_mute_ends_at_the_stream_end(self):
         scores = [0.9] * 20 + [0.1, 0.1]
-        events = detect(scores, AlarmPolicy(mode="zscore", window=10, multiplier=3.0),
-                        index_offset=5)
+        policy = AlarmPolicy(mode="zscore", window=10, multiplier=3.0)
+        events, _ = detect_with_thresholds(scores, policy, index_offset=5)
         assert [(e.index, e.echo_indices) for e in events] == [(25, (26,))]
 
     @pytest.mark.parametrize("offset", [0, 1, 3, 9])
@@ -311,7 +317,8 @@ class TestDetectZscore:
     def test_indices_strictly_increase(self):
         rng = np.random.default_rng(12)
         scores = rng.uniform(0.0, 1.0, size=120)
-        events = detect(list(scores), AlarmPolicy(mode="zscore", window=10, multiplier=1.0))
+        events, _ = detect_with_thresholds(
+            list(scores), AlarmPolicy(mode="zscore", window=10, multiplier=1.0))
         indices = [e.index for e in events]
         assert indices == sorted(set(indices))
 
@@ -325,11 +332,11 @@ class TestDetectZscore:
 
     def test_stream_shorter_than_window(self):
         with pytest.raises(ContractError, match="at least 10"):
-            detect([0.9] * 9, AlarmPolicy(mode="zscore", window=10))
+            detect_with_thresholds([0.9] * 9, AlarmPolicy(mode="zscore", window=10))
 
     def test_non_finite_score(self):
         with pytest.raises(ContractError, match="position 2"):
-            detect([0.9, 0.8, float("nan")], AlarmPolicy())
+            detect_with_thresholds([0.9, 0.8, float("nan")], AlarmPolicy())
 
 
 class TestEventSerialization:

@@ -6,16 +6,13 @@ import pytest
 from tgsim.baselines import (
     BaselinePrediction,
     baseline_report,
-    extrapolation_score,
-    ols_fit,
     random_baseline,
     tsr_baseline,
     tsr_predictions,
-    tsr_series_score,
 )
 from tgsim.data import TemporalGraphSignal, node_bounds
 from tgsim.errors import ContractError
-from tgsim.noise import NoiseSpec, bucketize, inject_noise
+from tgsim.noise import Bucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import load_report, write_report
 
 
@@ -31,6 +28,13 @@ def make_signal(n=4, s=16, f=1, seed=5, name="toy", features=None):
 def make_labeled(signal, length, seed=5, p=0.5):
     buckets = bucketize(signal, length)
     return inject_noise(buckets, node_bounds(signal), NoiseSpec(corrupt_probability=p, seed=seed))
+
+
+def series_score(series):
+    """tsr_baseline of the one-node, one-channel bucket holding `series`."""
+    series = np.asarray(series, dtype=np.float64)
+    signal = make_signal(n=1, features=series.reshape(-1, 1, 1))
+    return tsr_baseline(Bucket(signal, 0, series.size))
 
 
 class TestBaselinePrediction:
@@ -83,62 +87,32 @@ class TestRandomBaseline:
         assert abs(mse - oracle) < 0.05
 
 
-class TestOlsFit:
-    def test_exact_line(self):
-        times = [0.0, 1.0, 2.0, 3.0]
-        assert ols_fit(times, [2 * t + 1 for t in times]) == (2.0, 1.0)
-
-    def test_constant_values(self):
-        assert ols_fit([0.0, 1.0, 2.0], [5.0, 5.0, 5.0]) == (0.0, 5.0)
-
-    def test_residuals_orthogonal_to_regressors(self):
-        rng = np.random.default_rng(12)
-        times = rng.normal(size=9)
-        values = rng.normal(size=9)
-        slope, intercept = ols_fit(times, values)
-        residuals = values - (slope * times + intercept)
-        assert abs(residuals.sum()) < 1e-9
-        assert abs((residuals * times).sum()) < 1e-9
-
-    def test_all_equal_times(self):
-        with pytest.raises(ContractError, match="every time is equal"):
-            ols_fit([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
-
-    def test_too_few_points(self):
-        with pytest.raises(ContractError, match="at least 2"):
-            ols_fit([1.0], [1.0])
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ContractError, match="equal-length"):
-            ols_fit([1.0, 2.0], [1.0, 2.0, 3.0])
-
-
 class TestSeriesScores:
     def test_scaled_ramp_with_low_candidate(self):
-        # slope 0.25 through the first four points predicts 1.0 at the end
-        assert extrapolation_score([0.0, 0.25, 0.5, 0.75, 0.2]) == pytest.approx(0.2, abs=1e-12)
+        # already spans [0, 1], so scaling keeps it; the ramp predicts 1.25
+        assert series_score([0.0, 0.25, 0.5, 0.75, 1.0, 0.6]) == pytest.approx(0.35, abs=1e-12)
 
     def test_perfect_ramp(self):
-        assert extrapolation_score([0.0, 0.25, 0.5, 0.75, 1.0]) == pytest.approx(1.0, abs=1e-12)
+        assert series_score([0.0, 0.25, 0.5, 0.75, 1.0]) == pytest.approx(1.0, abs=1e-12)
 
     def test_clamps_large_misses_to_zero(self):
         # the fit extrapolates to 4/3 while the candidate sits at the minimum
-        assert tsr_series_score([0.0, 10.0, 20.0, 30.0, 0.0]) == 0.0
+        assert series_score([0.0, 10.0, 20.0, 30.0, 0.0]) == 0.0
 
     def test_constant_series_scores_one(self):
-        assert tsr_series_score([5.0, 5.0, 5.0, 5.0]) == 1.0
+        assert series_score([5.0, 5.0, 5.0, 5.0]) == 1.0
 
     def test_constant_history_with_jump_scores_zero(self):
-        assert tsr_series_score([5.0, 5.0, 5.0, 8.0]) == 0.0
+        assert series_score([5.0, 5.0, 5.0, 8.0]) == 0.0
 
     def test_affine_invariance(self):
         rng = np.random.default_rng(8)
         series = rng.random(8)
-        assert abs(tsr_series_score(series) - tsr_series_score(3.7 * series - 12.0)) < 1e-9
+        assert abs(series_score(series) - series_score(3.7 * series - 12.0)) < 1e-9
 
     def test_too_short(self):
-        with pytest.raises(ContractError, match="at least 3"):
-            extrapolation_score([0.1, 0.2])
+        with pytest.raises(ContractError, match="length >= 3"):
+            series_score([0.1, 0.2])
 
 
 class TestTsrBaseline:

@@ -2,8 +2,10 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -42,6 +44,15 @@ def stderr_line(capsys):
     lines = err.strip().splitlines()
     assert len(lines) == 1, f"expected one diagnostic line, got: {err!r}"
     return json.loads(lines[0])
+
+
+def clone_run(run_dir, dest):
+    """A copy of a run directory's files, to damage without touching the original."""
+    dest.mkdir()
+    for path in run_dir.iterdir():
+        if path.is_file():
+            (dest / path.name).write_bytes(path.read_bytes())
+    return dest
 
 
 TRAIN_FLAGS = [
@@ -260,11 +271,7 @@ class TestEval:
         assert "expected a train run" in stderr_line(capsys)["message"]
 
     def test_tampered_fold_record_is_detected(self, ws, tmp_path, capsys):
-        clone = tmp_path / "clone"
-        clone.mkdir()
-        for path in ws.train_dir.iterdir():
-            if path.is_file():
-                (clone / path.name).write_bytes(path.read_bytes())
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
         folds = json.loads((clone / "folds.json").read_text())
         folds["test_starts"][0], folds["test_starts"][1] = (
             folds["test_starts"][1], folds["test_starts"][0])
@@ -272,6 +279,25 @@ class TestEval:
         code = cli.main(["eval", "--run-dir", str(clone)])
         assert code == 2
         assert "fold assignment" in stderr_line(capsys)["message"]
+
+    def test_fold_record_must_be_an_object(self, ws, tmp_path, capsys):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        (clone / "folds.json").write_text("[]")
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "folds.json" in report["message"]
+
+    @pytest.mark.parametrize("field", ["dataset", "buckets", "no_shuffle_folds", "epochs"])
+    def test_run_config_missing_a_field(self, ws, tmp_path, capsys, field):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        del config["arguments"][field]
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "missing a field" in report["message"] and field in report["message"]
 
 
 class TestBaseline:
@@ -351,7 +377,61 @@ class TestReport:
         assert len(rows) == 3
 
 
+BAD_JSON = {
+    "non_utf8": b'{"name": "caf\xe9"}',
+    "truncated": b'{"name": "toy", "edges": [[0, 1], [1',
+}
+
+# (command, file argument); a bare file name is that file in a copy of the
+# train run that eval reads
+FILE_ARGUMENTS = [
+    ("convert", "--input"), ("convert", "--config"),
+    ("prepare", "--dataset"), ("prepare", "--config"),
+    ("train", "--dataset"), ("train", "--buckets"), ("train", "--config"),
+    ("eval", "run_config.json"), ("eval", "folds.json"), ("eval", "checkpoint_fold_0.json"),
+    ("eval", "--dataset"), ("eval", "--buckets"), ("eval", "--config"),
+    ("baseline", "--dataset"), ("baseline", "--buckets"), ("baseline", "--config"),
+    ("detect", "--dataset"), ("detect", "--checkpoint"), ("detect", "--config"),
+    ("report", "--inputs"), ("report", "--config"),
+]
+
+
 class TestErrorSurface:
+    @pytest.mark.parametrize("content", sorted(BAD_JSON))
+    @pytest.mark.parametrize("command, argument", FILE_ARGUMENTS)
+    def test_unreadable_file_is_a_data_error(self, ws, tmp_path, capsys,
+                                             command, argument, content):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(BAD_JSON[content])
+        run = clone_run(ws.train_dir, tmp_path / "run")
+        arguments = {
+            "convert": {"--input": ws.dataset, "--kind": "chickenpox"},
+            "prepare": {"--dataset": ws.dataset, "-L": "4"},
+            "train": {"--dataset": ws.dataset, "--buckets": ws.buckets, "-L": "4"},
+            "eval": {"--run-dir": run},
+            "baseline": {"--dataset": ws.dataset, "--buckets": ws.buckets},
+            "detect": {"--dataset": ws.dataset, "--checkpoint": run / "checkpoint_fold_0.json",
+                       "-L": "4"},
+            "report": {"--inputs": bad},
+        }[command]
+        if argument.startswith("--"):
+            arguments[argument] = bad
+        else:
+            (run / argument).write_bytes(BAD_JSON[content])
+        argv = [command, "--out-dir", str(tmp_path / "out")]
+        for flag, value in arguments.items():
+            argv += [flag, str(value)]
+
+        assert cli.main(argv) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.strip().splitlines()
+        assert len(lines) == 1, f"expected one diagnostic line, got: {err!r}"
+        report = json.loads(lines[0])
+        expected = "AdapterError" if argument == "--input" else "ParseError"
+        assert report["error"] == expected
+        assert (bad.name if argument.startswith("--") else argument) in report["message"]
+
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1
         assert stderr_line(capsys)["error"] == "UsageError"
@@ -382,9 +462,13 @@ class TestErrorSurface:
 
 class TestEntryPoints:
     def test_module_invocation_reports_version(self):
+        # the child imports tgsim from where this process did, with or
+        # without PYTHONPATH (pytest's own `pythonpath` setting stays in-process)
+        path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH", "")]
         proc = subprocess.run(
             [sys.executable, "-m", "tgsim", "--version"],
             capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path))),
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "tgsim 0.1.0"

@@ -127,14 +127,6 @@ class TestCanonicalFormat:
         with pytest.raises(ParseError, match="extra"):
             load_canonical(path)
 
-    def test_unknown_field_warned_when_lax(self, tmp_path):
-        doc = minimal_doc()
-        doc["extra"] = 1
-        path = write_doc(tmp_path, doc)
-        with pytest.warns(UserWarning, match="extra"):
-            signal = load_canonical(path, strict=False)
-        assert signal.num_nodes == 2
-
     def test_invalid_json_reports_file(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text("{not json", encoding="utf-8")
@@ -325,14 +317,6 @@ class TestSignalType:
         with pytest.raises(ContractError, match="non-finite"):
             TemporalGraphSignal("s", 2, (), None, features)
 
-    def test_with_features_keeps_topology(self):
-        signal = TemporalGraphSignal("s", 2, ((0, 1),), None, np.ones((2, 2, 1)))
-        other = signal.with_features(np.zeros((5, 2, 3)))
-        assert other.edges == signal.edges
-        assert other.name == signal.name
-        assert other.num_snapshots == 5
-        assert other.num_channels == 3
-
 
 class TestNormalizedAdjacency:
     def test_single_node_no_edges(self):
@@ -380,11 +364,11 @@ class TestNormalizedAdjacency:
         oracle = np.array([[2.0, 1.0], [1.0, 1.0]]) / np.sqrt(np.outer(degree, degree))
         assert np.allclose(a_hat, oracle, atol=1e-15)
 
-    def test_directed_mode_keeps_asymmetry(self):
-        signal = TemporalGraphSignal("s", 2, ((0, 1),), None, np.ones((1, 2, 1)))
-        a_hat = normalized_adjacency(signal, symmetrize=False)
-        assert a_hat[0, 1] > 0
-        assert a_hat[1, 0] == 0
+    def test_one_way_edge_counts_both_ways(self):
+        signal = TemporalGraphSignal("s", 2, ((0, 1),), np.array([3.0]), np.ones((1, 2, 1)))
+        a_hat = normalized_adjacency(signal)
+        # [[1, 3], [3, 1]] has both degrees 4
+        assert np.array_equal(a_hat, np.array([[1.0, 3.0], [3.0, 1.0]]) / 4.0)
 
     def test_zero_weight_edge_never_divides_by_zero(self):
         signal = TemporalGraphSignal(
@@ -429,21 +413,16 @@ class TestNodeBounds:
                 assert bounds.mins[node, channel] == lo
                 assert bounds.maxs[node, channel] == hi
 
-    def test_empty_range_rejected(self):
-        signal = TemporalGraphSignal("s", 1, (), None, np.ones((3, 1, 1)))
-        with pytest.raises(ContractError, match="empty"):
-            node_bounds(signal, 2, 2)
-        with pytest.raises(ContractError, match="empty"):
-            node_bounds(signal, 0, 4)
-
     @pytest.mark.parametrize("seed", range(5))
     def test_enlarging_the_range_is_monotone(self, seed):
         rng = np.random.default_rng(seed)
         signal = random_signal(rng, n=4, s=30, f=2)
         start = int(rng.integers(0, 10))
         stop = int(rng.integers(start + 1, 31))
-        inner = node_bounds(signal, start, stop)
-        outer = node_bounds(signal, 0, 30)
+        inner = node_bounds(TemporalGraphSignal(
+            signal.name, signal.num_nodes, signal.edges, signal.weights,
+            signal.features[start:stop]))
+        outer = node_bounds(signal)
         assert (outer.mins <= inner.mins).all()
         assert (outer.maxs >= inner.maxs).all()
 

@@ -635,6 +635,18 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="w_g"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("section", ["config", "params", "feature_bounds", "provenance"])
+    def test_section_that_is_not_an_object_rejected(self, tmp_path, section):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc[section] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
     def test_forward_on_buckets(self):
         rng = np.random.default_rng(33)
         signal = TemporalGraphSignal(

@@ -29,8 +29,9 @@ def signal():
 
 
 class TestBucketize:
-    def test_sliding_window_count(self, signal):
-        buckets = bucketize(signal.with_features(np.zeros((30, 6, 2))), 10, 1)
+    def test_sliding_window_count(self):
+        signal = TemporalGraphSignal("s", 6, (), None, np.zeros((30, 6, 2)))
+        buckets = bucketize(signal, 10, 1)
         assert len(buckets) == 21
         assert [b.start for b in buckets[:3]] == [0, 1, 2]
 
@@ -49,8 +50,9 @@ class TestBucketize:
         assert buckets[0].start == 0
 
     def test_length_exceeding_snapshots_names_both(self, signal):
+        assert signal.num_snapshots == 40
         with pytest.raises(ContractError, match=r"41.*40|40.*41"):
-            bucketize(signal.with_features(np.zeros((40, 6, 2))), 41)
+            bucketize(signal, 41)
 
     @pytest.mark.parametrize("bad_length", [0, 1, -3])
     def test_short_lengths_rejected(self, signal, bad_length):
@@ -95,7 +97,7 @@ class TestLabels:
         bucket = Bucket(signal, 0, 3)
         for k in range(8):
             item = LabeledBucket(bucket, bucket.candidate.copy(), frozenset(range(k)))
-            assert item.label_exact * 7 + len(item.perturbed_nodes) == 7
+            assert item.label_exact * 7 + len(item.perturbed) == 7
 
     def test_out_of_range_node_rejected(self):
         signal = TemporalGraphSignal("s", 4, (), None, np.zeros((3, 4, 1)))
@@ -111,13 +113,13 @@ class TestInjectNoise:
         assert len(labeled) == len(buckets)
         for bucket, item in zip(buckets, labeled):
             assert item.label == 1.0
-            assert item.perturbed_nodes == frozenset()
+            assert item.perturbed == frozenset()
             assert np.array_equal(item.candidate, bucket.candidate)
 
     def test_full_probability_corrupts_every_bucket(self, signal):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(1.0, seed=3))
         for item in labeled:
-            assert 1 <= len(item.perturbed_nodes) <= 6
+            assert 1 <= len(item.perturbed) <= 6
             assert item.label < 1.0
 
     def test_deterministic_across_runs(self, signal):
@@ -126,7 +128,7 @@ class TestInjectNoise:
         first = inject_noise(buckets, bounds, NoiseSpec(0.5, seed=11))
         second = inject_noise(buckets, bounds, NoiseSpec(0.5, seed=11))
         for a, b in zip(first, second):
-            assert a.perturbed_nodes == b.perturbed_nodes
+            assert a.perturbed == b.perturbed
             assert np.array_equal(a.candidate, b.candidate)
             assert a.label_exact == b.label_exact
 
@@ -137,7 +139,7 @@ class TestInjectNoise:
         full = inject_noise(buckets, bounds, NoiseSpec(0.5, seed=11))
         prefix = inject_noise(buckets[:4], bounds, NoiseSpec(0.5, seed=11))
         for a, b in zip(prefix, full):
-            assert a.perturbed_nodes == b.perturbed_nodes
+            assert a.perturbed == b.perturbed
             assert np.array_equal(a.candidate, b.candidate)
 
     def test_seed_changes_output(self, signal):
@@ -146,7 +148,7 @@ class TestInjectNoise:
         first = inject_noise(buckets, bounds, NoiseSpec(1.0, seed=1))
         second = inject_noise(buckets, bounds, NoiseSpec(1.0, seed=2))
         assert any(
-            a.perturbed_nodes != b.perturbed_nodes or not np.array_equal(a.candidate, b.candidate)
+            a.perturbed != b.perturbed or not np.array_equal(a.candidate, b.candidate)
             for a, b in zip(first, second)
         )
 
@@ -155,7 +157,7 @@ class TestInjectNoise:
         for item in labeled:
             source = item.bucket.candidate
             for node in range(6):
-                if node in item.perturbed_nodes:
+                if node in item.perturbed:
                     continue
                 assert np.array_equal(item.candidate[node], source[node])
             assert np.array_equal(item.history, item.bucket.history)
@@ -220,16 +222,16 @@ class TestBulkValidation:
         labeled = inject_noise(bucketize(signal, length), bounds, NoiseSpec(0.5, seed=5))
         assert len(labeled) == 10000
 
-        corrupted = [item for item in labeled if item.perturbed_nodes]
+        corrupted = [item for item in labeled if item.perturbed]
         # p = 0.5, so roughly half; 5 sigma of binomial(10000, 0.5) is 250
         assert abs(len(corrupted) - 5000) < 300
 
         counts = np.zeros(n + 1, dtype=int)
         for item in labeled:
-            k = len(item.perturbed_nodes)
+            k = len(item.perturbed)
             counts[k] += 1
             assert item.label_exact * n + k == n
-            for node in item.perturbed_nodes:
+            for node in item.perturbed:
                 values = item.candidate[node]
                 assert (values >= bounds.mins[node]).all()
                 assert (values <= bounds.maxs[node]).all()
@@ -249,7 +251,7 @@ class TestSerialization:
         assert len(again) == len(labeled)
         for a, b in zip(labeled, again):
             assert a.bucket.start == b.bucket.start
-            assert a.perturbed_nodes == b.perturbed_nodes
+            assert a.perturbed == b.perturbed
             assert a.label_exact == b.label_exact
             assert np.array_equal(a.candidate, b.candidate)
 
@@ -260,6 +262,12 @@ class TestSerialization:
         other = TemporalGraphSignal("other", 6, (), None, np.zeros((40, 6, 2)))
         with pytest.raises(ParseError, match="other"):
             load_labeled_buckets(path, other)
+
+    def test_bucket_list_must_be_a_list(self, signal, tmp_path):
+        path = tmp_path / "buckets.json"
+        path.write_text(json.dumps({"dataset": signal.name, "length": 5, "buckets": 3}))
+        with pytest.raises(ParseError, match="expected an object"):
+            load_labeled_buckets(path, signal)
 
     def test_tampered_label_rejected(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(1.0, seed=13))
