@@ -3,9 +3,19 @@
 `run_jobs(jobs)` calls every job (a callable taking no arguments) and
 returns their results in job order. Jobs reach the workers through fork,
 so closures need no pickling; only job indices and results cross the
-pipes. Each worker first pins the already-loaded OpenBLAS to one thread,
-so two workers do not each start a second BLAS thread on a machine that
-has only as many CPUs as workers. The parent's BLAS thread count is never
+pipes.
+
+Up to twice as many jobs as CPUs get one worker each; more jobs share
+one worker per CPU. Equal jobs, such as the folds of a cross-validation,
+then share the CPUs by time-slicing instead of running in waves: three
+folds on two CPUs take 1.5 fold-times, not two with the third fold alone
+on one CPU while the other idles. Past twice the CPUs the last wave
+idles CPUs for under a third of the run, and each further worker would
+cost a fork and its memory.
+
+Each worker first pins the already-loaded OpenBLAS to one thread, so
+workers do not start BLAS threads of their own on CPUs that the other
+workers already use. The parent's BLAS thread count is never
 changed. The jobs run serially in this process when one CPU is available,
 when `fork` is not, when no OpenBLAS thread setter is found, and when the
 caller is itself a worker.
@@ -77,9 +87,12 @@ def _portable(exc: Exception) -> Exception:
 
 
 def run_jobs(jobs) -> list:
-    """Results of calling each of `jobs`, in order, from min(len(jobs), CPUs) workers.
+    """Results of calling each of `jobs`, in order, from forked workers.
 
-    Worker w runs jobs w, w + k, w + 2k, ... for k workers, and stops at
+    There is one worker per job for up to 2 x workers() jobs, and
+    workers() of them for more (see the module docstring); one job, or
+    workers() == 1, runs in this process. Worker w runs jobs w, w + k,
+    w + 2k, ... for k workers, and stops at
     its first failing job. If jobs raise, the exception of the first
     failing job in job order is raised here, as a serial loop would, as
     soon as every job before it has returned; a worker that exits before
@@ -87,8 +100,9 @@ def run_jobs(jobs) -> list:
     joined when this returns or raises.
     """
     jobs = list(jobs)
-    count = min(len(jobs), workers())
-    if count <= 1:
+    cpus = workers()
+    count = len(jobs) if len(jobs) <= 2 * cpus else cpus
+    if cpus <= 1 or count <= 1:
         return [job() for job in jobs]
     # imported here: about 1.4 MB that a process which never forks need not load
     import multiprocessing

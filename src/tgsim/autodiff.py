@@ -10,8 +10,9 @@ until explicitly zeroed; intermediate gradients are pass-local.
 A tape entry is one call of `record`: an output value, the input tensors and
 a rule that pulls the output's gradient back into them. The elementwise and
 matrix operations below record one entry each; a caller can also compute a
-whole layer in numpy and record it as a single fused entry with its own
-hand-written rule (the model's layers do), which keeps the tape short.
+whole block in numpy and record it as a single fused entry with its own
+hand-written rule (the model records a whole window so), which keeps the
+tape short.
 
 The tape owns its entries, and an output tensor refers back to its tape only
 weakly, so a step's graph is freed by reference counting as soon as the tape

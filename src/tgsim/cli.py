@@ -5,8 +5,8 @@ to its outputs, and can be replayed from that file with --config.  Errors
 leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
 
-`train` fits its folds, and `detect` scores its stream, in the fork pool
-of `_pool`: one worker per CPU, one BLAS thread per worker.  Their
+`train` fits its folds, `eval` scores them and `detect` scores its
+stream in the fork pool of `_pool`, one BLAS thread per worker.  Their
 outputs are byte-identical to a serial run under one BLAS thread, and an
 error raised in a worker reaches the caller as it would serially.
 """
@@ -17,11 +17,12 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _pool
 from .adapters import DATASET_KINDS, adapt_dataset
 from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
@@ -243,10 +244,11 @@ def _cmd_eval(args) -> int:
             "was the bucket file changed since training?"
         )
 
-    folds = []
-    for index, (_, test_buckets) in enumerate(pairs):
+    def fold(index):
         checkpoint = load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
-        folds.append(evaluate(checkpoint, test_buckets).folds[0])
+        return evaluate(checkpoint, pairs[index][1]).folds[0]
+
+    folds = _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
 
     echo = config_echo(config, model_config)
     echo.update(_noise_metadata(buckets_path))

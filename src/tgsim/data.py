@@ -374,19 +374,31 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
     sidecar unused, not wrong.  A sidecar that cannot be written is left
     out: the JSON alone is complete.
     """
-    doc = {
+    head = json.dumps({
         "name": signal.name,
         "num_nodes": signal.num_nodes,
         "frequency": signal.frequency,
         "edges": [[s, d] for s, d in signal.edges],
         "weights": signal.weights.tolist(),
-        "features": signal.features.tolist(),
-    }
+    }, separators=(",", ":"))
     path = Path(path)
-    data = json.dumps(doc, separators=(",", ":")).encode("utf-8")
-    path.write_bytes(data)
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def put(text):
+            data = text.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        # the bytes of one json.dumps of the whole document, with the features
+        # formatted a snapshot at a time: in one call every float and its
+        # text are held at once, about 90 MB at the metrala shape and the
+        # largest allocation of the whole CLI pipeline
+        put(head[:-1] + ',"features":[')
+        for t, snapshot in enumerate(signal.features):
+            put(("," if t else "") + json.dumps(snapshot.tolist(), separators=(",", ":")))
+        put("]}")
     try:
-        _write_sidecar(signal, hashlib.sha256(data).digest(), path)
+        _write_sidecar(signal, digest.digest(), path)
     except OSError:
         pass
 

@@ -7,14 +7,16 @@ states, and maps the pooled vector through a fixed three-layer dense head
 to a logistic similarity score in (0, 1).
 
 Two code paths compute it. `forward_pass` scores one window and is the one
-training uses: each layer (embedding, one cell step, attention, head)
-computes its forward in numpy and records one fused `autodiff` entry whose
-hand-written rule pulls the layer's output gradient back into its inputs
-and parameters, so a training window of L snapshots costs 2L + 2 tape
-entries plus the loss. The forwards use the same numpy operations in the
-same order as a composition of the elementary autodiff operations would,
-and each rule sums its terms in the order that composition's backward
-would, so scores and gradients are bit-for-bit those of the composed form.
+training uses. Each layer (embedding, cell step, attention, head) is a
+plain numpy function that returns its output with a hand-written
+pullback, and the window records a single `autodiff` entry whose rule
+runs the pullbacks from the head back to the first snapshot
+(backpropagation through time). A training step records three entries:
+the window, the label's subtraction and the square. The forwards use the
+same numpy operations in the same order as a composition of the
+elementary autodiff operations would, and the pullbacks add every
+gradient's terms in the order that composition's backward would, so
+scores and gradients are bit-for-bit those of the composed form.
 Training is sensitive enough to round-off that this matters: a 1e-13
 relative difference in the gradients is enough to send a fold of a 30-epoch
 run to a different optimum.
@@ -179,34 +181,27 @@ class Checkpoint:
     provenance: Provenance = field(default_factory=Provenance)
 
 
-def _tensor(value) -> Tensor:
-    return value if isinstance(value, Tensor) else Tensor(value)
+# Each layer below runs its forward in plain numpy and returns the output
+# with its pullback: a function of the output's gradient that adds the
+# layer's parameter gradients in place and returns the gradients of its
+# inputs. forward_pass chains the pullbacks of a window into one tape entry.
 
 
-def _accumulate(t: Tensor, grad: np.ndarray) -> None:
-    if t.requires_grad:
-        t.grad += grad
+def gcn_embed(x, a_hat, params: ModelParams):
+    """One graph-convolution stage, relu(A_hat x W_in + b_in): N x d, and its pullback.
 
-
-def gcn_embed(x, a_hat, params: ModelParams) -> Tensor:
-    """One graph-convolution stage: relu(A_hat x W_in + b_in), N x d."""
-    x, a_hat = _tensor(x), _tensor(a_hat)
+    The pullback adds the gradients of W_in and b_in; the snapshot needs none.
+    """
     w_in, b_in = params["w_in"], params["b_in"]
-    mixed = a_hat.value @ x.value
+    mixed = a_hat @ x
     pre = mixed @ w_in.value + b_in.value
 
-    def rule(g):
+    def pull(g):
         g_pre = g * (pre > 0)
-        _accumulate(w_in, mixed.T @ g_pre)
-        _accumulate(b_in, g_pre.sum(axis=0, keepdims=True))
-        if x.requires_grad or a_hat.requires_grad:
-            g_mixed = g_pre @ w_in.value.T
-            if x.requires_grad:
-                x.grad += a_hat.value.T @ g_mixed
-            if a_hat.requires_grad:
-                a_hat.grad += g_mixed @ x.value.T
+        w_in.grad += mixed.T @ g_pre
+        b_in.grad += g_pre.sum(axis=0, keepdims=True)
 
-    return ad.record("gcn-embed", (x, a_hat, w_in, b_in), np.maximum(pre, 0.0), rule)
+    return np.maximum(pre, 0.0), pull
 
 
 def _sigmoid_grad(g, y):
@@ -216,90 +211,91 @@ def _sigmoid_grad(g, y):
 def _gconv_gru_step(h0, h_prev, a_hat, params):
     names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
     w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (params[name] for name in names)
-    a, h = a_hat.value, h_prev.value
-    mixed_in = a @ h0.value
-    mixed_prev = a @ h
+    h = np.zeros_like(h0) if h_prev is None else h_prev
+    mixed_in = a_hat @ h0
+    mixed_prev = a_hat @ h
     z = ad.stable_sigmoid(mixed_in @ w_z.value + mixed_prev @ u_z.value + b_z.value)
     r = ad.stable_sigmoid(mixed_in @ w_r.value + mixed_prev @ u_r.value + b_r.value)
-    gated = r * h
-    gated_prev = a @ gated
+    gated_prev = a_hat @ (r * h)
     candidate = np.tanh(mixed_in @ w_h.value + gated_prev @ u_h.value + b_h.value)
-    out = z * h + (1.0 - z) * candidate
 
-    def rule(g):
+    def pull(g, carry):
         g_z = _sigmoid_grad(g * h - g * candidate, z)
         g_c = g * (1.0 - z) * (1.0 - candidate * candidate)
-        _accumulate(w_h, mixed_in.T @ g_c)
-        _accumulate(u_h, gated_prev.T @ g_c)
-        _accumulate(b_h, g_c.sum(axis=0, keepdims=True))
-        g_gated_prev = g_c @ u_h.value.T
-        g_gated = a.T @ g_gated_prev
+        w_h.grad += mixed_in.T @ g_c
+        u_h.grad += gated_prev.T @ g_c
+        b_h.grad += g_c.sum(axis=0, keepdims=True)
+        g_gated = a_hat.T @ (g_c @ u_h.value.T)
         g_r = _sigmoid_grad(g_gated * h, r)
         for w, u, b, g_pre in ((w_z, u_z, b_z, g_z), (w_r, u_r, b_r, g_r)):
-            _accumulate(w, mixed_in.T @ g_pre)
-            _accumulate(u, mixed_prev.T @ g_pre)
-            _accumulate(b, g_pre.sum(axis=0, keepdims=True))
-        g_mixed_in = g_c @ w_h.value.T + g_r @ w_r.value.T + g_z @ w_z.value.T
-        g_mixed_prev = g_r @ u_r.value.T + g_z @ u_z.value.T
-        _accumulate(h0, a.T @ g_mixed_in)
-        if h_prev.requires_grad:
-            h_prev.grad += g * z
-            h_prev.grad += g_gated * r
-            h_prev.grad += a.T @ g_mixed_prev
-        if a_hat.requires_grad:
-            a_hat.grad += g_mixed_in @ h0.value.T + g_mixed_prev @ h.T + g_gated_prev @ gated.T
+            w.grad += mixed_in.T @ g_pre
+            u.grad += mixed_prev.T @ g_pre
+            b.grad += g_pre.sum(axis=0, keepdims=True)
+        g_h0 = a_hat.T @ (g_c @ w_h.value.T + g_r @ w_r.value.T + g_z @ w_z.value.T)
+        if h_prev is None:
+            return g_h0, None
+        g_prev = g * z
+        if carry is not None:
+            g_prev += carry
+        g_prev += g_gated * r
+        g_prev += a_hat.T @ (g_r @ u_r.value.T + g_z @ u_z.value.T)
+        return g_h0, g_prev
 
-    inputs = (h0, h_prev, a_hat, w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h)
-    return ad.record("gconv-gru-step", inputs, out, rule)
+    return z * h + (1.0 - z) * candidate, pull
 
 
 def _tgcn_step(h0, h_prev, a_hat, params):
     names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
     w_g, w_u, b_u, w_r, b_r, w_c, b_c = (params[name] for name in names)
-    h = h_prev.value
-    mixed = a_hat.value @ h0.value
+    h = np.zeros_like(h0) if h_prev is None else h_prev
+    mixed = a_hat @ h0
     conv_pre = mixed @ w_g.value
     conv = np.maximum(conv_pre, 0.0)
-    joint = np.hstack((conv, h))
+    joint = np.concatenate((conv, h), axis=1)
     u = ad.stable_sigmoid(joint @ w_u.value + b_u.value)
     r = ad.stable_sigmoid(joint @ w_r.value + b_r.value)
-    gated = np.hstack((conv, r * h))
+    gated = np.concatenate((conv, r * h), axis=1)
     candidate = np.tanh(gated @ w_c.value + b_c.value)
-    out = u * h + (1.0 - u) * candidate
-    d = conv.shape[1]
+    d = h.shape[1]
 
-    def rule(g):
+    def pull(g, carry):
         g_u = _sigmoid_grad(g * h - g * candidate, u)
         g_c = g * (1.0 - u) * (1.0 - candidate * candidate)
-        _accumulate(w_c, gated.T @ g_c)
-        _accumulate(b_c, g_c.sum(axis=0, keepdims=True))
+        w_c.grad += gated.T @ g_c
+        b_c.grad += g_c.sum(axis=0, keepdims=True)
         g_gated = g_c @ w_c.value.T
         g_r = _sigmoid_grad(g_gated[:, d:] * h, r)
         for w, b, g_pre in ((w_u, b_u, g_u), (w_r, b_r, g_r)):
-            _accumulate(w, joint.T @ g_pre)
-            _accumulate(b, g_pre.sum(axis=0, keepdims=True))
+            w.grad += joint.T @ g_pre
+            b.grad += g_pre.sum(axis=0, keepdims=True)
         g_joint = g_u @ w_u.value.T + g_r @ w_r.value.T
         g_conv = (g_gated[:, :d] + g_joint[:, :d]) * (conv_pre > 0)
-        _accumulate(w_g, mixed.T @ g_conv)
-        if h_prev.requires_grad:
-            h_prev.grad += g * u
-            h_prev.grad += g_gated[:, d:] * r
-            h_prev.grad += g_joint[:, d:]
-        g_mixed = g_conv @ w_g.value.T
-        _accumulate(h0, a_hat.value.T @ g_mixed)
-        if a_hat.requires_grad:
-            a_hat.grad += g_mixed @ h0.value.T
+        w_g.grad += mixed.T @ g_conv
+        g_h0 = a_hat.T @ (g_conv @ w_g.value.T)
+        if h_prev is None:
+            return g_h0, None
+        g_prev = g * u
+        if carry is not None:
+            g_prev += carry
+        g_prev += g_gated[:, d:] * r
+        g_prev += g_joint[:, d:]
+        return g_h0, g_prev
 
-    inputs = (h0, h_prev, a_hat, w_g, w_u, b_u, w_r, b_r, w_c, b_c)
-    return ad.record("tgcn-step", inputs, out, rule)
+    return u * h + (1.0 - u) * candidate, pull
 
 
-def cell_step(kind: str, h0, h_prev, a_hat, params: ModelParams) -> Tensor:
-    """One recurrent update from state H_{t-1} to H_t, both N x d."""
+def cell_step(kind: str, h0, h_prev, a_hat, params: ModelParams):
+    """One recurrent update from state H_{t-1} to H_t, both N x d, and its pullback.
+
+    `h_prev` None stands for the zero start state. The pullback takes the
+    gradient of H_t and `carry`, the gradient H_{t-1} has from outside the
+    recurrence (the attention's, or None), and returns the gradients of
+    `h0` and of H_{t-1}; the latter is None for the zero start.
+    """
     kind = _canonical_kind(kind)
     step = _gconv_gru_step if kind == "gconv_gru" else _tgcn_step
     # the attention variant runs the same per-step recurrence as tgcn
-    return step(_tensor(h0), _tensor(h_prev), _tensor(a_hat), params)
+    return step(h0, h_prev, a_hat, params)
 
 
 def _attention(values, params: ModelParams):
@@ -313,43 +309,43 @@ def _attention(values, params: ModelParams):
     return hidden, shifted / shifted.sum(axis=1, keepdims=True)
 
 
-def temporal_attention(states, params: ModelParams) -> Tensor:
-    """Blend the per-step states into one N x d context.
+def temporal_attention(states, params: ModelParams):
+    """Blend the per-step N x d states into one N x d context, and its pullback.
 
     Per node, each step gets a scalar score tanh(H_t W_a + b_a) v_a; the
     scores are softmax-normalized over steps and the states combined as a
-    weighted sum with those per-node weights.
+    weighted sum with those per-node weights. The pullback returns one
+    gradient per state.
     """
-    states = [_tensor(s) for s in states]
-    values = [s.value for s in states]
-    hidden, alpha = _attention(values, params)
-    context = alpha[:, [0]] * values[0]
-    for t in range(1, len(values)):
-        context = context + alpha[:, [t]] * values[t]
+    hidden, alpha = _attention(states, params)
+    context = alpha[:, [0]] * states[0]
+    for t in range(1, len(states)):
+        context = context + alpha[:, [t]] * states[t]
     w_a, b_a, v_a = params["w_a"], params["b_a"], params["v_a"]
 
-    def rule(g):
+    def pull(g):
         # row sums as a product with a ones column, and one step at a time
         # from the last back: the composed form's order (module docstring)
         ones = np.ones((1, g.shape[1]))
-        g_alpha = np.concatenate([(g * value) @ ones.T for value in values], axis=1)
+        g_alpha = np.concatenate([(g * value) @ ones.T for value in states], axis=1)
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        for t in reversed(range(len(values))):
+        g_states = [None] * len(states)
+        for t in reversed(range(len(states))):
             g_score = g_scores[:, [t]]
-            _accumulate(v_a, hidden[t].T @ g_score)
+            v_a.grad += hidden[t].T @ g_score
             g_pre = (g_score @ v_a.value.T) * (1.0 - hidden[t] * hidden[t])
-            _accumulate(b_a, g_pre.sum(axis=0, keepdims=True))
-            _accumulate(w_a, values[t].T @ g_pre)
-            _accumulate(states[t], g * alpha[:, [t]] + g_pre @ w_a.value.T)
+            b_a.grad += g_pre.sum(axis=0, keepdims=True)
+            w_a.grad += states[t].T @ g_pre
+            g_states[t] = g * alpha[:, [t]] + g_pre @ w_a.value.T
+        return g_states
 
-    return ad.record("temporal-attention", (*states, w_a, b_a, v_a), context, rule)
+    return context, pull
 
 
 def attention_weights(states, params: ModelParams) -> np.ndarray:
     """The N x L softmax weights the attention blend uses, as plain values.
 
-    Diagnostic twin of `temporal_attention`; records nothing, safe to call
-    under an active tape.
+    Diagnostic twin of `temporal_attention` that also takes tensors.
     """
     values = [s.value if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64) for s in states]
     return _attention(values, params)[1]
@@ -369,36 +365,38 @@ def _head_activations(pooled: np.ndarray, layers):
     return acts, pres
 
 
-def dense_head(final, params: ModelParams) -> Tensor:
-    """Mean-pool the N x d node states and map them through the dense head.
+def dense_head(final, params: ModelParams):
+    """Mean-pool the N x d node states and map them through the dense head, with its pullback.
 
     Layers of HEAD_WIDTHS with relu between them and a logistic output:
-    a 1 x 1 similarity in (0, 1).
+    a 1 x 1 similarity in (0, 1). The pullback returns the gradient of the
+    N x d states.
     """
-    final = _tensor(final)
     layers = _head_layers(params)
-    acts, pres = _head_activations(final.value.mean(axis=0, keepdims=True), layers)
+    acts, pres = _head_activations(final.mean(axis=0, keepdims=True), layers)
 
-    def rule(g):
+    def pull(g):
         g = _sigmoid_grad(g, acts[-1])
         for i in reversed(range(len(layers))):
             w, b = layers[i]
             if i < len(layers) - 1:
                 g = g * (pres[i] > 0)
-            _accumulate(w, acts[i].T @ g)
-            _accumulate(b, g)
+            w.grad += acts[i].T @ g
+            b.grad += g
             g = g @ w.value.T
-        _accumulate(final, g / final.value.shape[0])
+        # every node gets the pooled mean's gradient over N
+        return np.repeat(g / final.shape[0], final.shape[0], axis=0)
 
-    inputs = (final,) + tuple(t for layer in layers for t in layer)
-    return ad.record("dense-head", inputs, acts[-1], rule)
+    return acts[-1], pull
 
 
 def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> Tensor:
     """Score a window of snapshots; returns a 1x1 tensor in (0, 1).
 
-    `snapshots` is an L x N x F array (or list of N x F arrays); gradients
-    flow when called under an active tape.
+    `snapshots` is an L x N x F array (or list of N x F arrays) and `a_hat`
+    the N x N normalized adjacency. Under an active tape the window is one
+    entry, whose rule runs the layers' pullbacks from the head back to the
+    first snapshot and adds every parameter's gradient.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim != 3 or snapshots.shape[2] != config.input_channels:
@@ -406,19 +404,33 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
             f"snapshots must be L x N x {config.input_channels}, got shape {snapshots.shape}"
         )
     n = snapshots.shape[1]
-    a_hat_t = _tensor(a_hat)
-    if a_hat_t.shape != (n, n):
-        raise ConfigError(f"adjacency is {a_hat_t.shape}, snapshots have {n} nodes")
+    a_hat = np.asarray(a_hat, dtype=np.float64)
+    if a_hat.shape != (n, n):
+        raise ConfigError(f"adjacency is {a_hat.shape}, snapshots have {n} nodes")
 
-    state = Tensor(np.zeros((n, config.embed_dim)))
-    states = []
-    for t in range(snapshots.shape[0]):
-        embedded = gcn_embed(snapshots[t], a_hat_t, params)
-        state = cell_step(config.cell_kind, embedded, state, a_hat_t, params)
+    steps, states, state = [], [], None
+    for x in snapshots:
+        embedded, embed_pull = gcn_embed(x, a_hat, params)
+        state, step_pull = cell_step(config.cell_kind, embedded, state, a_hat, params)
+        steps.append((embed_pull, step_pull))
         states.append(state)
+    attention_pull = None
+    if config.cell_kind == "a3tgcn":
+        state, attention_pull = temporal_attention(states, params)
+    score, head_pull = dense_head(state, params)
 
-    final = temporal_attention(states, params) if config.cell_kind == "a3tgcn" else state
-    return dense_head(final, params)
+    def rule(g):
+        g = head_pull(g)
+        carries = None
+        if attention_pull is not None:
+            carries = attention_pull(g)
+            g = carries[-1]
+        for t in reversed(range(len(steps))):
+            embed_pull, step_pull = steps[t]
+            g_embedded, g = step_pull(g, carries[t - 1] if carries and t else None)
+            embed_pull(g_embedded)
+
+    return ad.record("window", tuple(params.tensors()), score, rule)
 
 
 def _checked_bounds(signal, checkpoint: Checkpoint) -> NodeBounds | None:
@@ -480,7 +492,7 @@ def _snapshot_stage(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, 
     gconv_gru, G = relu(A_hat E W_g) for the T-GCN step) times the
     snapshot-side weights of the three pre-activations, plus their biases.
     """
-    mixed = a_hat @ gcn_embed(x, a_hat, params).value
+    mixed = a_hat @ gcn_embed(x, a_hat, params)[0]
     if config.cell_kind != "gconv_gru":
         mixed = np.maximum(mixed @ params["w_g"].value, 0.0)
     out = w_snap @ mixed.T

@@ -6,9 +6,12 @@ source of randomness is seeded, so a (buckets, config) pair pins the
 resulting report down to the byte.
 
 The folds are independent jobs: run_folds, which serves cross_validate and
-the CLI's train, runs them in the fork pool of `_pool`, one worker per CPU
-and one BLAS thread per worker.  The results are bitwise those of a serial
-loop under one BLAS thread.  train and evaluate themselves stay serial.
+the CLI's train, runs them in the fork pool of `_pool`, one BLAS thread
+per worker.  Each fold gets a worker of its own while there are at most
+twice as many folds as CPUs: 3 folds on 2 CPUs then share both CPUs for
+1.5 fold-times, where one worker per CPU would run them in two waves, the
+third fold alone.  The results are bitwise those of a serial loop under
+one BLAS thread.  train and evaluate themselves stay serial.
 """
 
 import csv

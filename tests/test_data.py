@@ -188,6 +188,22 @@ class TestCanonicalSidecar:
         assert not from_sidecar.features.flags.writeable
         assert not from_sidecar.weights.flags.writeable
 
+    @pytest.mark.parametrize("make", [
+        lambda: awkward_signal(),
+        lambda: random_signal(np.random.default_rng(12)),
+        lambda: TemporalGraphSignal("no edges \u00e9\ud800", 3, (), None, np.ones((2, 3, 1))),
+    ])
+    def test_json_is_one_dumps_of_the_document(self, tmp_path, make):
+        signal = make()
+        path = tmp_path / "signal.json"
+        write_canonical(signal, path)
+        doc = {
+            "name": signal.name, "num_nodes": signal.num_nodes, "frequency": signal.frequency,
+            "edges": [[s, d] for s, d in signal.edges], "weights": signal.weights.tolist(),
+            "features": signal.features.tolist(),
+        }
+        assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode("utf-8")
+
     def test_writes_are_byte_identical(self, tmp_path):
         signal = awkward_signal()
         first, second = tmp_path / "a" / "s.json", tmp_path / "b" / "s.json"

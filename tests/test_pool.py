@@ -1,4 +1,4 @@
-"""The fork pool: job order, errors, BLAS pinning, and equality with the serial path.
+"""The fork pool: worker counts, job order, errors, BLAS pinning, and equality with the serial path.
 
 The equality checks run each computation twice, with the CPU count the
 pool sees set to 1 (in-process) and to 2 (two forked workers), and compare
@@ -7,6 +7,7 @@ as OPENBLAS_NUM_THREADS=1 would, because the workers always run one: at
 N = 207 a few scores differ in the last bit between one and two threads.
 """
 
+import multiprocessing
 import os
 import pickle
 import threading
@@ -93,10 +94,32 @@ class TestRunJobs:
         pids = {r[1] for r in results}
         assert len(pids) == 2 and os.getpid() not in pids
 
+    def test_three_jobs_run_at_once_in_three_workers(self, two_cpus):
+        # each job waits for the other two: with fewer workers than jobs the
+        # barrier would break at its timeout instead
+        barrier = multiprocessing.get_context("fork").Barrier(3)
+
+        def job():
+            barrier.wait(timeout=30)
+            return os.getpid()
+
+        pids = _pool.run_jobs([job] * 3)
+        assert len(set(pids)) == 3 and os.getpid() not in pids
+
+    @pytest.mark.parametrize("jobs, workers", [(4, 4), (5, 2)])
+    def test_one_worker_per_job_up_to_twice_the_cpus(self, two_cpus, jobs, workers):
+        pids = _pool.run_jobs([os.getpid] * jobs)
+        assert len(set(pids)) == workers and os.getpid() not in pids
+
+    def test_no_call_starts_more_than_twice_the_cpus_workers(self, two_cpus):
+        for jobs in range(1, 10):
+            assert len(set(_pool.run_jobs([os.getpid] * jobs))) <= 4
+
     def test_one_cpu_runs_in_process(self, monkeypatch):
         set_cpus(monkeypatch, 1)
         assert _pool.workers() == 1
         assert _pool.run_jobs([os.getpid, os.getpid]) == [os.getpid()] * 2
+        assert _pool.run_jobs([os.getpid] * 3) == [os.getpid()] * 3
 
     def test_a_single_job_runs_in_process(self, two_cpus):
         assert _pool.run_jobs([os.getpid]) == [os.getpid()]
@@ -115,11 +138,11 @@ class TestRunJobs:
 
     def test_nested_call_runs_serially(self, two_cpus):
         def job():
-            return _pool.workers(), _pool.run_jobs([os.getpid, os.getpid]), os.getpid()
+            return _pool.workers(), _pool.run_jobs([os.getpid] * 3), os.getpid()
 
         for count, inner, pid in _pool.run_jobs([job, job]):
             assert count == 1
-            assert inner == [pid, pid] and pid != os.getpid()
+            assert inner == [pid] * 3 and pid != os.getpid()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_first_failing_job_is_raised_with_its_type_and_message(self, monkeypatch, cpus):
@@ -249,6 +272,35 @@ class TestCli:
         assert len(serial) == 12
         assert serial == pooled
         assert capsys.readouterr().err == ""
+
+    def test_eval_scores_each_fold_in_a_worker(self, monkeypatch, tmp_path, cli_inputs):
+        dataset, buckets = cli_inputs
+        train_dir = tmp_path / "train"
+        assert cli.main(["train", "--dataset", str(dataset), "--buckets", str(buckets),
+                         *TRAIN_FLAGS, "--out-dir", str(train_dir)]) == 0
+        # workers keep no memory of the parent's: each call leaves its pid in a file
+        pid_log = tmp_path / "pids"
+        evaluate = cli.evaluate
+
+        def logged(*args):
+            with open(pid_log, "a", encoding="utf-8") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return evaluate(*args)
+
+        monkeypatch.setattr(cli, "evaluate", logged)
+        roots = iter([tmp_path / "serial", tmp_path / "pooled"])
+
+        def run():
+            out_dir = next(roots)
+            assert cli.main(["eval", "--run-dir", str(train_dir), "--out-dir", str(out_dir)]) == 0
+            pids = pid_log.read_text(encoding="utf-8").split()
+            pid_log.unlink()
+            return (out_dir / "metrics.json").read_bytes(), pids
+
+        (serial, serial_pids), (pooled, pooled_pids) = both_paths(monkeypatch, run)
+        assert serial == pooled
+        assert serial_pids == [str(os.getpid())] * 3
+        assert len(set(pooled_pids)) == 3 and str(os.getpid()) not in pooled_pids
 
     def test_training_error_in_a_worker_exits_three_with_the_same_line(
             self, monkeypatch, tmp_path, cli_inputs, capsys):
