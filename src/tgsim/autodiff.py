@@ -351,9 +351,11 @@ def grad_check(f: Callable, point: Sequence[Tensor], eps: float) -> float:
         raise ContractError(f"eps must be positive, got {eps}")
     point = list(point)
     for p in point:
-        if not p.requires_grad:
-            p.requires_grad = True
-        p.grad = np.zeros_like(p.value)
+        p.requires_grad = True
+        if p.grad is None:
+            p.grad = np.zeros_like(p.value)
+        else:  # in place: a parameter's gradient is a view of its flat vector
+            p.grad[...] = 0.0
 
     with Tape():
         out = f(*point)

@@ -7,19 +7,38 @@ states, and maps the pooled vector through a fixed three-layer dense head
 to a logistic similarity score in (0, 1).
 
 Two code paths compute it. `forward_pass` scores one window and is the one
-training uses. Each layer (embedding, cell step, attention, head) is a
-plain numpy function that returns its output with a hand-written
-pullback, and the window records a single `autodiff` entry whose rule
-runs the pullbacks from the head back to the first snapshot
+training uses; it records a single `autodiff` entry whose rule pulls the
+score's gradient back from the head to the first snapshot
 (backpropagation through time). A training step records three entries:
-the window, the label's subtraction and the square. The forwards use the
-same numpy operations in the same order as a composition of the
-elementary autodiff operations would, and the pullbacks add every
-gradient's terms in the order that composition's backward would, so
-scores and gradients are bit-for-bit those of the composed form.
-Training is sensitive enough to round-off that this matters: a 1e-13
-relative difference in the gradients is enough to send a fold of a 30-epoch
-run to a different optimum.
+the window, the label's subtraction and the square.
+
+Only the recurrence runs once per step: the gates, the candidate and the
+state update (`cell_step`), and in the backward their pullback, which
+carries the state's gradient to the step before. Everything else runs
+stacked, one numpy call over a block of steps: A_hat X and the embedding
+(`gcn_embed`), the T-GCN graph convolution or GConvGRU's A_hat E and its
+input-side gate products, every parameter-gradient product, and, over the
+whole window, the A3T-GCN attention and its pullback. A block holds as
+many steps as fit their N x 2d arrays in `_BLOCK_FLOATS`: the whole window
+at N = 20, one step at a time at N = 207 and above, where a step's
+products are large enough on their own.
+
+Scores and gradients are bit-for-bit those of a composition of the
+elementary autodiff operations. A stacked matmul makes the same BLAS call
+for each step that the step would make alone, and the elementwise
+functions give the same bits wherever an element sits in an array. The
+sums are kept in the composed order. Each parameter has one gradient term
+per step, and the composed backward adds the terms from the last step to
+the first; `_StepTerms` writes them into rows in that order, with the
+gradient so far in front, and adds the rows with one `np.add.reduce`
+along the outer axis. An outer-axis reduce over C-contiguous rows adds
+them one after another; over a transposed or one-column array, numpy
+would switch to pairwise summation or another order. So the N x L
+attention scores and the per-step columns taken from them are copied to
+C-contiguous arrays before their reductions. Training is sensitive enough
+to round-off that this matters: a 1e-13 relative difference in the
+gradients is enough to send a fold of a 30-epoch run to a different
+optimum.
 
 `score_windows` scores many windows of one signal without a tape; it
 serves evaluation and stream scoring. Every part of a cell step that
@@ -38,6 +57,7 @@ arXiv:2006.11583) and GConvGRU (Seo et al., arXiv:1612.07659).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,7 +76,8 @@ HEAD_WIDTHS = (32, 64, 1)
 # floats held by the recurrent states of one block of windows in
 # score_windows: bounds its memory whatever the number of windows, and small
 # enough that scoring never needs more than a training step (at N = 20 a
-# step holds about 1 MB); larger blocks were no faster at N = 207
+# step holds about 1 MB); larger blocks were no faster at N = 207. The
+# window op stacks as many steps as fit their N x 2d arrays in it.
 _BLOCK_FLOATS = 1 << 14
 
 
@@ -113,7 +134,11 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
 class ModelParams:
     """Named parameter tensors, all tracked for gradients.
 
-    `initialize` draws each weight matrix uniform in
+    Every value and every gradient is a view into one flat vector, `values`
+    and `grads`, laid out in `parameter_shapes` order, and `slices` maps
+    each name to its range there: an optimizer steps all parameters in one
+    go, and the window op adds a run of adjacent parameters' gradients in
+    one call. `initialize` draws each weight matrix uniform in
     +-sqrt(6 / (fan_in + fan_out)) and zeros the biases, so two runs with
     the same config and seed start from identical parameters.
     """
@@ -127,12 +152,27 @@ class ModelParams:
                 f"parameter set mismatch for {config.cell_kind}: missing {missing}, extra {extra}"
             )
         self.config = config
-        self._tensors = {}
+        total = sum(rows * cols for rows, cols in expected.values())
+        self.values, self.grads = np.empty(total), np.zeros(total)
+        self.slices, self._tensors = {}, {}
+        self.scratch = {}  # the window backward's buffers (_scratch, _step_terms)
+        at = 0
         for name, shape in expected.items():
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != shape:
                 raise ConfigError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
-            self._tensors[name] = Tensor(value, requires_grad=True)
+            span = self.slices[name] = slice(at, at + value.size)
+            tensor = Tensor(self.values[span].reshape(shape))
+            tensor.value[...] = value
+            tensor.requires_grad, tensor.grad = True, self.grads[span].reshape(shape)
+            self._tensors[name] = tensor
+            at = span.stop
+
+    def __reduce__(self):
+        # rebuilt through __init__, so a copy (a checkpoint a pool worker
+        # returns) holds views of its own flat vectors, not of pickled
+        # copies, and no scratch buffers
+        return type(self), (self.config, {name: t.value for name, t in self.items()})
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "ModelParams":
@@ -181,162 +221,391 @@ class Checkpoint:
     provenance: Provenance = field(default_factory=Provenance)
 
 
-# Each layer below runs its forward in plain numpy and returns the output
+def _blocks(steps: int, n: int, d: int) -> list:
+    """Consecutive blocks of a window's steps whose N x 2d arrays fit in `_BLOCK_FLOATS`.
+
+    The whole window at N = 20; one step each from a few hundred nodes,
+    where a step's products are large enough on their own.
+    """
+    width = max(1, _BLOCK_FLOATS // (2 * n * d))
+    return [slice(start, min(start + width, steps)) for start in range(0, steps, width)]
+
+
+def _scratch(params: ModelParams, key, shape) -> np.ndarray:
+    """An uninitialized array of `shape`, from a buffer `params` keeps under `key`.
+
+    The window's backward takes its stacked temporaries from here. Freeing
+    an array of 64 KB or more lets glibc's malloc hand the top of the heap
+    back to the system, and the next window faults it back in page by page:
+    about 330 faults a window at N = 20 when these were allocated afresh,
+    costing as much time as the stacking saved. A key serves one array at
+    a time; backward into one ModelParams runs in one thread at a time, as
+    its gradients already require.
+    """
+    buffers = params.scratch
+    size = math.prod(shape)
+    if key not in buffers or buffers[key].size < size:
+        buffers[key] = np.empty(size)
+    return buffers[key][:size].reshape(shape)
+
+
+class _StepTerms:
+    """Per-step gradient terms of adjacent parameters, added to their gradients in step order.
+
+    Row 0 holds the parameters' gradients so far and row k the terms of the
+    k-th step counted back from the last, so `add`, one outer-axis
+    `np.add.reduce` over the C-contiguous rows, adds each parameter's terms
+    last step first: the order in which a composition of the elementary
+    operations adds them, one step at a time. The reduce starts from -0.0,
+    the exact additive identity, so the gradients so far enter unchanged.
+    `_step_terms` keeps one per run of parameters and block length.
+    """
+
+    def __init__(self, params: ModelParams, names, steps: int):
+        start = params.slices[names[0]].start
+        self._grads = params.grads[start:params.slices[names[-1]].stop]
+        self._rows = np.empty((steps + 1, self._grads.size))
+        self._terms = {}  # each parameter's rows as steps x rows x cols, in step order
+        for name in names:
+            span = params.slices[name]
+            rows = self._rows[1:, span.start - start:span.stop - start]
+            self._terms[name] = rows.reshape((steps,) + params[name].shape)[::-1]
+
+    def product(self, name: str, left, right) -> None:
+        """The terms left_t^T right_t, for stacks of steps given in step order."""
+        np.matmul(left.transpose(0, 2, 1), right, out=self._terms[name])
+
+    def sums(self, name: str, grad) -> None:
+        """The terms sum over rows of grad_t, for a bias."""
+        self._terms[name][...] = grad.sum(axis=1, keepdims=True)
+
+    def add(self) -> None:
+        self._rows[0] = self._grads
+        np.add.reduce(self._rows, axis=0, out=self._grads, initial=-0.0)
+
+
+def _step_terms(params: ModelParams, names: tuple, steps: int) -> _StepTerms:
+    """The `_StepTerms` that `params` keeps for `names` over blocks of `steps` steps."""
+    key = (names, steps)
+    if key not in params.scratch:
+        params.scratch[key] = _StepTerms(params, names, steps)
+    return params.scratch[key]
+
+
+# The layers below run their forwards in plain numpy and return the output
 # with its pullback: a function of the output's gradient that adds the
-# layer's parameter gradients in place and returns the gradients of its
-# inputs. forward_pass chains the pullbacks of a window into one tape entry.
+# layer's parameter gradients and returns the gradients of its inputs.
+# forward_pass chains them into one tape entry per window.
 
 
 def gcn_embed(x, a_hat, params: ModelParams):
-    """One graph-convolution stage, relu(A_hat x W_in + b_in): N x d, and its pullback.
+    """Graph-convolution stage relu(A_hat x W_in + b_in), and its pullback.
 
-    The pullback adds the gradients of W_in and b_in; the snapshot needs none.
+    `x` is one N x F snapshot or a stack of them, B x N x F, embedded with
+    one call per product; the output keeps the leading shape, with d
+    columns. The pullback takes the output's gradient and adds the
+    gradients of W_in and b_in; the snapshots need none.
     """
-    w_in, b_in = params["w_in"], params["b_in"]
     mixed = a_hat @ x
-    pre = mixed @ w_in.value + b_in.value
+    out = mixed @ params["w_in"].value
+    out += params["b_in"].value
+    np.maximum(out, 0.0, out=out)
 
     def pull(g):
-        g_pre = g * (pre > 0)
-        w_in.grad += mixed.T @ g_pre
-        b_in.grad += g_pre.sum(axis=0, keepdims=True)
+        g_pre = (g * (out > 0)).reshape((-1,) + out.shape[-2:])
+        terms = _step_terms(params, ("w_in", "b_in"), len(g_pre))
+        terms.product("w_in", mixed.reshape((-1,) + mixed.shape[-2:]), g_pre)
+        terms.sums("b_in", g_pre)
+        terms.add()
 
-    return np.maximum(pre, 0.0), pull
+    return out, pull
 
 
 def _sigmoid_grad(g, y):
     return g * y * (1.0 - y)
 
 
-def _gconv_gru_step(h0, h_prev, a_hat, params):
-    names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-    w_z, u_z, b_z, w_r, u_r, b_r, w_h, u_h, b_h = (params[name] for name in names)
-    h = np.zeros_like(h0) if h_prev is None else h_prev
-    mixed_in = a_hat @ h0
-    mixed_prev = a_hat @ h
-    z = ad.stable_sigmoid(mixed_in @ w_z.value + mixed_prev @ u_z.value + b_z.value)
-    r = ad.stable_sigmoid(mixed_in @ w_r.value + mixed_prev @ u_r.value + b_r.value)
-    gated_prev = a_hat @ (r * h)
-    candidate = np.tanh(mixed_in @ w_h.value + gated_prev @ u_h.value + b_h.value)
-
-    def pull(g, carry):
-        g_z = _sigmoid_grad(g * h - g * candidate, z)
-        g_c = g * (1.0 - z) * (1.0 - candidate * candidate)
-        w_h.grad += mixed_in.T @ g_c
-        u_h.grad += gated_prev.T @ g_c
-        b_h.grad += g_c.sum(axis=0, keepdims=True)
-        g_gated = a_hat.T @ (g_c @ u_h.value.T)
-        g_r = _sigmoid_grad(g_gated * h, r)
-        for w, u, b, g_pre in ((w_z, u_z, b_z, g_z), (w_r, u_r, b_r, g_r)):
-            w.grad += mixed_in.T @ g_pre
-            u.grad += mixed_prev.T @ g_pre
-            b.grad += g_pre.sum(axis=0, keepdims=True)
-        g_h0 = a_hat.T @ (g_c @ w_h.value.T + g_r @ w_r.value.T + g_z @ w_z.value.T)
-        if h_prev is None:
-            return g_h0, None
-        g_prev = g * z
-        if carry is not None:
-            g_prev += carry
-        g_prev += g_gated * r
-        g_prev += a_hat.T @ (g_r @ u_r.value.T + g_z @ u_z.value.T)
-        return g_h0, g_prev
-
-    return z * h + (1.0 - z) * candidate, pull
+def _blend(out, gate, h, candidate) -> None:
+    """out = gate * h + (1 - gate) * candidate, in that order of operations."""
+    np.multiply(gate, h, out=out)
+    rest = 1.0 - gate
+    rest *= candidate
+    out += rest
 
 
-def _tgcn_step(h0, h_prev, a_hat, params):
-    names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
-    w_g, w_u, b_u, w_r, b_r, w_c, b_c = (params[name] for name in names)
-    h = np.zeros_like(h0) if h_prev is None else h_prev
-    mixed = a_hat @ h0
-    conv_pre = mixed @ w_g.value
-    conv = np.maximum(conv_pre, 0.0)
-    joint = np.concatenate((conv, h), axis=1)
-    u = ad.stable_sigmoid(joint @ w_u.value + b_u.value)
-    r = ad.stable_sigmoid(joint @ w_r.value + b_r.value)
-    gated = np.concatenate((conv, r * h), axis=1)
-    candidate = np.tanh(gated @ w_c.value + b_c.value)
-    d = h.shape[1]
+class _Cell:
+    """The recurrent cell of one window, its per-step arrays stacked over the L steps.
 
-    def pull(g, carry):
-        g_u = _sigmoid_grad(g * h - g * candidate, u)
-        g_c = g * (1.0 - u) * (1.0 - candidate * candidate)
-        w_c.grad += gated.T @ g_c
-        b_c.grad += g_c.sum(axis=0, keepdims=True)
-        g_gated = g_c @ w_c.value.T
-        g_r = _sigmoid_grad(g_gated[:, d:] * h, r)
-        for w, b, g_pre in ((w_u, b_u, g_u), (w_r, b_r, g_r)):
-            w.grad += joint.T @ g_pre
-            b.grad += g_pre.sum(axis=0, keepdims=True)
-        g_joint = g_u @ w_u.value.T + g_r @ w_r.value.T
-        g_conv = (g_gated[:, :d] + g_joint[:, :d]) * (conv_pre > 0)
-        w_g.grad += mixed.T @ g_conv
-        g_h0 = a_hat.T @ (g_conv @ w_g.value.T)
-        if h_prev is None:
-            return g_h0, None
-        g_prev = g * u
-        if carry is not None:
-            g_prev += carry
-        g_prev += g_gated[:, d:] * r
-        g_prev += g_joint[:, d:]
-        return g_h0, g_prev
-
-    return u * h + (1.0 - u) * candidate, pull
-
-
-def cell_step(kind: str, h0, h_prev, a_hat, params: ModelParams):
-    """One recurrent update from state H_{t-1} to H_t, both N x d, and its pullback.
-
-    `h_prev` None stands for the zero start state. The pullback takes the
-    gradient of H_t and `carry`, the gradient H_{t-1} has from outside the
-    recurrence (the attention's, or None), and returns the gradients of
-    `h0` and of H_{t-1}; the latter is None for the zero start.
+    `inputs` runs the input-side work of a block of steps, one call per
+    product; `step` runs one step of the recurrence (through `cell_step`);
+    `back` pulls a gradient back through a block: the recurrence a step at
+    a time from the last, then the input side and every parameter-gradient
+    product once for the whole block (`_tail`).
     """
-    kind = _canonical_kind(kind)
-    step = _gconv_gru_step if kind == "gconv_gru" else _tgcn_step
+
+    names: tuple = ()  # the cell's parameters, adjacent in the flat vector
+
+    def __init__(self, params: ModelParams, a_hat, steps: int, n: int):
+        self.params, self.a_hat = params, a_hat
+        self.d = d = params.config.embed_dim
+        self.w = {name: params[name].value for name in self.names}
+        self.zeros = np.zeros((n, d))
+        self.gates = np.empty((steps, 2, n, d))  # each step's update and reset gates
+        self.states = np.empty((steps, n, d))
+        self.candidates = np.empty((steps, n, d))
+
+    def previous(self, t: int):
+        """H_{t-1}: the zero start state for t = 0."""
+        return self.states[t - 1] if t else self.zeros
+
+    def back(self, block: slice, g, carries):
+        """Pull `g`, the gradient of the block's last state, back through the block.
+
+        `carries` holds the gradient every state has from outside the
+        recurrence (the attention's), or is None. Adds the cell parameters'
+        gradients; returns the gradient of the state before the block (None
+        before the first step) and that of the block's embeddings.
+        """
+        count, params = block.stop - block.start, self.params
+        gates = self.gates[block]
+        rests = np.subtract(1.0, gates, out=_scratch(params, "rests", gates.shape))
+        c = self.candidates[block]
+        slopes = np.multiply(c, c, out=_scratch(params, "slopes", c.shape))
+        np.subtract(1.0, slopes, out=slopes)
+        # the pre-activation gradients of the update gate, the reset gate and the candidate
+        grads = _scratch(params, "grads", (3, count) + g.shape)
+        work = self._work(grads.shape[1:])
+        for t in reversed(range(block.start, block.stop)):
+            i = t - block.start
+            (gate, reset), (gate_rest, reset_rest) = gates[i], rests[i]
+            h = self.previous(t)
+            g_gate, g_reset, g_cand = grads[:, i]
+            np.multiply(g, h, out=g_gate)
+            g_gate -= g * c[i]
+            g_gate *= gate
+            g_gate *= gate_rest
+            np.multiply(g, gate_rest, out=g_cand)
+            g_cand *= slopes[i]
+            g_gated = self._gated_grad(work, i, g_cand)
+            np.multiply(g_gated, h, out=g_reset)
+            g_reset *= reset
+            g_reset *= reset_rest
+            g_gates = self._gates_grad(work, i, g_gate, g_reset, t)
+            if t:
+                g = g * gate
+                if carries is not None:
+                    g += carries[t - 1]
+                g += g_gated * reset
+                g += g_gates
+        return (g if block.start else None), self._tail(block, grads, work)
+
+
+class _TgcnCell(_Cell):
+    """T-GCN: G_t = relu(A_hat E_t W_g), then a GRU over [G_t, H_{t-1}]."""
+
+    names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
+
+    def __init__(self, params, a_hat, steps, n):
+        super().__init__(params, a_hat, steps, n)
+        d = self.d
+        self.mixed = np.empty((steps, n, d))  # A_hat E_t
+        self.joint = np.empty((steps, n, 2 * d))  # [G_t, H_{t-1}]
+        self.gated = np.empty((steps, n, 2 * d))  # [G_t, R_t * H_{t-1}]
+        self.bias = np.stack((self.w["b_u"], self.w["b_r"]))
+
+    def inputs(self, block: slice, embedded) -> None:
+        d = self.d
+        np.matmul(self.a_hat, embedded, out=self.mixed[block])
+        conv = self.joint[block, :, :d]
+        np.maximum(self.mixed[block] @ self.w["w_g"], 0.0, out=conv)
+        self.gated[block, :, :d] = conv
+
+    def step(self, t: int) -> None:
+        d, w = self.d, self.w
+        h = self.previous(t)
+        joint, gated = self.joint[t], self.gated[t]
+        joint[:, d:] = h
+        pre = np.empty((2,) + h.shape)
+        np.matmul(joint, w["w_u"], out=pre[0])
+        np.matmul(joint, w["w_r"], out=pre[1])
+        pre += self.bias
+        self.gates[t] = ad.stable_sigmoid(pre)
+        u, r = self.gates[t]
+        np.multiply(r, h, out=gated[:, d:])
+        candidate = self.candidates[t]
+        np.matmul(gated, w["w_c"], out=candidate)
+        candidate += w["b_c"]
+        np.tanh(candidate, out=candidate)
+        _blend(self.states[t], u, h, candidate)
+
+    def _work(self, shape):
+        # the gradients of [G_t, R_t * H_{t-1}] and of [G_t, H_{t-1}]
+        return _scratch(self.params, "work", (2,) + shape[:2] + (2 * self.d,))
+
+    def _gated_grad(self, work, i, g_cand):
+        np.matmul(g_cand, self.w["w_c"].T, out=work[0, i])
+        return work[0, i, :, self.d:]
+
+    def _gates_grad(self, work, i, g_gate, g_reset, t):
+        g_joint = work[1, i]
+        np.matmul(g_gate, self.w["w_u"].T, out=g_joint)
+        g_joint += g_reset @ self.w["w_r"].T
+        return g_joint[:, self.d:]
+
+    def _tail(self, block, grads, work):
+        d = self.d
+        g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (self.joint[block, :, :d] > 0)
+        terms = _step_terms(self.params, self.names, grads.shape[1])
+        terms.product("w_g", self.mixed[block], g_conv)
+        for gate, grad, side in zip("urc", grads, (self.joint, self.joint, self.gated)):
+            terms.product(f"w_{gate}", side[block], grad)
+            terms.sums(f"b_{gate}", grad)
+        terms.add()
+        return self.a_hat.T @ (g_conv @ self.w["w_g"].T)
+
+
+class _GConvGruCell(_Cell):
+    """GConvGRU: GRU gates over A_hat E_t and A_hat H_{t-1}."""
+
+    names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+
+    def __init__(self, params, a_hat, steps, n):
+        super().__init__(params, a_hat, steps, n)
+        d = self.d
+        self.mixed_in = np.empty((steps, n, d))  # A_hat E_t
+        self.input_side = np.empty((steps, 3, n, d))  # A_hat E_t times W_z, W_r and W_h
+        self.mixed_prev = np.empty((steps, n, d))  # A_hat H_{t-1}
+        self.gated_prev = np.empty((steps, n, d))  # A_hat (R_t * H_{t-1})
+        self.bias = np.stack((self.w["b_z"], self.w["b_r"]))
+
+    def inputs(self, block: slice, embedded) -> None:
+        np.matmul(self.a_hat, embedded, out=self.mixed_in[block])
+        for i, name in enumerate(("w_z", "w_r", "w_h")):
+            np.matmul(self.mixed_in[block], self.w[name], out=self.input_side[block, i])
+
+    def step(self, t: int) -> None:
+        w = self.w
+        h = self.previous(t)
+        mixed_prev = self.mixed_prev[t]
+        np.matmul(self.a_hat, h, out=mixed_prev)
+        # each pre-activation adds its state half to its input half: the
+        # same sum as input + state, addition being commutative
+        pre = np.empty((2,) + h.shape)
+        np.matmul(mixed_prev, w["u_z"], out=pre[0])
+        np.matmul(mixed_prev, w["u_r"], out=pre[1])
+        pre += self.input_side[t, :2]
+        pre += self.bias
+        self.gates[t] = ad.stable_sigmoid(pre)
+        z, r = self.gates[t]
+        np.matmul(self.a_hat, r * h, out=self.gated_prev[t])
+        candidate = self.candidates[t]
+        np.matmul(self.gated_prev[t], w["u_h"], out=candidate)
+        candidate += self.input_side[t, 2]
+        candidate += w["b_h"]
+        np.tanh(candidate, out=candidate)
+        _blend(self.states[t], z, h, candidate)
+
+    def _work(self, shape):
+        return None
+
+    def _gated_grad(self, work, i, g_cand):
+        return self.a_hat.T @ (g_cand @ self.w["u_h"].T)
+
+    def _gates_grad(self, work, i, g_gate, g_reset, t):
+        if t:  # the zero start state needs no gradient
+            return self.a_hat.T @ (g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
+
+    def _tail(self, block, grads, work):
+        terms = _step_terms(self.params, self.names, grads.shape[1])
+        for gate, grad, side in zip("zrh", grads, (self.mixed_prev, self.mixed_prev,
+                                                   self.gated_prev)):
+            terms.product(f"w_{gate}", self.mixed_in[block], grad)
+            terms.product(f"u_{gate}", side[block], grad)
+            terms.sums(f"b_{gate}", grad)
+        terms.add()
+        g_z, g_r, g_c = grads
+        g_embedded = g_c @ self.w["w_h"].T
+        g_embedded += g_r @ self.w["w_r"].T
+        g_embedded += g_z @ self.w["w_z"].T
+        return self.a_hat.T @ g_embedded
+
+
+def _window_cell(kind: str, params: ModelParams, a_hat, steps: int, n: int) -> _Cell:
+    """The recurrent cell of `kind` for a window of `steps` snapshots of `n` nodes."""
     # the attention variant runs the same per-step recurrence as tgcn
-    return step(h0, h_prev, a_hat, params)
+    cell = _GConvGruCell if _canonical_kind(kind) == "gconv_gru" else _TgcnCell
+    return cell(params, a_hat, steps, n)
 
 
-def _attention(values, params: ModelParams):
-    """Per-step hidden scores tanh(H_t W_a + b_a) and the N x L softmax weights."""
-    if not values:
+def cell_step(cell: _Cell, t: int) -> None:
+    """Step t of a window's recurrence, from H_{t-1} to H_t in `cell.states[t]`.
+
+    The only forward work that runs once per step: the gates, the candidate
+    and the state update, from the input-side work `cell.inputs` ran for
+    the step's whole block.
+    """
+    cell.step(t)
+
+
+def _attention(states, params: ModelParams):
+    """Per-step hidden scores tanh(H_t W_a + b_a), L x N x a, and the N x L softmax weights."""
+    if not len(states):
         raise ContractError("temporal attention needs at least one state")
-    w_a, b_a, v_a = params["w_a"].value, params["b_a"].value, params["v_a"].value
-    hidden = [np.tanh(value @ w_a + b_a) for value in values]
-    scores = np.concatenate([h @ v_a for h in hidden], axis=1)
+    hidden = states @ params["w_a"].value
+    hidden += params["b_a"].value
+    np.tanh(hidden, out=hidden)
+    # C-contiguous N x L, so the row max and sum run as over the composed form's concatenation
+    scores = np.ascontiguousarray((hidden @ params["v_a"].value)[:, :, 0].T)
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return hidden, shifted / shifted.sum(axis=1, keepdims=True)
 
 
 def temporal_attention(states, params: ModelParams):
-    """Blend the per-step N x d states into one N x d context, and its pullback.
+    """Blend the L x N x d per-step states into one N x d context, and its pullback.
 
     Per node, each step gets a scalar score tanh(H_t W_a + b_a) v_a; the
     scores are softmax-normalized over steps and the states combined as a
-    weighted sum with those per-node weights. The pullback returns one
-    gradient per state.
+    weighted sum with those per-node weights. The pullback returns the
+    gradient of the states, L x N x d. The blend and the pullback run over
+    the window op's blocks of steps.
     """
+    states = np.asarray(states, dtype=np.float64)
     hidden, alpha = _attention(states, params)
-    context = alpha[:, [0]] * states[0]
-    for t in range(1, len(states)):
-        context = context + alpha[:, [t]] * states[t]
-    w_a, b_a, v_a = params["w_a"], params["b_a"], params["v_a"]
+    blocks = _blocks(*states.shape)
+    # the weights as L x N x 1, each step's column C-contiguous
+    weights = np.ascontiguousarray(alpha.T)[:, :, None]
+    # the weighted states added in step order: each block's after the sum so far
+    context = np.full(states.shape[1:], -0.0)
+    for block in blocks:
+        rows = np.empty((block.stop - block.start + 1,) + context.shape)
+        rows[0] = context
+        np.multiply(weights[block], states[block], out=rows[1:])
+        context = np.add.reduce(rows, axis=0, initial=-0.0)
+    w_a, v_a = params["w_a"].value, params["v_a"].value
 
     def pull(g):
-        # row sums as a product with a ones column, and one step at a time
-        # from the last back: the composed form's order (module docstring)
+        # row sums as a product with a ones column, as the composed form has them
         ones = np.ones((1, g.shape[1]))
-        g_alpha = np.concatenate([(g * value) @ ones.T for value in states], axis=1)
+        g_alpha = np.empty(alpha.shape)
+        for block in blocks:
+            g_alpha[:, block] = ((g * states[block]) @ ones.T)[:, :, 0].T
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        g_states = [None] * len(states)
-        for t in reversed(range(len(states))):
-            g_score = g_scores[:, [t]]
-            v_a.grad += hidden[t].T @ g_score
-            g_pre = (g_score @ v_a.value.T) * (1.0 - hidden[t] * hidden[t])
-            b_a.grad += g_pre.sum(axis=0, keepdims=True)
-            w_a.grad += states[t].T @ g_pre
-            g_states[t] = g * alpha[:, [t]] + g_pre @ w_a.value.T
+        g_score = np.ascontiguousarray(g_scores.T)[:, :, None]
+        g_states = np.empty(states.shape)
+        for block in reversed(blocks):
+            # the outer products g_score v_a^T as matmul forms them, 0 + g v:
+            # the 0 turns a -0.0 product into 0.0
+            g_pre = g_score[block] * v_a.T
+            g_pre += 0.0
+            slope = hidden[block] * hidden[block]
+            g_pre *= np.subtract(1.0, slope, out=slope)
+            terms = _step_terms(params, ("w_a", "b_a", "v_a"), len(g_pre))
+            terms.product("w_a", states[block], g_pre)
+            terms.sums("b_a", g_pre)
+            terms.product("v_a", hidden[block], g_score[block])
+            terms.add()
+            np.multiply(g, weights[block], out=g_states[block])
+            g_states[block] += g_pre @ w_a.T
         return g_states
 
     return context, pull
@@ -348,7 +617,7 @@ def attention_weights(states, params: ModelParams) -> np.ndarray:
     Diagnostic twin of `temporal_attention` that also takes tensors.
     """
     values = [s.value if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64) for s in states]
-    return _attention(values, params)[1]
+    return _attention(np.array(values), params)[1]
 
 
 def _head_layers(params: ModelParams):
@@ -394,30 +663,34 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     """Score a window of snapshots; returns a 1x1 tensor in (0, 1).
 
     `snapshots` is an L x N x F array (or list of N x F arrays) and `a_hat`
-    the N x N normalized adjacency. Under an active tape the window is one
-    entry, whose rule runs the layers' pullbacks from the head back to the
-    first snapshot and adds every parameter's gradient.
+    the N x N normalized adjacency. The steps run in blocks that fit a
+    fixed float budget: a block's embedding and input-side work run once,
+    stacked, then its steps' recurrence one at a time. Under an active tape
+    the window is one entry, whose rule runs the pullbacks from the head
+    back to the first snapshot and adds every parameter's gradient.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim != 3 or snapshots.shape[2] != config.input_channels:
         raise ConfigError(
             f"snapshots must be L x N x {config.input_channels}, got shape {snapshots.shape}"
         )
-    n = snapshots.shape[1]
+    steps, n = snapshots.shape[:2]
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (n, n):
         raise ConfigError(f"adjacency is {a_hat.shape}, snapshots have {n} nodes")
 
-    steps, states, state = [], [], None
-    for x in snapshots:
-        embedded, embed_pull = gcn_embed(x, a_hat, params)
-        state, step_pull = cell_step(config.cell_kind, embedded, state, a_hat, params)
-        steps.append((embed_pull, step_pull))
-        states.append(state)
-    attention_pull = None
+    cell = _window_cell(config.cell_kind, params, a_hat, steps, n)
+    blocks = []
+    for block in _blocks(steps, n, config.embed_dim):
+        embedded, embed_pull = gcn_embed(snapshots[block], a_hat, params)
+        cell.inputs(block, embedded)
+        for t in range(block.start, block.stop):
+            cell_step(cell, t)
+        blocks.append((block, embed_pull))
+    final, attention_pull = cell.states[-1], None
     if config.cell_kind == "a3tgcn":
-        state, attention_pull = temporal_attention(states, params)
-    score, head_pull = dense_head(state, params)
+        final, attention_pull = temporal_attention(cell.states, params)
+    score, head_pull = dense_head(final, params)
 
     def rule(g):
         g = head_pull(g)
@@ -425,9 +698,8 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
         if attention_pull is not None:
             carries = attention_pull(g)
             g = carries[-1]
-        for t in reversed(range(len(steps))):
-            embed_pull, step_pull = steps[t]
-            g_embedded, g = step_pull(g, carries[t - 1] if carries and t else None)
+        for block, embed_pull in reversed(blocks):
+            g, g_embedded = cell.back(block, g, carries)
             embed_pull(g_embedded)
 
     return ad.record("window", tuple(params.tensors()), score, rule)

@@ -66,60 +66,53 @@ class TrainConfig:
 
 
 class Sgd:
-    """Plain gradient descent on a fixed list of tensors."""
+    """Plain gradient descent on a flat parameter vector, in place."""
 
-    def __init__(self, tensors, learning_rate: float):
-        self.tensors = list(tensors)
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float):
+        self.values, self.grads = values, grads
         self.learning_rate = float(learning_rate)
 
     def step(self) -> None:
-        for t in self.tensors:
-            t.value -= self.learning_rate * t.grad
+        self.values -= self.learning_rate * self.grads
 
 
 class Adam:
     """Moment-corrected gradient steps with the usual constants.
 
-    The moments are flat vectors over every tensor in list order, so a step
-    does its arithmetic once over the concatenated gradients; `steps`
-    counts completed updates and drives the bias correction.
+    `values` and `grads` are flat vectors (a ModelParams' `values` and
+    `grads`), so a step does its arithmetic once over every parameter and
+    updates them with one subtraction; `steps` counts completed updates and
+    drives the bias correction.
     """
 
     beta1 = 0.9
     beta2 = 0.999
     epsilon = 1e-8
 
-    def __init__(self, tensors, learning_rate: float):
-        self.tensors = list(tensors)
+    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float):
+        self.values, self.grads = values, grads
         self.learning_rate = float(learning_rate)
-        size = sum(t.value.size for t in self.tensors)
-        self.first = np.zeros(size)
-        self.second = np.zeros(size)
+        self.first = np.zeros_like(values)
+        self.second = np.zeros_like(values)
         self.steps = 0
 
     def step(self) -> None:
         self.steps += 1
         first_correction = 1.0 - self.beta1 ** self.steps
         second_correction = 1.0 - self.beta2 ** self.steps
-        grad = np.concatenate([t.grad.reshape(-1) for t in self.tensors])
-        m, v = self.first, self.second
+        grad, m, v = self.grads, self.first, self.second
         m *= self.beta1
         m += (1.0 - self.beta1) * grad
         v *= self.beta2
         v += (1.0 - self.beta2) * grad ** 2
-        update = self.learning_rate * (m / first_correction) / (
+        self.values -= self.learning_rate * (m / first_correction) / (
             np.sqrt(v / second_correction) + self.epsilon
         )
-        at = 0
-        for t in self.tensors:
-            t.value -= update[at:at + t.value.size].reshape(t.value.shape)
-            at += t.value.size
 
 
 def make_optimizer(params: ModelParams, config: TrainConfig):
-    if config.optimizer == "sgd":
-        return Sgd(params.tensors(), config.learning_rate)
-    return Adam(params.tensors(), config.learning_rate)
+    kind = Sgd if config.optimizer == "sgd" else Adam
+    return kind(params.values, params.grads, config.learning_rate)
 
 
 def compute_metrics(preds, labels) -> tuple[float, float, float]:
@@ -233,21 +226,24 @@ def bounds_from_buckets(buckets) -> NodeBounds:
     return NodeBounds(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
 
 
-def _check_buckets(buckets, config: TrainConfig, model_config: ModelConfig):
+def _check_buckets(buckets, config: TrainConfig, model_config: ModelConfig, signal=None):
+    """The one signal all buckets are windows of: `signal` when given, else the first bucket's."""
     if not buckets:
         raise ContractError("need at least one bucket")
-    signal = buckets[0].bucket.signal
-    n, channels = signal.num_nodes, signal.num_channels
+    if signal is None:
+        signal = buckets[0].bucket.signal
+    channels = signal.num_channels
     if channels != model_config.input_channels:
         raise ConfigError(
             f"buckets carry {channels} channels, model expects {model_config.input_channels}"
         )
     for b in buckets:
-        s = b.bucket.signal
-        if (s.num_nodes, s.num_channels) != (n, channels):
+        other = b.bucket.signal
+        if other is not signal:
             raise ContractError(
-                f"bucket at start {b.bucket.start} has shape ({s.num_nodes}, {s.num_channels}), "
-                f"expected ({n}, {channels})"
+                f"bucket at start {b.bucket.start} is a window of another signal than "
+                f"{signal.name!r} (shape ({other.num_nodes}, {other.num_channels}) against "
+                f"({signal.num_nodes}, {channels})); train fits the windows of one signal"
             )
         if b.bucket.length != config.bucket_length:
             raise ContractError(
@@ -265,31 +261,36 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     bucket label, buckets visited in a fresh seeded shuffle each epoch.  The
     min and max of the training windows themselves normalize the features
     and are stored in the checkpoint so later scoring normalizes
-    identically.  `resample`, when given, is called with the epoch index
-    before each epoch and must return the bucket list to use for that epoch
-    (fresh corruption draws, typically).  The loss history holds one mean
-    per epoch.
+    identically; the signal's snapshots are normalized once per call, a
+    window's candidate once per epoch.  `resample`, when given, is called
+    with the epoch index before each epoch and must return the bucket list
+    to use for that epoch (fresh corruption draws, typically).  All buckets
+    are windows of one signal.  The loss history holds one mean per epoch.
     """
     train_set = list(train_set)
     signal = _check_buckets(train_set, config, model_config)
     bounds = bounds_from_buckets(train_set)
     a_hat = normalized_adjacency(signal)
+    features = normalize_features(signal.features, bounds)
+    history_length = config.bucket_length - 1
     params = ModelParams.initialize(model_config, config.seed)
     optimizer = make_optimizer(params, config)
-    tensors = params.tensors()
 
     history = []
     for epoch in range(config.epochs):
         epoch_set = train_set
         if resample is not None:
             epoch_set = list(resample(epoch))
-            _check_buckets(epoch_set, config, model_config)
+            _check_buckets(epoch_set, config, model_config, signal)
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(epoch_set))
+        candidates = normalize_features(np.stack([b.candidate for b in epoch_set]), bounds)
         epoch_losses = []
         for position, index in enumerate(order):
             bucket = epoch_set[int(index)]
-            window = normalize_features(bucket.snapshots, bounds)
-            ad.zero_grads(tensors)
+            start = bucket.bucket.start
+            window = np.concatenate((features[start:start + history_length],
+                                     candidates[index, None]))
+            params.grads.fill(0.0)
             with Tape():
                 out = forward_pass(window, a_hat, params, model_config)
                 loss = ad.square(ad.subtract(out, Tensor([[bucket.label]])))
@@ -303,6 +304,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
             optimizer.step()
             epoch_losses.append(value)
         history.append(float(np.mean(epoch_losses)))
+    params.scratch.clear()  # the backward's buffers: the checkpoint needs none
 
     checkpoint = Checkpoint(
         config=model_config,

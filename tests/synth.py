@@ -59,3 +59,29 @@ def pedalme_like_raw(seed=29):
     features = resting_traces(n, s, rng, 0.3, 0.01, 5)[:, :, 0]
     return {"edges": edges, "weights": weights,
             "X": [[round(float(v), 6) for v in row] for row in features]}
+
+
+# (nodes, directed arcs) of the published datasets, from the tables of
+# PyTorch Geometric Temporal (Rozemberczki et al., arXiv:2104.07788)
+DATASET_SHAPES = {"chickenpox": (20, 102), "metrala": (207, 1722), "wikimath": (1068, 27079)}
+
+
+def published_arcs(name, seed=0):
+    """Distinct random arcs without self-loops at the named dataset's counts.
+
+    Returns the sorted sources, their destinations and integer weights 1 to 5.
+    """
+    n, arcs = DATASET_SHAPES[name]
+    rng = np.random.default_rng([seed, n])
+    pick = np.sort(rng.choice(n * (n - 1), size=arcs, replace=False))
+    src, rest = np.divmod(pick, n - 1)
+    dst = rest + (rest >= src)
+    return src, dst, rng.integers(1, 6, arcs).astype(np.float64)
+
+
+def published_signal(name, snapshots=20, seed=0):
+    """A one-channel signal on `published_arcs(name, seed)` with uniform features."""
+    src, dst, weights = published_arcs(name, seed)
+    n = DATASET_SHAPES[name][0]
+    features = np.random.default_rng([seed, n, 1]).uniform(size=(snapshots, n, 1))
+    return TemporalGraphSignal(name, n, tuple(zip(src.tolist(), dst.tolist())), weights, features)

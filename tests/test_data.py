@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from synth import DATASET_SHAPES, published_arcs, published_signal
 from tgsim.data import (
     NodeBounds,
     TemporalGraphSignal,
@@ -402,6 +403,22 @@ class TestNormalizedAdjacency:
         degree = np.array([4.0, 4.0])  # row sums of [[1,3],[3,1]]
         assert np.allclose(a_hat[0, 1], 3.0 / np.sqrt(degree[0] * degree[1]), atol=1e-15)
 
+
+    @pytest.mark.parametrize("name", sorted(DATASET_SHAPES))
+    def test_published_shapes_match_the_formula_byte_for_byte(self, name):
+        # built apart from the edge tuples: the generator's arc arrays, set
+        # once each (they are distinct), then the documented formula
+        signal = published_signal(name, snapshots=1)
+        src, dst, weights = published_arcs(name)
+        n = DATASET_SHAPES[name][0]
+        assert (signal.num_nodes, signal.num_edges) == DATASET_SHAPES[name]
+        adj = np.zeros((n, n))
+        adj[src, dst] = weights
+        adj = np.maximum(adj, adj.T)
+        adj[np.diag_indices(n)] = 1.0  # no self-loops
+        inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
+        expected = inv_sqrt_degree[:, None] * adj * inv_sqrt_degree[None, :]
+        assert normalized_adjacency(signal).tobytes() == expected.tobytes()
 
 class TestNodeBounds:
     def test_constant_features(self):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from synth import published_signal
 from tgsim import autodiff as ad
 from tgsim import model as model_module
 from tgsim import training
@@ -188,6 +189,20 @@ class TestModelParams:
         params = ModelParams.zeros(small_config("tgcn"))
         assert all(t.requires_grad for t in params.tensors())
 
+    @pytest.mark.parametrize("copied", [False, True])
+    def test_tensors_are_views_of_the_flat_vectors(self, copied):
+        import pickle
+
+        params = ModelParams.initialize(small_config("a3tgcn"), 5)
+        if copied:  # as a pool worker returns a checkpoint
+            params = pickle.loads(pickle.dumps(params))
+        params.values[:] = np.arange(params.values.size)
+        params.grads[:] = -np.arange(params.grads.size)
+        for name, t in params.items():
+            span = params.slices[name]
+            assert np.array_equal(t.value.reshape(-1), np.arange(span.start, span.stop)), name
+            assert np.array_equal(t.grad.reshape(-1), -np.arange(span.start, span.stop)), name
+
     def test_wrong_shape_rejected(self):
         config = small_config("tgcn")
         values = {name: np.zeros(shape) for name, shape in parameter_shapes(config).items()}
@@ -231,15 +246,28 @@ class TestGcnEmbed:
         assert np.allclose(out, oracle, atol=1e-12)
 
 
+def one_step(kind, h0, h_prev, a_hat, params):
+    """The window cell of `kind` run for one step from embedding h0 and state h_prev.
+
+    Step 1 of a two-step cell whose step 0 is not run: its state slot holds
+    h_prev. Returns the cell and H_1.
+    """
+    cell = model_module._window_cell(kind, params, a_hat, 2, h0.shape[0])
+    cell.states[0] = h_prev
+    cell.inputs(slice(1, 2), h0[None])
+    cell_step(cell, 1)
+    return cell, cell.states[1]
+
+
 class TestCellStep:
     def test_gconv_gru_zeros_fixed_point(self):
         params = ModelParams.zeros(small_config("gconv_gru"))
-        out, _ = cell_step("gconv_gru", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
+        _, out = one_step("gconv_gru", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_tgcn_zeros_fixed_point(self):
         params = ModelParams.zeros(small_config("tgcn"))
-        out, _ = cell_step("tgcn", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
+        _, out = one_step("tgcn", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("kind,bias", [("gconv_gru", "b_z"), ("tgcn", "b_u")])
@@ -248,7 +276,7 @@ class TestCellStep:
         params = ModelParams.initialize(small_config(kind), 3)
         params[bias].value[:] = 50.0  # update gate pinned at 1
         h_prev = rng.normal(size=(3, 4))
-        out, _ = cell_step(kind, rng.normal(size=(3, 4)), h_prev, path_a_hat(3), params)
+        _, out = one_step(kind, rng.normal(size=(3, 4)), h_prev, path_a_hat(3), params)
         assert np.allclose(out, h_prev, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["gconv_gru", "tgcn"])
@@ -258,7 +286,7 @@ class TestCellStep:
         a_hat = path_a_hat(3)
         h0 = rng.normal(size=(3, 4))
         h_prev = rng.normal(size=(3, 4))
-        out, _ = cell_step(kind, h0, h_prev, a_hat, params)
+        _, out = one_step(kind, h0, h_prev, a_hat, params)
 
         v = {name: t.value for name, t in params.items()}
         if kind == "gconv_gru":
@@ -289,7 +317,7 @@ class TestCellStep:
     def test_unknown_kind_rejected(self):
         params = ModelParams.zeros(small_config("tgcn"))
         with pytest.raises(ConfigError, match="wrong"):
-            cell_step("wrong", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
+            model_module._window_cell("wrong", params, path_a_hat(3), 2, 3)
 
 
 class TestTemporalAttention:
@@ -487,8 +515,13 @@ class TestFusedOpGradients:
         a_hat = path_a_hat(4)
 
         def op(h0, h_prev, *_):
-            out, pull = cell_step(kind, h0.value, h_prev.value, a_hat, params)
-            return self.recorded(out, lambda g: pull(g, None), (h0, h_prev), point)
+            cell, out = one_step(kind, h0.value, h_prev.value, a_hat, params)
+
+            def pull(g):
+                g_prev, g_embedded = cell.back(slice(1, 2), g, None)
+                return g_embedded[0], g_prev
+
+            return self.recorded(out, pull, (h0, h_prev), point)
 
         self.check(op, point, (4, 4), 2)
 
@@ -571,44 +604,75 @@ def composed_forward(snapshots, a_hat, params, config):
     return ad.sigmoid(ad.add(ad.matmul(hidden, p["w_head3"]), p["b_head3"]))
 
 
+DEFAULT_BLOCK_FLOATS = model_module._BLOCK_FLOATS
+
+
+def window_layouts(snapshots):
+    """(layout, signal, float budget, expected block lengths) for a 10-step window.
+
+    The window op stacks the whole window on a 12-node path, runs one step
+    at a time under the default budget on the metrala shape (207 nodes),
+    and takes blocks of 3, 3, 3 and 1 on the chickenpox shape (20 nodes)
+    under a budget of three steps' N x 2d arrays.
+    """
+    rng = np.random.default_rng(53)
+    path = TemporalGraphSignal("path", 12, tuple((i, i + 1) for i in range(11)) + ((0, 6),),
+                               None, rng.uniform(size=(snapshots, 12, 1)))
+    yield "whole window", path, DEFAULT_BLOCK_FLOATS, [10]
+    yield "step by step", published_signal("metrala", snapshots), DEFAULT_BLOCK_FLOATS, [1] * 10
+    yield "blocks of 3", published_signal("chickenpox", snapshots), 3 * 2 * 20 * 32, [3, 3, 3, 1]
+
+
+def use_layout(monkeypatch, budget):
+    """Set the window op's float budget; returns the list the block lengths are logged to."""
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", budget)
+    blocks, embed = [], gcn_embed
+    monkeypatch.setattr(model_module, "gcn_embed",
+                        lambda x, *rest: blocks.append(len(x)) or embed(x, *rest))
+    return blocks
+
+
 @pytest.mark.parametrize("kind", CELL_KINDS)
-def test_fused_layers_match_composed_ops_bitwise(kind):
-    rng = np.random.default_rng(51)
+def test_fused_layers_match_composed_ops_bitwise(monkeypatch, kind):
     config = ModelConfig(kind, 1)
-    params = ModelParams.initialize(config, 52)
-    for name, t in params.items():
-        t.value *= 3.0  # push gates towards saturation too
-        if name.startswith("b_"):
-            t.value += rng.normal(0.0, 0.5, t.value.shape)
-    window = rng.uniform(size=(10, 12, 1))
-    a_hat = path_a_hat(12)
-    results = []
-    for forward_fn in (forward_pass, composed_forward):
-        ad.zero_grads(params.tensors())
-        with Tape():
-            out = forward_fn(window, a_hat, params, config)
-            backward(ad.square(ad.subtract(out, Tensor([[0.3]]))))
-        results.append((out.value.copy(), {n: t.grad.copy() for n, t in params.items()}))
-    (fused, fused_grads), (composed, composed_grads) = results
-    assert np.array_equal(fused, composed)
-    for name in fused_grads:
-        assert np.array_equal(fused_grads[name], composed_grads[name]), name
+    for layout, signal, budget, expected_blocks in window_layouts(10):
+        rng = np.random.default_rng(51)
+        params = ModelParams.initialize(config, 52)
+        for name, t in params.items():
+            t.value *= 3.0  # push gates towards saturation too
+            if name.startswith("b_"):
+                t.value += rng.normal(0.0, 0.5, t.value.shape)
+        window = rng.uniform(size=(10, signal.num_nodes, 1))
+        a_hat = normalized_adjacency(signal)
+        blocks = use_layout(monkeypatch, budget)
+        results = []
+        for forward_fn in (forward_pass, composed_forward):
+            ad.zero_grads(params.tensors())
+            with Tape():
+                out = forward_fn(window, a_hat, params, config)
+                backward(ad.square(ad.subtract(out, Tensor([[0.3]]))))
+            results.append((out.value.copy(), {n: t.grad.copy() for n, t in params.items()}))
+        assert blocks == expected_blocks, layout
+        (fused, fused_grads), (composed, composed_grads) = results
+        assert fused.tobytes() == composed.tobytes(), layout
+        for name in fused_grads:
+            assert fused_grads[name].tobytes() == composed_grads[name].tobytes(), (layout, name)
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
 def test_training_matches_composed_ops_bitwise(monkeypatch, kind):
     """Two epochs of Adam over the window op end in the composed ops' parameters, byte for byte."""
-    rng = np.random.default_rng(53)
-    signal = TemporalGraphSignal("train", 12, tuple((i, i + 1) for i in range(11)) + ((0, 6),),
-                                 None, rng.uniform(size=(20, 12, 1)))
-    labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 3))
     config = TrainConfig(epochs=2, bucket_length=10, seed=4)
-    results = []
-    for forward_fn in (forward_pass, composed_forward):
-        monkeypatch.setattr(training, "forward_pass", forward_fn)
-        checkpoint, history = train(labeled, config, ModelConfig(kind, 1))
-        results.append(([t.value.tobytes() for t in checkpoint.params.tensors()], history))
-    assert results[0] == results[1]
+    for layout, signal, budget, expected_blocks in window_layouts(20):
+        labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 3))
+        blocks = use_layout(monkeypatch, budget)
+        results = []
+        for forward_fn in (forward_pass, composed_forward):
+            monkeypatch.setattr(training, "forward_pass", forward_fn)
+            checkpoint, history = train(labeled, config, ModelConfig(kind, 1))
+            results.append(([t.value.tobytes() for t in checkpoint.params.tensors()], history))
+        assert blocks == expected_blocks * 2 * len(labeled), layout
+        assert results[0] == results[1], layout
 
 
 class TestTape:

@@ -167,16 +167,21 @@ class TestKfoldSplit:
             kfold_split(list(range(4)), 1, seed=0)
 
 
+def flat(t):
+    """A one-tensor optimizer's flat vectors: views of the tensor's value and gradient."""
+    return t.value.reshape(-1), t.grad.reshape(-1)
+
+
 class TestOptimizers:
     def test_sgd_step(self):
         t = Tensor([[1.0, 2.0]], requires_grad=True)
         t.grad[...] = [[0.5, -1.0]]
-        Sgd([t], 0.1).step()
+        Sgd(*flat(t), 0.1).step()
         assert np.allclose(t.value, [[0.95, 2.1]], atol=1e-15)
 
     def test_adam_matches_scalar_recomputation(self):
         t = Tensor([[1.0]], requires_grad=True)
-        opt = Adam([t], 0.05)
+        opt = Adam(*flat(t), 0.05)
         grads = [0.3, -0.2, 0.7, 0.1]
         w, m, v = 1.0, 0.0, 0.0
         for step, g in enumerate(grads, start=1):
@@ -190,11 +195,19 @@ class TestOptimizers:
     def test_adam_matches_per_tensor_updates_bitwise(self):
         rng = np.random.default_rng(4)
         shapes = [(3, 5), (1, 5), (5, 1), (1, 1)]
-        tensors = [Tensor(rng.normal(size=shape), requires_grad=True) for shape in shapes]
+        # the tensors are views of one flat value and one flat gradient, as in ModelParams
+        sizes = [rows * cols for rows, cols in shapes]
+        flat_values, flat_grads = rng.normal(size=sum(sizes)), np.zeros(sum(sizes))
+        tensors, at = [], 0
+        for shape, size in zip(shapes, sizes):
+            t = Tensor(flat_values[at:at + size].reshape(shape), requires_grad=True)
+            t.grad = flat_grads[at:at + size].reshape(shape)
+            tensors.append(t)
+            at += size
         values = [t.value.copy() for t in tensors]
         first = [np.zeros(shape) for shape in shapes]
         second = [np.zeros(shape) for shape in shapes]
-        opt = Adam(tensors, 0.02)
+        opt = Adam(flat_values, flat_grads, 0.02)
         for step in range(1, 30):
             for t, w, m, v in zip(tensors, values, first, second):
                 g = rng.normal(size=w.shape) * 10.0 ** rng.integers(-6, 3)
@@ -215,7 +228,7 @@ class TestOptimizers:
         for g in (0.5, 200.0, -0.003):
             t = Tensor([[1.0]], requires_grad=True)
             t.grad[...] = g
-            Adam([t], 0.01).step()
+            Adam(*flat(t), 0.01).step()
             assert abs((1.0 - t.value[0, 0]) - math.copysign(0.01, g)) < 1e-6
 
 
@@ -338,6 +351,13 @@ class TestTrain:
         assert checkpoint.provenance.seed == 9
         assert checkpoint.provenance.epochs == 2
 
+    def test_checkpoint_keeps_no_backward_buffers(self):
+        # callers keep checkpoints (a benchmark round keeps every one), so
+        # the window backward's buffers must not stay with them
+        checkpoint, _ = train(make_labeled(s=14, length=5), TrainConfig(epochs=1, bucket_length=5),
+                              tiny_model())
+        assert checkpoint.params.scratch == {}
+
     def test_empty_train_set(self):
         with pytest.raises(ContractError, match="at least one bucket"):
             train([], TrainConfig(), tiny_model())
@@ -352,6 +372,16 @@ class TestTrain:
         b = make_labeled(n=3, s=14, length=5)
         with pytest.raises(ContractError, match="shape"):
             train(a + b, TrainConfig(epochs=1, bucket_length=5), tiny_model())
+
+    def test_windows_of_two_signals_rejected(self):
+        # same shape, other features: train would read them from the first signal
+        a = make_labeled(s=14, length=5, seed=5)
+        b = make_labeled(s=14, length=5, seed=6)
+        config = TrainConfig(epochs=1, bucket_length=5)
+        with pytest.raises(ContractError, match="another signal"):
+            train(a + b, config, tiny_model())
+        with pytest.raises(ContractError, match="another signal"):
+            train(a, config, tiny_model(), resample=lambda epoch: b)
 
     def test_channel_mismatch(self):
         labeled = make_labeled(f=2, s=14, length=5)
