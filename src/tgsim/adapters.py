@@ -8,13 +8,12 @@ can be switched off to run the same code paths on small test fixtures.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 
 import numpy as np
 
-from .data import TemporalGraphSignal, write_canonical
-from .errors import AdapterError, ContractError
+from .data import TemporalGraphSignal, read_json, write_canonical
+from .errors import AdapterError, ContractError, ParseError
 
 # published (num_nodes, num_edges, num_snapshots) per dataset kind
 DATASET_SHAPES = {
@@ -193,14 +192,10 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
     if raw.suffix.lower() in BINARY_SUFFIXES:
         raise AdapterError(f"{key}: expected a JSON file, got {raw.suffix!r}")
     try:
-        with open(raw, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except UnicodeDecodeError as exc:
-        if key == "metrala":
-            raise AdapterError(f"metrala: {METRALA_RECIPE}") from exc
-        raise AdapterError(f"{key}: {raw} is not a text file") from exc
-    except json.JSONDecodeError as exc:
-        raise AdapterError(f"{key}: {raw} is not valid JSON: {exc}") from exc
+        doc = read_json(raw)
+    except ParseError as exc:
+        recipe = f"; {METRALA_RECIPE}" if key == "metrala" else ""
+        raise AdapterError(f"{key}: {exc}{recipe}") from exc
 
     edges, weights, features = _ADAPTERS[key](doc)
     del doc  # as large as the signal itself; free it before the canonical write

@@ -370,12 +370,13 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--cell", default="a3tgcn", choices=CELL_KINDS)
     p.add_argument("--embed-dim", type=int, default=32)
     p.add_argument("--attention-dim", type=int, default=32)
-    p.add_argument("--epochs", type=int, default=30)
-    p.add_argument("--learning-rate", type=float, default=0.01)
-    p.add_argument("-L", "--bucket-length", type=int, default=10)
-    p.add_argument("--folds", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--optimizer", default="adam", choices=OPTIMIZER_KINDS)
+    # the training recipe's defaults are TrainConfig's
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("-L", "--bucket-length", type=int, default=TrainConfig.bucket_length)
+    p.add_argument("--folds", type=int, default=TrainConfig.folds)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--optimizer", default=TrainConfig.optimizer, choices=OPTIMIZER_KINDS)
     p.add_argument("--no-shuffle-folds", action="store_true",
                    help="use contiguous temporal blocks instead of a shuffled split")
     p.add_argument("--redraw-noise", action="store_true",

@@ -153,9 +153,10 @@ def read_json(path, data: bytes | None = None):
     file; the caller checks the document's shape.  Not part of `tgsim`'s
     public API: the loaders of the other modules share it.
     """
-    if data is None:
-        data = Path(path).read_bytes()
     try:
+        if data is None:  # text mode: the file's bytes are freed before the parse
+            with open(path, encoding="utf-8") as handle:
+                return json.load(handle)
         return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None

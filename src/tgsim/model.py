@@ -23,22 +23,11 @@ many steps as fit their N x 2d arrays in `_BLOCK_FLOATS`: the whole window
 at N = 20, one step at a time at N = 207 and above, where a step's
 products are large enough on their own.
 
-Scores and gradients are bit-for-bit those of a composition of the
-elementary autodiff operations. A stacked matmul makes the same BLAS call
-for each step that the step would make alone, and the elementwise
-functions give the same bits wherever an element sits in an array. The
-sums are kept in the composed order. Each parameter has one gradient term
-per step, and the composed backward adds the terms from the last step to
-the first; `_StepTerms` writes them into rows in that order, with the
-gradient so far in front, and adds the rows with one `np.add.reduce`
-along the outer axis. An outer-axis reduce over C-contiguous rows adds
-them one after another; over a transposed or one-column array, numpy
-would switch to pairwise summation or another order. So the N x L
-attention scores and the per-step columns taken from them are copied to
-C-contiguous arrays before their reductions. Training is sensitive enough
-to round-off that this matters: a 1e-13 relative difference in the
-gradients is enough to send a fold of a 30-epoch run to a different
-optimum.
+Scores and gradients are byte-identical for the same code, BLAS build and
+input, and within round-off of a composition of the elementary autodiff
+operations otherwise: each parameter's gradient over a block is one
+product over the block's stacked rows (`_add_products`, `_add_sums`), which
+sums the steps' terms in the order BLAS chooses.
 
 `score_windows` scores many windows of one signal without a tape; it
 serves evaluation and stream scoring. Every part of a cell step that
@@ -135,10 +124,8 @@ class ModelParams:
     """Named parameter tensors, all tracked for gradients.
 
     Every value and every gradient is a view into one flat vector, `values`
-    and `grads`, laid out in `parameter_shapes` order, and `slices` maps
-    each name to its range there: an optimizer steps all parameters in one
-    go, and the window op adds a run of adjacent parameters' gradients in
-    one call. `initialize` draws each weight matrix uniform in
+    and `grads`, laid out in `parameter_shapes` order, so an optimizer steps
+    all parameters in one go. `initialize` draws each weight matrix uniform in
     +-sqrt(6 / (fan_in + fan_out)) and zeros the biases, so two runs with
     the same config and seed start from identical parameters.
     """
@@ -154,14 +141,14 @@ class ModelParams:
         self.config = config
         total = sum(rows * cols for rows, cols in expected.values())
         self.values, self.grads = np.empty(total), np.zeros(total)
-        self.slices, self._tensors = {}, {}
-        self.scratch = {}  # the window backward's buffers (_scratch, _step_terms)
+        self._tensors = {}
+        self.scratch = {}  # the window backward's buffers (_scratch)
         at = 0
         for name, shape in expected.items():
             value = np.asarray(values[name], dtype=np.float64)
             if value.shape != shape:
                 raise ConfigError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
-            span = self.slices[name] = slice(at, at + value.size)
+            span = slice(at, at + value.size)
             tensor = Tensor(self.values[span].reshape(shape))
             tensor.value[...] = value
             tensor.requires_grad, tensor.grad = True, self.grads[span].reshape(shape)
@@ -249,47 +236,21 @@ def _scratch(params: ModelParams, key, shape) -> np.ndarray:
     return buffers[key][:size].reshape(shape)
 
 
-class _StepTerms:
-    """Per-step gradient terms of adjacent parameters, added to their gradients in step order.
+def _add_products(params: ModelParams, name: str, left, right) -> None:
+    """Add sum_t left_t^T right_t, over a stack of steps, to `name`'s gradient.
 
-    Row 0 holds the parameters' gradients so far and row k the terms of the
-    k-th step counted back from the last, so `add`, one outer-axis
-    `np.add.reduce` over the C-contiguous rows, adds each parameter's terms
-    last step first: the order in which a composition of the elementary
-    operations adds them, one step at a time. The reduce starts from -0.0,
-    the exact additive identity, so the gradients so far enter unchanged.
-    `_step_terms` keeps one per run of parameters and block length.
+    One matmul over the stacked rows: `left` holds k columns and `right` m,
+    for a k x m parameter.
     """
-
-    def __init__(self, params: ModelParams, names, steps: int):
-        start = params.slices[names[0]].start
-        self._grads = params.grads[start:params.slices[names[-1]].stop]
-        self._rows = np.empty((steps + 1, self._grads.size))
-        self._terms = {}  # each parameter's rows as steps x rows x cols, in step order
-        for name in names:
-            span = params.slices[name]
-            rows = self._rows[1:, span.start - start:span.stop - start]
-            self._terms[name] = rows.reshape((steps,) + params[name].shape)[::-1]
-
-    def product(self, name: str, left, right) -> None:
-        """The terms left_t^T right_t, for stacks of steps given in step order."""
-        np.matmul(left.transpose(0, 2, 1), right, out=self._terms[name])
-
-    def sums(self, name: str, grad) -> None:
-        """The terms sum over rows of grad_t, for a bias."""
-        self._terms[name][...] = grad.sum(axis=1, keepdims=True)
-
-    def add(self) -> None:
-        self._rows[0] = self._grads
-        np.add.reduce(self._rows, axis=0, out=self._grads, initial=-0.0)
+    grad = params[name].grad
+    rows, cols = grad.shape
+    grad += left.reshape(-1, rows).T @ right.reshape(-1, cols)
 
 
-def _step_terms(params: ModelParams, names: tuple, steps: int) -> _StepTerms:
-    """The `_StepTerms` that `params` keeps for `names` over blocks of `steps` steps."""
-    key = (names, steps)
-    if key not in params.scratch:
-        params.scratch[key] = _StepTerms(params, names, steps)
-    return params.scratch[key]
+def _add_sums(params: ModelParams, name: str, grad) -> None:
+    """Add the column sums of a stack of steps' gradients `grad` to bias `name`'s gradient."""
+    bias = params[name].grad
+    bias += grad.reshape(-1, bias.shape[1]).sum(axis=0)
 
 
 # The layers below run their forwards in plain numpy and return the output
@@ -312,11 +273,9 @@ def gcn_embed(x, a_hat, params: ModelParams):
     np.maximum(out, 0.0, out=out)
 
     def pull(g):
-        g_pre = (g * (out > 0)).reshape((-1,) + out.shape[-2:])
-        terms = _step_terms(params, ("w_in", "b_in"), len(g_pre))
-        terms.product("w_in", mixed.reshape((-1,) + mixed.shape[-2:]), g_pre)
-        terms.sums("b_in", g_pre)
-        terms.add()
+        g_pre = g * (out > 0)
+        _add_products(params, "w_in", mixed, g_pre)
+        _add_sums(params, "b_in", g_pre)
 
     return out, pull
 
@@ -343,7 +302,7 @@ class _Cell:
     product once for the whole block (`_tail`).
     """
 
-    names: tuple = ()  # the cell's parameters, adjacent in the flat vector
+    names: tuple = ()  # the cell's parameters
 
     def __init__(self, params: ModelParams, a_hat, steps: int, n: int):
         self.params, self.a_hat = params, a_hat
@@ -453,14 +412,12 @@ class _TgcnCell(_Cell):
         return g_joint[:, self.d:]
 
     def _tail(self, block, grads, work):
-        d = self.d
+        d, params = self.d, self.params
         g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (self.joint[block, :, :d] > 0)
-        terms = _step_terms(self.params, self.names, grads.shape[1])
-        terms.product("w_g", self.mixed[block], g_conv)
+        _add_products(params, "w_g", self.mixed[block], g_conv)
         for gate, grad, side in zip("urc", grads, (self.joint, self.joint, self.gated)):
-            terms.product(f"w_{gate}", side[block], grad)
-            terms.sums(f"b_{gate}", grad)
-        terms.add()
+            _add_products(params, f"w_{gate}", side[block], grad)
+            _add_sums(params, f"b_{gate}", grad)
         return self.a_hat.T @ (g_conv @ self.w["w_g"].T)
 
 
@@ -516,13 +473,12 @@ class _GConvGruCell(_Cell):
             return self.a_hat.T @ (g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
 
     def _tail(self, block, grads, work):
-        terms = _step_terms(self.params, self.names, grads.shape[1])
+        params = self.params
         for gate, grad, side in zip("zrh", grads, (self.mixed_prev, self.mixed_prev,
                                                    self.gated_prev)):
-            terms.product(f"w_{gate}", self.mixed_in[block], grad)
-            terms.product(f"u_{gate}", side[block], grad)
-            terms.sums(f"b_{gate}", grad)
-        terms.add()
+            _add_products(params, f"w_{gate}", self.mixed_in[block], grad)
+            _add_products(params, f"u_{gate}", side[block], grad)
+            _add_sums(params, f"b_{gate}", grad)
         g_z, g_r, g_c = grads
         g_embedded = g_c @ self.w["w_h"].T
         g_embedded += g_r @ self.w["w_r"].T
@@ -554,8 +510,7 @@ def _attention(states, params: ModelParams):
     hidden = states @ params["w_a"].value
     hidden += params["b_a"].value
     np.tanh(hidden, out=hidden)
-    # C-contiguous N x L, so the row max and sum run as over the composed form's concatenation
-    scores = np.ascontiguousarray((hidden @ params["v_a"].value)[:, :, 0].T)
+    scores = (hidden @ params["v_a"].value)[:, :, 0].T
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return hidden, shifted / shifted.sum(axis=1, keepdims=True)
 
@@ -572,38 +527,26 @@ def temporal_attention(states, params: ModelParams):
     states = np.asarray(states, dtype=np.float64)
     hidden, alpha = _attention(states, params)
     blocks = _blocks(*states.shape)
-    # the weights as L x N x 1, each step's column C-contiguous
-    weights = np.ascontiguousarray(alpha.T)[:, :, None]
-    # the weighted states added in step order: each block's after the sum so far
-    context = np.full(states.shape[1:], -0.0)
+    weights = alpha.T[:, :, None]  # L x N x 1
+    context = np.zeros(states.shape[1:])
     for block in blocks:
-        rows = np.empty((block.stop - block.start + 1,) + context.shape)
-        rows[0] = context
-        np.multiply(weights[block], states[block], out=rows[1:])
-        context = np.add.reduce(rows, axis=0, initial=-0.0)
+        context += (weights[block] * states[block]).sum(axis=0)
     w_a, v_a = params["w_a"].value, params["v_a"].value
 
     def pull(g):
-        # row sums as a product with a ones column, as the composed form has them
-        ones = np.ones((1, g.shape[1]))
         g_alpha = np.empty(alpha.shape)
         for block in blocks:
-            g_alpha[:, block] = ((g * states[block]) @ ones.T)[:, :, 0].T
+            g_alpha[:, block] = (g * states[block]).sum(axis=2).T
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        g_score = np.ascontiguousarray(g_scores.T)[:, :, None]
+        g_score = g_scores.T[:, :, None]  # L x N x 1
         g_states = np.empty(states.shape)
-        for block in reversed(blocks):
-            # the outer products g_score v_a^T as matmul forms them, 0 + g v:
-            # the 0 turns a -0.0 product into 0.0
+        for block in blocks:
             g_pre = g_score[block] * v_a.T
-            g_pre += 0.0
             slope = hidden[block] * hidden[block]
             g_pre *= np.subtract(1.0, slope, out=slope)
-            terms = _step_terms(params, ("w_a", "b_a", "v_a"), len(g_pre))
-            terms.product("w_a", states[block], g_pre)
-            terms.sums("b_a", g_pre)
-            terms.product("v_a", hidden[block], g_score[block])
-            terms.add()
+            _add_products(params, "w_a", states[block], g_pre)
+            _add_sums(params, "b_a", g_pre)
+            _add_products(params, "v_a", hidden[block], g_score[block])
             np.multiply(g, weights[block], out=g_states[block])
             g_states[block] += g_pre @ w_a.T
         return g_states
@@ -753,7 +696,7 @@ def _split_cell(params: ModelParams, config: ModelConfig):
     else:  # the stacked weight [W; U] of each gate multiplies [G_t, state]
         parts = [(params[f"w_{g}"].value[:d], params[f"w_{g}"].value[d:], params[f"b_{g}"].value)
                  for g in "urc"]
-    w_snap, w_state, bias = (np.ascontiguousarray(np.hstack(cols).T) for cols in zip(*parts))
+    w_snap, w_state, bias = (np.vstack([col.T for col in cols]) for cols in zip(*parts))
     return w_snap, bias, w_state[:2 * d], w_state[2 * d:]
 
 

@@ -42,7 +42,7 @@ class TrainConfig:
     """
 
     epochs: int = 30
-    learning_rate: float = 0.01
+    learning_rate: float = 0.001
     bucket_length: int = 10
     folds: int = 3
     seed: int = 0

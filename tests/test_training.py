@@ -67,7 +67,7 @@ class TestTrainConfig:
     def test_defaults(self):
         config = TrainConfig()
         assert config.epochs == 30
-        assert config.learning_rate == 0.01
+        assert config.learning_rate == 0.001
         assert config.bucket_length == 10
         assert config.folds == 3
         assert config.optimizer == "adam"
