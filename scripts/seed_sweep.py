@@ -9,7 +9,8 @@ collapsed to a near-constant prediction (standard deviation at most
 
     python scripts/seed_sweep.py --cells a3tgcn tgcn gconv_gru --seeds 1 2 3 4 5 --epochs 30
 
-The learning rate defaults to `TrainConfig`'s.
+The learning rate defaults to `TrainConfig`'s and the batch size to
+`training.BATCH_SIZE`; `--batch-size` overrides the constant for the runs.
 """
 
 import argparse
@@ -23,6 +24,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from synth import chickenpox_like  # noqa: E402
+from tgsim import training  # noqa: E402
 from tgsim.data import node_bounds  # noqa: E402
 from tgsim.model import CELL_KINDS, ModelConfig  # noqa: E402
 from tgsim.noise import NoiseSpec, bucketize, inject_noise  # noqa: E402
@@ -38,7 +40,11 @@ def main(argv=None) -> None:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    parser.add_argument("--batch-size", type=int, default=training.BATCH_SIZE)
     args = parser.parse_args(argv)
+    if args.batch_size < 1:
+        parser.error("--batch-size must be a positive integer")
+    training.BATCH_SIZE = args.batch_size  # read by train at each call, forked folds too
 
     signal = chickenpox_like()
     labeled = inject_noise(bucketize(signal, BUCKET_LENGTH), node_bounds(signal),
@@ -63,7 +69,8 @@ def main(argv=None) -> None:
         rows.append((cell, collapsed, folds, np.median(means), min(means), max(means)))
 
     seeds = ", ".join(map(str, args.seeds))
-    print(f"\nlr {args.learning_rate:g}, {args.epochs} epochs, seeds {seeds}\n")
+    print(f"\nlr {args.learning_rate:g}, batch {args.batch_size}, {args.epochs} epochs, "
+          f"seeds {seeds}\n")
     print("| Cell | Collapsed folds | Mean MSE, median [range] |")
     print("|---|---|---|")
     for cell, collapsed, folds, median, low, high in rows:

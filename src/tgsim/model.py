@@ -6,11 +6,16 @@ temporal attention over the per-step states), mean-pools the final node
 states, and maps the pooled vector through a fixed three-layer dense head
 to a logistic similarity score in (0, 1).
 
-Two code paths compute it. `forward_pass` scores one window and is the one
-training uses; it records a single `autodiff` entry whose rule pulls the
-score's gradient back from the head to the first snapshot
-(backpropagation through time). A training step records three entries:
-the window, the label's subtraction and the square.
+Two code paths compute it. `forward_pass` scores a batch of B windows and
+is the one training uses. It runs the batch as one window over B disjoint
+copies of the graph: every per-node array holds B·N rows, A_hat multiplies
+each window's own N rows (one matmul over the stack of windows, never a
+block-diagonal matrix), and the head pools each window's N rows into its
+own score. It records a single `autodiff` entry whose rule pulls the B
+scores' gradients back from the head to the first snapshot
+(backpropagation through time). A training step records four entries per
+chunk of its batch: the windows, the labels' subtraction, the square and
+the weighted sum.
 
 Only the recurrence runs once per step: the gates, the candidate and the
 state update (`cell_step`), and in the backward their pullback, which
@@ -19,15 +24,18 @@ stacked, one numpy call over a block of steps: A_hat X and the embedding
 (`gcn_embed`), the T-GCN graph convolution or GConvGRU's A_hat E and its
 input-side gate products, every parameter-gradient product, and, over the
 whole window, the A3T-GCN attention and its pullback. A block holds as
-many steps as fit their N x 2d arrays in `_BLOCK_FLOATS`: the whole window
-at N = 20, one step at a time at N = 207 and above, where a step's
-products are large enough on their own.
+many steps as fit their B·N x 2d arrays in `_BLOCK_FLOATS`, and a
+training batch runs in chunks of as many windows as fit all their steps
+there (`window_chunks`): at N = 20 a batch of 8 is one chunk of one block;
+from N = 207 a chunk is one window, and at N = 1068 a block is one step.
 
-Scores and gradients are byte-identical for the same code, BLAS build and
-input, and within round-off of a composition of the elementary autodiff
-operations otherwise: each parameter's gradient over a block is one
-product over the block's stacked rows (`_add_products`, `_add_sums`), which
-sums the steps' terms in the order BLAS chooses.
+Every row of a batch sees the same arithmetic as in a pass of its window
+alone, so a batch's scores are byte-identical to its windows' one at a
+time, for the same code, BLAS build and input. Gradients sum over the
+batch's stacked rows: each parameter's gradient over a block is one
+product over them (`_add_products`, `_add_sums`), which adds the windows'
+and steps' terms in the order BLAS chooses, within round-off of a
+composition of the elementary autodiff operations.
 
 `score_windows` scores many windows of one signal without a tape; it
 serves evaluation and stream scoring. Every part of a cell step that
@@ -62,12 +70,14 @@ CELL_KINDS = ("gconv_gru", "tgcn", "a3tgcn")
 # dense head is fixed: d -> 32 -> 64 -> 1, relu between, logistic output
 HEAD_WIDTHS = (32, 64, 1)
 
-# floats held by the recurrent states of one block of windows in
-# score_windows: bounds its memory whatever the number of windows, and small
-# enough that scoring never needs more than a training step (at N = 20 a
-# step holds about 1 MB); larger blocks were no faster at N = 207. The
-# window op stacks as many steps as fit their N x 2d arrays in it.
-_BLOCK_FLOATS = 1 << 14
+# floats the window op's stacked arrays may hold: a block of steps takes as
+# many as fit their B·N x 2d arrays, a training chunk as many windows as fit
+# all their steps. 1 << 17 runs a batch of 8 windows at N = 20 as one chunk
+# of one block, while N = 207 still gives one-window chunks and N = 1068
+# one step per block, as a window alone ran before batches: whole-window
+# blocks there were no faster and cost 32 MB more. score_windows holds as
+# many windows' recurrent states in it.
+_BLOCK_FLOATS = 1 << 17
 
 
 def _canonical_kind(kind: str) -> str:
@@ -121,16 +131,18 @@ def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
 
 
 class ModelParams:
-    """Named parameter tensors, all tracked for gradients.
+    """Named parameter tensors, tracked for gradients unless built with `grads=False`.
 
     Every value and every gradient is a view into one flat vector, `values`
     and `grads`, laid out in `parameter_shapes` order, so an optimizer steps
     all parameters in one go. `initialize` draws each weight matrix uniform in
     +-sqrt(6 / (fan_in + fan_out)) and zeros the biases, so two runs with
-    the same config and seed start from identical parameters.
+    the same config and seed start from identical parameters. Parameters
+    without gradients (`grads` None: a trained checkpoint's, a copy's, a
+    loaded one's) score windows but record nothing on a tape.
     """
 
-    def __init__(self, config: ModelConfig, values: dict[str, np.ndarray]):
+    def __init__(self, config: ModelConfig, values: dict[str, np.ndarray], grads: bool = True):
         expected = parameter_shapes(config)
         if set(values) != set(expected):
             missing = sorted(set(expected) - set(values))
@@ -140,7 +152,8 @@ class ModelParams:
             )
         self.config = config
         total = sum(rows * cols for rows, cols in expected.values())
-        self.values, self.grads = np.empty(total), np.zeros(total)
+        self.values = np.empty(total)
+        self.grads = np.zeros(total) if grads else None
         self._tensors = {}
         self.scratch = {}  # the window backward's buffers (_scratch)
         at = 0
@@ -151,15 +164,26 @@ class ModelParams:
             span = slice(at, at + value.size)
             tensor = Tensor(self.values[span].reshape(shape))
             tensor.value[...] = value
-            tensor.requires_grad, tensor.grad = True, self.grads[span].reshape(shape)
+            if grads:
+                tensor.requires_grad, tensor.grad = True, self.grads[span].reshape(shape)
             self._tensors[name] = tensor
             at = span.stop
 
     def __reduce__(self):
         # rebuilt through __init__, so a copy (a checkpoint a pool worker
-        # returns) holds views of its own flat vectors, not of pickled
-        # copies, and no scratch buffers
-        return type(self), (self.config, {name: t.value for name, t in self.items()})
+        # returns) holds views of its own value vector, not of a pickled
+        # copy, and neither gradients nor scratch buffers
+        return type(self), (self.config, {name: t.value for name, t in self.items()}, False)
+
+    def drop_gradients(self) -> None:
+        """Free the gradient vector and the backward's buffers; the tensors stop tracking.
+
+        What training leaves in a checkpoint: callers keep checkpoints, and
+        neither buffer serves scoring.
+        """
+        self.grads, self.scratch = None, {}
+        for tensor in self.tensors():
+            tensor.requires_grad, tensor.grad = False, None
 
     @classmethod
     def initialize(cls, config: ModelConfig, seed: int) -> "ModelParams":
@@ -208,14 +232,29 @@ class Checkpoint:
     provenance: Provenance = field(default_factory=Provenance)
 
 
-def _blocks(steps: int, n: int, d: int) -> list:
-    """Consecutive blocks of a window's steps whose N x 2d arrays fit in `_BLOCK_FLOATS`.
+def _spans(count: int, floats: int) -> list:
+    """Consecutive slices of `count` items of `floats` floats each that fit in `_BLOCK_FLOATS`.
 
-    The whole window at N = 20; one step each from a few hundred nodes,
-    where a step's products are large enough on their own.
+    At least one item a slice, however large.
     """
-    width = max(1, _BLOCK_FLOATS // (2 * n * d))
-    return [slice(start, min(start + width, steps)) for start in range(0, steps, width)]
+    width = max(1, _BLOCK_FLOATS // floats)
+    return [slice(start, min(start + width, count)) for start in range(0, count, width)]
+
+
+def _blocks(steps: int, rows: int, d: int) -> list:
+    """Consecutive blocks of a window op's steps whose rows x 2d arrays fit in `_BLOCK_FLOATS`."""
+    return _spans(steps, 2 * rows * d)
+
+
+def window_chunks(windows: int, steps: int, n: int, d: int) -> list:
+    """Consecutive chunks of a batch's windows whose N x 2d arrays, all steps, fit `_BLOCK_FLOATS`.
+
+    Training runs each chunk as one window op, its forward and backward
+    before the next chunk's, and adds the chunks' gradients: a batch of 8
+    is one chunk at N = 20 and 8 chunks of one window from N = 207, which
+    hold no more at once than one window did.
+    """
+    return _spans(windows, 2 * steps * n * d)
 
 
 def _scratch(params: ModelParams, key, shape) -> np.ndarray:
@@ -253,22 +292,43 @@ def _add_sums(params: ModelParams, name: str, grad) -> None:
     bias += grad.reshape(-1, bias.shape[1]).sum(axis=0)
 
 
+def _mix(a_hat, x, out=None):
+    """A_hat times each window's own N rows of `x`, in one matmul over the stack of windows.
+
+    `x` holds B·N rows of k columns under any leading axes, window after
+    window. `out`, when given, must be contiguous, so that it reshapes to a
+    view.
+    """
+    n, k = a_hat.shape[0], x.shape[-1]
+    stacked = x.reshape(x.shape[:-2] + (-1, n, k))
+    if out is None:
+        return np.matmul(a_hat, stacked).reshape(x.shape)
+    np.matmul(a_hat, stacked, out=out.reshape(stacked.shape))
+    return out
+
+
+def _rows(x) -> np.ndarray:
+    """A stack of rows as one matrix, for one product over all of them."""
+    return x.reshape(-1, x.shape[-1])
+
+
 # The layers below run their forwards in plain numpy and return the output
 # with its pullback: a function of the output's gradient that adds the
 # layer's parameter gradients and returns the gradients of its inputs.
-# forward_pass chains them into one tape entry per window.
+# forward_pass chains them into one tape entry per batch.
 
 
 def gcn_embed(x, a_hat, params: ModelParams):
     """Graph-convolution stage relu(A_hat x W_in + b_in), and its pullback.
 
-    `x` is one N x F snapshot or a stack of them, B x N x F, embedded with
-    one call per product; the output keeps the leading shape, with d
-    columns. The pullback takes the output's gradient and adds the
-    gradients of W_in and b_in; the snapshots need none.
+    `x` is one N x F snapshot or a stack of them, ... x B·N x F: each
+    window's N rows are mixed by A_hat alone, and each product is one call.
+    The output keeps the leading shape, with d columns. The pullback takes
+    the output's gradient and adds the gradients of W_in and b_in; the
+    snapshots need none.
     """
-    mixed = a_hat @ x
-    out = mixed @ params["w_in"].value
+    mixed = _mix(a_hat, x)
+    out = (_rows(mixed) @ params["w_in"].value).reshape(x.shape[:-1] + (-1,))
     out += params["b_in"].value
     np.maximum(out, 0.0, out=out)
 
@@ -293,25 +353,26 @@ def _blend(out, gate, h, candidate) -> None:
 
 
 class _Cell:
-    """The recurrent cell of one window, its per-step arrays stacked over the L steps.
+    """The recurrent cell of a window op, its per-step arrays stacked over the L steps.
 
-    `inputs` runs the input-side work of a block of steps, one call per
-    product; `step` runs one step of the recurrence (through `cell_step`);
-    `back` pulls a gradient back through a block: the recurrence a step at
-    a time from the last, then the input side and every parameter-gradient
-    product once for the whole block (`_tail`).
+    Each step's arrays hold the B·N rows of the op's windows. `inputs` runs
+    the input-side work of a block of steps, one call per product; `step`
+    runs one step of the recurrence (through `cell_step`); `back` pulls a
+    gradient back through a block: the recurrence a step at a time from the
+    last, then the input side and every parameter-gradient product once for
+    the whole block (`_tail`).
     """
 
     names: tuple = ()  # the cell's parameters
 
-    def __init__(self, params: ModelParams, a_hat, steps: int, n: int):
+    def __init__(self, params: ModelParams, a_hat, steps: int, rows: int):
         self.params, self.a_hat = params, a_hat
         self.d = d = params.config.embed_dim
         self.w = {name: params[name].value for name in self.names}
-        self.zeros = np.zeros((n, d))
-        self.gates = np.empty((steps, 2, n, d))  # each step's update and reset gates
-        self.states = np.empty((steps, n, d))
-        self.candidates = np.empty((steps, n, d))
+        self.zeros = np.zeros((rows, d))
+        self.gates = np.empty((steps, 2, rows, d))  # each step's update and reset gates
+        self.states = np.empty((steps, rows, d))
+        self.candidates = np.empty((steps, rows, d))
 
     def previous(self, t: int):
         """H_{t-1}: the zero start state for t = 0."""
@@ -364,19 +425,19 @@ class _TgcnCell(_Cell):
 
     names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
 
-    def __init__(self, params, a_hat, steps, n):
-        super().__init__(params, a_hat, steps, n)
+    def __init__(self, params, a_hat, steps, rows):
+        super().__init__(params, a_hat, steps, rows)
         d = self.d
-        self.mixed = np.empty((steps, n, d))  # A_hat E_t
-        self.joint = np.empty((steps, n, 2 * d))  # [G_t, H_{t-1}]
-        self.gated = np.empty((steps, n, 2 * d))  # [G_t, R_t * H_{t-1}]
+        self.mixed = np.empty((steps, rows, d))  # A_hat E_t
+        self.joint = np.empty((steps, rows, 2 * d))  # [G_t, H_{t-1}]
+        self.gated = np.empty((steps, rows, 2 * d))  # [G_t, R_t * H_{t-1}]
         self.bias = np.stack((self.w["b_u"], self.w["b_r"]))
 
     def inputs(self, block: slice, embedded) -> None:
         d = self.d
-        np.matmul(self.a_hat, embedded, out=self.mixed[block])
+        mixed = _mix(self.a_hat, embedded, out=self.mixed[block])
         conv = self.joint[block, :, :d]
-        np.maximum(self.mixed[block] @ self.w["w_g"], 0.0, out=conv)
+        np.maximum((_rows(mixed) @ self.w["w_g"]).reshape(mixed.shape), 0.0, out=conv)
         self.gated[block, :, :d] = conv
 
     def step(self, t: int) -> None:
@@ -418,7 +479,7 @@ class _TgcnCell(_Cell):
         for gate, grad, side in zip("urc", grads, (self.joint, self.joint, self.gated)):
             _add_products(params, f"w_{gate}", side[block], grad)
             _add_sums(params, f"b_{gate}", grad)
-        return self.a_hat.T @ (g_conv @ self.w["w_g"].T)
+        return _mix(self.a_hat.T, (_rows(g_conv) @ self.w["w_g"].T).reshape(g_conv.shape))
 
 
 class _GConvGruCell(_Cell):
@@ -426,38 +487,37 @@ class _GConvGruCell(_Cell):
 
     names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
-    def __init__(self, params, a_hat, steps, n):
-        super().__init__(params, a_hat, steps, n)
+    def __init__(self, params, a_hat, steps, rows):
+        super().__init__(params, a_hat, steps, rows)
         d = self.d
-        self.mixed_in = np.empty((steps, n, d))  # A_hat E_t
-        self.input_side = np.empty((steps, 3, n, d))  # A_hat E_t times W_z, W_r and W_h
-        self.mixed_prev = np.empty((steps, n, d))  # A_hat H_{t-1}
-        self.gated_prev = np.empty((steps, n, d))  # A_hat (R_t * H_{t-1})
+        self.mixed_in = np.empty((steps, rows, d))  # A_hat E_t
+        self.input_side = np.empty((3, steps, rows, d))  # A_hat E_t times W_z, W_r and W_h
+        self.mixed_prev = np.empty((steps, rows, d))  # A_hat H_{t-1}
+        self.gated_prev = np.empty((steps, rows, d))  # A_hat (R_t * H_{t-1})
         self.bias = np.stack((self.w["b_z"], self.w["b_r"]))
 
     def inputs(self, block: slice, embedded) -> None:
-        np.matmul(self.a_hat, embedded, out=self.mixed_in[block])
+        mixed = _rows(_mix(self.a_hat, embedded, out=self.mixed_in[block]))
         for i, name in enumerate(("w_z", "w_r", "w_h")):
-            np.matmul(self.mixed_in[block], self.w[name], out=self.input_side[block, i])
+            np.matmul(mixed, self.w[name], out=_rows(self.input_side[i, block]))
 
     def step(self, t: int) -> None:
         w = self.w
         h = self.previous(t)
-        mixed_prev = self.mixed_prev[t]
-        np.matmul(self.a_hat, h, out=mixed_prev)
+        mixed_prev = _mix(self.a_hat, h, out=self.mixed_prev[t])
         # each pre-activation adds its state half to its input half: the
         # same sum as input + state, addition being commutative
         pre = np.empty((2,) + h.shape)
         np.matmul(mixed_prev, w["u_z"], out=pre[0])
         np.matmul(mixed_prev, w["u_r"], out=pre[1])
-        pre += self.input_side[t, :2]
+        pre += self.input_side[:2, t]
         pre += self.bias
         self.gates[t] = ad.stable_sigmoid(pre)
         z, r = self.gates[t]
-        np.matmul(self.a_hat, r * h, out=self.gated_prev[t])
+        gated_prev = _mix(self.a_hat, r * h, out=self.gated_prev[t])
         candidate = self.candidates[t]
-        np.matmul(self.gated_prev[t], w["u_h"], out=candidate)
-        candidate += self.input_side[t, 2]
+        np.matmul(gated_prev, w["u_h"], out=candidate)
+        candidate += self.input_side[2, t]
         candidate += w["b_h"]
         np.tanh(candidate, out=candidate)
         _blend(self.states[t], z, h, candidate)
@@ -466,11 +526,11 @@ class _GConvGruCell(_Cell):
         return None
 
     def _gated_grad(self, work, i, g_cand):
-        return self.a_hat.T @ (g_cand @ self.w["u_h"].T)
+        return _mix(self.a_hat.T, g_cand @ self.w["u_h"].T)
 
     def _gates_grad(self, work, i, g_gate, g_reset, t):
         if t:  # the zero start state needs no gradient
-            return self.a_hat.T @ (g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
+            return _mix(self.a_hat.T, g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
 
     def _tail(self, block, grads, work):
         params = self.params
@@ -479,22 +539,22 @@ class _GConvGruCell(_Cell):
             _add_products(params, f"w_{gate}", self.mixed_in[block], grad)
             _add_products(params, f"u_{gate}", side[block], grad)
             _add_sums(params, f"b_{gate}", grad)
-        g_z, g_r, g_c = grads
+        g_z, g_r, g_c = (_rows(grad) for grad in grads)
         g_embedded = g_c @ self.w["w_h"].T
         g_embedded += g_r @ self.w["w_r"].T
         g_embedded += g_z @ self.w["w_z"].T
-        return self.a_hat.T @ g_embedded
+        return _mix(self.a_hat.T, g_embedded.reshape(grads.shape[1:]))
 
 
-def _window_cell(kind: str, params: ModelParams, a_hat, steps: int, n: int) -> _Cell:
-    """The recurrent cell of `kind` for a window of `steps` snapshots of `n` nodes."""
+def _window_cell(kind: str, params: ModelParams, a_hat, steps: int, rows: int) -> _Cell:
+    """The recurrent cell of `kind` for a window op of `steps` snapshots of `rows` node rows."""
     # the attention variant runs the same per-step recurrence as tgcn
     cell = _GConvGruCell if _canonical_kind(kind) == "gconv_gru" else _TgcnCell
-    return cell(params, a_hat, steps, n)
+    return cell(params, a_hat, steps, rows)
 
 
 def cell_step(cell: _Cell, t: int) -> None:
-    """Step t of a window's recurrence, from H_{t-1} to H_t in `cell.states[t]`.
+    """Step t of a window op's recurrence, from H_{t-1} to H_t in `cell.states[t]`.
 
     The only forward work that runs once per step: the gates, the candidate
     and the state update, from the input-side work `cell.inputs` ran for
@@ -504,7 +564,7 @@ def cell_step(cell: _Cell, t: int) -> None:
 
 
 def _attention(states, params: ModelParams):
-    """Per-step hidden scores tanh(H_t W_a + b_a), L x N x a, and the N x L softmax weights."""
+    """Per-step hidden scores tanh(H_t W_a + b_a), L x rows x a, and the rows x L softmax."""
     if not len(states):
         raise ContractError("temporal attention needs at least one state")
     hidden = states @ params["w_a"].value
@@ -516,18 +576,18 @@ def _attention(states, params: ModelParams):
 
 
 def temporal_attention(states, params: ModelParams):
-    """Blend the L x N x d per-step states into one N x d context, and its pullback.
+    """Blend the L x rows x d per-step states into one rows x d context, and its pullback.
 
-    Per node, each step gets a scalar score tanh(H_t W_a + b_a) v_a; the
-    scores are softmax-normalized over steps and the states combined as a
-    weighted sum with those per-node weights. The pullback returns the
-    gradient of the states, L x N x d. The blend and the pullback run over
-    the window op's blocks of steps.
+    Per node row, each step gets a scalar score tanh(H_t W_a + b_a) v_a;
+    the scores are softmax-normalized over steps and the states combined
+    as a weighted sum with those per-row weights. The pullback returns the
+    gradient of the states, L x rows x d. The blend and the pullback run
+    over the window op's blocks of steps.
     """
     states = np.asarray(states, dtype=np.float64)
     hidden, alpha = _attention(states, params)
     blocks = _blocks(*states.shape)
-    weights = alpha.T[:, :, None]  # L x N x 1
+    weights = alpha.T[:, :, None]  # L x rows x 1
     context = np.zeros(states.shape[1:])
     for block in blocks:
         context += (weights[block] * states[block]).sum(axis=0)
@@ -538,7 +598,7 @@ def temporal_attention(states, params: ModelParams):
         for block in blocks:
             g_alpha[:, block] = (g * states[block]).sum(axis=2).T
         g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        g_score = g_scores.T[:, :, None]  # L x N x 1
+        g_score = g_scores.T[:, :, None]  # L x rows x 1
         g_states = np.empty(states.shape)
         for block in blocks:
             g_pre = g_score[block] * v_a.T
@@ -548,7 +608,7 @@ def temporal_attention(states, params: ModelParams):
             _add_sums(params, "b_a", g_pre)
             _add_products(params, "v_a", hidden[block], g_score[block])
             np.multiply(g, weights[block], out=g_states[block])
-            g_states[block] += g_pre @ w_a.T
+            g_states[block] += (_rows(g_pre) @ w_a.T).reshape(g_pre.shape[:-1] + (-1,))
         return g_states
 
     return context, pull
@@ -567,25 +627,38 @@ def _head_layers(params: ModelParams):
     return [(params[f"w_head{i}"], params[f"b_head{i}"]) for i in range(1, len(HEAD_WIDTHS) + 1)]
 
 
+def _row_products(x, w) -> np.ndarray:
+    """x @ w, each row's sums taken in order by themselves.
+
+    So a row's result does not depend on the rows beside it, which a BLAS
+    product does not promise: numpy hands a one-row product to gemv, whose
+    rounding differs from gemm's. Only the head's small products take it.
+    """
+    return (x[:, :, None] * w).sum(axis=1)
+
+
 def _head_activations(pooled: np.ndarray, layers):
     """Activations (input first) and pre-activations of the head, one row per pooled vector."""
     acts, pres = [pooled], []
     for i, (w, b) in enumerate(layers):
-        pres.append(acts[-1] @ w.value + b.value)
+        pres.append(_row_products(acts[-1], w.value) + b.value)
         last = i == len(layers) - 1
         acts.append(ad.stable_sigmoid(pres[-1]) if last else np.maximum(pres[-1], 0.0))
     return acts, pres
 
 
 def dense_head(final, params: ModelParams):
-    """Mean-pool the N x d node states and map them through the dense head, with its pullback.
+    """Mean-pool each window's N x d node states, map them through the dense head; and its pullback.
 
-    Layers of HEAD_WIDTHS with relu between them and a logistic output:
-    a 1 x 1 similarity in (0, 1). The pullback returns the gradient of the
-    N x d states.
+    `final` is one window's N x d states or B windows' B x N x d. Layers of
+    HEAD_WIDTHS with relu between them and a logistic output give a B x 1
+    column of similarities in (0, 1). The pullback returns the gradient of
+    `final`.
     """
     layers = _head_layers(params)
-    acts, pres = _head_activations(final.mean(axis=0, keepdims=True), layers)
+    windows = final.reshape((-1,) + final.shape[-2:])
+    n = windows.shape[1]
+    acts, pres = _head_activations(windows.mean(axis=1), layers)
 
     def pull(g):
         g = _sigmoid_grad(g, acts[-1])
@@ -594,38 +667,45 @@ def dense_head(final, params: ModelParams):
             if i < len(layers) - 1:
                 g = g * (pres[i] > 0)
             w.grad += acts[i].T @ g
-            b.grad += g
+            b.grad += g.sum(axis=0)
             g = g @ w.value.T
-        # every node gets the pooled mean's gradient over N
-        return np.repeat(g / final.shape[0], final.shape[0], axis=0)
+        # every node of a window gets its pooled mean's gradient over N
+        return np.repeat(g / n, n, axis=0).reshape(final.shape)
 
     return acts[-1], pull
 
 
 def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Score a window of snapshots; returns a 1x1 tensor in (0, 1).
+    """Score a batch of windows; returns a B x 1 tensor in (0, 1).
 
-    `snapshots` is an L x N x F array (or list of N x F arrays) and `a_hat`
-    the N x N normalized adjacency. The steps run in blocks that fit a
-    fixed float budget: a block's embedding and input-side work run once,
-    stacked, then its steps' recurrence one at a time. Under an active tape
-    the window is one entry, whose rule runs the pullbacks from the head
-    back to the first snapshot and adds every parameter's gradient.
+    `snapshots` is a B x L x N x F array of B windows, or one window's
+    L x N x F (a batch of one), and `a_hat` the N x N normalized adjacency.
+    The batch runs as one window over B disjoint copies of the graph, B·N
+    node rows a step. The steps run in blocks that fit a fixed float budget:
+    a block's embedding and input-side work run once, stacked, then its
+    steps' recurrence one at a time. Under an active tape the batch is one
+    entry, whose rule runs the pullbacks from the head back to the first
+    snapshot and adds every parameter's gradient, summed over the windows.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
-    if snapshots.ndim != 3 or snapshots.shape[2] != config.input_channels:
+    if snapshots.ndim == 3:
+        snapshots = snapshots[None]
+    if snapshots.ndim != 4 or snapshots.shape[3] != config.input_channels:
         raise ConfigError(
-            f"snapshots must be L x N x {config.input_channels}, got shape {snapshots.shape}"
+            f"snapshots must be L x N x {config.input_channels} or B x L x N x "
+            f"{config.input_channels}, got shape {snapshots.shape}"
         )
-    steps, n = snapshots.shape[:2]
+    windows, steps, n = snapshots.shape[:3]
     a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (n, n):
         raise ConfigError(f"adjacency is {a_hat.shape}, snapshots have {n} nodes")
 
-    cell = _window_cell(config.cell_kind, params, a_hat, steps, n)
+    rows = windows * n
+    x = snapshots.transpose(1, 0, 2, 3).reshape(steps, rows, -1)  # each step's B·N rows
+    cell = _window_cell(config.cell_kind, params, a_hat, steps, rows)
     blocks = []
-    for block in _blocks(steps, n, config.embed_dim):
-        embedded, embed_pull = gcn_embed(snapshots[block], a_hat, params)
+    for block in _blocks(steps, rows, config.embed_dim):
+        embedded, embed_pull = gcn_embed(x[block], a_hat, params)
         cell.inputs(block, embedded)
         for t in range(block.start, block.stop):
             cell_step(cell, t)
@@ -633,10 +713,10 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     final, attention_pull = cell.states[-1], None
     if config.cell_kind == "a3tgcn":
         final, attention_pull = temporal_attention(cell.states, params)
-    score, head_pull = dense_head(final, params)
+    scores, head_pull = dense_head(final.reshape(windows, n, -1), params)
 
     def rule(g):
-        g = head_pull(g)
+        g = head_pull(g).reshape(rows, -1)
         carries = None
         if attention_pull is not None:
             carries = attention_pull(g)
@@ -645,7 +725,7 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
             g, g_embedded = cell.back(block, g, carries)
             embed_pull(g_embedded)
 
-    return ad.record("window", tuple(params.tensors()), score, rule)
+    return ad.record("window", tuple(params.tensors()), scores, rule)
 
 
 def _checked_bounds(signal, checkpoint: Checkpoint) -> NodeBounds | None:
@@ -915,7 +995,7 @@ def load_checkpoint(path) -> Checkpoint:
                     f"for shape {shape}"
                 )
             values[name] = data.reshape(shape)
-        params = ModelParams(config, values)
+        params = ModelParams(config, values, grads=False)
         bounds = None
         if doc.get("feature_bounds") is not None:
             bounds = NodeBounds(

@@ -403,6 +403,11 @@ class TestNormalizedAdjacency:
         degree = np.array([4.0, 4.0])  # row sums of [[1,3],[3,1]]
         assert np.allclose(a_hat[0, 1], 3.0 / np.sqrt(degree[0] * degree[1]), atol=1e-15)
 
+    def test_built_once_per_signal_and_read_only(self):
+        signal = random_signal(np.random.default_rng(4), n=5)
+        a_hat = normalized_adjacency(signal)
+        assert normalized_adjacency(signal) is a_hat
+        assert not a_hat.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(DATASET_SHAPES))
     def test_published_shapes_match_the_formula_byte_for_byte(self, name):

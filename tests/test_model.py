@@ -194,15 +194,19 @@ class TestModelParams:
         import pickle
 
         params = ModelParams.initialize(small_config("a3tgcn"), 5)
-        if copied:  # as a pool worker returns a checkpoint
+        if copied:  # as a pool worker returns a checkpoint: values only
             params = pickle.loads(pickle.dumps(params))
+            assert params.grads is None
+            assert all(t.grad is None and not t.requires_grad for t in params.tensors())
         params.values[:] = np.arange(params.values.size)
-        params.grads[:] = -np.arange(params.grads.size)
+        if not copied:
+            params.grads[:] = -np.arange(params.grads.size)
         start = 0
         for name, t in params.items():
             span = np.arange(start, start + t.value.size)
             assert np.array_equal(t.value.reshape(-1), span), name
-            assert np.array_equal(t.grad.reshape(-1), -span), name
+            if not copied:
+                assert np.array_equal(t.grad.reshape(-1), -span), name
             start += t.value.size
         assert start == params.values.size
 
@@ -558,8 +562,19 @@ class TestFusedOpGradients:
 def composed_forward(snapshots, a_hat, params, config):
     """The forward pass built from elementary autodiff ops, one entry per op.
 
-    Reference for the fused layers: the same scores and gradients, to round-off.
+    Reference for the fused layers: the same scores and gradients, to
+    round-off. A batch, B x L x N x F, scores each window by itself and
+    places its score in row b of a B x 1 column.
     """
+    snapshots = np.asarray(snapshots)
+    if snapshots.ndim == 4:
+        column = None
+        for b, window in enumerate(snapshots):
+            unit = np.zeros((len(snapshots), 1))
+            unit[b, 0] = 1.0
+            placed = ad.matmul(Tensor(unit), composed_forward(window, a_hat, params, config))
+            column = placed if column is None else ad.add(column, placed)
+        return column
     p = params
     a = Tensor(a_hat)
     h = Tensor(np.zeros((snapshots.shape[1], config.embed_dim)))
@@ -611,19 +626,23 @@ DEFAULT_BLOCK_FLOATS = model_module._BLOCK_FLOATS
 
 
 def window_layouts(snapshots):
-    """(layout, signal, float budget, expected block lengths) for a 10-step window.
+    """(layout, signal, float budget, block lengths of one window, windows a chunk).
 
-    The window op stacks the whole window on a 12-node path, runs one step
-    at a time under the default budget on the metrala shape (207 nodes),
-    and takes blocks of 3, 3, 3 and 1 on the chickenpox shape (20 nodes)
-    under a budget of three steps' N x 2d arrays.
+    For 10-step windows. The window op stacks the whole window on a 12-node
+    path (a training batch of 8 is one chunk), takes blocks of 9 and 1 under
+    the default budget on the metrala shape (207 nodes: a chunk is one
+    window), runs one step at a time on the chickenpox shape (20 nodes)
+    under a budget of one step's N x 2d arrays, and takes blocks of 3, 3, 3
+    and 1 there under a budget of three steps'.
     """
     rng = np.random.default_rng(53)
     path = TemporalGraphSignal("path", 12, tuple((i, i + 1) for i in range(11)) + ((0, 6),),
                                None, rng.uniform(size=(snapshots, 12, 1)))
-    yield "whole window", path, DEFAULT_BLOCK_FLOATS, [10]
-    yield "step by step", published_signal("metrala", snapshots), DEFAULT_BLOCK_FLOATS, [1] * 10
-    yield "blocks of 3", published_signal("chickenpox", snapshots), 3 * 2 * 20 * 32, [3, 3, 3, 1]
+    chickenpox = published_signal("chickenpox", snapshots)
+    yield "whole window", path, DEFAULT_BLOCK_FLOATS, [10], 8
+    yield "blocks of 9", published_signal("metrala", snapshots), DEFAULT_BLOCK_FLOATS, [9, 1], 1
+    yield "step by step", chickenpox, 2 * 20 * 32, [1] * 10, 1
+    yield "blocks of 3", chickenpox, 3 * 2 * 20 * 32, [3, 3, 3, 1], 1
 
 
 def use_layout(monkeypatch, budget):
@@ -639,7 +658,7 @@ def use_layout(monkeypatch, budget):
 def test_fused_layers_match_composed_ops_within_roundoff(monkeypatch, kind):
     """Score and gradients agree with the composed ops' to 1e-12 of the largest gradient entry."""
     config = ModelConfig(kind, 1)
-    for layout, signal, budget, expected_blocks in window_layouts(10):
+    for layout, signal, budget, expected_blocks, _ in window_layouts(10):
         rng = np.random.default_rng(51)
         params = ModelParams.initialize(config, 52)
         for name, t in params.items():
@@ -668,17 +687,109 @@ def test_training_matches_composed_ops_within_roundoff(monkeypatch, kind):
     """Two epochs of Adam over the window op end within 1e-10 of the largest parameter
     of the composed ops' run."""
     config = TrainConfig(epochs=2, bucket_length=10, seed=4)
-    for layout, signal, budget, expected_blocks in window_layouts(20):
+    for layout, signal, budget, window_blocks, chunk in window_layouts(20):
         labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 3))
+        assert len(labeled) == 11  # batches of 8 and 3
         blocks = use_layout(monkeypatch, budget)
         results = []
         for forward_fn in (forward_pass, composed_forward):
             monkeypatch.setattr(training, "forward_pass", forward_fn)
             checkpoint, _ = train(labeled, config, ModelConfig(kind, 1))
             results.append(checkpoint.params.values)
-        assert blocks == expected_blocks * 2 * len(labeled), layout
+        chunks = 2 if chunk == 8 else len(labeled)  # per epoch
+        assert blocks == window_blocks * chunks * 2, layout
         fused, composed = results
         assert np.abs(fused - composed).max() <= 1e-10 * np.abs(composed).max(), layout
+
+
+def batch_inputs(kind, name, windows=8):
+    """A checkpoint-free setup at a published shape: config, params, A_hat, windows and labels."""
+    signal = published_signal(name, 10)
+    config = ModelConfig(kind, 1)
+    params = ModelParams.initialize(config, 61)
+    rng = np.random.default_rng(62)
+    for key, t in params.items():
+        if key.startswith("b_"):  # keep every bias, and so every relu, off its zero start
+            t.value += rng.normal(0.0, 0.3, t.value.shape)
+    batch = rng.uniform(size=(windows, 10, signal.num_nodes, 1))
+    return config, params, normalized_adjacency(signal), batch, rng.uniform(size=(windows, 1))
+
+
+def window_gradients(params, config, a_hat, windows, labels):
+    """Each window's scores by itself, and the mean over the windows of their loss gradients."""
+    scores, total = [], np.zeros_like(params.grads)
+    for window, label in zip(windows, labels):
+        params.grads.fill(0.0)
+        with Tape():
+            out = forward_pass(window, a_hat, params, config)
+            backward(ad.square(ad.subtract(out, Tensor(label[None]))))
+        scores.append(out.item())
+        total += params.grads
+    return np.array(scores), total / len(windows)
+
+
+@pytest.mark.parametrize("name", ["chickenpox", "metrala"])
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_batch_is_its_windows_one_at_a_time(kind, name):
+    """A batch's scores are byte-identical to its windows' alone, its gradients within 1e-12."""
+    config, params, a_hat, batch, labels = batch_inputs(kind, name)
+    with Tape():
+        out = forward_pass(batch, a_hat, params, config)
+        squared = ad.square(ad.subtract(out, Tensor(labels)))
+        backward(ad.matmul(Tensor(np.full((1, len(batch)), 1.0 / len(batch))), squared))
+    batched = params.grads.copy()
+    scores, expected = window_gradients(params, config, a_hat, batch, labels)
+    assert out.value.shape == (8, 1)
+    assert out.value[:, 0].tobytes() == scores.tobytes()
+    assert np.abs(batched - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+class RecordingOptimizer:
+    """Keeps each step's gradient and leaves the parameters where they started."""
+
+    def __init__(self, params):
+        self.params, self.steps = params, []
+
+    def step(self):
+        self.steps.append(self.params.grads.copy())
+
+
+@pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.parametrize("name,budget,chunks", [
+    ("chickenpox", DEFAULT_BLOCK_FLOATS, [8, 3]),  # one chunk a batch
+    ("chickenpox", 3 * 2 * 10 * 20 * 32, [3, 3, 2, 3]),  # three windows' steps a chunk
+    ("metrala", DEFAULT_BLOCK_FLOATS, [1] * 11),  # one window a chunk
+])
+def test_train_steps_on_the_mean_gradient_of_each_batch(monkeypatch, kind, name, budget, chunks):
+    """Each step's gradient is the mean over its batch's windows, whatever the chunks;
+    11 windows give a full batch and a partial one."""
+    signal = published_signal(name, 20)
+    labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 5))
+    config, model_config = TrainConfig(epochs=1, bucket_length=10, seed=6), ModelConfig(kind, 1)
+    optimizers, sizes = [], []
+    monkeypatch.setattr(training, "make_optimizer",
+                        lambda params, _: optimizers.append(RecordingOptimizer(params))
+                        or optimizers[-1])
+    monkeypatch.setattr(training, "forward_pass",
+                        lambda windows, *rest: sizes.append(len(windows))
+                        or forward_pass(windows, *rest))
+    monkeypatch.setattr(model_module, "_BLOCK_FLOATS", budget)
+    _, history = train(labeled, config, model_config)
+    assert sizes == chunks
+
+    params = ModelParams.initialize(model_config, config.seed)
+    bounds = training.bounds_from_buckets(labeled)
+    order = np.random.default_rng([config.seed, 1, 0]).permutation(len(labeled))
+    windows = np.stack([normalize_features(labeled[i].snapshots, bounds) for i in order])
+    labels = np.array([[labeled[i].label] for i in order])
+    steps, losses = optimizers[0].steps, []
+    assert len(steps) == 2
+    for step, batch in zip(steps, (slice(0, 8), slice(8, 11))):
+        scores, expected = window_gradients(params, model_config, normalized_adjacency(signal),
+                                            windows[batch], labels[batch])
+        assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
+        losses += ((scores - labels[batch, 0]) ** 2).tolist()
+    assert history == [float(np.mean(losses))]
 
 
 class TestTape:
@@ -688,15 +799,18 @@ class TestTape:
 
         config = ModelConfig("a3tgcn", 1)
         params = ModelParams.initialize(config, 7)
-        window = np.random.default_rng(8).uniform(size=(10, 6, 1))
+        batch = np.random.default_rng(8).uniform(size=(8, 10, 6, 1))
         gc.disable()
         try:
+            # a training batch of one chunk: its windows, their errors, and their mean
             with Tape() as tape:
-                out = forward_pass(window, path_a_hat(6), params, config)
-                loss = ad.square(ad.subtract(out, Tensor([[0.4]])))
+                out = forward_pass(batch, path_a_hat(6), params, config)
+                squared = ad.square(ad.subtract(out, Tensor(np.full((8, 1), 0.4))))
+                loss = ad.matmul(Tensor(np.full((1, 8), 1.0 / 8)), squared)
                 backward(loss)
-            assert len(tape) == 3
-            assert [entry[0] for entry in tape.entries] == ["window", "subtract", "square"]
+            assert len(tape) == 4
+            assert [entry[0] for entry in tape.entries] == ["window", "subtract", "square",
+                                                            "matmul"]
             # the window's rule holds every intermediate of the window; the
             # output and the loss outlive the tape and must not keep it
             window_rule = weakref.ref(tape.entries[0][3])
@@ -721,6 +835,7 @@ class TestCheckpoint:
         save_checkpoint(checkpoint, path)
         again = load_checkpoint(path)
         assert again.config == checkpoint.config
+        assert again.params.grads is None
         for name in checkpoint.params:
             assert np.array_equal(again.params[name].value, checkpoint.params[name].value)
         assert np.array_equal(again.feature_bounds.mins, checkpoint.feature_bounds.mins)

@@ -67,7 +67,7 @@ class TestTrainConfig:
     def test_defaults(self):
         config = TrainConfig()
         assert config.epochs == 30
-        assert config.learning_rate == 0.001
+        assert config.learning_rate == 0.003
         assert config.bucket_length == 10
         assert config.folds == 3
         assert config.optimizer == "adam"
@@ -309,6 +309,19 @@ class TestTrain:
         with pytest.raises(TrainingError, match=r"epoch 0, bucket 0"):
             train(labeled, TrainConfig(epochs=1, bucket_length=5), model_config)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_names_the_window_inside_its_batch(self):
+        # an infinite candidate spoils its own window's score, not its batch neighbours'
+        labeled = make_labeled(s=14, length=5)
+        config = TrainConfig(epochs=1, bucket_length=5, seed=2)
+        order = np.random.default_rng([config.seed, 1, 0]).permutation(len(labeled))
+        bad = labeled[order[5]]
+        poisoned = [LabeledBucket(b.bucket, np.full(b.candidate.shape, np.inf), b.perturbed)
+                    if b is bad else b for b in labeled]
+        with pytest.raises(TrainingError,
+                           match=rf"epoch 0, bucket 5 \(window start {bad.bucket.start}\)"):
+            train(labeled, config, tiny_model(), resample=lambda epoch: poisoned)
+
     def test_resample_supplies_each_epoch(self, monkeypatch):
         signal = make_signal(n=2, s=12, f=2, seed=11)
         half = [hand_bucket(signal, 0, 5, perturbed=[0])]
@@ -357,6 +370,7 @@ class TestTrain:
         checkpoint, _ = train(make_labeled(s=14, length=5), TrainConfig(epochs=1, bucket_length=5),
                               tiny_model())
         assert checkpoint.params.scratch == {}
+        assert checkpoint.params.grads is None
 
     def test_empty_train_set(self):
         with pytest.raises(ContractError, match="at least one bucket"):
