@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from . import _pool
-from .data import TemporalGraphSignal
+from .data import TemporalGraphSignal, adjacency_operator
 from .errors import ConfigError, ContractError
 from .model import Checkpoint, score_windows
 
@@ -130,6 +130,7 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
     count = signal.num_snapshots - length + 1
     chunks = 1 if count * signal.num_nodes < _POOL_FLOOR else _pool.workers()
     size = -(-count // chunks)
+    adjacency_operator(signal)  # built here, the one every forked worker inherits
     parts = _pool.run_jobs(
         partial(score_windows, signal, checkpoint, range(at, min(at + size, count)), length)
         for at in range(0, count, size)

@@ -26,7 +26,7 @@ from . import __version__, _pool
 from .adapters import DATASET_KINDS, adapt_dataset
 from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
-from .data import load_canonical, node_bounds, read_json
+from .data import adjacency_operator, load_canonical, node_bounds, read_json
 from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucket_file_noise, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
@@ -248,6 +248,7 @@ def _cmd_eval(args) -> int:
         checkpoint = load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
         return evaluate(checkpoint, pairs[index][1]).folds[0]
 
+    adjacency_operator(signal)  # built here, the one every forked fold inherits
     folds = _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
 
     echo = config_echo(config, model_config)

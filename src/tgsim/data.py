@@ -8,6 +8,10 @@ per-node-channel feature bounds with min-max normalization, and
 `read_json`, the one reader of the JSON files the toolkit writes and
 loads back.
 
+`adjacency_operator` gives the model its A_hat: the dense matrix below
+`_SPARSE_NODES` nodes, a `scipy.sparse` CSR array from there on.  That
+path alone imports scipy, so smaller graphs never load it.
+
 The JSON file is the only source of truth.  `write_canonical` also leaves a
 binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
 SHA-256 of the exact JSON bytes.  `load_canonical` builds the signal from
@@ -35,6 +39,14 @@ from .errors import ContractError, ParseError
 
 REQUIRED_FIELDS = ("name", "num_nodes", "edges", "frequency", "features")
 OPTIONAL_FIELDS = ("weights",)
+
+# node count from which the model applies A_hat as CSR (adjacency_operator).
+# At one BLAS thread CSR A_hat X (k = 32) already wins at N = 207 (0.065
+# against 0.088 ms), but importing scipy costs 0.24 s and +15.7 MB once per
+# process; from N = 512 CSR is twice as fast or more at one and two
+# threads (0.18 against 0.63 and 0.35 ms), and about 20 training windows
+# repay the import (a3tgcn, one thread: 8 windows in 352 against 442 ms).
+_SPARSE_NODES = 512
 
 
 @dataclass(frozen=True, eq=False)
@@ -405,18 +417,8 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         pass
 
 
-def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
-    """Degree-normalized adjacency D^(-1/2) (A + I) D^(-1/2) as a dense N x N array.
-
-    Each edge counts in both directions (by maximum weight), the reading
-    of every bundled dataset.  Nodes that already carry a self-loop keep
-    its weight: the +I fills in only the missing diagonal entries, so an
-    isolated node never divides by zero.  Built once per signal (14.9 ms at
-    N = 1068) and kept on it, read-only like the signal's own arrays.
-    """
-    cached = signal.__dict__.get("_normalized_adjacency")
-    if cached is not None:
-        return cached
+def _adjacency(signal: TemporalGraphSignal) -> np.ndarray:
+    """D^(-1/2) (A + I) D^(-1/2) as a new dense N x N array: `normalized_adjacency`'s build."""
     n = signal.num_nodes
     adj = np.zeros((n, n))
     if signal.num_edges:
@@ -430,9 +432,47 @@ def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
     inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
     adj *= inv_sqrt_degree[:, None]
     adj *= inv_sqrt_degree[None, :]
-    adj.setflags(write=False)
-    object.__setattr__(signal, "_normalized_adjacency", adj)
     return adj
+
+
+def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
+    """Degree-normalized adjacency D^(-1/2) (A + I) D^(-1/2) as a dense N x N array.
+
+    Each edge counts in both directions (by maximum weight), the reading
+    of every bundled dataset.  Nodes that already carry a self-loop keep
+    its weight: the +I fills in only the missing diagonal entries, so an
+    isolated node never divides by zero.  Built once per signal (14.9 ms at
+    N = 1068) and kept on it, read-only like the signal's own arrays.  The
+    model takes A_hat from `adjacency_operator`, which holds the same
+    nonzeros sparse on large graphs.
+    """
+    cached = signal.__dict__.get("_normalized_adjacency")
+    if cached is None:
+        cached = _adjacency(signal)
+        cached.setflags(write=False)
+        object.__setattr__(signal, "_normalized_adjacency", cached)
+    return cached
+
+
+def adjacency_operator(signal: TemporalGraphSignal):
+    """A_hat as the model applies it: dense below `_SPARSE_NODES` nodes, CSR from there.
+
+    Below the cutoff this is `normalized_adjacency(signal)` itself.  From
+    it on, a `scipy.sparse.csr_array` holding exactly that matrix's
+    nonzeros, built once per signal and kept on it in place of the dense
+    matrix, its arrays read-only; scipy is imported on this path only.
+    """
+    if signal.num_nodes < _SPARSE_NODES:
+        return normalized_adjacency(signal)
+    cached = signal.__dict__.get("_adjacency_operator")
+    if cached is None:
+        from scipy.sparse import csr_array
+
+        cached = csr_array(_adjacency(signal))
+        for array in (cached.data, cached.indices, cached.indptr):
+            array.setflags(write=False)
+        object.__setattr__(signal, "_adjacency_operator", cached)
+    return cached
 
 
 def node_bounds(signal: TemporalGraphSignal) -> NodeBounds:

@@ -9,7 +9,7 @@ to a logistic similarity score in (0, 1).
 Two code paths compute it. `forward_pass` scores a batch of B windows and
 is the one training uses. It runs the batch as one window over B disjoint
 copies of the graph: every per-node array holds B·N rows, A_hat multiplies
-each window's own N rows (one matmul over the stack of windows, never a
+each window's own N rows (one product over all the windows, never a
 block-diagonal matrix), and the head pools each window's N rows into its
 own score. It records a single `autodiff` entry whose rule pulls the B
 scores' gradients back from the head to the first snapshot
@@ -47,6 +47,16 @@ windows at once. Splitting each gate's product in two reassociates its
 sums, so its scores agree with `forward_pass` to a few 1e-16, not bit for
 bit.
 
+A_hat comes as `data.adjacency_operator` builds it for the signal: a
+dense N x N array on small graphs, a `scipy.sparse` CSR array from
+`data._SPARSE_NODES` nodes on, where its O(nnz·k) products beat the dense
+O(N²·k) ones. `_mix` applies either form; only `_propagate`, the
+scorer's feature-major product, keeps a dense matmul of its own. This
+module never imports scipy itself. A CSR product
+sums each row's nonzeros in order in one thread, so its results do not
+depend on the BLAS thread count, and they agree with the dense product's
+to round-off.
+
 Cell formulas: T-GCN (Zhao et al., arXiv:1811.05320), A3T-GCN (Bai et al.,
 arXiv:2006.11583) and GConvGRU (Seo et al., arXiv:1612.07659).
 """
@@ -62,7 +72,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import NodeBounds, normalize_features, normalized_adjacency, read_json
+from .data import NodeBounds, adjacency_operator, normalize_features, read_json
 from .errors import ConfigError, ContractError, ParseError
 
 CELL_KINDS = ("gconv_gru", "tgcn", "a3tgcn")
@@ -75,8 +85,11 @@ HEAD_WIDTHS = (32, 64, 1)
 # all their steps. 1 << 17 runs a batch of 8 windows at N = 20 as one chunk
 # of one block, while N = 207 still gives one-window chunks and N = 1068
 # one step per block, as a window alone ran before batches: whole-window
-# blocks there were no faster and cost 32 MB more. score_windows holds as
-# many windows' recurrent states in it.
+# blocks there were no faster and cost 32 MB more. With CSR A_hat at
+# N = 1068 one-step blocks are still the fastest: a train of 8 windows took
+# 867 ms, against 1096 ms in blocks of 3 steps (1 << 19) and 1041 ms in
+# blocks of 7 (1 << 20), at one BLAS thread. score_windows holds as many
+# windows' recurrent states in it.
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -293,17 +306,26 @@ def _add_sums(params: ModelParams, name: str, grad) -> None:
 
 
 def _mix(a_hat, x, out=None):
-    """A_hat times each window's own N rows of `x`, in one matmul over the stack of windows.
+    """A_hat times each window's own N rows of `x`, A_hat dense or CSR, in one product.
 
     `x` holds B·N rows of k columns under any leading axes, window after
-    window. `out`, when given, must be contiguous, so that it reshapes to a
-    view.
+    window. Dense A_hat multiplies the stack of windows in one matmul; CSR
+    A_hat takes every window's and leading index's N x k block side by
+    side, as one N-row matrix. `out`, when given, must be contiguous, so
+    that it reshapes to a view.
     """
     n, k = a_hat.shape[0], x.shape[-1]
     stacked = x.reshape(x.shape[:-2] + (-1, n, k))
+    if isinstance(a_hat, np.ndarray):
+        if out is None:
+            return np.matmul(a_hat, stacked).reshape(x.shape)
+        np.matmul(a_hat, stacked, out=out.reshape(stacked.shape))
+        return out
+    columns = np.moveaxis(stacked, -2, 0)  # N x ... x k
+    product = a_hat @ columns.reshape(n, -1)
     if out is None:
-        return np.matmul(a_hat, stacked).reshape(x.shape)
-    np.matmul(a_hat, stacked, out=out.reshape(stacked.shape))
+        out = np.empty(x.shape)
+    np.moveaxis(out.reshape(stacked.shape), -2, 0)[...] = product.reshape(columns.shape)
     return out
 
 
@@ -366,7 +388,7 @@ class _Cell:
     names: tuple = ()  # the cell's parameters
 
     def __init__(self, params: ModelParams, a_hat, steps: int, rows: int):
-        self.params, self.a_hat = params, a_hat
+        self.params, self.a_hat, self.a_hat_t = params, a_hat, a_hat.T
         self.d = d = params.config.embed_dim
         self.w = {name: params[name].value for name in self.names}
         self.zeros = np.zeros((rows, d))
@@ -479,7 +501,7 @@ class _TgcnCell(_Cell):
         for gate, grad, side in zip("urc", grads, (self.joint, self.joint, self.gated)):
             _add_products(params, f"w_{gate}", side[block], grad)
             _add_sums(params, f"b_{gate}", grad)
-        return _mix(self.a_hat.T, (_rows(g_conv) @ self.w["w_g"].T).reshape(g_conv.shape))
+        return _mix(self.a_hat_t, (_rows(g_conv) @ self.w["w_g"].T).reshape(g_conv.shape))
 
 
 class _GConvGruCell(_Cell):
@@ -526,11 +548,11 @@ class _GConvGruCell(_Cell):
         return None
 
     def _gated_grad(self, work, i, g_cand):
-        return _mix(self.a_hat.T, g_cand @ self.w["u_h"].T)
+        return _mix(self.a_hat_t, g_cand @ self.w["u_h"].T)
 
     def _gates_grad(self, work, i, g_gate, g_reset, t):
         if t:  # the zero start state needs no gradient
-            return _mix(self.a_hat.T, g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
+            return _mix(self.a_hat_t, g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
 
     def _tail(self, block, grads, work):
         params = self.params
@@ -543,7 +565,7 @@ class _GConvGruCell(_Cell):
         g_embedded = g_c @ self.w["w_h"].T
         g_embedded += g_r @ self.w["w_r"].T
         g_embedded += g_z @ self.w["w_z"].T
-        return _mix(self.a_hat.T, g_embedded.reshape(grads.shape[1:]))
+        return _mix(self.a_hat_t, g_embedded.reshape(grads.shape[1:]))
 
 
 def _window_cell(kind: str, params: ModelParams, a_hat, steps: int, rows: int) -> _Cell:
@@ -679,7 +701,8 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     """Score a batch of windows; returns a B x 1 tensor in (0, 1).
 
     `snapshots` is a B x L x N x F array of B windows, or one window's
-    L x N x F (a batch of one), and `a_hat` the N x N normalized adjacency.
+    L x N x F (a batch of one), and `a_hat` the N x N normalized adjacency,
+    a dense array or a CSR array (`data.adjacency_operator`), used as given.
     The batch runs as one window over B disjoint copies of the graph, B·N
     node rows a step. The steps run in blocks that fit a fixed float budget:
     a block's embedding and input-side work run once, stacked, then its
@@ -696,7 +719,6 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
             f"{config.input_channels}, got shape {snapshots.shape}"
         )
     windows, steps, n = snapshots.shape[:3]
-    a_hat = np.asarray(a_hat, dtype=np.float64)
     if a_hat.shape != (n, n):
         raise ConfigError(f"adjacency is {a_hat.shape}, snapshots have {n} nodes")
 
@@ -756,7 +778,7 @@ def forward(bucket, checkpoint: Checkpoint) -> float:
     snapshots = bucket.snapshots
     if bounds is not None:
         snapshots = normalize_features(snapshots, bounds)
-    a_hat = normalized_adjacency(signal)
+    a_hat = adjacency_operator(signal)
     return forward_pass(snapshots, a_hat, checkpoint.params, checkpoint.config).item()
 
 
@@ -787,7 +809,7 @@ def _snapshot_stage(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, 
     gconv_gru, G = relu(A_hat E W_g) for the T-GCN step) times the
     snapshot-side weights of the three pre-activations, plus their biases.
     """
-    mixed = a_hat @ gcn_embed(x, a_hat, params)[0]
+    mixed = _mix(a_hat, gcn_embed(x, a_hat, params)[0])
     if config.cell_kind != "gconv_gru":
         mixed = np.maximum(mixed @ params["w_g"].value, 0.0)
     out = w_snap @ mixed.T
@@ -801,8 +823,15 @@ def _side_by_side(stages):
 
 
 def _propagate(a_hat, states, n):
-    """A_hat times each window's node states, for d x (B N) feature-major states."""
-    return (states.reshape(-1, n) @ a_hat.T).reshape(states.shape)
+    """A_hat times each window's node states, for d x (B N) feature-major states.
+
+    Dense A_hat multiplies the states from the right, as one matmul; CSR
+    A_hat goes through `_mix`, over the states' node-major transpose.
+    """
+    rows = states.reshape(-1, n)
+    if isinstance(a_hat, np.ndarray):
+        return (rows @ a_hat.T).reshape(states.shape)
+    return _mix(a_hat, rows.T).T.reshape(states.shape)
 
 
 def _recurrence(steps, a_hat, config: ModelConfig, w_gates, w_cand, n) -> list:
@@ -910,7 +939,7 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
         features = normalize_features(features, bounds)
         if candidates is not None:
             candidates = normalize_features(candidates, bounds)
-    a_hat = normalized_adjacency(signal)
+    a_hat = adjacency_operator(signal)
     params = checkpoint.params
     w_snap, bias, w_gates, w_cand = _split_cell(params, config)
     layers = _head_layers(params)

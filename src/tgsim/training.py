@@ -25,7 +25,7 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import NodeBounds, normalize_features, normalized_adjacency, read_json
+from .data import NodeBounds, adjacency_operator, normalize_features, read_json
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows,
                     window_chunks)
@@ -279,7 +279,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     train_set = list(train_set)
     signal = _check_buckets(train_set, config, model_config)
     bounds = bounds_from_buckets(train_set)
-    a_hat = normalized_adjacency(signal)
+    a_hat = adjacency_operator(signal)
     features = normalize_features(signal.features, bounds)
     history_length = config.bucket_length - 1
     params = ModelParams.initialize(model_config, config.seed)
@@ -408,6 +408,8 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
         result = evaluate(checkpoint, test_buckets).folds[0] if score else None
         return checkpoint, history, result
 
+    # built here, the one A_hat every forked fold inherits
+    adjacency_operator(pairs[0][0][0].bucket.signal)
     return _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
 
 

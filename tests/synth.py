@@ -63,7 +63,8 @@ def pedalme_like_raw(seed=29):
 
 # (nodes, directed arcs) of the published datasets, from the tables of
 # PyTorch Geometric Temporal (Rozemberczki et al., arXiv:2104.07788)
-DATASET_SHAPES = {"chickenpox": (20, 102), "metrala": (207, 1722), "wikimath": (1068, 27079)}
+DATASET_SHAPES = {"chickenpox": (20, 102), "metrala": (207, 1722), "montevideobus": (678, 690),
+                  "wikimath": (1068, 27079)}
 
 
 def published_arcs(name, seed=0):

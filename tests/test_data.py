@@ -1,12 +1,18 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from synth import DATASET_SHAPES, published_arcs, published_signal
+from tgsim import data as data_module
 from tgsim.data import (
     NodeBounds,
     TemporalGraphSignal,
+    adjacency_operator,
     load_canonical,
     node_bounds,
     normalize_features,
@@ -424,6 +430,61 @@ class TestNormalizedAdjacency:
         inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
         expected = inv_sqrt_degree[:, None] * adj * inv_sqrt_degree[None, :]
         assert normalized_adjacency(signal).tobytes() == expected.tobytes()
+
+
+# runs with the pool in-process (one CPU), so an import in any job shows here
+DENSE_PATH_RUN = """
+import os, sys
+os.sched_getaffinity = lambda pid: {0}
+from synth import published_signal
+from tgsim.anomaly import score_stream
+from tgsim.data import node_bounds
+from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams
+from tgsim.noise import NoiseSpec, bucketize, inject_noise
+from tgsim.training import TrainConfig, cross_validate
+
+small, stream = published_signal("chickenpox", 16), published_signal("metrala", 12)
+labeled = inject_noise(bucketize(small, 4), node_bounds(small), NoiseSpec(0.5, 1))
+for kind in CELL_KINDS:
+    config = ModelConfig(kind, 1)
+    cross_validate(labeled, TrainConfig(epochs=1, bucket_length=4), config)
+    params = ModelParams.initialize(config, 0)
+    score_stream(stream, Checkpoint(config, params, node_bounds(stream)), 4)
+print(sorted(name for name in sys.modules if name.startswith("scipy")))
+"""
+
+
+class TestAdjacencyOperator:
+    def test_dense_below_the_cutoff(self):
+        signal = published_signal("metrala", snapshots=1)
+        assert adjacency_operator(signal) is normalized_adjacency(signal)
+
+    @pytest.mark.parametrize("name", ["montevideobus", "wikimath"])
+    def test_csr_of_the_dense_nonzeros_built_once_and_read_only(self, name):
+        from scipy.sparse import csr_array
+
+        signal = published_signal(name, snapshots=1)
+        operator = adjacency_operator(signal)
+        assert isinstance(operator, csr_array)
+        assert adjacency_operator(signal) is operator
+        assert "_normalized_adjacency" not in vars(signal)  # no dense matrix kept
+        dense = normalized_adjacency(signal)
+        assert operator.nnz == np.count_nonzero(dense)
+        assert operator.toarray().tobytes() == dense.tobytes()
+        for array in (operator.data, operator.indices, operator.indptr):
+            assert not array.flags.writeable
+
+    def test_dense_path_never_imports_scipy(self):
+        # cross_validate at N = 20 and score_stream at N = 207, every cell
+        assert published_signal("metrala", 1).num_nodes < data_module._SPARSE_NODES
+        tests = Path(__file__).resolve().parent
+        path = os.pathsep.join([str(tests.parent / "src"), str(tests)])
+        env = dict(os.environ, PYTHONPATH=path)
+        run = subprocess.run([sys.executable, "-c", DENSE_PATH_RUN], env=env, timeout=300,
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.strip() == "[]"
+
 
 class TestNodeBounds:
     def test_constant_features(self):

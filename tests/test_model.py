@@ -3,12 +3,14 @@ import pytest
 
 from synth import published_signal
 from tgsim import autodiff as ad
+from tgsim import data as data_module
 from tgsim import model as model_module
 from tgsim import training
 from tgsim.autodiff import Tensor, Tape, backward, grad_check
 from tgsim.data import (
     NodeBounds,
     TemporalGraphSignal,
+    adjacency_operator,
     node_bounds,
     normalize_features,
     normalized_adjacency,
@@ -744,6 +746,53 @@ def test_batch_is_its_windows_one_at_a_time(kind, name):
     assert np.abs(batched - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
+SPARSE_SHAPES = ["montevideobus", "wikimath"]
+
+
+@pytest.mark.parametrize("name", SPARSE_SHAPES)
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_csr_window_op_matches_dense(kind, name):
+    """On CSR A_hat a batch's scores and gradients are the dense ones', to 1e-12 of the
+    largest gradient entry."""
+    config, params, dense, batch, labels = batch_inputs(kind, name, windows=2)
+    operator = adjacency_operator(published_signal(name, 10))
+    assert not isinstance(operator, np.ndarray)
+    results = []
+    for a_hat in (dense, operator):
+        params.grads.fill(0.0)
+        with Tape():
+            out = forward_pass(batch, a_hat, params, config)
+            squared = ad.square(ad.subtract(out, Tensor(labels)))
+            backward(ad.matmul(Tensor(np.full((1, 2), 0.5)), squared))
+        results.append((out.value.copy(), params.grads.copy()))
+    (want, want_grads), (got, got_grads) = results
+    tolerance = 1e-12 * np.abs(want_grads).max()
+    assert np.abs(got - want).max() <= tolerance
+    assert np.abs(got_grads - want_grads).max() <= tolerance
+
+
+@pytest.mark.parametrize("name", SPARSE_SHAPES)
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_csr_training_matches_dense(monkeypatch, kind, name):
+    """Two batches of Adam on CSR A_hat end within 1e-10 of the largest parameter of the
+    dense run."""
+    signal = published_signal(name, 25)
+    labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 7))
+    assert len(labeled) == 2 * training.BATCH_SIZE
+    config = TrainConfig(epochs=1, bucket_length=10, seed=8)
+    kinds, results = [], []
+    monkeypatch.setattr(training, "forward_pass",
+                        lambda windows, a_hat, *rest: kinds.append(type(a_hat))
+                        or forward_pass(windows, a_hat, *rest))
+    for cutoff in (data_module._SPARSE_NODES, signal.num_nodes + 1):
+        monkeypatch.setattr(data_module, "_SPARSE_NODES", cutoff)
+        checkpoint, _ = train(labeled, config, ModelConfig(kind, 1))
+        results.append(checkpoint.params.values)
+    assert kinds[0] is not np.ndarray and kinds[-1] is np.ndarray
+    got, want = results
+    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+
 class RecordingOptimizer:
     """Keeps each step's gradient and leaves the parameters where they started."""
 
@@ -917,19 +966,23 @@ def scored_signal(kind, n=5, s=40, f=2, seed=41):
     rng = np.random.default_rng(seed)
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
     signal = TemporalGraphSignal("scored", n, edges, None, rng.uniform(10.0, 20.0, (s, n, f)))
-    config = small_config(kind, f=f, d=6, a=4)
+    return signal, scoring_checkpoint(signal, small_config(kind, f=f, d=6, a=4), seed)
+
+
+def scoring_checkpoint(signal, config, seed):
+    """A checkpoint with `signal`'s bounds and strong cell weights."""
     # cell weights three times the initial draw move every gate well off 0.5
     drawn = ModelParams.initialize(config, seed)
     params = ModelParams(config, {
         name: t.value if "head" in name else 3.0 * t.value for name, t in drawn.items()
     })
-    return signal, Checkpoint(config, params, node_bounds(signal))
+    return Checkpoint(config, params, node_bounds(signal))
 
 
 def per_window_scores(signal, checkpoint, starts, length, candidates=None):
     """The score of each window through `forward_pass`, one window at a time."""
     bounds = checkpoint.feature_bounds
-    a_hat = normalized_adjacency(signal)
+    a_hat = adjacency_operator(signal)
     out = []
     for i, start in enumerate(starts):
         window = signal.features[start:start + length].copy()
@@ -994,6 +1047,17 @@ class TestScoreWindows:
         # once each, plus one candidate per window
         score_windows(signal, checkpoint, range(30), 6, np.zeros((30, 5, 2)))
         assert len(calls) == 34 + 30
+
+    @pytest.mark.parametrize("name", SPARSE_SHAPES)
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_csr_stream_matches_forward_pass(self, kind, name):
+        signal = published_signal(name, 16)
+        checkpoint = scoring_checkpoint(signal, ModelConfig(kind, 1), 45)
+        assert not isinstance(adjacency_operator(signal), np.ndarray)
+        starts = [6, 0, 3, 4]
+        got = score_windows(signal, checkpoint, starts, 10)
+        want = per_window_scores(signal, checkpoint, starts, 10)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_no_windows_gives_no_scores(self):
         signal, checkpoint = scored_signal("tgcn")
