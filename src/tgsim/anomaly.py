@@ -183,8 +183,9 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
             trail.append(s)
             continue
         else:
-            mean = float(np.mean(trail))
-            std = float(np.std(trail))
+            values = np.array(trail)
+            mean = float(np.mean(values))
+            std = float(np.std(values))
             bound = mean - policy.multiplier * max(std, MIN_STD)
         thresholds.append(bound)
         if i <= muted_through:

@@ -198,16 +198,20 @@ def multiply(a: Tensor, b: Tensor) -> Tensor:
     return record("elementwise-multiply", (a, b), av * bv, rule)
 
 
-def stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    """Logistic function that never overflows: exp is taken of -|x| only.
+def stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function that never overflows: exp is taken of -|x| and min(x, 0) only.
 
-    1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, with e = exp(-|x|).
+    exp(min(x, 0)) / (1 + exp(-|x|)): 1 / (1 + e) where x >= 0 and
+    e / (1 + e) elsewhere, with e = exp(-|x|). Written to `out` when given,
+    an array of x's shape other than x.
     """
     e = np.abs(x)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    out = e + 1.0
-    np.divide(np.where(x >= 0, 1.0, e), out, out=out)
+    out = np.add(e, 1.0, out=out)
+    np.minimum(x, 0.0, out=e)
+    np.exp(e, out=e)
+    np.divide(e, out, out=out)
     return out
 
 

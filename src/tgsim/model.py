@@ -29,6 +29,15 @@ training batch runs in chunks of as many windows as fit all their steps
 there (`window_chunks`): at N = 20 a batch of 8 is one chunk of one block;
 from N = 207 a chunk is one window, and at N = 1068 a block is one step.
 
+The op keeps, per step, only what its pullbacks read: the gates, the
+candidate and the state, and each cell's graph products that a weight
+gradient multiplies (see `_TgcnCell` and `_GConvGruCell`); the embedding
+keeps its relu mask, not its output. What only the forward reads is held
+for the current block or step, and the one product cheaper to redo than to
+keep, T-GCN's R_t * H_{t-1}, is recomputed in the backward by the same
+multiply, so the gradients are the bytes a pass keeping everything gives.
+At N = 1068 this holds a third less: `scripts/window_memory.py` measures it.
+
 Every row of a batch sees the same arithmetic as in a pass of its window
 alone, so a batch's scores are byte-identical to its windows' one at a
 time, for the same code, BLAS build and input. Gradients sum over the
@@ -85,11 +94,13 @@ HEAD_WIDTHS = (32, 64, 1)
 # all their steps. 1 << 17 runs a batch of 8 windows at N = 20 as one chunk
 # of one block, while N = 207 still gives one-window chunks and N = 1068
 # one step per block, as a window alone ran before batches: whole-window
-# blocks there were no faster and cost 32 MB more. With CSR A_hat at
-# N = 1068 one-step blocks are still the fastest: a train of 8 windows took
-# 867 ms, against 1096 ms in blocks of 3 steps (1 << 19) and 1041 ms in
-# blocks of 7 (1 << 20), at one BLAS thread. score_windows holds as many
-# windows' recurrent states in it.
+# blocks there were no faster, and an a3tgcn training step's traced peak
+# with its backward's scratch buffers was 64.5 MiB in them against 27.4 in
+# one-step blocks (scripts/window_memory.py's measure, budget 1 << 20). With
+# CSR A_hat at N = 1068 one-step blocks are still the fastest: a train of 8
+# windows took 867 ms, against 1096 ms in blocks of 3 steps (1 << 19) and
+# 1041 ms in blocks of 7 (1 << 20), at one BLAS thread. score_windows holds
+# as many windows' recurrent states in it.
 _BLOCK_FLOATS = 1 << 17
 
 
@@ -347,15 +358,19 @@ def gcn_embed(x, a_hat, params: ModelParams):
     window's N rows are mixed by A_hat alone, and each product is one call.
     The output keeps the leading shape, with d columns. The pullback takes
     the output's gradient and adds the gradients of W_in and b_in; the
-    snapshots need none.
+    snapshots need none. It keeps A_hat x, which W_in's gradient multiplies,
+    and the relu mask, a byte an entry, not the output: the cell's `inputs`
+    is its only other reader, and it runs before the next block's embedding.
     """
     mixed = _mix(a_hat, x)
     out = (_rows(mixed) @ params["w_in"].value).reshape(x.shape[:-1] + (-1,))
     out += params["b_in"].value
     np.maximum(out, 0.0, out=out)
 
+    mask = out > 0
+
     def pull(g):
-        g_pre = g * (out > 0)
+        g_pre = g * mask
         _add_products(params, "w_in", mixed, g_pre)
         _add_sums(params, "b_in", g_pre)
 
@@ -383,6 +398,12 @@ class _Cell:
     gradient back through a block: the recurrence a step at a time from the
     last, then the input side and every parameter-gradient product once for
     the whole block (`_tail`).
+
+    For its backward every cell keeps each step's update and reset gates,
+    candidate and state: the recurrence's pullback reads them, and the
+    states are also each next step's H_{t-1}. A subclass adds the graph
+    products its weight gradients multiply, and holds what only its
+    forward reads no longer than the block or step that reads it.
     """
 
     names: tuple = ()  # the cell's parameters
@@ -443,7 +464,15 @@ class _Cell:
 
 
 class _TgcnCell(_Cell):
-    """T-GCN: G_t = relu(A_hat E_t W_g), then a GRU over [G_t, H_{t-1}]."""
+    """T-GCN: G_t = relu(A_hat E_t W_g), then a GRU over [G_t, H_{t-1}].
+
+    Keeps A_hat E_t for W_g's gradient and G_t once, for its relu mask and
+    the gates' gradients. The gates' operand [G_t, H_{t-1}] and the
+    candidate's [G_t, R_t * H_{t-1}] are built in turn in one rows x 2d
+    buffer that every step reuses; `_tail` rebuilds them for a block from
+    G_t, the states and the reset gates, with the step's own multiply, so
+    the gradients are the bytes they would be had every step kept both.
+    """
 
     names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
 
@@ -451,31 +480,29 @@ class _TgcnCell(_Cell):
         super().__init__(params, a_hat, steps, rows)
         d = self.d
         self.mixed = np.empty((steps, rows, d))  # A_hat E_t
-        self.joint = np.empty((steps, rows, 2 * d))  # [G_t, H_{t-1}]
-        self.gated = np.empty((steps, rows, 2 * d))  # [G_t, R_t * H_{t-1}]
+        self.conv = np.empty((steps, rows, d))  # G_t
+        self.operand = np.empty((rows, 2 * d))  # [G_t, H_{t-1}], then [G_t, R_t * H_{t-1}]
         self.bias = np.stack((self.w["b_u"], self.w["b_r"]))
 
     def inputs(self, block: slice, embedded) -> None:
-        d = self.d
         mixed = _mix(self.a_hat, embedded, out=self.mixed[block])
-        conv = self.joint[block, :, :d]
-        np.maximum((_rows(mixed) @ self.w["w_g"]).reshape(mixed.shape), 0.0, out=conv)
-        self.gated[block, :, :d] = conv
+        np.maximum((_rows(mixed) @ self.w["w_g"]).reshape(mixed.shape), 0.0,
+                   out=self.conv[block])
 
     def step(self, t: int) -> None:
         d, w = self.d, self.w
         h = self.previous(t)
-        joint, gated = self.joint[t], self.gated[t]
-        joint[:, d:] = h
+        operand = self.operand
+        operand[:, :d] = self.conv[t]
+        operand[:, d:] = h
         pre = np.empty((2,) + h.shape)
-        np.matmul(joint, w["w_u"], out=pre[0])
-        np.matmul(joint, w["w_r"], out=pre[1])
+        np.matmul(operand, w["w_u"], out=pre[0])
+        np.matmul(operand, w["w_r"], out=pre[1])
         pre += self.bias
-        self.gates[t] = ad.stable_sigmoid(pre)
-        u, r = self.gates[t]
-        np.multiply(r, h, out=gated[:, d:])
+        u, r = ad.stable_sigmoid(pre, out=self.gates[t])
+        np.multiply(r, h, out=operand[:, d:])
         candidate = self.candidates[t]
-        np.matmul(gated, w["w_c"], out=candidate)
+        np.matmul(operand, w["w_c"], out=candidate)
         candidate += w["b_c"]
         np.tanh(candidate, out=candidate)
         _blend(self.states[t], u, h, candidate)
@@ -496,16 +523,29 @@ class _TgcnCell(_Cell):
 
     def _tail(self, block, grads, work):
         d, params = self.d, self.params
-        g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (self.joint[block, :, :d] > 0)
+        conv = self.conv[block]
+        g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (conv > 0)
         _add_products(params, "w_g", self.mixed[block], g_conv)
-        for gate, grad, side in zip("urc", grads, (self.joint, self.joint, self.gated)):
-            _add_products(params, f"w_{gate}", side[block], grad)
+        # the block's [G_t, H_{t-1}] rows, then its [G_t, R_t * H_{t-1}] rows
+        side = _scratch(params, "side", conv.shape[:-1] + (2 * d,))
+        side[..., :d] = conv
+        side[0, :, d:] = self.previous(block.start)
+        side[1:, :, d:] = self.states[block.start:block.stop - 1]
+        for gate, grad in zip("urc", grads):
+            if gate == "c":
+                np.multiply(self.gates[block, 1], side[..., d:], out=side[..., d:])
+            _add_products(params, f"w_{gate}", side, grad)
             _add_sums(params, f"b_{gate}", grad)
         return _mix(self.a_hat_t, (_rows(g_conv) @ self.w["w_g"].T).reshape(g_conv.shape))
 
 
 class _GConvGruCell(_Cell):
-    """GConvGRU: GRU gates over A_hat E_t and A_hat H_{t-1}."""
+    """GConvGRU: GRU gates over A_hat E_t and A_hat H_{t-1}.
+
+    Keeps A_hat E_t, A_hat H_{t-1} and A_hat (R_t * H_{t-1}) for the weight
+    gradients. The input-side products A_hat E_t W_z, W_r and W_h only feed
+    the forward, so they are held for the current block alone.
+    """
 
     names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
 
@@ -513,33 +553,38 @@ class _GConvGruCell(_Cell):
         super().__init__(params, a_hat, steps, rows)
         d = self.d
         self.mixed_in = np.empty((steps, rows, d))  # A_hat E_t
-        self.input_side = np.empty((3, steps, rows, d))  # A_hat E_t times W_z, W_r and W_h
         self.mixed_prev = np.empty((steps, rows, d))  # A_hat H_{t-1}
         self.gated_prev = np.empty((steps, rows, d))  # A_hat (R_t * H_{t-1})
         self.bias = np.stack((self.w["b_z"], self.w["b_r"]))
+        self.block_start, self.input_side = 0, None
 
     def inputs(self, block: slice, embedded) -> None:
         mixed = _rows(_mix(self.a_hat, embedded, out=self.mixed_in[block]))
+        # A_hat E_t times W_z, W_r and W_h for the block's steps, in a buffer
+        # the later blocks, never longer than the first (`_spans`), reuse
+        if self.input_side is None:
+            self.input_side = np.empty((3,) + embedded.shape)
+        self.block_start = block.start
         for i, name in enumerate(("w_z", "w_r", "w_h")):
-            np.matmul(mixed, self.w[name], out=_rows(self.input_side[i, block]))
+            np.matmul(mixed, self.w[name], out=_rows(self.input_side[i, :len(embedded)]))
 
     def step(self, t: int) -> None:
         w = self.w
         h = self.previous(t)
+        i = t - self.block_start
         mixed_prev = _mix(self.a_hat, h, out=self.mixed_prev[t])
         # each pre-activation adds its state half to its input half: the
         # same sum as input + state, addition being commutative
         pre = np.empty((2,) + h.shape)
         np.matmul(mixed_prev, w["u_z"], out=pre[0])
         np.matmul(mixed_prev, w["u_r"], out=pre[1])
-        pre += self.input_side[:2, t]
+        pre += self.input_side[:2, i]
         pre += self.bias
-        self.gates[t] = ad.stable_sigmoid(pre)
-        z, r = self.gates[t]
+        z, r = ad.stable_sigmoid(pre, out=self.gates[t])
         gated_prev = _mix(self.a_hat, r * h, out=self.gated_prev[t])
         candidate = self.candidates[t]
         np.matmul(gated_prev, w["u_h"], out=candidate)
-        candidate += self.input_side[2, t]
+        candidate += self.input_side[2, i]
         candidate += w["b_h"]
         np.tanh(candidate, out=candidate)
         _blend(self.states[t], z, h, candidate)

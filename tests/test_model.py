@@ -793,6 +793,35 @@ def test_csr_training_matches_dense(monkeypatch, kind, name):
     assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
 
 
+@pytest.mark.parametrize("kind", CELL_KINDS)
+def test_training_step_at_wikimath_shape_holds_only_what_its_backward_reads(kind):
+    """A second training step on one 10-step window at N = 1068 peaks under 26 MiB of traced
+    memory beyond its scratch buffers: 18.7-24.2 MiB over the cells, against 28.6-33.8 MiB
+    when the window op kept T-GCN's gate operands twice, GConvGRU's input-side products for
+    every step and the embedding's output."""
+    import tracemalloc
+
+    signal = published_signal("wikimath", 10)
+    config = ModelConfig(kind, 1)
+    params = ModelParams.initialize(config, 0)
+    a_hat = adjacency_operator(signal)
+
+    def step():
+        with Tape():
+            out = forward_pass(signal.features, a_hat, params, config)
+            backward(ad.square(ad.subtract(out, Tensor([[0.5]]))))
+
+    step()  # allocates the backward's scratch buffers, as a train's first step does
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        step()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 26 << 20
+
+
 class RecordingOptimizer:
     """Keeps each step's gradient and leaves the parameters where they started."""
 
