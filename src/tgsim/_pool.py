@@ -3,7 +3,10 @@
 `run_jobs(jobs)` calls every job (a callable taking no arguments) and
 returns their results in job order. Jobs reach the workers through fork,
 so closures need no pickling; only job indices and results cross the
-pipes.
+pipes. Its callers: `training.run_folds` (the folds of `cross_validate`
+and of CLI `train`), CLI `eval`'s folds, `training.train`'s window chunks
+of a batch on a large graph, and `model.score_windows` calls of many
+windows x nodes (`score_stream`, and `evaluate` outside a fold worker).
 
 Up to twice as many jobs as CPUs get one worker each; more jobs share
 one worker per CPU. Equal jobs, such as the folds of a cross-validation,
@@ -24,9 +27,11 @@ is found, and when the caller is itself a worker.
 What a worker records in its own memory stays there. Instrumentation
 that patches functions in the parent and keeps its records in the
 parent, such as the spans of `bench/run.py --trace 1`, sees none of the
-calls made inside workers: traced runs must be started with a one-CPU
-affinity mask (`taskset -c 0 python3 bench/run.py ... --trace 1`), under
-which every job runs in-process and is recorded.
+calls made inside workers: the folds, a large graph's training batches
+(their forward passes and backwards) and large scoring calls. Traced
+runs must be started with a one-CPU affinity mask (`taskset -c 0 python3
+bench/run.py ... --trace 1`), under which every job runs in-process and
+is recorded.
 """
 
 import ctypes

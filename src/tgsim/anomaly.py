@@ -1,8 +1,8 @@
 """Streaming anomaly flags on top of a trained similarity checkpoint.
 
-score_stream scores every window of a recorded signal with
-`model.score_windows`, which embeds each snapshot once however many
-windows hold it. A long stream is split into one contiguous chunk per
+score_stream scores every window of a recorded signal with one
+`model.score_windows` call, which embeds each snapshot once however many
+windows hold it and splits a long stream into one contiguous part per
 worker of the fork pool (`_pool`, one BLAS thread per worker); the scores
 are bitwise those of one serial call under one BLAS thread.
 detect_with_thresholds turns the score series into discrete events under
@@ -22,12 +22,10 @@ import json
 import math
 from collections import deque
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import _pool
-from .data import TemporalGraphSignal, adjacency_operator
+from .data import TemporalGraphSignal
 from .errors import ConfigError, ContractError
 from .model import Checkpoint, score_windows
 
@@ -38,14 +36,6 @@ ALARM_MODES = ("fixed", "zscore")
 # 18 of that round-off; the acceptance streams' trails have std 0.017 and
 # up, and their planted dips lie 3 x 0.098 or more below the trailing mean
 MIN_STD = 1e-4
-
-# windows x nodes below which score_stream stays in-process. Measured by a
-# standalone probe on a 2-CPU VM, not by the benchmark, whose one scored
-# stream (3215 windows at N = 207) lies far above it: two forked workers
-# broke even with one serial call at about 40 windows at N = 207 and 300
-# to 500 at N = 20 (a round trip of trivial jobs took 10 to 20 ms, and a
-# fresh worker's first calls ran slower than the parent's)
-_POOL_FLOOR = 10_000
 
 
 def _canonical_mode(mode: str) -> str:
@@ -115,11 +105,8 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
     snapshot.  Entry i corresponds to the window ending at snapshot
     i + length - 1.
 
-    A long stream is cut into one contiguous chunk of windows per worker
-    of the fork pool (`_pool`), each scored by one score_windows call.
-    A cut may fall inside one of score_windows' blocks; the scores still
-    equal those of one serial call run under one BLAS thread, which
-    tests/test_pool.py checks byte for byte at N = 20 and N = 207.
+    The windows are scored by one score_windows call, which splits a long
+    stream across the fork pool.
     """
     if not isinstance(length, int) or isinstance(length, bool) or length < 2:
         raise ContractError(f"window length must be an integer >= 2, got {length!r}")
@@ -127,15 +114,8 @@ def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: in
         raise ContractError(
             f"signal has {signal.num_snapshots} snapshots, need at least {length}"
         )
-    count = signal.num_snapshots - length + 1
-    chunks = 1 if count * signal.num_nodes < _POOL_FLOOR else _pool.workers()
-    size = -(-count // chunks)
-    adjacency_operator(signal)  # built here, the one every forked worker inherits
-    parts = _pool.run_jobs(
-        partial(score_windows, signal, checkpoint, range(at, min(at + size, count)), length)
-        for at in range(0, count, size)
-    )
-    return np.concatenate(parts).tolist()
+    return score_windows(signal, checkpoint, range(signal.num_snapshots - length + 1),
+                         length).tolist()
 
 
 def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):

@@ -47,14 +47,15 @@ and steps' terms in the order BLAS chooses, within round-off of a
 composition of the elementary autodiff operations.
 
 `score_windows` scores many windows of one signal without a tape; it
-serves evaluation and stream scoring. Every part of a cell step that
-depends on its snapshot alone (the embedding, the step's own graph
-convolution and the snapshot's half of each gate pre-activation) runs once
-per distinct snapshot instead of once per window holding it; the state's
-half of each gate, the attention and the head then run over a block of
-windows at once. Splitting each gate's product in two reassociates its
-sums, so its scores agree with `forward_pass` to a few 1e-16, not bit for
-bit.
+serves evaluation and stream scoring, and splits a call of at least
+`_POOL_FLOOR` windows x nodes across the fork pool. Every part of a cell
+step that depends on its snapshot alone (the embedding, the step's own
+graph convolution and the snapshot's half of each gate pre-activation)
+runs once per distinct snapshot instead of once per window holding it;
+the state's half of each gate, the attention and the head then run over a
+block of windows at once. Splitting each gate's product in two
+reassociates its sums, so its scores agree with `forward_pass` to a few
+1e-16, not bit for bit.
 
 A_hat comes as `data.adjacency_operator` builds it for the signal: a
 dense N x N array on small graphs, a `scipy.sparse` CSR array from
@@ -75,10 +76,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import _pool
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import NodeBounds, adjacency_operator, normalize_features, read_json
@@ -102,6 +105,13 @@ HEAD_WIDTHS = (32, 64, 1)
 # 1041 ms in blocks of 7 (1 << 20), at one BLAS thread. score_windows holds
 # as many windows' recurrent states in it.
 _BLOCK_FLOATS = 1 << 17
+
+# windows x nodes from which score_windows splits its windows across the
+# fork pool. scripts/pool_breakeven.py, a3tgcn, serial (two BLAS threads)
+# -> pooled (two workers), 2-CPU VM: 64 x 207 = 13248 took 0.14 -> 0.17 s,
+# 16 x 1068 = 17088 0.19 -> 0.22 s, 32 x 678 = 21696 0.24 -> 0.23 s,
+# 128 x 207 = 26496 0.25 -> 0.22 s and 32 x 1068 = 34176 0.39 -> 0.32 s
+_POOL_FLOOR = 20_000
 
 
 def _canonical_kind(kind: str) -> str:
@@ -273,10 +283,11 @@ def _blocks(steps: int, rows: int, d: int) -> list:
 def window_chunks(windows: int, steps: int, n: int, d: int) -> list:
     """Consecutive chunks of a batch's windows whose N x 2d arrays, all steps, fit `_BLOCK_FLOATS`.
 
-    Training runs each chunk as one window op, its forward and backward
-    before the next chunk's, and adds the chunks' gradients: a batch of 8
-    is one chunk at N = 20 and 8 chunks of one window from N = 207, which
-    hold no more at once than one window did.
+    Training runs each chunk as one window op, forward then backward, and
+    sums the chunks' gradients in chunk order: a batch of 8 is one chunk at
+    N = 20 and 8 chunks of one window from N = 207, which hold no more at
+    once than one window did. A large graph's chunks run in parallel on
+    the fork pool (`training._BATCH_POOL_FLOOR`).
     """
     return _spans(windows, 2 * steps * n * d)
 
@@ -951,12 +962,16 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
 
     Windows are taken in start order, a block at a time; a block holds as
     many windows as fit their recurrent states in a fixed float budget. The
-    snapshot stage of a signal snapshot runs once per call and is kept while
+    snapshot stage of a signal snapshot runs once per part and is kept while
     a later window still holds that snapshot; a candidate's runs once for
-    its window. Call it outside any tape.
+    its window. A call of at least `_POOL_FLOOR` windows x nodes cuts the
+    start-sorted windows into one contiguous part per worker of the fork
+    pool (`_pool`, one BLAS thread per worker); a cut may fall inside a
+    block, and the scores are still bitwise those of one serial call under
+    one BLAS thread, which tests/test_pool.py checks. Call it outside any
+    tape.
     """
     bounds = _checked_bounds(signal, checkpoint)
-    config = checkpoint.config
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ContractError(f"window length must be a positive integer, got {length!r}")
     starts = np.asarray(starts, dtype=np.intp).reshape(-1)
@@ -966,7 +981,7 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
             f"window starts must lie in [0, {last_start}] for {signal.num_snapshots} "
             f"snapshots and length {length}, got {starts.min()}..{starts.max()}"
         )
-    n, d = signal.num_nodes, config.embed_dim
+    n = signal.num_nodes
     if candidates is not None:
         candidates = np.asarray(candidates, dtype=np.float64)
         if candidates.shape != (len(starts), n, signal.num_channels):
@@ -978,8 +993,28 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     if not len(starts):
         return scores
 
-    first = int(starts.min())
-    features = signal.features[first:int(starts.max()) + length]
+    adjacency_operator(signal)  # built here, the one every forked worker inherits
+    order = np.argsort(starts, kind="stable")
+    count = 1 if len(order) * n < _POOL_FLOOR else _pool.workers()
+    size = -(-len(order) // count)
+    parts = [order[at:at + size] for at in range(0, len(order), size)]
+    results = _pool.run_jobs(
+        partial(_score_sorted, signal, checkpoint, bounds, starts[part], length,
+                None if candidates is None else candidates[part])
+        for part in parts
+    )
+    for part, result in zip(parts, results):
+        scores[part] = result
+    return scores
+
+
+def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
+                  candidates) -> np.ndarray:
+    """score_windows' scores of windows whose `starts` are in order, checked, in this process."""
+    config = checkpoint.config
+    n, d = signal.num_nodes, config.embed_dim
+    first = int(starts[0])
+    features = signal.features[first:int(starts[-1]) + length]
     if bounds is not None:
         features = normalize_features(features, bounds)
         if candidates is not None:
@@ -993,11 +1028,11 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
         return _snapshot_stage(x, a_hat, params, config, w_snap, bias)
 
     shared = length if candidates is None else length - 1
-    order = np.argsort(starts, kind="stable")
     block = max(1, _BLOCK_FLOATS // (n * d * length))
+    scores = np.empty(len(starts))
     cache: dict[int, np.ndarray] = {}
-    for at in range(0, len(order), block):
-        part = order[at:at + block]
+    for at in range(0, len(starts), block):
+        part = slice(at, at + block)
         block_starts = starts[part].tolist()
         # keep what this block holds; with starts in order, nothing dropped
         # here is held by a later block
@@ -1008,14 +1043,14 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
             for k in range(shared):
                 yield _side_by_side([cache[s + k] for s in block_starts])
             if shared < length:
-                yield _side_by_side([stage(candidates[i]) for i in part])
+                yield _side_by_side([stage(c) for c in candidates[part]])
 
         with np.errstate(over="ignore"):
             states = _recurrence(steps(), a_hat, config, w_gates, w_cand, n)
         final = states[-1]
         if config.cell_kind == "a3tgcn":
             final = _stacked_attention(states, params)
-        pooled = final.reshape(d, len(part), n).mean(axis=2).T
+        pooled = final.reshape(d, len(block_starts), n).mean(axis=2).T
         scores[part] = _head_activations(pooled, layers)[0][-1][:, 0]
     return scores
 

@@ -11,7 +11,14 @@ per worker.  Each fold gets a worker of its own while there are at most
 twice as many folds as CPUs: 3 folds on 2 CPUs then share both CPUs for
 1.5 fold-times, where one worker per CPU would run them in two waves, the
 third fold alone.  The results are bitwise those of a serial loop under
-one BLAS thread.  train and evaluate themselves stay serial.
+one BLAS thread.
+
+Called from the top level, train and evaluate use the pool themselves on
+large graphs: train runs the window chunks of a batch of at least
+`_BATCH_POOL_FLOOR` windows x nodes as jobs, the data-parallel minibatch
+of Goyal et al. (arXiv:1706.02677), and evaluate's `score_windows` call
+splits its windows across workers from `model._POOL_FLOOR`.  Inside a
+fold worker both run serially, since nested pool calls do.
 """
 
 import csv
@@ -35,6 +42,15 @@ OPTIMIZER_KINDS = ("adam", "sgd")
 # windows per optimizer step; with lr 0.003 no worse than one window per
 # step at lr 0.001 over the seed sweep (scripts/seed_sweep.py)
 BATCH_SIZE = 8
+
+# batch windows x nodes from which train runs a batch's chunks as jobs of
+# the fork pool. A batch forks fresh workers, and a fresh worker's first
+# window op takes about 7,600 minor faults (30 MB) and 50-130 ms more than
+# a later one at N = 1068. scripts/pool_breakeven.py, a3tgcn, one epoch over
+# 16 windows, serial (two BLAS threads) -> pooled (two workers), 2-CPU VM:
+# batches of 8 x 207 = 1656 took 0.20 -> 0.30 s, 8 x 678 = 5424 0.60 ->
+# 0.53 s and 8 x 1068 = 8544 0.96 -> 0.84 s
+_BATCH_POOL_FLOOR = 5_000
 
 
 @dataclass(frozen=True)
@@ -266,11 +282,20 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     BATCH_SIZE at a time (the last batch may be smaller), with one optimizer
     step per batch on the batch's mean squared error against the bucket
     labels.  A batch runs as one window op, or in chunks of windows where
-    its rows do not fit the model's float budget (`window_chunks`); the
-    chunks' gradients add.  The min and max of the training windows
-    themselves normalize the features and are stored in the checkpoint so
-    later scoring normalizes identically; the signal's snapshots are
-    normalized once per call, a window's candidate once per epoch.
+    its rows do not fit the model's float budget (`window_chunks`): one
+    chunk at N = 20, one window a chunk from N = 207.  Each chunk is a job
+    that zeroes the gradient, runs its forward and backward and returns
+    the gradient vector and its windows' squared errors; the batch's
+    gradient is the sum of the chunks' vectors in chunk order, so at
+    N = 20 a batch steps on exactly its one window op's gradient.  The
+    jobs run on the fork pool (`_pool`) for a batch of at least
+    `_BATCH_POOL_FLOOR` windows x nodes and in this process below it, by
+    the same code, so the bytes do not depend on how many workers ran; the
+    loss check and the optimizer step run here once every chunk has
+    returned.  The min and max of the training windows themselves
+    normalize the features and are stored in the checkpoint so later
+    scoring normalizes identically; the signal's snapshots are normalized
+    once per call, a window's candidate once per epoch.
     `resample`, when given, is called with the epoch index before each
     epoch and must return the bucket list to use for that epoch (fresh
     corruption draws, typically).  All buckets are windows of one signal.
@@ -303,22 +328,31 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
             labels = np.array([[epoch_set[i].label] for i in batch])
             # each window's squared error weighs 1 / B, whichever chunk holds it
             weights = np.full((1, len(batch)), 1.0 / len(batch))
-            params.grads.fill(0.0)
-            losses = []
-            for chunk in window_chunks(len(batch), config.bucket_length, signal.num_nodes,
-                                       model_config.embed_dim):
+
+            def chunk(part):
+                params.grads.fill(0.0)
                 with Tape():
-                    out = forward_pass(windows[chunk], a_hat, params, model_config)
-                    squared = ad.square(ad.subtract(out, Tensor(labels[chunk])))
-                    backward(ad.matmul(Tensor(weights[:, chunk]), squared))
-                losses.append(squared.value[:, 0])
-            losses = np.concatenate(losses)
+                    out = forward_pass(windows[part], a_hat, params, model_config)
+                    squared = ad.square(ad.subtract(out, Tensor(labels[part])))
+                    backward(ad.matmul(Tensor(weights[:, part]), squared))
+                return params.grads.copy(), squared.value[:, 0]
+
+            jobs = [partial(chunk, part) for part in window_chunks(
+                len(batch), config.bucket_length, signal.num_nodes, model_config.embed_dim)]
+            if len(batch) * signal.num_nodes < _BATCH_POOL_FLOOR:
+                parts = [job() for job in jobs]
+            else:
+                parts = _pool.run_jobs(jobs)
+            params.grads[:] = parts[0][0]
+            for grads, _ in parts[1:]:
+                params.grads += grads
+            losses = np.concatenate([part_losses for _, part_losses in parts])
             bad = np.flatnonzero(~np.isfinite(losses))
             if bad.size:
                 first = int(bad[0])
                 raise TrainingError(
                     f"loss became non-finite ({losses[first]}) at epoch {epoch}, "
-                    f"bucket {at + first} (window start {starts[first]})"
+                    f"bucket {batch[first]} (window start {starts[first]})"
                 )
             optimizer.step()
             epoch_losses.append(losses)

@@ -8,6 +8,7 @@ collected in ACCEPTANCE_LINES and echoed in the terminal summary.
 
 import json
 import multiprocessing
+import os
 import time
 
 import numpy as np
@@ -41,6 +42,12 @@ def no_child_left_running():
         child.terminate()
         child.join()
     assert not left, f"the test left {len(left)} child process(es) running: {left}"
+
+
+@pytest.fixture
+def pool_in_process(monkeypatch):
+    """The fork pool sees one CPU, so its jobs run in this process, where monkeypatches see them."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
 
 
 @pytest.fixture(scope="session")

@@ -773,6 +773,7 @@ def test_csr_window_op_matches_dense(kind, name):
 
 @pytest.mark.parametrize("name", SPARSE_SHAPES)
 @pytest.mark.parametrize("kind", CELL_KINDS)
+@pytest.mark.usefixtures("pool_in_process")  # the batches cross training._BATCH_POOL_FLOOR
 def test_csr_training_matches_dense(monkeypatch, kind, name):
     """Two batches of Adam on CSR A_hat end within 1e-10 of the largest parameter of the
     dense run."""

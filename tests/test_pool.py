@@ -17,13 +17,13 @@ import numpy as np
 import pytest
 
 from synth import county_graph, resting_traces
-from tgsim import _pool, anomaly, cli
+from tgsim import _pool, cli, model, training
 from tgsim.anomaly import score_stream
 from tgsim.data import TemporalGraphSignal, node_bounds, write_canonical
 from tgsim.errors import ConfigError, TrainingError
 from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams
-from tgsim.noise import NoiseSpec, bucketize, inject_noise
-from tgsim.training import TrainConfig, cross_validate
+from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
+from tgsim.training import TrainConfig, cross_validate, evaluate, train
 
 pytestmark = pytest.mark.skipif(
     not hasattr(os, "fork") or _pool._openblas("set") is None,
@@ -66,6 +66,11 @@ def corpus(n, snapshots, seed=3):
         name=f"synthetic{n}", num_nodes=n, edges=county_graph(n, n + n // 2, rng), weights=None,
         features=resting_traces(n, snapshots, rng, 0.2, 0.01, 3),
     )
+
+
+def labeled_corpus(n, snapshots):
+    signal = corpus(n, snapshots)
+    return inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 11))
 
 
 def square(x):
@@ -206,21 +211,50 @@ class TestSerialEquality:
     @pytest.mark.parametrize("kind", CELL_KINDS)
     @pytest.mark.parametrize("n, snapshots", [(20, 33), (207, 24)])
     def test_cross_validate(self, monkeypatch, kind, n, snapshots):
-        signal = corpus(n, snapshots)
-        labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 11))
+        labeled = labeled_corpus(n, snapshots)
         serial, pooled = both_paths(monkeypatch, lambda: cv_bytes(labeled, kind))
         assert serial == pooled
 
     @pytest.mark.parametrize("kind", CELL_KINDS)
     @pytest.mark.parametrize("n, snapshots", [(20, 62), (207, 40)])
     def test_score_stream(self, monkeypatch, kind, n, snapshots):
-        monkeypatch.setattr(anomaly, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(model, "_POOL_FLOOR", 0)
         signal = corpus(n, snapshots)
         config = ModelConfig(kind, input_channels=1)
         checkpoint = Checkpoint(config, ModelParams.initialize(config, 5), node_bounds(signal))
         counts = job_counts(monkeypatch)
         serial, pooled = both_paths(
             monkeypatch, lambda: np.array(score_stream(signal, checkpoint, 10)).tobytes())
+        assert counts == [1, 2]
+        assert serial == pooled
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_train(self, monkeypatch, kind):
+        monkeypatch.setattr(training, "_BATCH_POOL_FLOOR", 0)
+        labeled = labeled_corpus(207, 20)
+        assert len(labeled) == 11  # a batch of 8 one-window chunks, then one of 3
+        config = TrainConfig(epochs=2, bucket_length=10, seed=4)
+
+        def run():
+            checkpoint, history = train(labeled, config, ModelConfig(kind, input_channels=1))
+            return checkpoint.params.values.tobytes(), history
+
+        counts = job_counts(monkeypatch)
+        serial, pooled = both_paths(monkeypatch, run)
+        assert counts == [8, 3] * 4
+        assert serial == pooled
+
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_evaluate(self, monkeypatch, kind):
+        labeled = labeled_corpus(207, 110)
+        shuffled = [labeled[i] for i in np.random.default_rng(6).permutation(len(labeled))]
+        assert len(shuffled) * 207 >= model._POOL_FLOOR
+        config = ModelConfig(kind, input_channels=1)
+        checkpoint = Checkpoint(config, ModelParams.initialize(config, 5),
+                                node_bounds(labeled[0].bucket.signal))
+        counts = job_counts(monkeypatch)
+        serial, pooled = both_paths(monkeypatch,
+                                    lambda: pickle.dumps(evaluate(checkpoint, shuffled)))
         assert counts == [1, 2]
         assert serial == pooled
 
@@ -231,6 +265,48 @@ class TestSerialEquality:
         counts = job_counts(monkeypatch)
         assert len(score_stream(signal, checkpoint, 10)) == 111
         assert counts == [1]
+
+
+class TestTrainBatches:
+    """Which batches train() hands to the pool: those of at least _BATCH_POOL_FLOOR windows x nodes."""
+
+    @pytest.mark.parametrize("n", [20, 207])
+    def test_batches_below_the_floor_stay_in_process(self, monkeypatch, two_cpus, n):
+        labeled = labeled_corpus(n, 20)
+        assert training.BATCH_SIZE * n < training._BATCH_POOL_FLOOR
+        counts = job_counts(monkeypatch)
+        train(labeled, TrainConfig(epochs=1, bucket_length=10), ModelConfig("a3tgcn", 1))
+        assert counts == []
+
+    def test_a_full_batch_is_pooled_and_the_last_partial_batch_is_not(self, monkeypatch,
+                                                                      two_cpus):
+        labeled = labeled_corpus(678, 20)
+        assert 3 * 678 < training._BATCH_POOL_FLOOR <= training.BATCH_SIZE * 678
+        counts = job_counts(monkeypatch)
+        train(labeled, TrainConfig(epochs=1, bucket_length=10), ModelConfig("a3tgcn", 1))
+        assert counts == [8]  # the batch of 8 in one-window chunks; the batch of 3 in-process
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_a_non_finite_loss_in_a_worker_names_its_bucket(self, monkeypatch):
+        monkeypatch.setattr(training, "_BATCH_POOL_FLOOR", 0)
+        labeled = labeled_corpus(207, 20)
+        config = TrainConfig(epochs=1, bucket_length=10, seed=2)
+        order = np.random.default_rng([config.seed, 1, 0]).permutation(len(labeled))
+        assert order[5] != 5
+        bad = labeled[order[5]]
+        poisoned = [LabeledBucket(b.bucket, np.full(b.candidate.shape, np.inf), b.perturbed)
+                    if b is bad else b for b in labeled]
+
+        def run():
+            with pytest.raises(TrainingError) as caught:
+                train(labeled, config, ModelConfig("tgcn", 1), resample=lambda epoch: poisoned)
+            return str(caught.value)
+
+        counts = job_counts(monkeypatch)
+        serial, pooled = both_paths(monkeypatch, run)
+        assert counts == [8, 8]
+        assert serial == pooled
+        assert f"epoch 0, bucket {order[5]} (window start {bad.bucket.start})" in pooled
 
 
 @pytest.fixture(scope="module")
@@ -264,7 +340,7 @@ class TestCli:
     @pytest.mark.parametrize("extra", [[], ["--redraw-noise"]])
     def test_train_eval_detect_outputs_are_byte_identical(self, monkeypatch, tmp_path,
                                                           cli_inputs, extra, capsys):
-        monkeypatch.setattr(anomaly, "_POOL_FLOOR", 0)
+        monkeypatch.setattr(model, "_POOL_FLOOR", 0)
         dataset, buckets = cli_inputs
         roots = iter([tmp_path / "serial", tmp_path / "pooled"])
         serial, pooled = both_paths(monkeypatch, lambda: pipeline(dataset, buckets, next(roots),
