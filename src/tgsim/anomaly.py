@@ -75,8 +75,8 @@ class AlarmPolicy:
             raise ConfigError(f"threshold must lie strictly inside (0, 1), got {self.threshold!r}")
         if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 3:
             raise ConfigError(f"window must be an integer >= 3, got {self.window!r}")
-        if not (self.multiplier > 0):
-            raise ConfigError(f"multiplier must be positive, got {self.multiplier!r}")
+        if not (0 < self.multiplier < math.inf):
+            raise ConfigError(f"multiplier must be positive and finite, got {self.multiplier!r}")
 
 
 @dataclass(frozen=True)

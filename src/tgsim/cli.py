@@ -1,7 +1,8 @@
 """Command-line surface: reproducible experiment runs as flat-file artifacts.
 
 Every command resolves its arguments, writes them as run_config.json next
-to its outputs, and can be replayed from that file with --config.  Errors
+to its outputs, and can be replayed from that file with --config, which
+refuses stored arguments the command does not take.  Errors
 leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
 
@@ -31,7 +32,6 @@ from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucket_file_noise, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
 from .training import (
-    OPTIMIZER_KINDS,
     MetricsReport,
     TrainConfig,
     config_echo,
@@ -145,7 +145,6 @@ def _train_configs(args, signal) -> tuple[TrainConfig, ModelConfig]:
         bucket_length=args.bucket_length,
         folds=args.folds,
         seed=args.seed,
-        optimizer=args.optimizer,
     )
     model_config = ModelConfig(
         args.cell,
@@ -377,7 +376,6 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("-L", "--bucket-length", type=int, default=TrainConfig.bucket_length)
     p.add_argument("--folds", type=int, default=TrainConfig.folds)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
-    p.add_argument("--optimizer", default=TrainConfig.optimizer, choices=OPTIMIZER_KINDS)
     p.add_argument("--no-shuffle-folds", action="store_true",
                    help="use contiguous temporal blocks instead of a shuffled split")
     p.add_argument("--redraw-noise", action="store_true",
@@ -454,6 +452,14 @@ def main(argv=None) -> int:
                     f"config file is for {stored.command!r}, command line says {argv[0]!r}"
                 )
             subparser = commands[stored.command]
+            # `command` is the top-level parser's; anything else must be the subcommand's
+            known = {action.dest for action in subparser._actions} | {"command"}
+            unknown = sorted(set(stored.arguments) - known)
+            if unknown:
+                raise ParseError(
+                    f"{config_path}: {stored.command} takes no argument "
+                    f"{', '.join(map(repr, unknown))}"
+                )
             subparser.set_defaults(**stored.arguments)
             # a stored value satisfies flags argparse would otherwise insist on
             for action in subparser._actions:

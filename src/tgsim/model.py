@@ -60,12 +60,11 @@ reassociates its sums, so its scores agree with `forward_pass` to a few
 A_hat comes as `data.adjacency_operator` builds it for the signal: a
 dense N x N array on small graphs, a `scipy.sparse` CSR array from
 `data._SPARSE_NODES` nodes on, where its O(nnz·k) products beat the dense
-O(N²·k) ones. `_mix` applies either form; only `_propagate`, the
-scorer's feature-major product, keeps a dense matmul of its own. This
-module never imports scipy itself. A CSR product
-sums each row's nonzeros in order in one thread, so its results do not
-depend on the BLAS thread count, and they agree with the dense product's
-to round-off.
+O(N²·k) ones. `_mix` applies either form, and every A_hat product of
+the module goes through it. This module never imports scipy itself. A
+CSR product sums each row's nonzeros in order in one thread, so its
+results do not depend on the BLAS thread count, and they agree with the
+dense product's to round-off.
 
 Cell formulas: T-GCN (Zhao et al., arXiv:1811.05320), A3T-GCN (Bai et al.,
 arXiv:2006.11583) and GConvGRU (Seo et al., arXiv:1612.07659).
@@ -140,7 +139,7 @@ class ModelConfig:
 
 def parameter_shapes(config: ModelConfig) -> dict[str, tuple[int, int]]:
     """Every parameter's (rows, cols), in a fixed order shared by init,
-    serialization, and the optimizers."""
+    serialization, and the flat vectors Adam steps."""
     f, d, a = config.input_channels, config.embed_dim, config.attention_dim
     shapes = {"w_in": (f, d), "b_in": (1, d)}
     if config.cell_kind == "gconv_gru":
@@ -168,7 +167,7 @@ class ModelParams:
     """Named parameter tensors, tracked for gradients unless built with `grads=False`.
 
     Every value and every gradient is a view into one flat vector, `values`
-    and `grads`, laid out in `parameter_shapes` order, so an optimizer steps
+    and `grads`, laid out in `parameter_shapes` order, so an Adam step updates
     all parameters in one go. `initialize` draws each weight matrix uniform in
     +-sqrt(6 / (fan_in + fan_out)) and zeros the biases, so two runs with
     the same config and seed start from identical parameters. Parameters
@@ -692,15 +691,6 @@ def temporal_attention(states, params: ModelParams):
     return context, pull
 
 
-def attention_weights(states, params: ModelParams) -> np.ndarray:
-    """The N x L softmax weights the attention blend uses, as plain values.
-
-    Diagnostic twin of `temporal_attention` that also takes tensors.
-    """
-    values = [s.value if isinstance(s, Tensor) else np.asarray(s, dtype=np.float64) for s in states]
-    return _attention(np.array(values), params)[1]
-
-
 def _head_layers(params: ModelParams):
     return [(params[f"w_head{i}"], params[f"b_head{i}"]) for i in range(1, len(HEAD_WIDTHS) + 1)]
 
@@ -879,15 +869,9 @@ def _side_by_side(stages):
 
 
 def _propagate(a_hat, states, n):
-    """A_hat times each window's node states, for d x (B N) feature-major states.
-
-    Dense A_hat multiplies the states from the right, as one matmul; CSR
-    A_hat goes through `_mix`, over the states' node-major transpose.
-    """
-    rows = states.reshape(-1, n)
-    if isinstance(a_hat, np.ndarray):
-        return (rows @ a_hat.T).reshape(states.shape)
-    return _mix(a_hat, rows.T).T.reshape(states.shape)
+    """A_hat times each window's node states, for d x (B N) feature-major states:
+    `_mix` over their node-major transpose, N x (d B)."""
+    return _mix(a_hat, states.reshape(-1, n).T).T.reshape(states.shape)
 
 
 def _recurrence(steps, a_hat, config: ModelConfig, w_gates, w_cand, n) -> list:

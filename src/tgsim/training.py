@@ -1,7 +1,9 @@
 """Training loop, cross-validation protocol, and metrics reporting.
 
 The model module stays purely functional; everything stateful about a run
-(optimizer moments, epoch shuffles, fold assignment) lives here.  Every
+(optimizer moments, epoch shuffles, fold assignment) lives here.  There is
+one optimizer, Adam (Kingma & Ba, arXiv:1412.6980), stepped at
+TrainConfig's learning rate once per batch of BATCH_SIZE windows.  Every
 source of randomness is seeded, so a (buckets, config) pair pins the
 resulting report down to the byte.
 
@@ -37,8 +39,6 @@ from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows,
                     window_chunks)
 
-OPTIMIZER_KINDS = ("adam", "sgd")
-
 # windows per optimizer step; with lr 0.003 no worse than one window per
 # step at lr 0.001 over the seed sweep (scripts/seed_sweep.py)
 BATCH_SIZE = 8
@@ -67,34 +67,20 @@ class TrainConfig:
     bucket_length: int = 10
     folds: int = 3
     seed: int = 0
-    optimizer: str = "adam"
 
     def __post_init__(self):
         if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 1:
             raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not (self.learning_rate > 0):
-            raise ConfigError(f"learning rate must be positive, got {self.learning_rate!r}")
+        if not (0 < self.learning_rate < math.inf):
+            raise ConfigError(
+                f"learning rate must be positive and finite, got {self.learning_rate!r}"
+            )
         if not isinstance(self.bucket_length, int) or self.bucket_length < 2:
             raise ConfigError(f"bucket length must be an integer >= 2, got {self.bucket_length!r}")
         if not isinstance(self.folds, int) or self.folds < 2:
             raise ConfigError(f"need at least 2 folds, got {self.folds!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
             raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        kind = self.optimizer.lower() if isinstance(self.optimizer, str) else self.optimizer
-        if kind not in OPTIMIZER_KINDS:
-            raise ConfigError(f"unknown optimizer {self.optimizer!r}, expected one of {OPTIMIZER_KINDS}")
-        object.__setattr__(self, "optimizer", kind)
-
-
-class Sgd:
-    """Plain gradient descent on a flat parameter vector, in place."""
-
-    def __init__(self, values: np.ndarray, grads: np.ndarray, learning_rate: float):
-        self.values, self.grads = values, grads
-        self.learning_rate = float(learning_rate)
-
-    def step(self) -> None:
-        self.values -= self.learning_rate * self.grads
 
 
 class Adam:
@@ -129,11 +115,6 @@ class Adam:
         self.values -= self.learning_rate * (m / first_correction) / (
             np.sqrt(v / second_correction) + self.epsilon
         )
-
-
-def make_optimizer(params: ModelParams, config: TrainConfig):
-    kind = Sgd if config.optimizer == "sgd" else Adam
-    return kind(params.values, params.grads, config.learning_rate)
 
 
 def compute_metrics(preds, labels) -> tuple[float, float, float]:
@@ -279,7 +260,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
 
     The parameters start from ModelParams.initialize(model_config,
     config.seed).  Buckets are visited in a fresh seeded shuffle each epoch,
-    BATCH_SIZE at a time (the last batch may be smaller), with one optimizer
+    BATCH_SIZE at a time (the last batch may be smaller), with one Adam
     step per batch on the batch's mean squared error against the bucket
     labels.  A batch runs as one window op, or in chunks of windows where
     its rows do not fit the model's float budget (`window_chunks`): one
@@ -291,7 +272,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     jobs run on the fork pool (`_pool`) for a batch of at least
     `_BATCH_POOL_FLOOR` windows x nodes and in this process below it, by
     the same code, so the bytes do not depend on how many workers ran; the
-    loss check and the optimizer step run here once every chunk has
+    loss check and the Adam step run here once every chunk has
     returned.  The min and max of the training windows themselves
     normalize the features and are stored in the checkpoint so later
     scoring normalizes identically; the signal's snapshots are normalized
@@ -308,7 +289,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     features = normalize_features(signal.features, bounds)
     history_length = config.bucket_length - 1
     params = ModelParams.initialize(model_config, config.seed)
-    optimizer = make_optimizer(params, config)
+    optimizer = Adam(params.values, params.grads, config.learning_rate)
 
     history = []
     for epoch in range(config.epochs):

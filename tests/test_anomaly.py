@@ -62,6 +62,7 @@ class TestAlarmPolicy:
             {"window": 2.5},
             {"multiplier": 0.0},
             {"multiplier": -1.0},
+            {"multiplier": math.inf},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

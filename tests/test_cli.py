@@ -13,8 +13,8 @@ import pytest
 
 from tgsim import cli
 from tgsim.data import TemporalGraphSignal, load_canonical, write_canonical
-from tgsim.model import load_checkpoint
-from tgsim.training import load_report
+from tgsim.model import ModelConfig, load_checkpoint
+from tgsim.training import TrainConfig, config_echo, load_report
 
 
 def toy_signal(n=5, s=16, f=2, name="toy", seed=7):
@@ -196,6 +196,18 @@ class TestTrain:
         losses = json.loads((tmp_path / "short" / "losses.json").read_text())
         assert [len(h) for h in losses["per_fold"]] == [1, 1, 1]
 
+    def test_replay_refuses_an_argument_train_no_longer_takes(self, ws, tmp_path, capsys):
+        config = json.loads((ws.train_dir / "run_config.json").read_text())
+        config["arguments"]["optimizer"] = "sgd"
+        (tmp_path / "old.json").write_text(json.dumps(config))
+        code = cli.main(["train", "--config", str(tmp_path / "old.json"),
+                         "--out-dir", str(tmp_path / "replay")])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "'optimizer'" in report["message"]
+        assert not (tmp_path / "replay" / "losses.json").exists()
+
     def test_config_for_wrong_subcommand(self, ws, capsys):
         code = cli.main(["eval", "--config", str(ws.train_dir / "run_config.json")])
         assert code == 1
@@ -218,10 +230,11 @@ class TestTrain:
         assert "13 buckets" in stderr_line(capsys)["message"]
 
     def test_diverging_run_exits_three(self, ws, tmp_path, capsys):
-        # an absurd sgd step overflows the weights into nan within a few buckets
+        # an absurd learning rate: Adam moves the weights by about 1e300 a step,
+        # and their products overflow into nan within a few batches
         code = cli.main([
             "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
-            *TRAIN_FLAGS, "--optimizer", "sgd", "--learning-rate", "1e300",
+            *TRAIN_FLAGS, "--learning-rate", "1e300",
             "--out-dir", str(tmp_path / "boom"),
         ])
         assert code == 3
@@ -258,6 +271,29 @@ class TestEval:
         assert report.config["noise_seed"] == 3
         assert report.config["bucket_length"] == 4
         assert report.config["cell_kind"] == "tgcn"
+
+    def test_config_echo_is_the_train_configs_echo(self, evaluated):
+        config = json.loads((evaluated / "metrics.json").read_text())["config"]
+        # TRAIN_FLAGS, the toy signal's 2 channels and the bucket file's noise
+        expected = config_echo(TrainConfig(epochs=3, bucket_length=4, folds=3, seed=1),
+                               ModelConfig("tgcn", input_channels=2, embed_dim=6,
+                                           attention_dim=4))
+        expected.update(noise_probability=0.5, noise_seed=3)
+        assert config == expected
+        assert set(config) == {
+            "epochs", "learning_rate", "bucket_length", "folds", "seed",
+            "cell_kind", "input_channels", "embed_dim", "attention_dim",
+            "noise_probability", "noise_seed",
+        }
+
+    def test_run_stored_with_an_unused_argument_still_evaluates(self, ws, evaluated, tmp_path):
+        # run configs written while train took --optimizer carry "optimizer": "adam"
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        config["arguments"]["optimizer"] = "adam"
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 0
+        assert digest(clone / "eval" / "metrics.json") == digest(evaluated / "metrics.json")
 
     def test_rerun_is_byte_identical(self, ws, evaluated, tmp_path):
         assert cli.main(["eval", "--run-dir", str(ws.train_dir),

@@ -23,7 +23,6 @@ from tgsim.model import (
     ModelConfig,
     ModelParams,
     Provenance,
-    attention_weights,
     cell_step,
     dense_head,
     forward,
@@ -345,7 +344,7 @@ class TestTemporalAttention:
         params = self.make_params()
         out, _ = temporal_attention([state, state, state], params)
         assert np.allclose(out, state, atol=1e-12)
-        alpha = attention_weights([state, state, state], params)
+        alpha = model_module._attention(np.array([state, state, state]), params)[1]
         assert np.allclose(alpha, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
     def test_weights_form_distribution_and_blend_matches(self):
@@ -354,7 +353,7 @@ class TestTemporalAttention:
         params = self.make_params()
         out, _ = temporal_attention(states, params)
 
-        alpha = attention_weights(states, params)
+        alpha = model_module._attention(np.array(states), params)[1]
         assert (alpha >= 0).all()
         assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
         oracle = np.zeros((5, 4))
@@ -826,11 +825,11 @@ def test_training_step_at_wikimath_shape_holds_only_what_its_backward_reads(kind
 class RecordingOptimizer:
     """Keeps each step's gradient and leaves the parameters where they started."""
 
-    def __init__(self, params):
-        self.params, self.steps = params, []
+    def __init__(self, values, grads, learning_rate):
+        self.grads, self.steps = grads, []
 
     def step(self):
-        self.steps.append(self.params.grads.copy())
+        self.steps.append(self.grads.copy())
 
 
 @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -846,8 +845,8 @@ def test_train_steps_on_the_mean_gradient_of_each_batch(monkeypatch, kind, name,
     labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 5))
     config, model_config = TrainConfig(epochs=1, bucket_length=10, seed=6), ModelConfig(kind, 1)
     optimizers, sizes = [], []
-    monkeypatch.setattr(training, "make_optimizer",
-                        lambda params, _: optimizers.append(RecordingOptimizer(params))
+    monkeypatch.setattr(training, "Adam",
+                        lambda *args: optimizers.append(RecordingOptimizer(*args))
                         or optimizers[-1])
     monkeypatch.setattr(training, "forward_pass",
                         lambda windows, *rest: sizes.append(len(windows))

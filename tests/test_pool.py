@@ -385,7 +385,7 @@ class TestCli:
 
         def diverge():
             code = cli.main(["train", "--dataset", str(dataset), "--buckets", str(buckets),
-                             *TRAIN_FLAGS, "--optimizer", "sgd", "--learning-rate", "1e300",
+                             *TRAIN_FLAGS, "--learning-rate", "1e300",
                              "--out-dir", str(next(roots))])
             return code, capsys.readouterr().err
 
