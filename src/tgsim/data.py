@@ -10,7 +10,10 @@ loads back.
 
 `adjacency_operator` gives the model its A_hat: the dense matrix below
 `_SPARSE_NODES` nodes, a `scipy.sparse` CSR array from there on.  That
-path alone imports scipy, so smaller graphs never load it.
+path alone imports scipy, so smaller graphs never load it.  Both forms
+hold the nonzeros of one builder, which works from the signal's arc
+arrays: the CSR form never passes through a dense N x N array, and the
+dense form is those nonzeros scattered into one.
 
 The JSON file is the only source of truth.  `write_canonical` also leaves a
 binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
@@ -417,22 +420,52 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         pass
 
 
-def _adjacency(signal: TemporalGraphSignal) -> np.ndarray:
-    """D^(-1/2) (A + I) D^(-1/2) as a new dense N x N array: `normalized_adjacency`'s build."""
+# floats in `_adjacency_entries`' row-block buffer (512 KiB): its degree sums
+# see whole dense rows without the whole dense matrix
+_DEGREE_BLOCK_FLOATS = 1 << 16
+
+
+def _adjacency_entries(signal: TemporalGraphSignal):
+    """The nonzeros of D^(-1/2) (A + I) D^(-1/2) as row-major (rows, cols, values).
+
+    Built from the arc arrays alone, with the bytes of the dense recipe:
+    sum the arcs of one ordered pair in arc order from 0.0 (as `np.add.at`
+    does), take the max of each entry and its reverse, set a missing or
+    zero diagonal entry to 1.0, sum each row's degree as the pairwise sum
+    of its dense row, then scale each entry as (a_ij inv_i) inv_j.  The
+    degrees come from row blocks scattered into a small B x N buffer: a sum
+    over the nonzeros alone would group the additions differently.
+    """
     n = signal.num_nodes
-    adj = np.zeros((n, n))
-    if signal.num_edges:
-        # one pass over the flattened pairs: faster than np.asarray on a tuple of pairs
-        arcs = np.fromiter(chain.from_iterable(signal.edges), dtype=np.intp,
-                           count=2 * signal.num_edges).reshape(-1, 2)
-        np.add.at(adj, (arcs[:, 0], arcs[:, 1]), signal.weights)
-    adj = np.maximum(adj, adj.T)
-    diag = np.arange(n)
-    adj[diag, diag] = np.where(adj[diag, diag] == 0.0, 1.0, adj[diag, diag])
-    inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
-    adj *= inv_sqrt_degree[:, None]
-    adj *= inv_sqrt_degree[None, :]
-    return adj
+    # one pass over the flattened pairs: faster than np.asarray on a tuple of pairs
+    arcs = np.fromiter(chain.from_iterable(signal.edges), dtype=np.intp,
+                       count=2 * signal.num_edges).reshape(-1, 2)
+    pairs, pair_of_arc = np.unique(arcs[:, 0] * n + arcs[:, 1], return_inverse=True)
+    summed = np.bincount(pair_of_arc, weights=signal.weights, minlength=len(pairs))
+    # every pair, its reverse and the diagonal, each entry the max of what lands on it
+    keys, slot = np.unique(
+        np.concatenate([pairs, pairs % n * n + pairs // n, np.arange(n) * (n + 1)]),
+        return_inverse=True,
+    )
+    values = np.zeros(len(keys))
+    np.maximum.at(values, slot, np.concatenate([summed, summed, np.zeros(n)]))
+    rows, cols = np.divmod(keys, n)
+    values[(rows == cols) & (values == 0.0)] = 1.0
+
+    degree = np.empty(n)
+    block = max(1, _DEGREE_BLOCK_FLOATS // n)
+    dense_rows = np.empty((min(block, n), n))
+    bounds = np.searchsorted(rows, range(0, n + block, block))
+    for first, lo, hi in zip(range(0, n, block), bounds, bounds[1:]):
+        part = dense_rows[: min(block, n - first)]
+        part.fill(0.0)
+        part[rows[lo:hi] - first, cols[lo:hi]] = values[lo:hi]
+        degree[first:first + len(part)] = part.sum(axis=1)
+    inv_sqrt_degree = 1.0 / np.sqrt(degree)
+    values = values * inv_sqrt_degree[rows] * inv_sqrt_degree[cols]
+    # zero-weight pairs, and entries whose scaling underflows, are no nonzeros
+    kept = values != 0.0
+    return rows[kept], cols[kept], values[kept]
 
 
 def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
@@ -441,14 +474,19 @@ def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
     Each edge counts in both directions (by maximum weight), the reading
     of every bundled dataset.  Nodes that already carry a self-loop keep
     its weight: the +I fills in only the missing diagonal entries, so an
-    isolated node never divides by zero.  Built once per signal (14.9 ms at
-    N = 1068) and kept on it, read-only like the signal's own arrays.  The
-    model takes A_hat from `adjacency_operator`, which holds the same
-    nonzeros sparse on large graphs.
+    isolated node never divides by zero.  Built once per signal by
+    scattering the nonzeros `adjacency_operator` holds (14 ms at N = 1068,
+    0.8 ms at N = 207, one BLAS thread) and kept on it, read-only like the
+    signal's own arrays.  The model takes A_hat from `adjacency_operator`,
+    which holds the same nonzeros sparse on large graphs; only tests build
+    this dense form there.
     """
     cached = signal.__dict__.get("_normalized_adjacency")
     if cached is None:
-        cached = _adjacency(signal)
+        n = signal.num_nodes
+        rows, cols, values = _adjacency_entries(signal)
+        cached = np.zeros((n, n))
+        cached[rows, cols] = values
         cached.setflags(write=False)
         object.__setattr__(signal, "_normalized_adjacency", cached)
     return cached
@@ -458,17 +496,22 @@ def adjacency_operator(signal: TemporalGraphSignal):
     """A_hat as the model applies it: dense below `_SPARSE_NODES` nodes, CSR from there.
 
     Below the cutoff this is `normalized_adjacency(signal)` itself.  From
-    it on, a `scipy.sparse.csr_array` holding exactly that matrix's
-    nonzeros, built once per signal and kept on it in place of the dense
-    matrix, its arrays read-only; scipy is imported on this path only.
+    it on, a `scipy.sparse.csr_array` of exactly that matrix's nonzeros,
+    built straight from the arc arrays, with no dense N x N array at any
+    point: int32 `indices` and `indptr`, as `csr_array` gives for the dense
+    matrix.  Built once per signal and kept on it, its arrays read-only;
+    scipy is imported on this path only.
     """
-    if signal.num_nodes < _SPARSE_NODES:
+    n = signal.num_nodes
+    if n < _SPARSE_NODES:
         return normalized_adjacency(signal)
     cached = signal.__dict__.get("_adjacency_operator")
     if cached is None:
         from scipy.sparse import csr_array
 
-        cached = csr_array(_adjacency(signal))
+        rows, cols, values = _adjacency_entries(signal)
+        indptr = np.searchsorted(rows, range(n + 1)).astype(np.int32)
+        cached = csr_array((values, cols.astype(np.int32), indptr), shape=(n, n))
         for array in (cached.data, cached.indices, cached.indptr):
             array.setflags(write=False)
         object.__setattr__(signal, "_adjacency_operator", cached)

@@ -341,6 +341,59 @@ class TestSignalType:
             TemporalGraphSignal("s", 2, (), None, features)
 
 
+def dense_oracle(signal):
+    """D^(-1/2) (A + I) D^(-1/2) by the dense recipe, the reference for `data`'s builder."""
+    n = signal.num_nodes
+    adj = np.zeros((n, n))
+    if signal.num_edges:
+        arcs = np.array(signal.edges).reshape(-1, 2)
+        np.add.at(adj, (arcs[:, 0], arcs[:, 1]), signal.weights)
+    adj = np.maximum(adj, adj.T)
+    diag = np.arange(n)
+    adj[diag, diag] = np.where(adj[diag, diag] == 0.0, 1.0, adj[diag, diag])
+    inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
+    adj *= inv_sqrt_degree[:, None]
+    adj *= inv_sqrt_degree[None, :]
+    return adj
+
+
+def assert_same_csr(operator, expected):
+    for name in ("data", "indices", "indptr"):
+        got, want = getattr(operator, name), getattr(expected, name)
+        assert got.dtype == want.dtype, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def arcs_signal(n, arcs, weights=None):
+    return TemporalGraphSignal("arcs", n, tuple(arcs), weights, np.ones((1, n, 1)))
+
+
+def random_weighted_signal(n):
+    # about 40 arcs a node with real-valued weights, so a degree summed in
+    # another order shows in its bits
+    rng = np.random.default_rng([11, n])
+    m = 40 * n
+    arcs = zip(rng.integers(0, n, m).tolist(), rng.integers(0, n, m).tolist())
+    return arcs_signal(n, arcs, rng.uniform(0.0, 3.0, m))
+
+
+ORACLE_CASES = {
+    # arc order gives 1e16 + 1 + 1 = 1e16; the other order 1.0000000000000002e16
+    "arc_order_sum": lambda: arcs_signal(2, [(0, 1)] * 3, np.array([1e16, 1.0, 1.0])),
+    "opposite_arcs_differ": lambda: arcs_signal(3, [(0, 1), (1, 0), (2, 1)],
+                                                np.array([2.0, 5.0, 0.5])),
+    "zero_weights_and_zero_self_loop": lambda: arcs_signal(
+        3, [(0, 1), (1, 1), (1, 2), (2, 0)], np.array([0.0, 0.0, 2.0, 0.0])),
+    "positive_self_loop": lambda: arcs_signal(3, [(0, 0), (0, 1), (2, 2)],
+                                              np.array([3.0, 1.5, 0.25])),
+    "isolated_nodes": lambda: arcs_signal(6, [(1, 3), (3, 1)], np.array([0.7, 0.7])),
+    "no_edges": lambda: arcs_signal(4, []),
+    "random_511": lambda: random_weighted_signal(511),
+    "random_512": lambda: random_weighted_signal(512),
+    "random_513": lambda: random_weighted_signal(513),
+}
+
+
 class TestNormalizedAdjacency:
     def test_single_node_no_edges(self):
         signal = TemporalGraphSignal("s", 1, (), None, np.ones((1, 1, 1)))
@@ -431,6 +484,16 @@ class TestNormalizedAdjacency:
         expected = inv_sqrt_degree[:, None] * adj * inv_sqrt_degree[None, :]
         assert normalized_adjacency(signal).tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_dense_and_csr_match_the_dense_oracle_byte_for_byte(self, case, monkeypatch):
+        from scipy.sparse import csr_array
+
+        monkeypatch.setattr(data_module, "_SPARSE_NODES", 1)  # every case as CSR too
+        signal = ORACLE_CASES[case]()
+        expected = dense_oracle(signal)
+        assert normalized_adjacency(signal).tobytes() == expected.tobytes()
+        assert_same_csr(adjacency_operator(signal), csr_array(expected))
+
 
 # runs with the pool in-process (one CPU), so an import in any job shows here
 DENSE_PATH_RUN = """
@@ -468,11 +531,24 @@ class TestAdjacencyOperator:
         assert isinstance(operator, csr_array)
         assert adjacency_operator(signal) is operator
         assert "_normalized_adjacency" not in vars(signal)  # no dense matrix kept
-        dense = normalized_adjacency(signal)
-        assert operator.nnz == np.count_nonzero(dense)
-        assert operator.toarray().tobytes() == dense.tobytes()
+        assert_same_csr(operator, csr_array(dense_oracle(signal)))
         for array in (operator.data, operator.indices, operator.indptr):
             assert not array.flags.writeable
+
+    def test_csr_build_holds_less_than_one_dense_matrix(self):
+        import tracemalloc
+
+        from scipy.sparse import csr_array  # noqa: F401  scipy's import is not the build's
+
+        signal = published_signal("wikimath", snapshots=1)
+        dense_bytes = signal.num_nodes ** 2 * 8  # 8.7 MiB at N = 1068
+        tracemalloc.start()
+        try:
+            adjacency_operator(signal)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense_bytes
 
     def test_dense_path_never_imports_scipy(self):
         # cross_validate at N = 20 and score_stream at N = 207, every cell
