@@ -18,14 +18,13 @@ them and, in zscore mode, kept out of the trailing statistics.
 """
 
 import csv
-import json
 import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .data import TemporalGraphSignal
+from .data import TemporalGraphSignal, write_json
 from .errors import ConfigError, ContractError
 from .model import Checkpoint, score_windows
 
@@ -205,9 +204,7 @@ def write_events(events, path) -> None:
         }
         for e in events
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def write_scores_csv(scores, thresholds, path, index_offset: int = 0) -> None:

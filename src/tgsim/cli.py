@@ -27,7 +27,7 @@ from . import __version__, _pool
 from .adapters import DATASET_KINDS, adapt_dataset
 from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
-from .data import adjacency_operator, load_canonical, node_bounds, read_json
+from .data import adjacency_operator, load_canonical, node_bounds, read_json, write_json
 from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucket_file_noise, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
@@ -74,9 +74,7 @@ def save_run_config(out_dir, command: str, args: argparse.Namespace) -> RunConfi
         if key not in ("func", "config")
     }
     config = RunConfig(command=command, version=__version__, arguments=arguments)
-    with open(Path(out_dir) / "run_config.json", "w", encoding="utf-8") as fh:
-        json.dump(asdict(config), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(asdict(config), Path(out_dir) / "run_config.json")
     return config
 
 
@@ -99,12 +97,6 @@ def _resolve_out_dir(args, command: str) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     args.out_dir = str(out_dir)
     return out_dir
-
-
-def _write_json(doc, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _noise_metadata(buckets_path) -> dict:
@@ -181,13 +173,12 @@ def _cmd_train(args) -> int:
     shuffle = not args.no_shuffle_folds
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
 
-    redraw_probability = args.corrupt_probability
-    if redraw_probability is None:
-        recorded = bucket_file_noise(args.buckets)
-        redraw_probability = recorded.corrupt_probability if recorded else 0.5
-
     resample_for = None
     if args.redraw_noise:
+        redraw_probability = args.corrupt_probability
+        if redraw_probability is None:
+            recorded = bucket_file_noise(args.buckets)
+            redraw_probability = recorded.corrupt_probability if recorded else 0.5
         resample_for = _resampler_for(signal, redraw_probability, config.seed)
     runs = run_folds(pairs, config, model_config, resample_for=resample_for, score=False)
     histories = []
@@ -195,14 +186,14 @@ def _cmd_train(args) -> int:
         save_checkpoint(checkpoint, out_dir / f"checkpoint_fold_{index}.json")
         histories.append(history)
 
-    _write_json(
+    write_json(
         {
             "test_starts": [[b.bucket.start for b in test] for _, test in pairs],
             "shuffle": shuffle,
         },
         out_dir / "folds.json",
     )
-    _write_json({"per_fold": histories}, out_dir / "losses.json")
+    write_json({"per_fold": histories}, out_dir / "losses.json")
     save_run_config(out_dir, "train", args)
     final = ", ".join(f"{h[-1]:.4f}" for h in histories)
     print(f"trained {len(pairs)} folds ({config.epochs} epochs), final losses: {final}")

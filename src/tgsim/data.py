@@ -5,15 +5,16 @@ N nodes, F feature channels per node.  The topology never changes across
 snapshots.  This module owns the canonical JSON format for such signals,
 the degree-normalized adjacency used by the graph convolutions,
 per-node-channel feature bounds with min-max normalization, and
-`read_json`, the one reader of the JSON files the toolkit writes and
-loads back.
+`read_json` and `write_json`, the one reader and the one pretty writer of
+the JSON files the toolkit writes and loads back.
 
-`adjacency_operator` gives the model its A_hat: the dense matrix below
-`_SPARSE_NODES` nodes, a `scipy.sparse` CSR array from there on.  That
-path alone imports scipy, so smaller graphs never load it.  Both forms
-hold the nonzeros of one builder, which works from the signal's arc
-arrays: the CSR form never passes through a dense N x N array, and the
-dense form is those nonzeros scattered into one.
+`adjacency_operator` is the one builder of A_hat: the dense matrix below
+`_SPARSE_NODES` nodes, a `scipy.sparse` CSR array from there on, one form
+cached per signal.  That path alone imports scipy, so smaller graphs
+never load it.  Both forms hold the nonzeros that `_adjacency_entries`
+computes from the signal's arc arrays: the CSR form never passes through
+a dense N x N array, and the dense form is those nonzeros scattered into
+one.
 
 The JSON file is the only source of truth.  `write_canonical` also leaves a
 binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
@@ -177,6 +178,17 @@ def read_json(path, data: bytes | None = None):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
+def write_json(doc, path) -> None:
+    """Write `doc` to `path` as stable JSON: sorted keys, two-space indent, final newline.
+
+    The one writer of the toolkit's JSON reports and records; not part of
+    `tgsim`'s public API either.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def _parse_index(value, n, where, path):
@@ -468,51 +480,37 @@ def _adjacency_entries(signal: TemporalGraphSignal):
     return rows[kept], cols[kept], values[kept]
 
 
-def normalized_adjacency(signal: TemporalGraphSignal) -> np.ndarray:
-    """Degree-normalized adjacency D^(-1/2) (A + I) D^(-1/2) as a dense N x N array.
+def adjacency_operator(signal: TemporalGraphSignal):
+    """A_hat = D^(-1/2) (A + I) D^(-1/2), as the model applies it.
 
     Each edge counts in both directions (by maximum weight), the reading
     of every bundled dataset.  Nodes that already carry a self-loop keep
     its weight: the +I fills in only the missing diagonal entries, so an
-    isolated node never divides by zero.  Built once per signal by
-    scattering the nonzeros `adjacency_operator` holds (14 ms at N = 1068,
-    0.8 ms at N = 207, one BLAS thread) and kept on it, read-only like the
-    signal's own arrays.  The model takes A_hat from `adjacency_operator`,
-    which holds the same nonzeros sparse on large graphs; only tests build
-    this dense form there.
+    isolated node never divides by zero.
+
+    Below `_SPARSE_NODES` nodes a dense N x N array, the nonzeros scattered
+    into one (0.8 ms at N = 207, one BLAS thread).  From the cutoff on a
+    `scipy.sparse.csr_array` of the same nonzeros, built straight from the
+    arc arrays with no dense N x N array at any point: int32 `indices` and
+    `indptr`, as `csr_array` gives for the dense matrix; scipy is imported
+    on this path only.  Built once per signal and kept on it, read-only
+    like the signal's own arrays.
     """
-    cached = signal.__dict__.get("_normalized_adjacency")
+    cached = signal.__dict__.get("_adjacency_operator")
     if cached is None:
         n = signal.num_nodes
         rows, cols, values = _adjacency_entries(signal)
-        cached = np.zeros((n, n))
-        cached[rows, cols] = values
-        cached.setflags(write=False)
-        object.__setattr__(signal, "_normalized_adjacency", cached)
-    return cached
+        if n < _SPARSE_NODES:
+            cached = np.zeros((n, n))
+            cached[rows, cols] = values
+            arrays = (cached,)
+        else:
+            from scipy.sparse import csr_array
 
-
-def adjacency_operator(signal: TemporalGraphSignal):
-    """A_hat as the model applies it: dense below `_SPARSE_NODES` nodes, CSR from there.
-
-    Below the cutoff this is `normalized_adjacency(signal)` itself.  From
-    it on, a `scipy.sparse.csr_array` of exactly that matrix's nonzeros,
-    built straight from the arc arrays, with no dense N x N array at any
-    point: int32 `indices` and `indptr`, as `csr_array` gives for the dense
-    matrix.  Built once per signal and kept on it, its arrays read-only;
-    scipy is imported on this path only.
-    """
-    n = signal.num_nodes
-    if n < _SPARSE_NODES:
-        return normalized_adjacency(signal)
-    cached = signal.__dict__.get("_adjacency_operator")
-    if cached is None:
-        from scipy.sparse import csr_array
-
-        rows, cols, values = _adjacency_entries(signal)
-        indptr = np.searchsorted(rows, range(n + 1)).astype(np.int32)
-        cached = csr_array((values, cols.astype(np.int32), indptr), shape=(n, n))
-        for array in (cached.data, cached.indices, cached.indptr):
+            indptr = np.searchsorted(rows, range(n + 1)).astype(np.int32)
+            cached = csr_array((values, cols.astype(np.int32), indptr), shape=(n, n))
+            arrays = (cached.data, cached.indices, cached.indptr)
+        for array in arrays:
             array.setflags(write=False)
         object.__setattr__(signal, "_adjacency_operator", cached)
     return cached

@@ -46,9 +46,10 @@ product over them (`_add_products`, `_add_sums`), which adds the windows'
 and steps' terms in the order BLAS chooses, within round-off of a
 composition of the elementary autodiff operations.
 
-`score_windows` scores many windows of one signal without a tape; it
-serves evaluation and stream scoring, and splits a call of at least
-`_POOL_FLOOR` windows x nodes across the fork pool. Every part of a cell
+`score_windows` is the one way to score windows without a tape: one
+window or many of one signal, normalized with the checkpoint's feature
+bounds. It serves evaluation and stream scoring, and splits a call of at
+least `_POOL_FLOOR` windows x nodes across the fork pool. Every part of a cell
 step that depends on its snapshot alone (the embedding, the step's own
 graph convolution and the snapshot's half of each gate pre-activation)
 runs once per distinct snapshot instead of once per window holding it;
@@ -57,14 +58,14 @@ block of windows at once. Splitting each gate's product in two
 reassociates its sums, so its scores agree with `forward_pass` to a few
 1e-16, not bit for bit.
 
-A_hat comes as `data.adjacency_operator` builds it for the signal: a
-dense N x N array on small graphs, a `scipy.sparse` CSR array from
-`data._SPARSE_NODES` nodes on, where its O(nnz·k) products beat the dense
-O(N²·k) ones. `_mix` applies either form, and every A_hat product of
-the module goes through it. This module never imports scipy itself. A
-CSR product sums each row's nonzeros in order in one thread, so its
-results do not depend on the BLAS thread count, and they agree with the
-dense product's to round-off.
+A_hat comes from `data.adjacency_operator`, its one builder, which keeps
+one form on the signal: a dense N x N array on small graphs, a
+`scipy.sparse` CSR array from `data._SPARSE_NODES` nodes on, where its
+O(nnz·k) products beat the dense O(N²·k) ones. `_mix` applies either
+form, and every A_hat product of the module goes through it. This module
+never imports scipy itself. A CSR product sums each row's nonzeros in
+order in one thread, so its results do not depend on the BLAS thread
+count, and they agree with the dense product's to round-off.
 
 Cell formulas: T-GCN (Zhao et al., arXiv:1811.05320), A3T-GCN (Bai et al.,
 arXiv:2006.11583) and GConvGRU (Seo et al., arXiv:1612.07659).
@@ -259,10 +260,21 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Checkpoint:
+    """A trained model: its config, parameters, feature bounds and provenance.
+
+    `feature_bounds` are required: they are the training windows' per
+    node-channel minima and maxima, which `train` always stores, and
+    scoring normalizes every window with them.
+    """
+
     config: ModelConfig
     params: ModelParams
-    feature_bounds: NodeBounds | None = None
+    feature_bounds: NodeBounds
     provenance: Provenance = field(default_factory=Provenance)
+
+    def __post_init__(self):
+        if not isinstance(self.feature_bounds, NodeBounds):
+            raise ContractError(f"a checkpoint needs NodeBounds, got {self.feature_bounds!r}")
 
 
 def _spans(count: int, floats: int) -> list:
@@ -796,38 +808,6 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     return ad.record("window", tuple(params.tensors()), scores, rule)
 
 
-def _checked_bounds(signal, checkpoint: Checkpoint) -> NodeBounds | None:
-    """The checkpoint's feature bounds, once the model and the bounds are known to fit `signal`."""
-    config = checkpoint.config
-    if signal.num_channels != config.input_channels:
-        raise ConfigError(
-            f"signal has {signal.num_channels} channels, checkpoint expects {config.input_channels}"
-        )
-    bounds = checkpoint.feature_bounds
-    if bounds is not None and bounds.mins.shape != (signal.num_nodes, signal.num_channels):
-        raise ConfigError(
-            f"checkpoint bounds cover {bounds.mins.shape}, "
-            f"signal needs ({signal.num_nodes}, {signal.num_channels})"
-        )
-    return bounds
-
-
-def forward(bucket, checkpoint: Checkpoint) -> float:
-    """Similarity score for a bucket under a trained checkpoint.
-
-    Normalizes the window with the checkpoint's stored feature bounds when
-    present, then runs the forward pass without a tape.  To score many
-    windows of one signal, `score_windows` does it in one call.
-    """
-    signal = bucket.bucket.signal if hasattr(bucket, "bucket") else bucket.signal
-    bounds = _checked_bounds(signal, checkpoint)
-    snapshots = bucket.snapshots
-    if bounds is not None:
-        snapshots = normalize_features(snapshots, bounds)
-    a_hat = adjacency_operator(signal)
-    return forward_pass(snapshots, a_hat, checkpoint.params, checkpoint.config).item()
-
-
 def _split_cell(params: ModelParams, config: ModelConfig):
     """The cell's weights split by what they multiply, transposed for `score_windows`.
 
@@ -941,8 +921,10 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     Window i covers snapshots [starts[i], starts[i] + length) of `signal`.
     `candidates`, when given, holds one raw N x F snapshot per window that
     replaces the window's last snapshot (a labeled bucket's candidate).
-    Features are normalized with the checkpoint's stored bounds, as
-    `forward` does.  Returns one score per window, in the order of `starts`.
+    Features are normalized with the checkpoint's stored bounds.  `starts`
+    is one sequence of integers (a list, a `range` or a 1-D integer array);
+    a bool, float or string start is refused, not truncated.  Returns one
+    score per window, in the order of `starts`.
 
     Windows are taken in start order, a block at a time; a block holds as
     many windows as fit their recurrent states in a fixed float budget. The
@@ -955,10 +937,26 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     one BLAS thread, which tests/test_pool.py checks. Call it outside any
     tape.
     """
-    bounds = _checked_bounds(signal, checkpoint)
+    expects = checkpoint.config.input_channels
+    if signal.num_channels != expects:
+        raise ConfigError(f"signal has {signal.num_channels} channels, checkpoint expects {expects}")
+    bounds = checkpoint.feature_bounds
+    if bounds.mins.shape != (signal.num_nodes, signal.num_channels):
+        raise ConfigError(
+            f"checkpoint bounds cover {bounds.mins.shape}, "
+            f"signal needs ({signal.num_nodes}, {signal.num_channels})"
+        )
     if not isinstance(length, int) or isinstance(length, bool) or length < 1:
         raise ContractError(f"window length must be a positive integer, got {length!r}")
-    starts = np.asarray(starts, dtype=np.intp).reshape(-1)
+    # numpy would read a bool among ints as 0 or 1
+    if isinstance(starts, (list, tuple)) and any(isinstance(s, (bool, np.bool_)) for s in starts):
+        raise ContractError("window starts must be integers, got a bool")
+    starts = np.asarray(starts)
+    if starts.ndim != 1:
+        raise ContractError(f"window starts must be one sequence, got shape {starts.shape}")
+    if starts.size and starts.dtype.kind not in "iu":
+        raise ContractError(f"window starts must be integers, got {starts.dtype} values")
+    starts = starts.astype(np.intp)
     last_start = signal.num_snapshots - length
     if starts.size and (starts.min() < 0 or starts.max() > last_start):
         raise ContractError(
@@ -998,11 +996,9 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
     config = checkpoint.config
     n, d = signal.num_nodes, config.embed_dim
     first = int(starts[0])
-    features = signal.features[first:int(starts[-1]) + length]
-    if bounds is not None:
-        features = normalize_features(features, bounds)
-        if candidates is not None:
-            candidates = normalize_features(candidates, bounds)
+    features = normalize_features(signal.features[first:int(starts[-1]) + length], bounds)
+    if candidates is not None:
+        candidates = normalize_features(candidates, bounds)
     a_hat = adjacency_operator(signal)
     params = checkpoint.params
     w_snap, bias, w_gates, w_cand = _split_cell(params, config)
@@ -1052,9 +1048,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             name: {"shape": list(t.shape), "data": t.value.reshape(-1).tolist()}
             for name, t in checkpoint.params.items()
         },
-        "feature_bounds": None
-        if checkpoint.feature_bounds is None
-        else {
+        "feature_bounds": {
             "mins": checkpoint.feature_bounds.mins.tolist(),
             "maxs": checkpoint.feature_bounds.maxs.tolist(),
         },
@@ -1089,12 +1083,13 @@ def load_checkpoint(path) -> Checkpoint:
                 )
             values[name] = data.reshape(shape)
         params = ModelParams(config, values, grads=False)
-        bounds = None
-        if doc.get("feature_bounds") is not None:
-            bounds = NodeBounds(
-                mins=np.asarray(doc["feature_bounds"]["mins"], dtype=np.float64),
-                maxs=np.asarray(doc["feature_bounds"]["maxs"], dtype=np.float64),
-            )
+        raw_bounds = doc["feature_bounds"]
+        if raw_bounds is None:
+            raise ParseError(f"{path}: checkpoint has no feature bounds")
+        bounds = NodeBounds(
+            mins=np.asarray(raw_bounds["mins"], dtype=np.float64),
+            maxs=np.asarray(raw_bounds["maxs"], dtype=np.float64),
+        )
         raw_prov = doc.get("provenance", {})
         provenance = Provenance(
             dataset=raw_prov.get("dataset", ""),

@@ -24,7 +24,6 @@ fold worker both run serially, since nested pool calls do.
 """
 
 import csv
-import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -34,7 +33,7 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import NodeBounds, adjacency_operator, normalize_features, read_json
+from .data import NodeBounds, adjacency_operator, normalize_features, read_json, write_json
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows,
                     window_chunks)
@@ -228,29 +227,30 @@ def bounds_from_buckets(buckets) -> NodeBounds:
     return NodeBounds(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
 
 
-def _check_buckets(buckets, config: TrainConfig, model_config: ModelConfig, signal=None):
-    """The one signal all buckets are windows of: `signal` when given, else the first bucket's."""
+def _check_buckets(buckets, length=None, signal=None):
+    """The one signal all buckets are windows of, each `length` snapshots long.
+
+    `length` and `signal` default to the first bucket's.  A fault names
+    the bucket's index in `buckets` and its start.
+    """
     if not buckets:
         raise ContractError("need at least one bucket")
-    if signal is None:
-        signal = buckets[0].bucket.signal
-    channels = signal.num_channels
-    if channels != model_config.input_channels:
-        raise ConfigError(
-            f"buckets carry {channels} channels, model expects {model_config.input_channels}"
-        )
-    for b in buckets:
+    first = buckets[0].bucket
+    length = first.length if length is None else length
+    signal = first.signal if signal is None else signal
+    for i, b in enumerate(buckets):
         other = b.bucket.signal
         if other is not signal:
             raise ContractError(
-                f"bucket at start {b.bucket.start} is a window of another signal than "
+                f"bucket {i} (start {b.bucket.start}) is a window of another signal than "
                 f"{signal.name!r} (shape ({other.num_nodes}, {other.num_channels}) against "
-                f"({signal.num_nodes}, {channels})); train fits the windows of one signal"
+                f"({signal.num_nodes}, {signal.num_channels})); the buckets must be windows "
+                f"of one signal"
             )
-        if b.bucket.length != config.bucket_length:
+        if b.bucket.length != length:
             raise ContractError(
-                f"bucket at start {b.bucket.start} has length {b.bucket.length}, "
-                f"config says {config.bucket_length}"
+                f"bucket {i} (start {b.bucket.start}) has length {b.bucket.length}, "
+                f"expected {length}"
             )
     return signal
 
@@ -283,7 +283,10 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     The loss history holds one mean per epoch, over every window.
     """
     train_set = list(train_set)
-    signal = _check_buckets(train_set, config, model_config)
+    signal = _check_buckets(train_set, config.bucket_length)
+    if signal.num_channels != model_config.input_channels:
+        raise ConfigError(f"buckets carry {signal.num_channels} channels, "
+                          f"model expects {model_config.input_channels}")
     bounds = bounds_from_buckets(train_set)
     a_hat = adjacency_operator(signal)
     features = normalize_features(signal.features, bounds)
@@ -296,7 +299,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
         epoch_set = train_set
         if resample is not None:
             epoch_set = list(resample(epoch))
-            _check_buckets(epoch_set, config, model_config, signal)
+            _check_buckets(epoch_set, config.bucket_length, signal)
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(epoch_set))
         candidates = normalize_features(np.stack([b.candidate for b in epoch_set]), bounds)
         epoch_losses = []
@@ -363,22 +366,9 @@ def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
     echo with config_echo.
     """
     test_set = list(test_set)
-    if not test_set:
-        raise ContractError("need at least one bucket")
-    first = test_set[0].bucket
-    for i, b in enumerate(test_set):
-        if b.bucket.signal is not first.signal:
-            raise ContractError(
-                f"bucket {i} (start {b.bucket.start}) is a window of another signal than "
-                f"bucket 0; evaluate scores the windows of one signal"
-            )
-        if b.bucket.length != first.length:
-            raise ContractError(
-                f"bucket {i} (start {b.bucket.start}) has length {b.bucket.length}, "
-                f"bucket 0 has length {first.length}"
-            )
-    signal = first.signal
-    preds = score_windows(signal, checkpoint, [b.bucket.start for b in test_set], first.length,
+    signal = _check_buckets(test_set)
+    preds = score_windows(signal, checkpoint, [b.bucket.start for b in test_set],
+                          test_set[0].bucket.length,
                           candidates=np.stack([b.candidate for b in test_set])).tolist()
     labels = [b.label for b in test_set]
     fold = fold_result(preds, labels, [b.bucket.start for b in test_set])
@@ -482,9 +472,7 @@ def write_report(report: MetricsReport, path) -> None:
             "sample_count": report.total_samples,
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(doc, path)
 
 
 def load_report(path) -> MetricsReport:

@@ -16,9 +16,10 @@ from tgsim.anomaly import (
     write_events,
     write_scores_csv,
 )
-from tgsim.data import NodeBounds, TemporalGraphSignal, node_bounds
+from tgsim.data import (NodeBounds, TemporalGraphSignal, adjacency_operator, node_bounds,
+                        normalize_features)
 from tgsim.errors import ConfigError, ContractError
-from tgsim.model import Checkpoint, ModelConfig, ModelParams, forward
+from tgsim.model import Checkpoint, ModelConfig, ModelParams, forward_pass
 from tgsim.noise import NoiseSpec, bucketize, inject_noise
 from tgsim.training import TrainConfig, train
 
@@ -77,8 +78,11 @@ class TestScoreStream:
         scores = score_stream(signal, checkpoint, 5)
         buckets = bucketize(signal, 5)
         assert len(scores) == len(buckets) == 8
+        a_hat = adjacency_operator(signal)
         for bucket, score in zip(buckets, scores):
-            assert score == pytest.approx(forward(bucket, checkpoint), abs=1e-15)
+            window = normalize_features(bucket.snapshots, checkpoint.feature_bounds)
+            want = forward_pass(window, a_hat, checkpoint.params, checkpoint.config).item()
+            assert score == pytest.approx(want, abs=1e-15)
 
     def test_exact_fit_gives_single_score(self):
         signal = make_signal(s=5)

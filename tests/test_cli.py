@@ -168,7 +168,7 @@ class TestTrain:
     def test_checkpoints_reload_and_carry_bounds(self, ws):
         checkpoint = load_checkpoint(ws.train_dir / "checkpoint_fold_0.json")
         assert checkpoint.config.cell_kind == "tgcn"
-        assert checkpoint.feature_bounds is not None
+        assert checkpoint.feature_bounds.mins.shape == (5, 2)
         assert checkpoint.provenance.dataset == "toy"
 
     def test_rerun_reproduces_checkpoints_exactly(self, ws, tmp_path):
@@ -220,6 +220,16 @@ class TestTrain:
         ]) == 0
         assert digest(tmp_path / "redraw" / "checkpoint_fold_0.json") != digest(
             ws.train_dir / "checkpoint_fold_0.json")
+
+    def test_noise_record_is_read_only_for_a_redraw(self, ws, tmp_path, monkeypatch):
+        def unexpected(path):
+            raise AssertionError(f"train read the noise record of {path}")
+
+        monkeypatch.setattr(cli, "bucket_file_noise", unexpected)
+        assert cli.main([
+            "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+            *TRAIN_FLAGS, "--epochs", "1", "--out-dir", str(tmp_path / "plain"),
+        ]) == 0
 
     def test_too_many_folds_is_a_data_error(self, ws, tmp_path, capsys):
         code = cli.main([

@@ -16,7 +16,6 @@ from tgsim.data import (
     load_canonical,
     node_bounds,
     normalize_features,
-    normalized_adjacency,
     write_canonical,
 )
 from tgsim.errors import ContractError, ParseError
@@ -397,11 +396,11 @@ ORACLE_CASES = {
 class TestNormalizedAdjacency:
     def test_single_node_no_edges(self):
         signal = TemporalGraphSignal("s", 1, (), None, np.ones((1, 1, 1)))
-        assert np.array_equal(normalized_adjacency(signal), [[1.0]])
+        assert np.array_equal(adjacency_operator(signal), [[1.0]])
 
     def test_two_nodes_one_unit_edge(self):
         signal = TemporalGraphSignal("s", 2, ((0, 1),), None, np.ones((1, 2, 1)))
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         assert np.allclose(a_hat, [[0.5, 0.5], [0.5, 0.5]], atol=1e-15)
 
     def test_three_node_path_matches_explicit_product(self):
@@ -414,12 +413,12 @@ class TestNormalizedAdjacency:
         ])
         d_inv_sqrt = np.diag(1.0 / np.sqrt(a_tilde.sum(axis=1)))
         oracle = d_inv_sqrt @ a_tilde @ d_inv_sqrt
-        assert np.allclose(normalized_adjacency(signal), oracle, atol=1e-15)
+        assert np.allclose(adjacency_operator(signal), oracle, atol=1e-15)
 
     def test_symmetric_nonnegative_and_descales_exactly(self):
         rng = np.random.default_rng(3)
         signal = random_signal(rng, n=8)
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         assert np.array_equal(a_hat, a_hat.T)
         assert (a_hat >= 0).all()
 
@@ -435,14 +434,14 @@ class TestNormalizedAdjacency:
         signal = TemporalGraphSignal(
             "s", 2, ((0, 0), (0, 1)), np.array([2.0, 1.0]), np.ones((1, 2, 1))
         )
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         degree = np.array([3.0, 2.0])  # row sums of [[2,1],[1,1]]
         oracle = np.array([[2.0, 1.0], [1.0, 1.0]]) / np.sqrt(np.outer(degree, degree))
         assert np.allclose(a_hat, oracle, atol=1e-15)
 
     def test_one_way_edge_counts_both_ways(self):
         signal = TemporalGraphSignal("s", 2, ((0, 1),), np.array([3.0]), np.ones((1, 2, 1)))
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         # [[1, 3], [3, 1]] has both degrees 4
         assert np.array_equal(a_hat, np.array([[1.0, 3.0], [3.0, 1.0]]) / 4.0)
 
@@ -450,7 +449,7 @@ class TestNormalizedAdjacency:
         signal = TemporalGraphSignal(
             "s", 2, ((0, 1),), np.array([0.0]), np.ones((1, 2, 1))
         )
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         assert np.isfinite(a_hat).all()
         assert np.array_equal(a_hat, np.eye(2))
 
@@ -458,14 +457,14 @@ class TestNormalizedAdjacency:
         signal = TemporalGraphSignal(
             "s", 2, ((0, 1), (0, 1)), np.array([1.0, 2.0]), np.ones((1, 2, 1))
         )
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         degree = np.array([4.0, 4.0])  # row sums of [[1,3],[3,1]]
         assert np.allclose(a_hat[0, 1], 3.0 / np.sqrt(degree[0] * degree[1]), atol=1e-15)
 
     def test_built_once_per_signal_and_read_only(self):
         signal = random_signal(np.random.default_rng(4), n=5)
-        a_hat = normalized_adjacency(signal)
-        assert normalized_adjacency(signal) is a_hat
+        a_hat = adjacency_operator(signal)
+        assert adjacency_operator(signal) is a_hat
         assert not a_hat.flags.writeable
 
     @pytest.mark.parametrize("name", sorted(DATASET_SHAPES))
@@ -482,17 +481,23 @@ class TestNormalizedAdjacency:
         adj[np.diag_indices(n)] = 1.0  # no self-loops
         inv_sqrt_degree = 1.0 / np.sqrt(adj.sum(axis=1))
         expected = inv_sqrt_degree[:, None] * adj * inv_sqrt_degree[None, :]
-        assert normalized_adjacency(signal).tobytes() == expected.tobytes()
+        a_hat = adjacency_operator(signal)
+        if n >= data_module._SPARSE_NODES:
+            a_hat = a_hat.toarray()
+        assert a_hat.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_dense_and_csr_match_the_dense_oracle_byte_for_byte(self, case, monkeypatch):
         from scipy.sparse import csr_array
 
-        monkeypatch.setattr(data_module, "_SPARSE_NODES", 1)  # every case as CSR too
-        signal = ORACLE_CASES[case]()
-        expected = dense_oracle(signal)
-        assert normalized_adjacency(signal).tobytes() == expected.tobytes()
-        assert_same_csr(adjacency_operator(signal), csr_array(expected))
+        # each signal caches one form: build every case once dense, once as CSR
+        expected = dense_oracle(ORACLE_CASES[case]())
+        monkeypatch.setattr(data_module, "_SPARSE_NODES", len(expected) + 1)
+        dense = adjacency_operator(ORACLE_CASES[case]())
+        assert isinstance(dense, np.ndarray)
+        assert dense.tobytes() == expected.tobytes()
+        monkeypatch.setattr(data_module, "_SPARSE_NODES", 1)
+        assert_same_csr(adjacency_operator(ORACLE_CASES[case]()), csr_array(expected))
 
 
 # runs with the pool in-process (one CPU), so an import in any job shows here
@@ -520,7 +525,10 @@ print(sorted(name for name in sys.modules if name.startswith("scipy")))
 class TestAdjacencyOperator:
     def test_dense_below_the_cutoff(self):
         signal = published_signal("metrala", snapshots=1)
-        assert adjacency_operator(signal) is normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
+        assert type(a_hat) is np.ndarray and a_hat.shape == (207, 207)
+        assert adjacency_operator(signal) is a_hat
+        assert not a_hat.flags.writeable
 
     @pytest.mark.parametrize("name", ["montevideobus", "wikimath"])
     def test_csr_of_the_dense_nonzeros_built_once_and_read_only(self, name):
@@ -530,7 +538,9 @@ class TestAdjacencyOperator:
         operator = adjacency_operator(signal)
         assert isinstance(operator, csr_array)
         assert adjacency_operator(signal) is operator
-        assert "_normalized_adjacency" not in vars(signal)  # no dense matrix kept
+        n = signal.num_nodes  # no dense matrix kept
+        assert not any(isinstance(value, np.ndarray) and value.shape == (n, n)
+                       for value in vars(signal).values())
         assert_same_csr(operator, csr_array(dense_oracle(signal)))
         for array in (operator.data, operator.indices, operator.indptr):
             assert not array.flags.writeable

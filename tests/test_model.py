@@ -13,7 +13,6 @@ from tgsim.data import (
     adjacency_operator,
     node_bounds,
     normalize_features,
-    normalized_adjacency,
 )
 from tgsim.errors import ConfigError, ContractError, ParseError
 from tgsim.model import (
@@ -25,7 +24,6 @@ from tgsim.model import (
     Provenance,
     cell_step,
     dense_head,
-    forward,
     forward_pass,
     gcn_embed,
     load_checkpoint,
@@ -103,7 +101,7 @@ def path_a_hat(n):
     # embeddings cannot degenerate into one shared vector
     edges = tuple((i, i + 1) for i in range(n - 1))
     signal = TemporalGraphSignal("path", n, edges, None, np.zeros((1, n, 1)))
-    return normalized_adjacency(signal)
+    return adjacency_operator(signal)
 
 
 class TestModelConfig:
@@ -667,7 +665,7 @@ def test_fused_layers_match_composed_ops_within_roundoff(monkeypatch, kind):
             if name.startswith("b_"):
                 t.value += rng.normal(0.0, 0.5, t.value.shape)
         window = rng.uniform(size=(10, signal.num_nodes, 1))
-        a_hat = normalized_adjacency(signal)
+        a_hat = adjacency_operator(signal)
         blocks = use_layout(monkeypatch, budget)
         results = []
         for forward_fn in (forward_pass, composed_forward):
@@ -713,7 +711,7 @@ def batch_inputs(kind, name, windows=8):
         if key.startswith("b_"):  # keep every bias, and so every relu, off its zero start
             t.value += rng.normal(0.0, 0.3, t.value.shape)
     batch = rng.uniform(size=(windows, 10, signal.num_nodes, 1))
-    return config, params, normalized_adjacency(signal), batch, rng.uniform(size=(windows, 1))
+    return config, params, adjacency_operator(signal), batch, rng.uniform(size=(windows, 1))
 
 
 def window_gradients(params, config, a_hat, windows, labels):
@@ -753,11 +751,10 @@ SPARSE_SHAPES = ["montevideobus", "wikimath"]
 def test_csr_window_op_matches_dense(kind, name):
     """On CSR A_hat a batch's scores and gradients are the dense ones', to 1e-12 of the
     largest gradient entry."""
-    config, params, dense, batch, labels = batch_inputs(kind, name, windows=2)
-    operator = adjacency_operator(published_signal(name, 10))
+    config, params, operator, batch, labels = batch_inputs(kind, name, windows=2)
     assert not isinstance(operator, np.ndarray)
     results = []
-    for a_hat in (dense, operator):
+    for a_hat in (operator.toarray(), operator):
         params.grads.fill(0.0)
         with Tape():
             out = forward_pass(batch, a_hat, params, config)
@@ -776,16 +773,17 @@ def test_csr_window_op_matches_dense(kind, name):
 def test_csr_training_matches_dense(monkeypatch, kind, name):
     """Two batches of Adam on CSR A_hat end within 1e-10 of the largest parameter of the
     dense run."""
-    signal = published_signal(name, 25)
-    labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 7))
-    assert len(labeled) == 2 * training.BATCH_SIZE
     config = TrainConfig(epochs=1, bucket_length=10, seed=8)
     kinds, results = [], []
     monkeypatch.setattr(training, "forward_pass",
                         lambda windows, a_hat, *rest: kinds.append(type(a_hat))
                         or forward_pass(windows, a_hat, *rest))
-    for cutoff in (data_module._SPARSE_NODES, signal.num_nodes + 1):
+    for cutoff in (data_module._SPARSE_NODES, data_module._SPARSE_NODES ** 2):
         monkeypatch.setattr(data_module, "_SPARSE_NODES", cutoff)
+        # a signal keeps the one A_hat form built first, so each run gets its own
+        signal = published_signal(name, 25)
+        labeled = inject_noise(bucketize(signal, 10), node_bounds(signal), NoiseSpec(0.5, 7))
+        assert len(labeled) == 2 * training.BATCH_SIZE
         checkpoint, _ = train(labeled, config, ModelConfig(kind, 1))
         results.append(checkpoint.params.values)
     assert kinds[0] is not np.ndarray and kinds[-1] is np.ndarray
@@ -863,7 +861,7 @@ def test_train_steps_on_the_mean_gradient_of_each_batch(monkeypatch, kind, name,
     steps, losses = optimizers[0].steps, []
     assert len(steps) == 2
     for step, batch in zip(steps, (slice(0, 8), slice(8, 11))):
-        scores, expected = window_gradients(params, model_config, normalized_adjacency(signal),
+        scores, expected = window_gradients(params, model_config, adjacency_operator(signal),
                                             windows[batch], labels[batch])
         assert np.abs(step - expected).max() <= 1e-12 * np.abs(expected).max()
         losses += ((scores - labels[batch, 0]) ** 2).tolist()
@@ -919,14 +917,30 @@ class TestCheckpoint:
         assert np.array_equal(again.feature_bounds.mins, checkpoint.feature_bounds.mins)
         assert again.provenance == checkpoint.provenance
 
-    def test_round_trip_without_bounds(self, tmp_path):
+    def test_round_trip_keeps_default_provenance(self, tmp_path):
         config = small_config("tgcn")
-        checkpoint = Checkpoint(config, ModelParams.zeros(config))
+        bounds = NodeBounds(mins=np.full((3, 2), -1.5), maxs=np.full((3, 2), 2.5))
+        checkpoint = Checkpoint(config, ModelParams.zeros(config), bounds)
         path = tmp_path / "model.json"
         save_checkpoint(checkpoint, path)
         again = load_checkpoint(path)
-        assert again.feature_bounds is None
+        assert np.array_equal(again.feature_bounds.mins, bounds.mins)
+        assert np.array_equal(again.feature_bounds.maxs, bounds.maxs)
         assert again.provenance == Provenance()
+
+    def test_checkpoint_without_bounds_rejected(self, tmp_path):
+        import json
+
+        config = small_config("tgcn")
+        with pytest.raises(ContractError, match="NodeBounds"):
+            Checkpoint(config, ModelParams.zeros(config), None)
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["feature_bounds"] = None
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="no feature bounds"):
+            load_checkpoint(path)
 
     def test_tampered_shape_rejected(self, tmp_path):
         import json
@@ -957,11 +971,12 @@ class TestCheckpoint:
             "demo", 3, ((0, 1), (1, 2)), None, rng.uniform(size=(6, 3, 2))
         )
         config = small_config("tgcn")
-        checkpoint = Checkpoint(config, ModelParams.zeros(config))
+        checkpoint = Checkpoint(config, ModelParams.zeros(config), node_bounds(signal))
         bucket = Bucket(signal, 0, 4)
-        assert forward(bucket, checkpoint) == 0.5
+        assert score_windows(signal, checkpoint, [bucket.start], 4).tolist() == [0.5]
         labeled = LabeledBucket(bucket, bucket.candidate.copy(), frozenset({1}))
-        assert forward(labeled, checkpoint) == 0.5
+        scores = score_windows(signal, checkpoint, [bucket.start], 4, [labeled.candidate])
+        assert scores.tolist() == [0.5]
 
     def test_forward_applies_stored_bounds(self):
         rng = np.random.default_rng(34)
@@ -973,21 +988,22 @@ class TestCheckpoint:
 
         bounds = node_bounds(signal)
         bucket = Bucket(signal, 0, 4)
-        scored = forward(bucket, Checkpoint(config, params, bounds))
+        scored = score_windows(signal, Checkpoint(config, params, bounds), [0], 4)[0]
         by_hand = forward_pass(
             normalize_features(bucket.snapshots, bounds),
-            normalized_adjacency(signal),
+            adjacency_operator(signal),
             params,
             config,
         ).item()
-        assert scored == by_hand
+        assert abs(scored - by_hand) <= 1e-15
 
     def test_channel_mismatch_names_both(self):
         signal = TemporalGraphSignal("demo", 3, (), None, np.zeros((5, 3, 1)))
         config = small_config("tgcn", f=2)
-        checkpoint = Checkpoint(config, ModelParams.zeros(config))
+        bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
+        checkpoint = Checkpoint(config, ModelParams.zeros(config), bounds)
         with pytest.raises(ConfigError, match="1.*2|2.*1"):
-            forward(Bucket(signal, 0, 4), checkpoint)
+            score_windows(signal, checkpoint, [0], 4)
 
 
 def scored_signal(kind, n=5, s=40, f=2, seed=41):
@@ -1097,6 +1113,29 @@ class TestScoreWindows:
         signal, checkpoint = scored_signal("tgcn")
         with pytest.raises(ContractError, match="window starts"):
             score_windows(signal, checkpoint, starts, 6)
+
+    @pytest.mark.parametrize("starts", [[0.7, 1.9], [True], [2, False], (np.True_,), ["2"],
+                                        np.array([1.0, 2.0]), np.array([True]), [1, None]])
+    def test_starts_that_are_not_integers_rejected(self, starts):
+        # a truncating cast would score [0.7, 1.9] as windows 0 and 1, ["2"] as window 2
+        signal, checkpoint = scored_signal("tgcn")
+        with pytest.raises(ContractError, match="window starts must be integers"):
+            score_windows(signal, checkpoint, starts, 6)
+
+    @pytest.mark.parametrize("starts", [[[0, 1], [2, 3]], 5, np.array(2)])
+    def test_starts_that_are_not_one_sequence_rejected(self, starts):
+        signal, checkpoint = scored_signal("tgcn")
+        with pytest.raises(ContractError, match="window starts must be one sequence"):
+            score_windows(signal, checkpoint, starts, 6)
+
+    def test_integer_starts_of_every_form_accepted(self):
+        signal, checkpoint = scored_signal("tgcn")
+        want = score_windows(signal, checkpoint, [3, 1, 2], 6)
+        for starts in (np.array([3, 1, 2]), np.array([3, 1, 2], dtype=np.uint8),
+                       [np.int64(3), 1, np.int32(2)]):
+            assert score_windows(signal, checkpoint, starts, 6).tobytes() == want.tobytes()
+        assert score_windows(signal, checkpoint, range(1, 4), 6).tobytes() == \
+            want[[1, 2, 0]].tobytes()
 
     def test_candidate_shape_checked(self):
         signal, checkpoint = scored_signal("tgcn")

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from tgsim.autodiff import Tensor
-from tgsim.data import TemporalGraphSignal, node_bounds
+from tgsim.data import TemporalGraphSignal, adjacency_operator, node_bounds, normalize_features
 from tgsim.errors import ConfigError, ContractError, ParseError, TrainingError
-from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward
+from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward_pass
 from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import (
     Adam,
@@ -370,7 +370,7 @@ class TestTrain:
 
     def test_bucket_length_mismatch(self):
         labeled = make_labeled(s=14, length=5)
-        with pytest.raises(ContractError, match="length 5.*config says 10"):
+        with pytest.raises(ContractError, match="length 5, expected 10"):
             train(labeled, TrainConfig(bucket_length=10), tiny_model())
 
     def test_mixed_node_counts(self):
@@ -400,7 +400,8 @@ class TestEvaluate:
         signal = make_signal(n=3, s=20, f=2, seed=13)
         clean = [hand_bucket(signal, i, 5, perturbed=[]) for i in range(6)]
         model_config = tiny_model()
-        checkpoint = Checkpoint(config=model_config, params=ModelParams.zeros(model_config))
+        checkpoint = Checkpoint(config=model_config, params=ModelParams.zeros(model_config),
+                                feature_bounds=node_bounds(signal))
         report = evaluate(checkpoint, clean)
         fold = report.folds[0]
         assert fold.predictions == (0.5,) * 6
@@ -431,7 +432,8 @@ class TestEvaluate:
     def test_channel_mismatch(self):
         labeled = make_labeled(f=2, s=14, length=5)
         wrong = tiny_model(f=3)
-        checkpoint = Checkpoint(config=wrong, params=ModelParams.zeros(wrong))
+        checkpoint = Checkpoint(config=wrong, params=ModelParams.zeros(wrong),
+                                feature_bounds=bounds_from_buckets(labeled))
         with pytest.raises(ConfigError, match="channels"):
             evaluate(checkpoint, labeled)
 
@@ -452,7 +454,9 @@ class TestEvaluate:
         fold = evaluate(checkpoint, shuffled).folds[0]
         assert list(fold.starts) == [b.bucket.start for b in shuffled]
         assert list(fold.labels) == [b.label for b in shuffled]
-        want = [forward(b, checkpoint) for b in shuffled]
+        a_hat = adjacency_operator(shuffled[0].bucket.signal)
+        want = [forward_pass(normalize_features(b.snapshots, checkpoint.feature_bounds), a_hat,
+                             checkpoint.params, model_config).item() for b in shuffled]
         assert np.max(np.abs(np.array(fold.predictions) - want)) <= 1e-15
 
     def test_bucket_from_another_signal_rejected(self):
@@ -460,7 +464,8 @@ class TestEvaluate:
         # silently score the other signal's windows
         ours = make_labeled(n=4, s=14, length=5, seed=26)
         theirs = make_labeled(n=4, s=14, length=5, seed=27)
-        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()))
+        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()),
+                                bounds_from_buckets(ours))
         with pytest.raises(ContractError, match=r"bucket 3 \(start 7\).*signal"):
             evaluate(checkpoint, ours[:3] + [theirs[7]] + ours[3:])
 
@@ -468,7 +473,7 @@ class TestEvaluate:
         signal = make_signal(n=4, s=14)
         short = inject_noise(bucketize(signal, 4), node_bounds(signal), NoiseSpec(seed=28))
         long = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(seed=28))
-        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()))
+        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()), node_bounds(signal))
         with pytest.raises(ContractError, match=r"bucket 2 \(start 6\) has length 4"):
             evaluate(checkpoint, long[:2] + [short[6]])
 
