@@ -23,7 +23,8 @@ buckets = bucketize(signal, 6)
 print(f"{signal.num_snapshots} snapshots -> {len(buckets)} windows of length 6 (stride 1)")
 
 bounds = node_bounds(signal)
-labeled = inject_noise(buckets, bounds, NoiseSpec(corrupt_probability=0.5, seed=7))
+spec = NoiseSpec(corrupt_probability=0.5, seed=7)
+labeled = inject_noise(buckets, bounds, spec)
 
 hit = [lb for lb in labeled if lb.perturbed]
 print(f"{len(hit)}/{len(labeled)} windows got corrupted (coin with p=0.5)")
@@ -40,7 +41,8 @@ for node in sorted(example.perturbed):
     print(f"  node {node}: {example.bucket.candidate[node, 0]:+.3f} -> {value:+.3f} "
           f"(range [{low:+.3f}, {high:+.3f}])")
 
-write_labeled_buckets(labeled, "ring_buckets.json", spec=NoiseSpec(corrupt_probability=0.5, seed=7))
-back = load_labeled_buckets("ring_buckets.json", signal)
+write_labeled_buckets(labeled, "ring_buckets.json", spec)
+back, recorded = load_labeled_buckets("ring_buckets.json", signal)
 assert all(a.label == b.label for a, b in zip(labeled, back))
-print("\nround-trip through ring_buckets.json preserved all labels")
+assert recorded == spec
+print("\nround-trip through ring_buckets.json preserved all labels and the noise spec")

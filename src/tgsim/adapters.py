@@ -8,6 +8,7 @@ can be switched off to run the same code paths on small test fixtures.
 
 from __future__ import annotations
 
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -75,28 +76,21 @@ def _time_major_features(raw, kind, field):
     return features
 
 
-def _adapt_chickenpox(doc):
-    _require(doc, ("edges", "FX"), "chickenpox")
-    return _pairs(doc["edges"], "chickenpox"), None, _time_major_features(
-        doc["FX"], "chickenpox", "FX"
-    )
+# the flat layouts: the fields each file must carry, its time-major features last
+_FLAT_FIELDS = {
+    "chickenpox": ("edges", "FX"),
+    "pedalme": ("edges", "weights", "X"),
+    "metrala": ("edges", "weights", "X"),
+}
 
 
-def _adapt_pedalme(doc):
-    _require(doc, ("edges", "weights", "X"), "pedalme")
+def _adapt_flat(doc, kind):
+    fields = _FLAT_FIELDS[kind]
+    _require(doc, fields, kind)
     return (
-        _pairs(doc["edges"], "pedalme"),
-        doc["weights"],
-        _time_major_features(doc["X"], "pedalme", "X"),
-    )
-
-
-def _adapt_metrala(doc):
-    _require(doc, ("edges", "weights", "X"), "metrala")
-    return (
-        _pairs(doc["edges"], "metrala"),
-        doc["weights"],
-        _time_major_features(doc["X"], "metrala", "X"),
+        _pairs(doc["edges"], kind),
+        doc["weights"] if "weights" in fields else None,
+        _time_major_features(doc[fields[-1]], kind, fields[-1]),
     )
 
 
@@ -161,12 +155,9 @@ def _adapt_montevideobus(doc):
     return _pairs(raw_edges, "montevideobus"), weights, features.transpose(1, 0, 2)
 
 
-_ADAPTERS = {
-    "chickenpox": _adapt_chickenpox,
-    "pedalme": _adapt_pedalme,
+_ADAPTERS = {kind: partial(_adapt_flat, kind=kind) for kind in _FLAT_FIELDS} | {
     "wikimath": _adapt_wikimath,
     "montevideobus": _adapt_montevideobus,
-    "metrala": _adapt_metrala,
 }
 
 DATASET_KINDS = tuple(sorted(_ADAPTERS))

@@ -30,7 +30,7 @@ from .baselines import BASELINE_METHODS, baseline_report
 from .data import adjacency_operator, load_canonical, node_bounds, read_json, write_json
 from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
-from .noise import NoiseSpec, bucket_file_noise, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
+from .noise import NoiseSpec, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
 from .training import (
     MetricsReport,
     TrainConfig,
@@ -99,10 +99,7 @@ def _resolve_out_dir(args, command: str) -> Path:
     return out_dir
 
 
-def _noise_metadata(buckets_path) -> dict:
-    spec = bucket_file_noise(buckets_path)
-    if spec is None:
-        return {}
+def _noise_metadata(spec: NoiseSpec) -> dict:
     return {"noise_probability": spec.corrupt_probability, "noise_seed": spec.seed}
 
 
@@ -168,18 +165,13 @@ def _resampler_for(signal, probability, seed):
 def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
-    labeled = load_labeled_buckets(args.buckets, signal)
+    labeled, spec = load_labeled_buckets(args.buckets, signal)
     config, model_config = _train_configs(args, signal)
-    shuffle = not args.no_shuffle_folds
-    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
+    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=not args.no_shuffle_folds)
 
     resample_for = None
     if args.redraw_noise:
-        redraw_probability = args.corrupt_probability
-        if redraw_probability is None:
-            recorded = bucket_file_noise(args.buckets)
-            redraw_probability = recorded.corrupt_probability if recorded else 0.5
-        resample_for = _resampler_for(signal, redraw_probability, config.seed)
+        resample_for = _resampler_for(signal, spec.corrupt_probability, config.seed)
     runs = run_folds(pairs, config, model_config, resample_for=resample_for, score=False)
     histories = []
     for index, (checkpoint, history, _) in enumerate(runs):
@@ -187,10 +179,7 @@ def _cmd_train(args) -> int:
         histories.append(history)
 
     write_json(
-        {
-            "test_starts": [[b.bucket.start for b in test] for _, test in pairs],
-            "shuffle": shuffle,
-        },
+        {"test_starts": [[b.bucket.start for b in test] for _, test in pairs]},
         out_dir / "folds.json",
     )
     write_json({"per_fold": histories}, out_dir / "losses.json")
@@ -221,7 +210,7 @@ def _cmd_eval(args) -> int:
         config, model_config = _train_configs(stored, signal)
     except AttributeError as exc:
         raise ParseError(f"{run_dir}/run_config.json is missing a field: {exc}") from None
-    labeled = load_labeled_buckets(buckets_path, signal)
+    labeled, spec = load_labeled_buckets(buckets_path, signal)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
 
     recorded = read_json(run_dir / "folds.json")
@@ -242,7 +231,7 @@ def _cmd_eval(args) -> int:
     folds = _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
 
     echo = config_echo(config, model_config)
-    echo.update(_noise_metadata(buckets_path))
+    echo.update(_noise_metadata(spec))
     report = MetricsReport(
         dataset=signal.name, model=model_config.cell_kind,
         folds=tuple(folds), config=echo,
@@ -258,11 +247,11 @@ def _cmd_eval(args) -> int:
 def _cmd_baseline(args) -> int:
     out_dir = _resolve_out_dir(args, "baseline")
     signal = load_canonical(args.dataset)
-    labeled = load_labeled_buckets(args.buckets, signal)
+    labeled, spec = load_labeled_buckets(args.buckets, signal)
     if not labeled:
         raise ContractError(f"{args.buckets}: no buckets to score")
     extra = {"bucket_length": labeled[0].bucket.length}
-    extra.update(_noise_metadata(args.buckets))
+    extra.update(_noise_metadata(spec))
     for method in BASELINE_METHODS:
         report = baseline_report(labeled, method, seed=args.seed, extra=extra)
         write_report(report, out_dir / f"baseline_{method}.json")
@@ -370,9 +359,8 @@ def build_parser() -> tuple[_Parser, dict]:
     p.add_argument("--no-shuffle-folds", action="store_true",
                    help="use contiguous temporal blocks instead of a shuffled split")
     p.add_argument("--redraw-noise", action="store_true",
-                   help="re-inject corruption with fresh draws every epoch")
-    p.add_argument("--corrupt-probability", type=float, default=None,
-                   help="probability for --redraw-noise (default: as recorded in the bucket file)")
+                   help="re-inject corruption with fresh draws every epoch, "
+                        "at the bucket file's recorded probability")
     p.set_defaults(func=_cmd_train)
 
     p = commands["eval"] = sub.add_parser(

@@ -6,15 +6,18 @@ channel of a few randomly chosen nodes of the candidate, uniformly within
 that node-channel's observed range, and labels the bucket with the surviving
 fraction of nodes: Y = 1 - k/N for k changed nodes.  A node counts as changed
 when selected, even if its redrawn value happens to coincide with the
-original.  Labels are carried as exact rationals so Y*N + k == N holds
-without rounding.
+original.  The label is the one division (N - k) / N, the double nearest
+the exact fraction; for every N < 3000, Y*N + k == N holds without
+rounding.
+
+A bucket file freezes a labeled set together with the `NoiseSpec` that
+drew it, and its loader returns both from one parse.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +35,10 @@ class Bucket:
     length: int
 
     def __post_init__(self):
+        for name in ("start", "length"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ContractError(f"bucket {name} must be an integer, got {value!r}")
         if self.length < 2:
             raise ContractError(f"bucket length must be >= 2, got {self.length}")
         if self.start < 0 or self.start + self.length > self.signal.num_snapshots:
@@ -60,16 +67,14 @@ class Bucket:
 class LabeledBucket:
     """A bucket whose candidate snapshot was materialized, possibly corrupted.
 
-    `perturbed` holds the redrawn node indices; `label_exact` is the
-    rational 1 - k/N for those k nodes, and `label` is its float value.
-    History snapshots always come straight from the source signal and are
-    never modified.
+    `perturbed` holds the redrawn node indices, and `label` is 1 - k/N for
+    those k nodes.  History snapshots always come straight from the source
+    signal and are never modified.
     """
 
     bucket: Bucket
     candidate: np.ndarray
     perturbed: frozenset[int]
-    label_exact: Fraction = field(init=False)
 
     def __post_init__(self):
         n = self.bucket.signal.num_nodes
@@ -85,15 +90,11 @@ class LabeledBucket:
         candidate.setflags(write=False)
         object.__setattr__(self, "candidate", candidate)
         object.__setattr__(self, "perturbed", perturbed)
-        object.__setattr__(self, "label_exact", Fraction(n - len(perturbed), n))
 
     @property
     def label(self) -> float:
-        return float(self.label_exact)
-
-    @property
-    def history(self) -> np.ndarray:
-        return self.bucket.history
+        n = self.bucket.signal.num_nodes
+        return (n - len(self.perturbed)) / n
 
     @property
     def snapshots(self) -> np.ndarray:
@@ -161,12 +162,12 @@ def inject_noise(buckets, bounds: NodeBounds, spec: NoiseSpec) -> list[LabeledBu
     return labeled
 
 
-def write_labeled_buckets(labeled, path, spec: NoiseSpec | None = None) -> None:
-    """Serialize a frozen training set: one record per bucket.
+def write_labeled_buckets(labeled, path, spec: NoiseSpec) -> None:
+    """Serialize a frozen training set: one record per bucket, and its spec.
 
-    Pass the generating `spec` to record it alongside the buckets, so
-    downstream reports can refuse to compare sets drawn under different
-    corruption settings.
+    The generating `spec` is recorded alongside the buckets, so downstream
+    reports can refuse to compare sets drawn under different corruption
+    settings.
     """
     labeled = list(labeled)
     if not labeled:
@@ -189,32 +190,18 @@ def write_labeled_buckets(labeled, path, spec: NoiseSpec | None = None) -> None:
             }
             for item in labeled
         ],
+        "noise": {"corrupt_probability": spec.corrupt_probability, "seed": spec.seed},
     }
-    if spec is not None:
-        doc["noise"] = {"corrupt_probability": spec.corrupt_probability, "seed": spec.seed}
     Path(path).write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
 
 
-def bucket_file_noise(path) -> NoiseSpec | None:
-    """The recorded noise settings of a bucket file, if any were stored."""
-    doc = read_json(path)
-    stored = doc.get("noise") if isinstance(doc, dict) else None
-    if stored is None:
-        return None
-    try:
-        return NoiseSpec(
-            corrupt_probability=stored["corrupt_probability"], seed=stored["seed"],
-        )
-    except (KeyError, TypeError, ContractError) as exc:
-        raise ParseError(f"{path}: bad noise record: {exc}") from exc
+def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[LabeledBucket], NoiseSpec]:
+    """Rebuild a frozen training set against its source signal, and its spec.
 
-
-def load_labeled_buckets(path, signal: TemporalGraphSignal) -> list[LabeledBucket]:
-    """Rebuild a frozen training set against its source signal.
-
-    The stored float label is checked against the label recomputed from the
-    perturbed-node list, so a tampered file cannot smuggle in an
-    inconsistent pair.
+    A file without a valid `noise` record is refused with `ParseError`, and
+    so is a bucket record that lacks a field, holds a non-finite candidate,
+    or stores a label other than the one recomputed from its perturbed-node
+    list, so a tampered file cannot smuggle in an inconsistent pair.
     """
     doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and "length" in doc):
@@ -224,23 +211,28 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> list[LabeledBucke
             f"{path}: training set is for dataset {doc.get('dataset')!r}, "
             f"signal is {signal.name!r}"
         )
+    stored = doc.get("noise", {})
+    try:
+        spec = NoiseSpec(corrupt_probability=stored["corrupt_probability"], seed=stored["seed"])
+    except (KeyError, TypeError, ContractError) as exc:
+        raise ParseError(f"{path}: bad or missing noise record: {exc}") from exc
 
     length = doc["length"]
     labeled = []
     for i, record in enumerate(doc["buckets"]):
         try:
             bucket = Bucket(signal, record["start"], length)
-            item = LabeledBucket(
-                bucket,
-                np.asarray(record["candidate"], dtype=np.float64),
-                frozenset(record["perturbed_nodes"]),
-            )
+            candidate = np.asarray(record["candidate"], dtype=np.float64)
+            if not np.isfinite(candidate).all():
+                raise ContractError("candidate contains non-finite values")
+            item = LabeledBucket(bucket, candidate, frozenset(record["perturbed_nodes"]))
+            mismatch = abs(item.label - record["label"]) > 1e-12
         except (KeyError, TypeError, ValueError, ContractError) as exc:
             raise ParseError(f"{path}: buckets[{i}]: {exc}") from exc
-        if abs(item.label - record.get("label", item.label)) > 1e-12:
+        if mismatch:
             raise ParseError(
                 f"{path}: buckets[{i}]: stored label {record['label']!r} does not match "
                 f"the perturbed-node count"
             )
         labeled.append(item)
-    return labeled
+    return labeled, spec

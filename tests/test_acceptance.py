@@ -17,7 +17,7 @@ from synth import chickenpox_like
 from tgsim import autodiff as ad
 from tgsim import cli
 from tgsim.autodiff import Tensor, grad_check
-from tgsim.baselines import random_baseline, tsr_baseline, tsr_predictions
+from tgsim.baselines import _tsr_score, baseline_report
 from tgsim.data import (
     TemporalGraphSignal,
     adjacency_operator,
@@ -110,8 +110,8 @@ def test_02_noise_injection_exactness():
     for seed in range(10):
         for lb in inject_noise(buckets, bounds, NoiseSpec(0.5, seed=seed)):
             k = len(lb.perturbed)
-            assert lb.label_exact * n + k == n  # exact, in rational arithmetic
-            assert lb.label_exact == Fraction(n - k, n)
+            assert lb.label * n + k == n  # exact, without rounding
+            assert lb.label == float(Fraction(n - k, n))
             clean = lb.bucket.candidate
             for node in lb.perturbed:
                 assert np.all(lb.candidate[node] >= bounds.mins[node])
@@ -155,7 +155,7 @@ def test_03_trend_baseline_oracle():
     worst_linear = 0.0
     for length in (5, 10):
         for bucket in bucketize(sig, length):
-            worst_linear = max(worst_linear, abs(tsr_baseline(bucket) - 1.0))
+            worst_linear = max(worst_linear, abs(_tsr_score(bucket.snapshots) - 1.0))
     assert worst_linear <= 1e-9
 
     rng = np.random.default_rng(23)
@@ -164,7 +164,7 @@ def test_03_trend_baseline_oracle():
                                 edges=((0, 1), (1, 0)), weights=None, features=feats)
     buckets = bucketize(noisy, 10)
     assert len(buckets) == 1000
-    worst_random = max(abs(tsr_baseline(b) - _oracle_tsr(np.asarray(b.snapshots)))
+    worst_random = max(abs(_tsr_score(b.snapshots) - _oracle_tsr(np.asarray(b.snapshots)))
                        for b in buckets)
     ok = worst_linear <= 1e-9 and worst_random <= 1e-9
     record("3 trend baseline", ok,
@@ -192,11 +192,8 @@ def test_05_model_beats_baselines(chickenpox_corpus, chickenpox_run):
     model_mse = run["report"].mean_mse
     rand_mses, tsr_mses = [], []
     for _, test_buckets in run["folds"]:
-        labels = [lb.label for lb in test_buckets]
-        rand = [p.score for p in random_baseline(test_buckets, seed=0)]
-        trend = [p.score for p in tsr_predictions(test_buckets)]
-        rand_mses.append(compute_metrics(rand, labels)[0])
-        tsr_mses.append(compute_metrics(trend, labels)[0])
+        rand_mses.append(baseline_report(test_buckets, "random", seed=0).folds[0].mse)
+        tsr_mses.append(baseline_report(test_buckets, "tsr").folds[0].mse)
     rand_mse = float(np.mean(rand_mses))
     tsr_mse = float(np.mean(tsr_mses))
 

@@ -3,16 +3,10 @@
 import numpy as np
 import pytest
 
-from tgsim.baselines import (
-    BaselinePrediction,
-    baseline_report,
-    random_baseline,
-    tsr_baseline,
-    tsr_predictions,
-)
+from tgsim.baselines import _tsr_score, baseline_report
 from tgsim.data import TemporalGraphSignal, node_bounds
 from tgsim.errors import ContractError
-from tgsim.noise import Bucket, NoiseSpec, bucketize, inject_noise
+from tgsim.noise import NoiseSpec, bucketize, inject_noise
 from tgsim.training import load_report, write_report
 
 
@@ -31,43 +25,30 @@ def make_labeled(signal, length, seed=5, p=0.5):
 
 
 def series_score(series):
-    """tsr_baseline of the one-node, one-channel bucket holding `series`."""
-    series = np.asarray(series, dtype=np.float64)
-    signal = make_signal(n=1, features=series.reshape(-1, 1, 1))
-    return tsr_baseline(Bucket(signal, 0, series.size))
+    """_tsr_score of the one-node, one-channel window holding `series`."""
+    return _tsr_score(np.asarray(series, dtype=np.float64).reshape(-1, 1, 1))
 
 
-class TestBaselinePrediction:
-    def test_valid(self):
-        p = BaselinePrediction(method="tsr", score=0.4, start=7)
-        assert (p.method, p.score, p.start) == ("tsr", 0.4, 7)
-
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ContractError, match="unknown baseline method"):
-            BaselinePrediction(method="oracle", score=0.4, start=0)
-
-    @pytest.mark.parametrize("score", [-0.1, 1.1, float("nan"), float("inf")])
-    def test_rejects_out_of_range_scores(self, score):
-        with pytest.raises(ContractError, match="lie in"):
-            BaselinePrediction(method="random", score=score, start=0)
+def predictions(labeled, method, seed=0):
+    return baseline_report(labeled, method, seed=seed).folds[0].predictions
 
 
 class TestRandomBaseline:
     def test_scores_in_unit_interval(self):
         labeled = make_labeled(make_signal(s=40), length=4)
-        preds = random_baseline(labeled, seed=1)
-        assert len(preds) == len(labeled)
-        assert all(0.0 <= p.score <= 1.0 for p in preds)
-        assert all(p.method == "random" for p in preds)
-        assert [p.start for p in preds] == [b.bucket.start for b in labeled]
+        fold = baseline_report(labeled, "random", seed=1).folds[0]
+        assert fold.sample_count == len(labeled)
+        assert all(0.0 <= p <= 1.0 for p in fold.predictions)
+        assert list(fold.starts) == [b.bucket.start for b in labeled]
 
     def test_same_seed_same_draws(self):
         labeled = make_labeled(make_signal(s=20), length=4)
-        a = random_baseline(labeled, seed=9)
-        b = random_baseline(labeled, seed=9)
-        c = random_baseline(labeled, seed=10)
-        assert [p.score for p in a] == [p.score for p in b]
-        assert [p.score for p in a] != [p.score for p in c]
+        a = predictions(labeled, "random", seed=9)
+        assert a == predictions(labeled, "random", seed=9)
+        assert a != predictions(labeled, "random", seed=10)
+        # one draw of the seed's stream per bucket, in bucket order
+        rng = np.random.default_rng(9)
+        assert a == tuple(float(rng.random()) for _ in labeled)
 
     def test_mse_matches_monte_carlo_expectation(self):
         # empirical MSE against half-corrupted labels should sit near
@@ -75,8 +56,7 @@ class TestRandomBaseline:
         n = 5
         labeled = make_labeled(make_signal(n=n, s=403), length=4, seed=31, p=0.5)
         assert len(labeled) == 400
-        preds = random_baseline(labeled, seed=32)
-        mse = float(np.mean([(p.score - b.label) ** 2 for p, b in zip(preds, labeled)]))
+        mse = baseline_report(labeled, "random", seed=32).folds[0].mse
         rng = np.random.default_rng(33)
         draws = 200_000
         u = rng.random(draws)
@@ -125,7 +105,7 @@ class TestTsrBaseline:
         labeled = make_labeled(signal, length=5, p=0.0)
         for bucket in labeled:
             assert bucket.label == 1.0
-            assert abs(tsr_baseline(bucket) - 1.0) < 1e-9
+            assert abs(_tsr_score(bucket.snapshots) - 1.0) < 1e-9
 
     def test_matches_node_by_node_polyfit(self):
         labeled = make_labeled(make_signal(n=4, s=12, f=2, seed=41), length=6, seed=41)
@@ -139,7 +119,7 @@ class TestTsrBaseline:
                 coeffs = np.polyfit(np.arange(5.0), scaled[:-1], 1)
                 miss = abs(scaled[-1] - np.polyval(coeffs, 5.0))
                 expected.append(np.clip(1.0 - miss, 0.0, 1.0))
-        assert abs(tsr_baseline(bucket) - np.mean(expected)) < 1e-9
+        assert abs(_tsr_score(window) - np.mean(expected)) < 1e-9
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_series_by_series_loop(self, seed):
@@ -162,12 +142,11 @@ class TestTsrBaseline:
             window = bucket.snapshots
             expected = np.mean([series_score(window[:, node, channel])
                                 for node in range(9) for channel in range(3)])
-            assert abs(tsr_baseline(bucket) - expected) <= 1e-12
+            assert abs(_tsr_score(window) - expected) <= 1e-12
 
     def test_score_stays_in_unit_interval(self):
         labeled = make_labeled(make_signal(n=3, s=30, seed=44), length=5, seed=44)
-        for bucket in labeled:
-            assert 0.0 <= tsr_baseline(bucket) <= 1.0
+        assert all(0.0 <= p <= 1.0 for p in predictions(labeled, "tsr"))
 
     def test_beats_random_on_clean_linear_data(self):
         t = np.arange(104, dtype=np.float64)
@@ -177,21 +156,20 @@ class TestTsrBaseline:
         signal = make_signal(n=3, s=104, features=features)
         labeled = make_labeled(signal, length=5, p=0.0)
         assert len(labeled) == 100
-        tsr_mse = np.mean([(tsr_baseline(b) - b.label) ** 2 for b in labeled])
-        rand = random_baseline(labeled, seed=3)
-        random_mse = np.mean([(p.score - b.label) ** 2 for p, b in zip(rand, labeled)])
-        assert tsr_mse < random_mse
+        tsr_mse = baseline_report(labeled, "tsr").folds[0].mse
+        assert tsr_mse < baseline_report(labeled, "random", seed=3).folds[0].mse
 
     def test_short_bucket_rejected(self):
         labeled = make_labeled(make_signal(s=10), length=2)
         with pytest.raises(ContractError, match="length >= 3"):
-            tsr_baseline(labeled[0])
+            baseline_report(labeled, "tsr")
 
     def test_prediction_list_matches_pointwise_calls(self):
-        labeled = make_labeled(make_signal(s=12), length=4, seed=2)
-        preds = tsr_predictions(labeled)
-        assert [p.score for p in preds] == [tsr_baseline(b) for b in labeled]
-        assert all(p.method == "tsr" for p in preds)
+        # the report scores each window with its corrupted candidate swapped in
+        labeled = make_labeled(make_signal(s=12), length=4, seed=2, p=1.0)
+        assert predictions(labeled, "tsr") == tuple(_tsr_score(b.snapshots) for b in labeled)
+        assert predictions(labeled, "tsr") != tuple(_tsr_score(b.bucket.snapshots)
+                                                    for b in labeled)
 
 
 class TestBaselineReport:

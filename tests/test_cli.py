@@ -163,7 +163,9 @@ class TestTrain:
         folds = json.loads((ws.train_dir / "folds.json").read_text())
         seen = sorted(start for fold in folds["test_starts"] for start in fold)
         assert seen == list(range(13))
-        assert folds["shuffle"] is True
+        assert list(folds) == ["test_starts"]
+        # shuffled: not the contiguous blocks of --no-shuffle-folds
+        assert [s for fold in folds["test_starts"] for s in fold] != seen
 
     def test_checkpoints_reload_and_carry_bounds(self, ws):
         checkpoint = load_checkpoint(ws.train_dir / "checkpoint_fold_0.json")
@@ -221,15 +223,28 @@ class TestTrain:
         assert digest(tmp_path / "redraw" / "checkpoint_fold_0.json") != digest(
             ws.train_dir / "checkpoint_fold_0.json")
 
-    def test_noise_record_is_read_only_for_a_redraw(self, ws, tmp_path, monkeypatch):
-        def unexpected(path):
-            raise AssertionError(f"train read the noise record of {path}")
+    def test_redraw_probability_is_the_recorded_one(self, ws, tmp_path, capsys):
+        # a set drawn at p = 0 redraws at p = 0: every epoch sees the clean set
+        prep = tmp_path / "clean"
+        assert cli.main(["prepare", "--dataset", str(ws.dataset), "-L", "4", "-p", "0",
+                         "--out-dir", str(prep)]) == 0
+        for name, extra in (("fixed", []), ("redraw", ["--redraw-noise"])):
+            assert cli.main([
+                "train", "--dataset", str(ws.dataset), "--buckets", str(prep / "buckets.json"),
+                *TRAIN_FLAGS, "--epochs", "1", *extra, "--out-dir", str(tmp_path / name),
+            ]) == 0
+        assert digest(tmp_path / "redraw" / "losses.json") == digest(
+            tmp_path / "fixed" / "losses.json")
+        capsys.readouterr()
 
-        monkeypatch.setattr(cli, "bucket_file_noise", unexpected)
-        assert cli.main([
+    def test_probability_is_not_a_train_flag(self, ws, tmp_path, capsys):
+        code = cli.main([
             "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
-            *TRAIN_FLAGS, "--epochs", "1", "--out-dir", str(tmp_path / "plain"),
-        ]) == 0
+            *TRAIN_FLAGS, "--redraw-noise", "--corrupt-probability", "0.3",
+            "--out-dir", str(tmp_path / "out"),
+        ])
+        assert code == 1
+        assert "--corrupt-probability" in stderr_line(capsys)["message"]
 
     def test_too_many_folds_is_a_data_error(self, ws, tmp_path, capsys):
         code = cli.main([
@@ -344,6 +359,23 @@ class TestEval:
         report = stderr_line(capsys)
         assert report["error"] == "ParseError"
         assert "missing a field" in report["message"] and field in report["message"]
+
+
+class TestUnshuffledFolds:
+    def test_blocks_in_bucket_order_evaluate_reproducibly(self, ws, tmp_path, capsys):
+        run = tmp_path / "blocks"
+        assert cli.main([
+            "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+            *TRAIN_FLAGS, "--epochs", "1", "--no-shuffle-folds", "--out-dir", str(run),
+        ]) == 0
+        starts = json.loads((run / "folds.json").read_text())["test_starts"]
+        # 13 buckets in 3 folds: contiguous blocks that concatenate to bucket order
+        assert [len(fold) for fold in starts] == [5, 4, 4]
+        assert [s for fold in starts for s in fold] == list(range(13))
+        assert cli.main(["eval", "--run-dir", str(run)]) == 0
+        assert cli.main(["eval", "--run-dir", str(run), "--out-dir", str(tmp_path / "again")]) == 0
+        assert digest(tmp_path / "again" / "metrics.json") == digest(run / "eval" / "metrics.json")
+        capsys.readouterr()
 
 
 class TestBaseline:
@@ -477,6 +509,40 @@ class TestErrorSurface:
         expected = "AdapterError" if argument == "--input" else "ParseError"
         assert report["error"] == expected
         assert (bad.name if argument.startswith("--") else argument) in report["message"]
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    @pytest.mark.parametrize("field, value", [("length", 4.0), ("start", 0.0), ("start", True)])
+    def test_non_integer_bucket_position_is_a_data_error(self, ws, tmp_path, capsys,
+                                                         command, field, value):
+        doc = json.loads(ws.buckets.read_text())
+        if field == "length":
+            doc["length"] = value
+        else:
+            doc["buckets"][0]["start"] = value
+        bad = tmp_path / "buckets.json"
+        bad.write_text(json.dumps(doc))
+        argv = [command, "--dataset", str(ws.dataset), "--buckets", str(bad),
+                "--out-dir", str(tmp_path / "out")]
+        if command == "train":
+            argv += ["-L", "4", "--epochs", "1"]
+        assert cli.main(argv) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert f"bucket {field} must be an integer" in report["message"]
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_candidate_is_a_data_error(self, ws, tmp_path, capsys, value):
+        # a trend score over it would be nan, and the report would carry it
+        doc = json.loads(ws.buckets.read_text())
+        doc["buckets"][1]["candidate"][0][0] = value
+        bad = tmp_path / "buckets.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["baseline", "--dataset", str(ws.dataset), "--buckets", str(bad),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "buckets[1]" in report["message"] and "non-finite" in report["message"]
+        assert not (tmp_path / "out" / "baseline_tsr.json").exists()
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -10,7 +10,6 @@ from tgsim.noise import (
     Bucket,
     LabeledBucket,
     NoiseSpec,
-    bucket_file_noise,
     bucketize,
     inject_noise,
     load_labeled_buckets,
@@ -71,13 +70,21 @@ class TestBucketize:
         assert bucket.history.base is not None  # view, not a copy
 
 
+class TestBucket:
+    @pytest.mark.parametrize("start, length", [(0.0, 4), (0, 4.0), (True, 4), (0, True),
+                                               ("0", 4)])
+    def test_non_integer_start_or_length_refused(self, signal, start, length):
+        with pytest.raises(ContractError, match="must be an integer"):
+            Bucket(signal, start, length)
+
+
 class TestLabels:
     def test_three_of_twenty_nodes(self):
         signal = TemporalGraphSignal("s", 20, (), None, np.zeros((5, 20, 1)))
         bucket = Bucket(signal, 0, 5)
         item = LabeledBucket(bucket, bucket.candidate.copy(), frozenset({0, 5, 9}))
         assert item.label == 0.85
-        assert item.label_exact == Fraction(17, 20)
+        assert item.label == float(Fraction(17, 20))
 
     def test_all_fifteen_nodes(self):
         signal = TemporalGraphSignal("s", 15, (), None, np.zeros((3, 15, 1)))
@@ -90,14 +97,16 @@ class TestLabels:
         bucket = Bucket(signal, 0, 3)
         item = LabeledBucket(bucket, bucket.candidate.copy(), frozenset())
         assert item.label == 1.0
-        assert item.label_exact == 1
 
     def test_rational_identity(self):
+        # the label is the double nearest 1 - k/N, and Y*N + k == N holds
+        # in floating point, without rounding
         signal = TemporalGraphSignal("s", 7, (), None, np.zeros((3, 7, 1)))
         bucket = Bucket(signal, 0, 3)
         for k in range(8):
             item = LabeledBucket(bucket, bucket.candidate.copy(), frozenset(range(k)))
-            assert item.label_exact * 7 + len(item.perturbed) == 7
+            assert item.label == float(Fraction(7 - k, 7))
+            assert item.label * 7 + len(item.perturbed) == 7
 
     def test_out_of_range_node_rejected(self):
         signal = TemporalGraphSignal("s", 4, (), None, np.zeros((3, 4, 1)))
@@ -130,7 +139,7 @@ class TestInjectNoise:
         for a, b in zip(first, second):
             assert a.perturbed == b.perturbed
             assert np.array_equal(a.candidate, b.candidate)
-            assert a.label_exact == b.label_exact
+            assert a.label == b.label
 
     def test_bucket_streams_do_not_interact(self, signal):
         # corrupting a prefix of the list must reproduce the full run's prefix
@@ -160,7 +169,7 @@ class TestInjectNoise:
                 if node in item.perturbed:
                     continue
                 assert np.array_equal(item.candidate[node], source[node])
-            assert np.array_equal(item.history, item.bucket.history)
+            assert np.array_equal(item.snapshots[:-1], item.bucket.history)
 
     def test_history_of_window_is_untouched(self, signal):
         before = signal.features.copy()
@@ -191,7 +200,7 @@ class TestInjectNoise:
                         candidate[node] = rng.uniform(bounds.mins[node], bounds.maxs[node])
                 assert np.array_equal(item.candidate, candidate)
                 assert item.perturbed == frozenset(int(i) for i in nodes)
-                assert item.label_exact == Fraction(6 - len(nodes), 6)
+                assert item.label == float(Fraction(6 - len(nodes), 6))
 
     def test_snapshots_property_swaps_in_candidate(self, signal):
         item = inject_noise(bucketize(signal, 5)[:1], node_bounds(signal), NoiseSpec(1.0, seed=2))[0]
@@ -230,7 +239,7 @@ class TestBulkValidation:
         for item in labeled:
             k = len(item.perturbed)
             counts[k] += 1
-            assert item.label_exact * n + k == n
+            assert item.label * n + k == n
             for node in item.perturbed:
                 values = item.candidate[node]
                 assert (values >= bounds.mins[node]).all()
@@ -246,19 +255,19 @@ class TestSerialization:
     def test_round_trip(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path)
-        again = load_labeled_buckets(path, signal)
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
+        again, _ = load_labeled_buckets(path, signal)
         assert len(again) == len(labeled)
         for a, b in zip(labeled, again):
             assert a.bucket.start == b.bucket.start
             assert a.perturbed == b.perturbed
-            assert a.label_exact == b.label_exact
+            assert a.label == b.label
             assert np.array_equal(a.candidate, b.candidate)
 
     def test_wrong_dataset_rejected(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path)
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
         other = TemporalGraphSignal("other", 6, (), None, np.zeros((40, 6, 2)))
         with pytest.raises(ParseError, match="other"):
             load_labeled_buckets(path, other)
@@ -272,37 +281,65 @@ class TestSerialization:
     def test_tampered_label_rejected(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(1.0, seed=13))
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path)
+        write_labeled_buckets(labeled, path, NoiseSpec(1.0, seed=13))
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc["buckets"][0]["label"] = 0.97
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ParseError, match="label"):
             load_labeled_buckets(path, signal)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_candidate_rejected(self, signal, tmp_path, value):
+        labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
+        path = tmp_path / "buckets.json"
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["buckets"][3]["candidate"][2][1] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"buckets\[3\].*non-finite"):
+            load_labeled_buckets(path, signal)
+
     def test_empty_set_rejected_on_write(self, tmp_path):
         with pytest.raises(ContractError, match="empty"):
-            write_labeled_buckets([], tmp_path / "x.json")
+            write_labeled_buckets([], tmp_path / "x.json", NoiseSpec())
 
     def test_recorded_noise_spec_round_trips(self, signal, tmp_path):
         spec = NoiseSpec(0.25, seed=13)
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), spec)
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path, spec=spec)
-        assert bucket_file_noise(path) == spec
-        assert load_labeled_buckets(path, signal)[0].bucket.start == 0
+        write_labeled_buckets(labeled, path, spec)
+        again, recorded = load_labeled_buckets(path, signal)
+        assert recorded == spec
+        assert again[0].bucket.start == 0
 
-    def test_unrecorded_noise_spec_is_none(self, signal, tmp_path):
+    def test_unrecorded_noise_spec_is_refused(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path)
-        assert bucket_file_noise(path) is None
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["noise"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="noise record"):
+            load_labeled_buckets(path, signal)
+
+    def test_record_without_label_is_refused(self, signal, tmp_path):
+        labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
+        path = tmp_path / "buckets.json"
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        del doc["buckets"][2]["label"]
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"buckets\[2\].*label"):
+            load_labeled_buckets(path, signal)
 
     def test_bad_noise_record_rejected(self, signal, tmp_path):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))
         path = tmp_path / "buckets.json"
-        write_labeled_buckets(labeled, path, spec=NoiseSpec(0.5, seed=13))
+        write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
         doc = json.loads(path.read_text(encoding="utf-8"))
-        doc["noise"] = {"corrupt_probability": 1.7, "seed": 0}
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(ParseError, match="noise record"):
-            bucket_file_noise(path)
+        for record in ({"corrupt_probability": 1.7, "seed": 0}, None, [], {"seed": 13},
+                       {"corrupt_probability": 0.5}):
+            doc["noise"] = record
+            path.write_text(json.dumps(doc), encoding="utf-8")
+            with pytest.raises(ParseError, match="noise record"):
+                load_labeled_buckets(path, signal)
