@@ -82,9 +82,9 @@ def main(argv=None):
     parser.add_argument("--shapes", nargs="+", choices=SHAPES, default=list(SHAPES))
     parser.add_argument("--repeats", type=int, default=3)
     args = parser.parse_args(argv)
-    get = _pool._openblas("get")
+    blas = _pool._openblas()
     print(f"{args.cell}, serial -> pooled seconds (serial/pooled); {_pool.workers()} pool workers, "
-          f"{get() if get else '?'} BLAS threads in this process")
+          f"{blas.get() if blas else '?'} BLAS threads in this process")
     for name in args.shapes:
         print(shape_line(name, args), flush=True)
 

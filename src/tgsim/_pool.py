@@ -17,12 +17,17 @@ idles CPUs for under a third of the run, and each further worker would
 cost a fork and its memory.
 
 Each worker first pins the already-loaded OpenBLAS to one thread, so
-workers do not start BLAS threads of their own on CPUs that the other
+workers do not run BLAS threads of their own on CPUs that the other
 workers already use, and has glibc's malloc keep the memory it frees
-(`_keep_freed_memory`). The parent's BLAS thread count and malloc
-settings are never changed. The jobs run serially in this process when
-one CPU is available, when `fork` is not, when no OpenBLAS thread setter
-is found, and when the caller is itself a worker.
+(`_keep_freed_memory`). The pin writes OpenBLAS's thread count instead
+of calling its setter, which in a forked child first restarts the thread
+pool that OpenBLAS shut down at the fork; the restarted helper threads
+would busy-wait beside the workers (see `_work`). Where the count is not
+exported, the worker calls the setter. The parent's BLAS thread count
+and malloc settings are never changed.
+The jobs run serially in this process when one CPU is available, when
+`fork` is not, when no OpenBLAS thread setter is found, and when the
+caller is itself a worker.
 
 What a worker records in its own memory stays there. Instrumentation
 that patches functions in the parent and keeps its records in the
@@ -38,14 +43,35 @@ import ctypes
 import functools
 import os
 import pickle
+from typing import Callable, NamedTuple
 
 _IN_WORKER = False
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameters
 
 
+class _OpenBlas(NamedTuple):
+    """The loaded OpenBLAS's thread count: its get and set functions, and the count itself."""
+
+    get: Callable[[], int]
+    set: Callable[[int], None]
+    # the library's `blas_cpu_number`, the count its pthreads server reads
+    # before each call; None where it is not exported or the build threads
+    # with OpenMP, which resets it from OpenMP's own count
+    cpu_number: ctypes.c_int | None
+
+
+def _function(lib, name: str):
+    """OpenBLAS's `openblas_<name>` function in `lib`, under any of its exported names, or None."""
+    for symbol in (f"scipy_openblas_{name}64_", f"openblas_{name}64_", f"openblas_{name}"):
+        function = getattr(lib, symbol, None)
+        if function is not None:
+            return function
+    return None
+
+
 @functools.cache
-def _openblas(action: str):
-    """The loaded OpenBLAS's `<action>_num_threads` function, or None."""
+def _openblas() -> _OpenBlas | None:
+    """The loaded OpenBLAS's thread count, found from one scan of this process's maps, or None."""
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
@@ -53,21 +79,27 @@ def _openblas(action: str):
         return None
     for path in libs:
         lib = ctypes.CDLL(path)
-        for symbol in (f"scipy_openblas_{action}_num_threads64_",
-                       f"openblas_{action}_num_threads64_", f"openblas_{action}_num_threads"):
-            function = getattr(lib, symbol, None)
-            if function is not None:
-                if action == "get":
-                    function.argtypes, function.restype = [], ctypes.c_int
-                else:
-                    function.argtypes, function.restype = [ctypes.c_int], None
-                return function
+        get, put = _function(lib, "get_num_threads"), _function(lib, "set_num_threads")
+        if get is None or put is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+        parallel = _function(lib, "get_parallel")
+        cpu_number = None
+        if parallel is not None:
+            parallel.argtypes, parallel.restype = [], ctypes.c_int
+            if parallel() == 1:  # the pthreads server
+                try:
+                    cpu_number = ctypes.c_int.in_dll(lib, "blas_cpu_number")
+                except ValueError:
+                    pass
+        return _OpenBlas(get, put, cpu_number)
     return None
 
 
 def workers() -> int:
     """How many workers run_jobs would start for many jobs; 1 means in-process."""
-    if _IN_WORKER or not hasattr(os, "fork") or _openblas("set") is None:
+    if _IN_WORKER or not hasattr(os, "fork") or _openblas() is None:
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -95,7 +127,17 @@ def _keep_freed_memory() -> None:
 def _work(jobs, indices, conn) -> None:
     global _IN_WORKER
     _IN_WORKER = True
-    _openblas("set")(1)
+    # After the fork OpenBLAS's thread pool is down (its atfork handler shut
+    # it), and openblas_set_num_threads starts it again before it lowers the
+    # count: its blas_num_threads - 1 helpers then busy-wait about 0.1 s
+    # beside the worker for work that never comes at one thread. Writing the
+    # count is all the setter does after that restart, and a one-thread
+    # call never starts the pool.
+    blas = _openblas()
+    if blas.cpu_number is None:
+        blas.set(1)
+    else:
+        blas.cpu_number.value = 1
     _keep_freed_memory()
     for index in indices:
         try:

@@ -107,10 +107,14 @@ HEAD_WIDTHS = (32, 64, 1)
 _BLOCK_FLOATS = 1 << 17
 
 # windows x nodes from which score_windows splits its windows across the
-# fork pool. scripts/pool_breakeven.py, a3tgcn, serial (two BLAS threads)
-# -> pooled (two workers), 2-CPU VM: 64 x 207 = 13248 took 0.14 -> 0.17 s,
-# 16 x 1068 = 17088 0.19 -> 0.22 s, 32 x 678 = 21696 0.24 -> 0.23 s,
-# 128 x 207 = 26496 0.25 -> 0.22 s and 32 x 1068 = 34176 0.39 -> 0.32 s
+# fork pool. scripts/pool_breakeven.py --score-windows 16 32 64 128
+# --repeats 5, a3tgcn, serial (two BLAS threads) -> pooled (two workers),
+# 2-CPU VM: 16 x 207 = 3312 took 0.025 -> 0.027 s, 32 x 207 = 6624 0.047 ->
+# 0.035 s, 64 x 207 = 13248 0.095 -> 0.065 s, 16 x 1068 = 17088 0.144 ->
+# 0.114 s, 32 x 678 = 21696 0.151 -> 0.094 s and 32 x 1068 = 34176 0.269 ->
+# 0.164 s. Pooling pays from about 6,600; the floor stays above that because
+# moving it changes which path, and so which bytes, a call at N >= 207
+# takes (ROADMAP item 8).
 _POOL_FLOOR = 20_000
 
 

@@ -44,11 +44,14 @@ BATCH_SIZE = 8
 
 # batch windows x nodes from which train runs a batch's chunks as jobs of
 # the fork pool. A batch forks fresh workers, and a fresh worker's first
-# window op takes about 7,600 minor faults (30 MB) and 50-130 ms more than
-# a later one at N = 1068. scripts/pool_breakeven.py, a3tgcn, one epoch over
-# 16 windows, serial (two BLAS threads) -> pooled (two workers), 2-CPU VM:
-# batches of 8 x 207 = 1656 took 0.20 -> 0.30 s, 8 x 678 = 5424 0.60 ->
-# 0.53 s and 8 x 1068 = 8544 0.96 -> 0.84 s
+# window op takes about 7,600 minor faults (30 MB) and 10-30 ms more than
+# a later one at N = 1068. scripts/pool_breakeven.py --repeats 5, a3tgcn,
+# one epoch over 16 windows, serial (two BLAS threads) -> pooled (two
+# workers), 2-CPU VM: batches of 8 x 207 = 1656 took 0.139 -> 0.106 s,
+# 8 x 678 = 5424 0.409 -> 0.266 s and 8 x 1068 = 8544 0.896 -> 0.492 s.
+# Pooling pays at N = 207 too; the floor stays above its batches because
+# moving it changes which path, and so which bytes, they take (ROADMAP
+# item 8).
 _BATCH_POOL_FLOOR = 5_000
 
 

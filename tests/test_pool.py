@@ -26,7 +26,7 @@ from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import TrainConfig, cross_validate, evaluate, train
 
 pytestmark = pytest.mark.skipif(
-    not hasattr(os, "fork") or _pool._openblas("set") is None,
+    not hasattr(os, "fork") or _pool._openblas() is None,
     reason="the pool needs fork and a loaded OpenBLAS with a thread setter",
 )
 
@@ -43,11 +43,11 @@ def two_cpus(monkeypatch):
 @pytest.fixture
 def one_blas_thread():
     """This process at one BLAS thread for the test, as OPENBLAS_NUM_THREADS=1 gives."""
-    get, put = _pool._openblas("get"), _pool._openblas("set")
-    before = get()
-    put(1)
+    blas = _pool._openblas()
+    before = blas.get()
+    blas.set(1)
     yield
-    put(before)
+    blas.set(before)
 
 
 def both_paths(monkeypatch, run):
@@ -136,10 +136,28 @@ class TestRunJobs:
         assert _pool.run_jobs([lambda: lock.locked(), lambda: 7]) == [False, 7]
 
     def test_workers_run_one_blas_thread_and_the_parent_keeps_its_own(self, two_cpus):
-        get = _pool._openblas("get")
+        get = _pool._openblas().get
         before = get()
         assert _pool.run_jobs([get, get]) == [1, 1]
         assert get() == before
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+    def test_a_worker_starts_no_blas_thread(self, two_cpus):
+        # a product far above OpenBLAS's threading threshold: a worker whose
+        # pin restarted the thread pool would hold its helpers beside it
+        def threads_after_a_product():
+            a = np.ones((512, 512))
+            a @ a
+            return len(os.listdir("/proc/self/task")), _pool._openblas().get()
+
+        assert _pool.run_jobs([threads_after_a_product] * 2) == [(1, 1)] * 2
+
+    def test_without_the_count_workers_pin_with_the_setter(self, monkeypatch, two_cpus):
+        blas = _pool._openblas()
+        monkeypatch.setattr(_pool, "_openblas", lambda: blas._replace(cpu_number=None))
+        before = blas.get()
+        assert _pool.run_jobs([blas.get, blas.get]) == [1, 1]
+        assert blas.get() == before
 
     def test_nested_call_runs_serially(self, two_cpus):
         def job():
