@@ -1,13 +1,21 @@
 """Seed sweep of the headline cross-validation: how often a fold collapses.
 
-Runs `cross_validate` on the chickenpox-shaped test corpus
-(`tests/synth.py`'s `chickenpox_like()`, corrupted with
-`NoiseSpec(0.5, 11)`, windows of 10) for every given cell and seed, and
-prints one line per run, then a table with, per cell, the folds that
+Runs `cross_validate` for every given cell and seed on one of two shapes,
+and prints one line per run, then a table with, per cell, the folds that
 collapsed to a near-constant prediction (standard deviation at most
 0.002) and the median and range of the mean MSE over seeds.
 
+- `--shape chickenpox` (the default): the chickenpox-shaped test corpus
+  (`tests/synth.py`'s `chickenpox_like()`), corrupted with
+  `NoiseSpec(0.5, 11)`, windows of 10, 3 folds.
+- `--shape metrala`: the benchmark's metrala-shaped stream
+  (`bench/inputs.metrala_corpus(seed)`, 207 nodes, 3224 snapshots), read
+  as the `cli-metrala` pipeline reads it: windows of 10 at stride 32,
+  `-p 0.5`, 2 folds, the noise and training seed derived from the seed as
+  that workload derives them.
+
     python scripts/seed_sweep.py --cells a3tgcn tgcn gconv_gru --seeds 1 2 3 4 5 --epochs 30
+    python scripts/seed_sweep.py --shape metrala --cells a3tgcn --seeds 1 2 3 --epochs 30
 
 The learning rate defaults to `TrainConfig`'s and the batch size to
 `training.BATCH_SIZE`; `--batch-size` overrides the constant for the runs.
@@ -21,21 +29,40 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
+from inputs import derived_seed, metrala_corpus  # noqa: E402
 from synth import chickenpox_like  # noqa: E402
 from tgsim import training  # noqa: E402
-from tgsim.data import node_bounds  # noqa: E402
+from tgsim.data import TemporalGraphSignal, node_bounds  # noqa: E402
 from tgsim.model import CELL_KINDS, ModelConfig  # noqa: E402
 from tgsim.noise import NoiseSpec, bucketize, inject_noise  # noqa: E402
 from tgsim.training import TrainConfig, cross_validate  # noqa: E402
 
 COLLAPSE_STD = 0.002
 BUCKET_LENGTH = 10
+# the cli-metrala workload's protocol (bench/workloads.py): stride, folds
+METRALA_STRIDE, METRALA_FOLDS = 32, 2
+
+
+def labeled_windows(shape: str, seed: int):
+    """The shape's labeled windows, its fold count and the training seed for `seed`."""
+    if shape == "chickenpox":
+        signal = chickenpox_like()
+        buckets, spec, folds = bucketize(signal, BUCKET_LENGTH), NoiseSpec(0.5, 11), 3
+    else:
+        corpus, _ = metrala_corpus(seed)
+        signal = TemporalGraphSignal(corpus.name, corpus.num_nodes, corpus.edges,
+                                     corpus.weights, corpus.features, corpus.frequency)
+        seed = derived_seed(seed, 13)  # the workload's prepare and train --seed
+        buckets = bucketize(signal, BUCKET_LENGTH, METRALA_STRIDE)
+        spec, folds = NoiseSpec(0.5, seed), METRALA_FOLDS
+    return inject_noise(buckets, node_bounds(signal), spec), folds, seed
 
 
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--shape", choices=("chickenpox", "metrala"), default="chickenpox")
     parser.add_argument("--cells", nargs="+", default=list(CELL_KINDS), choices=CELL_KINDS)
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 2, 3, 4, 5])
     parser.add_argument("--epochs", type=int, default=30)
@@ -46,15 +73,13 @@ def main(argv=None) -> None:
         parser.error("--batch-size must be a positive integer")
     training.BATCH_SIZE = args.batch_size  # read by train at each call, forked folds too
 
-    signal = chickenpox_like()
-    labeled = inject_noise(bucketize(signal, BUCKET_LENGTH), node_bounds(signal),
-                           NoiseSpec(0.5, 11))
     rows = []
     for cell in args.cells:
         means, collapsed, folds = [], 0, 0
         for seed in args.seeds:
+            labeled, fold_count, train_seed = labeled_windows(args.shape, seed)
             config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                                 bucket_length=BUCKET_LENGTH, folds=3, seed=seed)
+                                 bucket_length=BUCKET_LENGTH, folds=fold_count, seed=train_seed)
             start = time.perf_counter()
             report, _ = cross_validate(labeled, config, ModelConfig(cell, input_channels=1))
             stds = [float(np.std(fold.predictions)) for fold in report.folds]
@@ -69,8 +94,8 @@ def main(argv=None) -> None:
         rows.append((cell, collapsed, folds, np.median(means), min(means), max(means)))
 
     seeds = ", ".join(map(str, args.seeds))
-    print(f"\nlr {args.learning_rate:g}, batch {args.batch_size}, {args.epochs} epochs, "
-          f"seeds {seeds}\n")
+    print(f"\n{args.shape}, lr {args.learning_rate:g}, batch {args.batch_size}, "
+          f"{args.epochs} epochs, seeds {seeds}\n")
     print("| Cell | Collapsed folds | Mean MSE, median [range] |")
     print("|---|---|---|")
     for cell, collapsed, folds, median, low, high in rows:

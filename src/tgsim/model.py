@@ -52,9 +52,12 @@ bounds. It serves evaluation and stream scoring, and splits a call of at
 least `_POOL_FLOOR` windows x nodes across the fork pool. Every part of a cell
 step that depends on its snapshot alone (the embedding, the step's own
 graph convolution and the snapshot's half of each gate pre-activation)
-runs once per distinct snapshot instead of once per window holding it;
-the state's half of each gate, the attention and the head then run over a
-block of windows at once. Splitting each gate's product in two
+runs once per distinct snapshot instead of once per window holding it, a
+run of snapshots at a time; one loop then runs the state's half of each
+gate and the attention over a block of windows, feature-major (d x B·N),
+and the head over every pooled window. Runs and blocks stack products in
+3-D, one BLAS call a slice, which keeps a slice's bits; widening a 2-D
+product over more windows would not. Splitting each gate's product in two
 reassociates its sums, so its scores agree with `forward_pass` to a few
 1e-16, not bit for bit.
 
@@ -109,12 +112,12 @@ _BLOCK_FLOATS = 1 << 17
 # windows x nodes from which score_windows splits its windows across the
 # fork pool. scripts/pool_breakeven.py --score-windows 16 32 64 128
 # --repeats 5, a3tgcn, serial (two BLAS threads) -> pooled (two workers),
-# 2-CPU VM: 16 x 207 = 3312 took 0.025 -> 0.027 s, 32 x 207 = 6624 0.047 ->
-# 0.035 s, 64 x 207 = 13248 0.095 -> 0.065 s, 16 x 1068 = 17088 0.144 ->
-# 0.114 s, 32 x 678 = 21696 0.151 -> 0.094 s and 32 x 1068 = 34176 0.269 ->
-# 0.164 s. Pooling pays from about 6,600; the floor stays above that because
-# moving it changes which path, and so which bytes, a call at N >= 207
-# takes (ROADMAP item 8).
+# 2-CPU VM, fused scoring loop: 16 x 207 = 3312 took 0.036 -> 0.031 s,
+# 32 x 207 = 6624 0.055 -> 0.046 s, 64 x 207 = 13248 0.087 -> 0.062 s,
+# 16 x 1068 = 17088 0.166 -> 0.139 s, 32 x 678 = 21696 0.187 -> 0.129 s and
+# 32 x 1068 = 34176 0.356 -> 0.235 s. Pooling pays from about 3,300; the
+# floor stays above that because moving it changes which path, and so which
+# bytes, a call at N >= 207 takes (ROADMAP item 8).
 _POOL_FLOOR = 20_000
 
 
@@ -188,6 +191,10 @@ class ModelParams:
             raise ConfigError(
                 f"parameter set mismatch for {config.cell_kind}: missing {missing}, extra {extra}"
             )
+        for name, shape in expected.items():  # all, before the config sizes the vectors
+            if np.shape(values[name]) != shape:
+                raise ConfigError(f"parameter {name!r} has shape {np.shape(values[name])}, "
+                                  f"expected {shape}")
         self.config = config
         total = sum(rows * cols for rows, cols in expected.values())
         self.values = np.empty(total)
@@ -197,8 +204,6 @@ class ModelParams:
         at = 0
         for name, shape in expected.items():
             value = np.asarray(values[name], dtype=np.float64)
-            if value.shape != shape:
-                raise ConfigError(f"parameter {name!r} has shape {value.shape}, expected {shape}")
             span = slice(at, at + value.size)
             tensor = Tensor(self.values[span].reshape(shape))
             tensor.value[...] = value
@@ -307,18 +312,18 @@ def window_chunks(windows: int, steps: int, n: int, d: int) -> list:
     return _spans(windows, 2 * steps * n * d)
 
 
-def _scratch(params: ModelParams, key, shape) -> np.ndarray:
-    """An uninitialized array of `shape`, from a buffer `params` keeps under `key`.
+def _scratch(buffers: dict, key, shape) -> np.ndarray:
+    """An uninitialized array of `shape`, from a buffer `buffers` keeps under `key`.
 
-    The window's backward takes its stacked temporaries from here. Freeing
-    an array of 64 KB or more lets glibc's malloc hand the top of the heap
-    back to the system, and the next window faults it back in page by page:
-    about 330 faults a window at N = 20 when these were allocated afresh,
-    costing as much time as the stacking saved. A key serves one array at
-    a time; backward into one ModelParams runs in one thread at a time, as
-    its gradients already require.
+    The window's backward takes its stacked temporaries from here, from
+    `params.scratch`, and a `score_windows` part its buffers, from a dict
+    of its own. Freeing an array of 64 KB or more lets glibc's malloc hand
+    the top of the heap back to the system, and the next window faults it
+    back in page by page: about 330 faults a window at N = 20 when these
+    were allocated afresh, costing as much time as the stacking saved. A
+    key serves one array at a time; backward into one ModelParams runs in
+    one thread at a time, as its gradients already require.
     """
-    buffers = params.scratch
     size = math.prod(shape)
     if key not in buffers or buffers[key].size < size:
         buffers[key] = np.empty(size)
@@ -457,12 +462,12 @@ class _Cell:
         """
         count, params = block.stop - block.start, self.params
         gates = self.gates[block]
-        rests = np.subtract(1.0, gates, out=_scratch(params, "rests", gates.shape))
+        rests = np.subtract(1.0, gates, out=_scratch(params.scratch, "rests", gates.shape))
         c = self.candidates[block]
-        slopes = np.multiply(c, c, out=_scratch(params, "slopes", c.shape))
+        slopes = np.multiply(c, c, out=_scratch(params.scratch, "slopes", c.shape))
         np.subtract(1.0, slopes, out=slopes)
         # the pre-activation gradients of the update gate, the reset gate and the candidate
-        grads = _scratch(params, "grads", (3, count) + g.shape)
+        grads = _scratch(params.scratch, "grads", (3, count) + g.shape)
         work = self._work(grads.shape[1:])
         for t in reversed(range(block.start, block.stop)):
             i = t - block.start
@@ -535,7 +540,7 @@ class _TgcnCell(_Cell):
 
     def _work(self, shape):
         # the gradients of [G_t, R_t * H_{t-1}] and of [G_t, H_{t-1}]
-        return _scratch(self.params, "work", (2,) + shape[:2] + (2 * self.d,))
+        return _scratch(self.params.scratch, "work", (2,) + shape[:2] + (2 * self.d,))
 
     def _gated_grad(self, work, i, g_cand):
         np.matmul(g_cand, self.w["w_c"].T, out=work[0, i])
@@ -553,7 +558,7 @@ class _TgcnCell(_Cell):
         g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (conv > 0)
         _add_products(params, "w_g", self.mixed[block], g_conv)
         # the block's [G_t, H_{t-1}] rows, then its [G_t, R_t * H_{t-1}] rows
-        side = _scratch(params, "side", conv.shape[:-1] + (2 * d,))
+        side = _scratch(params.scratch, "side", conv.shape[:-1] + (2 * d,))
         side[..., :d] = conv
         side[0, :, d:] = self.previous(block.start)
         side[1:, :, d:] = self.states[block.start:block.stop - 1]
@@ -819,7 +824,10 @@ def _split_cell(params: ModelParams, config: ModelConfig):
     comes back transposed: the snapshot-side weights of the three
     pre-activations stacked (3d x d: [u; r; c] for tgcn and a3tgcn,
     [z; r; h] for gconv_gru) with their biases (3d x 1), and the state-side
-    weights of the two gates (2d x d) and of the candidate (d x d).
+    weights of the two gates (2d x d) and of the candidate (d x d). The two
+    gates' rows come back negated, on both sides, so their pre-activations
+    come out as -x and the logistic 1 / (1 + exp(-x)) needs no negation
+    pass; rounding is symmetric in sign, so this is exact.
     """
     d = config.embed_dim
     if config.cell_kind == "gconv_gru":
@@ -829,93 +837,36 @@ def _split_cell(params: ModelParams, config: ModelConfig):
         parts = [(params[f"w_{g}"].value[:d], params[f"w_{g}"].value[d:], params[f"b_{g}"].value)
                  for g in "urc"]
     w_snap, w_state, bias = (np.vstack([col.T for col in cols]) for cols in zip(*parts))
+    for stacked in (w_snap, w_state, bias):
+        np.negative(stacked[:2 * d], out=stacked[:2 * d])
     return w_snap, bias, w_state[:2 * d], w_state[2 * d:]
 
 
-def _snapshot_stage(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, bias):
-    """Every part of a cell step that depends on its snapshot alone: 3d x N.
+def _snapshot_stages(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, bias):
+    """Every part of a cell step that depends on its snapshot alone, for R snapshots: R x 3d x N.
 
-    The embedding E = gcn_embed(x), then the step's graph input (A_hat E for
-    gconv_gru, G = relu(A_hat E W_g) for the T-GCN step) times the
-    snapshot-side weights of the three pre-activations, plus their biases.
+    The embedding E = relu(A_hat x W_in + b_in), as `gcn_embed` computes it,
+    then the step's graph input (A_hat E for gconv_gru, G = relu(A_hat E W_g)
+    for the T-GCN step) times the snapshot-side weights of the three
+    pre-activations, plus their biases. Every product runs over a 3-D
+    stack, one BLAS call a snapshot, so a stage has the bits it gets alone:
+    one product over all the run's rows could go to gemm where a lone
+    one-node snapshot's goes to gemv.
     """
-    mixed = _mix(a_hat, gcn_embed(x, a_hat, params)[0])
+    embedded = np.matmul(_mix(a_hat, x), params["w_in"].value)
+    embedded += params["b_in"].value
+    mixed = _mix(a_hat, np.maximum(embedded, 0.0, out=embedded))
     if config.cell_kind != "gconv_gru":
-        mixed = np.maximum(mixed @ params["w_g"].value, 0.0)
-    out = w_snap @ mixed.T
+        mixed = np.maximum(np.matmul(mixed, params["w_g"].value), 0.0)
+    out = np.matmul(w_snap, mixed.transpose(0, 2, 1))
     out += bias
     return out
-
-
-def _side_by_side(stages):
-    """A block's snapshot stages side by side as 3d x (B N); a lone stage is not copied."""
-    return stages[0] if len(stages) == 1 else np.concatenate(stages, axis=1)
 
 
 def _propagate(a_hat, states, n):
     """A_hat times each window's node states, for d x (B N) feature-major states:
     `_mix` over their node-major transpose, N x (d B)."""
     return _mix(a_hat, states.reshape(-1, n).T).T.reshape(states.shape)
-
-
-def _recurrence(steps, a_hat, config: ModelConfig, w_gates, w_cand, n) -> list:
-    """The recurrent states of a block of windows, one d x (B N) array per step.
-
-    `steps` yields each step's snapshot stage for every window of the block,
-    side by side as 3d x (B N), and is only read, so a cached stage can be
-    yielded as is; the state-side half of every pre-activation is computed
-    here, per window and step. The gates take the logistic
-    function as 1 / (1 + exp(-x)), which is exact where the per-window
-    step's overflow-free form takes the same branch and within an ulp
-    elsewhere; exp overflows to inf for x < -709, giving 0 as it should.
-    """
-    d = config.embed_dim
-    graph_state = config.cell_kind == "gconv_gru"
-    states = []
-    h = None
-    for snap in steps:
-        if h is None:
-            h = np.zeros((d, snap.shape[1]))
-        gates = w_gates @ (_propagate(a_hat, h, n) if graph_state else h)
-        gates += snap[:2 * d]
-        np.negative(gates, out=gates)
-        np.exp(gates, out=gates)
-        gates += 1.0
-        np.reciprocal(gates, out=gates)
-        u, r = gates[:d], gates[d:]
-        gated = r * h
-        if graph_state:
-            gated = _propagate(a_hat, gated, n)
-        candidate = w_cand @ gated
-        candidate += snap[2 * d:]
-        np.tanh(candidate, out=candidate)
-        h = u * h  # u * h + (1 - u) * c, in the per-window step's order
-        np.subtract(1.0, u, out=u)
-        u *= candidate
-        h += u
-        states.append(h)
-    return states
-
-
-def _stacked_attention(states, params: ModelParams) -> np.ndarray:
-    """`temporal_attention` over feature-major d x rows states, returned d x rows.
-
-    Per row, the softmax over steps of tanh(H_t W_a + b_a) v_a weights the
-    states, summed in step order.
-    """
-    w_a, b_a, v_a = (params[name].value.T for name in ("w_a", "b_a", "v_a"))
-    energies = []
-    for h in states:
-        hidden = w_a @ h
-        hidden += b_a
-        energies.append(v_a @ np.tanh(hidden, out=hidden))
-    energies = np.concatenate(energies)
-    weights = np.exp(energies - energies.max(axis=0))
-    weights /= weights.sum(axis=0)
-    context = weights[0] * states[0]
-    for t in range(1, len(states)):
-        context += weights[t] * states[t]
-    return context
 
 
 def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
@@ -932,14 +883,17 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
 
     Windows are taken in start order, a block at a time; a block holds as
     many windows as fit their recurrent states in a fixed float budget. The
-    snapshot stage of a signal snapshot runs once per part and is kept while
-    a later window still holds that snapshot; a candidate's runs once for
-    its window. A call of at least `_POOL_FLOOR` windows x nodes cuts the
-    start-sorted windows into one contiguous part per worker of the fork
-    pool (`_pool`, one BLAS thread per worker); a cut may fall inside a
-    block, and the scores are still bitwise those of one serial call under
-    one BLAS thread, which tests/test_pool.py checks. Call it outside any
-    tape.
+    snapshot stage of a signal snapshot runs once per part, in a run of as
+    many snapshots as fit their stages in that budget, and is kept while a
+    later window still holds that snapshot; a block's candidates run as one
+    run. The recurrence skips the zero start state's products, which are
+    exactly 0 for the finite weights a checkpoint holds, and the head scores
+    every pooled window at the end. A call of at least `_POOL_FLOOR` windows
+    x nodes cuts the start-sorted windows into one contiguous part per
+    worker of the fork pool (`_pool`, one BLAS thread per worker); a cut may
+    fall inside a block, and the scores are still bitwise those of one
+    serial call under one BLAS thread, which tests/test_pool.py checks.
+    Call it outside any tape.
     """
     expects = checkpoint.config.input_channels
     if signal.num_channels != expects:
@@ -996,7 +950,14 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
 
 def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
                   candidates) -> np.ndarray:
-    """score_windows' scores of windows whose `starts` are in order, checked, in this process."""
+    """score_windows' scores of windows whose `starts` are in order, checked, in this process.
+
+    One loop over blocks of windows, its arrays feature-major, d x (B N):
+    it fills the stage cache a run of snapshots at a time, then runs the
+    block's recurrence and attention in buffers the call allocates once,
+    and pools the block's final states. The head scores the pooled rows at
+    the end.
+    """
     config = checkpoint.config
     n, d = signal.num_nodes, config.embed_dim
     first = int(starts[0])
@@ -1006,36 +967,89 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
     a_hat = adjacency_operator(signal)
     params = checkpoint.params
     w_snap, bias, w_gates, w_cand = _split_cell(params, config)
-    layers = _head_layers(params)
+    graph_state = config.cell_kind == "gconv_gru"
+    if config.cell_kind == "a3tgcn":
+        w_a, b_a, v_a = (params[name].value.T for name in ("w_a", "b_a", "v_a"))
 
-    def stage(x):
-        return _snapshot_stage(x, a_hat, params, config, w_snap, bias)
+    def stages(x):
+        return _snapshot_stages(x, a_hat, params, config, w_snap, bias)
+
+    def state_side(h):  # what a state-side weight multiplies
+        return _propagate(a_hat, h, n) if graph_state else h
 
     shared = length if candidates is None else length - 1
     block = max(1, _BLOCK_FLOATS // (n * d * length))
-    scores = np.empty(len(starts))
-    cache: dict[int, np.ndarray] = {}
-    for at in range(0, len(starts), block):
-        part = slice(at, at + block)
-        block_starts = starts[part].tolist()
-        # keep what this block holds; with starts in order, nothing dropped
-        # here is held by a later block
-        needed = {s + k for s in block_starts for k in range(shared)}
-        cache = {j: cache[j] if j in cache else stage(features[j - first]) for j in needed}
-
-        def steps():
-            for k in range(shared):
-                yield _side_by_side([cache[s + k] for s in block_starts])
+    run = max(1, _BLOCK_FLOATS // (3 * d * n))
+    # the signal snapshots the windows hold, in order, as offsets from `first`
+    needed = np.unique(starts[:, None] - first + np.arange(shared)).tolist()
+    cache, made, buffers = {}, 0, {}
+    pooled = np.empty((len(starts), d))
+    with np.errstate(over="ignore"):  # exp(x) is inf for x > 709, giving a gate of 0
+        for at in range(0, len(starts), block):
+            block_starts = (starts[at:at + block] - first).tolist()
+            cols = len(block_starts) * n
+            while made < len(needed) and needed[made] < block_starts[-1] + shared:
+                ids = needed[made:made + run]
+                cache.update(zip(ids, stages(features[ids])))
+                made += len(ids)
+            # with starts in order, no later block holds a stage dropped here
+            cache = {j: stage for j, stage in cache.items() if j >= block_starts[0]}
             if shared < length:
-                yield _side_by_side([stage(c) for c in candidates[part]])
-
-        with np.errstate(over="ignore"):
-            states = _recurrence(steps(), a_hat, config, w_gates, w_cand, n)
-        final = states[-1]
-        if config.cell_kind == "a3tgcn":
-            final = _stacked_attention(states, params)
-        pooled = final.reshape(d, len(block_starts), n).mean(axis=2).T
-        scores[part] = _head_activations(pooled, layers)[0][-1][:, 0]
+                extra = list(stages(candidates[at:at + block]))
+            states = _scratch(buffers, "states", (length, d, cols))
+            gates = _scratch(buffers, "gates", (2 * d, cols))
+            u, r = gates[:d], gates[d:]
+            candidate = _scratch(buffers, "candidate", (d, cols))
+            gated = _scratch(buffers, "gated", (d, cols))
+            for k in range(length):
+                pieces = [cache[s + k] for s in block_starts] if k < shared else extra
+                snap = pieces[0] if len(pieces) == 1 else np.concatenate(
+                    pieces, axis=1, out=_scratch(buffers, "snap", (3 * d, cols)))
+                h, state = states[k - 1], states[k]
+                # the zero start state's products are exactly +0: step 0 skips them
+                if k:
+                    np.matmul(w_gates, state_side(h), out=gates)
+                    gates += snap[:2 * d]
+                    np.exp(gates, out=gates)
+                else:
+                    np.exp(snap[:2 * d], out=gates)
+                gates += 1.0
+                np.reciprocal(gates, out=gates)
+                if k:
+                    np.multiply(r, h, out=gated)
+                    np.matmul(w_cand, state_side(gated), out=candidate)
+                    candidate += snap[2 * d:]
+                    np.tanh(candidate, out=candidate)
+                    np.multiply(u, h, out=state)  # u * h + (1 - u) * c, in the window op's order
+                else:
+                    np.tanh(snap[2 * d:], out=candidate)
+                np.subtract(1.0, u, out=u)
+                if k:
+                    u *= candidate
+                    state += u
+                else:
+                    np.multiply(u, candidate, out=state)
+            final = states[-1]
+            if config.cell_kind == "a3tgcn":
+                # per row, the softmax over steps of tanh(H_t W_a + b_a) v_a weights
+                # the states, summed in step order: a reduce over axis 0 adds in order
+                hidden = np.matmul(w_a, states, out=_scratch(buffers, "hidden",
+                                                             (length, len(w_a), cols)))
+                hidden += b_a
+                np.tanh(hidden, out=hidden)
+                energies = np.matmul(v_a, hidden)[:, 0]
+                weights = np.exp(energies - energies.max(axis=0))
+                weights /= weights.sum(axis=0)
+                weighted = np.multiply(weights[:, None], states,
+                                       out=_scratch(buffers, "hidden", states.shape))
+                final = np.add.reduce(weighted, axis=0, out=candidate)
+            pooled[at:at + len(block_starts)] = final.reshape(d, -1, n).mean(axis=2).T
+    # the head's rows are independent (`_row_products`): score them in spans
+    # whose widest product, rows x in x out, fits the float budget
+    layers = _head_layers(params)
+    scores = np.empty(len(starts))
+    for rows in _spans(len(starts), max(w.value.size for w, _ in layers)):
+        scores[rows] = _head_activations(pooled[rows], layers)[0][-1][:, 0]
     return scores
 
 
@@ -1078,13 +1092,18 @@ def load_checkpoint(path) -> Checkpoint:
         )
         values = {}
         for name, entry in doc["params"].items():
-            shape = tuple(entry["shape"])
+            shape = entry["shape"]
+            if not (isinstance(shape, list) and len(shape) == 2 and all(
+                    type(size) is int and size >= 0 for size in shape)):
+                raise ParseError(f"{path}: parameter {name!r} has shape {shape!r}, "
+                                 f"expected two non-negative integers")
             data = np.asarray(entry["data"], dtype=np.float64)
             if data.shape != (shape[0] * shape[1],):
-                raise ParseError(
-                    f"{path}: parameter {name!r} carries {data.shape[0]} values "
-                    f"for shape {shape}"
-                )
+                raise ParseError(f"{path}: parameter {name!r} carries {data.size} values "
+                                 f"for shape {shape}")
+            # scoring's zero start state relies on W @ 0 being 0
+            if not np.isfinite(data).all():
+                raise ParseError(f"{path}: parameter {name!r} holds a non-finite value")
             values[name] = data.reshape(shape)
         params = ModelParams(config, values, grads=False)
         raw_bounds = doc["feature_bounds"]

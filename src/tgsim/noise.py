@@ -226,7 +226,8 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
             if not np.isfinite(candidate).all():
                 raise ContractError("candidate contains non-finite values")
             item = LabeledBucket(bucket, candidate, frozenset(record["perturbed_nodes"]))
-            mismatch = abs(item.label - record["label"]) > 1e-12
+            # NaN compares false, so test for a match, not a mismatch
+            mismatch = not abs(item.label - record["label"]) <= 1e-12
         except (KeyError, TypeError, ValueError, ContractError) as exc:
             raise ParseError(f"{path}: buckets[{i}]: {exc}") from exc
         if mismatch:

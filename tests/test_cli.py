@@ -421,6 +421,28 @@ class TestDetect:
         assert "needs at least" in stderr_line(capsys)["message"]
 
 
+    @pytest.mark.parametrize("damage", ["shape", "value", "count"])
+    def test_malformed_checkpoint_is_a_parse_error(self, ws, tmp_path, capsys, damage):
+        doc = json.loads((ws.train_dir / "checkpoint_fold_0.json").read_text(encoding="utf-8"))
+        entry = doc["params"]["w_in"]
+        if damage == "shape":  # once an IndexError traceback out of main
+            entry["shape"] = [2]
+        elif damage == "value":
+            entry["data"][0] = float("nan")
+        else:
+            entry["data"].append(0.5)
+        checkpoint = tmp_path / "damaged.json"
+        checkpoint.write_text(json.dumps(doc), encoding="utf-8")
+        code = cli.main([
+            "detect", "--dataset", str(ws.dataset), "--checkpoint", str(checkpoint),
+            "-L", "4", "--out-dir", str(tmp_path / "det"),
+        ])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "w_in" in report["message"]
+
+
 class TestReport:
     def test_comparison_table_keeps_input_order(self, ws, evaluated, base_dir, tmp_path):
         out = tmp_path / "rep"

@@ -953,6 +953,52 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="w_g"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("shape, match", [
+        ([2], "two non-negative"), ([1.5, 2], "two non-negative"), ([-1, 6], "two non-negative"),
+        ([True, 6], "two non-negative"), ("6", "two non-negative"), ([6, 6, 1], "two non-negative"),
+        ([3, 6], "carries 16 values"),
+    ])
+    def test_malformed_parameter_shape_rejected(self, tmp_path, shape, match):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"]["w_g"]["shape"] = shape
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"w_g.*{match}"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), None])
+    def test_non_finite_parameter_rejected(self, tmp_path, value):
+        # score_windows skips W @ 0 at the zero start state: W must be finite
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["params"]["w_u"]["data"][3] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="w_u.*non-finite"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field", ["input_channels", "attention_dim"])
+    def test_huge_config_refused_before_allocating(self, tmp_path, field):
+        # the stored shapes do not match: refused before 2^40 floats are asked for
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"][field] = 2 ** 40
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="expected"):
+            load_checkpoint(path)
+        config = ModelConfig("a3tgcn", input_channels=2 ** 40)
+        values = {name: np.zeros((1, 1)) for name in parameter_shapes(config)}
+        with pytest.raises(ConfigError, match="w_in"):
+            ModelParams(config, values, grads=False)
+
     @pytest.mark.parametrize("section", ["config", "params", "feature_bounds", "provenance"])
     def test_section_that_is_not_an_object_rejected(self, tmp_path, section):
         import json
@@ -1080,18 +1126,38 @@ class TestScoreWindows:
     @pytest.mark.parametrize("windows", [1, 4, 1000])
     def test_each_snapshot_is_embedded_once(self, monkeypatch, windows):
         signal, checkpoint = scored_signal("a3tgcn")
-        calls = []
-        embed = model_module.gcn_embed
-        monkeypatch.setattr(model_module, "gcn_embed",
-                            lambda *args: calls.append(1) or embed(*args))
+        # stages embed a run of snapshots at a time: count the snapshots
+        # each call embeds, not the calls
+        embedded = []
+        stages = model_module._snapshot_stages
+        monkeypatch.setattr(model_module, "_snapshot_stages",
+                            lambda x, *args: embedded.append(len(x)) or stages(x, *args))
         blocks_of(monkeypatch, windows, signal, checkpoint, 6)
         score_windows(signal, checkpoint, range(35), 6)
-        assert len(calls) == signal.num_snapshots
-        calls.clear()
+        assert sum(embedded) == signal.num_snapshots
+        embedded.clear()
         # candidates replace the last snapshot: the history snapshots 0..33
         # once each, plus one candidate per window
         score_windows(signal, checkpoint, range(30), 6, np.zeros((30, 5, 2)))
-        assert len(calls) == 34 + 30
+        assert sum(embedded) == 34 + 30
+
+    @pytest.mark.parametrize("with_candidates", [False, True])
+    @pytest.mark.parametrize("kind", CELL_KINDS)
+    def test_one_call_equals_a_call_per_window_bitwise(self, kind, with_candidates):
+        # N = 207: stage runs of 6 snapshots and one-window blocks in one
+        # call, a run of at most 10 and one block in each call per window
+        signal = published_signal("metrala", 40)
+        checkpoint = scoring_checkpoint(signal, ModelConfig(kind, 1), 47)
+        rng = np.random.default_rng(48)
+        starts = rng.choice(31, size=12).tolist()
+        candidates = None
+        if with_candidates:
+            candidates = rng.uniform(size=(len(starts), signal.num_nodes, 1))
+        together = score_windows(signal, checkpoint, starts, 10, candidates)
+        alone = [score_windows(signal, checkpoint, [start], 10,
+                               None if candidates is None else candidates[i:i + 1])
+                 for i, start in enumerate(starts)]
+        assert together.tobytes() == np.concatenate(alone).tobytes()
 
     @pytest.mark.parametrize("name", SPARSE_SHAPES)
     @pytest.mark.parametrize("kind", CELL_KINDS)

@@ -288,6 +288,18 @@ class TestSerialization:
         with pytest.raises(ParseError, match="label"):
             load_labeled_buckets(path, signal)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_label_rejected(self, signal, tmp_path, value):
+        # abs(label - nan) > 1e-12 is False: a NaN label once passed the check
+        labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(1.0, seed=13))
+        path = tmp_path / "buckets.json"
+        write_labeled_buckets(labeled, path, NoiseSpec(1.0, seed=13))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["buckets"][0]["label"] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"buckets\[0\].*label"):
+            load_labeled_buckets(path, signal)
+
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_candidate_rejected(self, signal, tmp_path, value):
         labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(0.5, seed=13))

@@ -24,3 +24,14 @@ def test_script_help_exits_zero(path):
                          capture_output=True, text=True)
     assert run.returncode == 0, run.stderr
     assert "usage:" in run.stdout
+
+
+def test_seed_sweep_runs_the_metrala_shape():
+    # one seed, one epoch, one cell: the sweep on bench/inputs.metrala_corpus
+    script = SCRIPTS[0].parent / "seed_sweep.py"
+    run = subprocess.run([sys.executable, str(script), "--shape", "metrala", "--cells", "tgcn",
+                          "--seeds", "1", "--epochs", "1"], timeout=300,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("tgcn seed 1: mean MSE ")
+    assert "\n| tgcn | 0/2 | " in run.stdout
