@@ -19,6 +19,9 @@ again after every pair, so an interrupted series keeps its finished pairs:
   pairs won and the medians apart by more than the parent's quartile
   spread;
 - per workload, how many pairs wrote the same output digests on both sides;
+- per workload that times its commands (`command_s` in a round's record,
+  as `cli-metrala` does), each side's median seconds per command: the
+  median over the pairs of each run's median over its rounds;
 - the CPU count, Python, numpy and BLAS of each side, from the records.
 
     python3 scripts/bench_pairs.py --parent ../parent --label adjacency_from_arcs \\
@@ -57,6 +60,7 @@ def run_once(checkout: Path, command, workload, seed, seconds):
         "returncode": proc.returncode,
         "metrics": {name: metric["value"] for name, metric in result["metrics"].items()},
         "digests": sorted({r["digest"] for r in record["rounds"]}),
+        "command_s": medians(r.get("command_s", {}) for r in record["rounds"]),
         "environment": record["environment"],
     }
 
@@ -92,6 +96,27 @@ def summarize(pairs, metrics):
     return summary
 
 
+def medians(timings):
+    """Per key of the {command: seconds} mappings `timings`, the median of its values."""
+    values = {}
+    for timing in timings:
+        for command, seconds in timing.items():
+            values.setdefault(command, []).append(seconds)
+    return {command: float(np.median(v)) for command, v in values.items()}
+
+
+def command_medians(pairs):
+    """Per command: each side's median over the pairs of its runs' seconds, and their ratio."""
+    sides = {side: medians(p[side].get("command_s", {}) for p in pairs) for side in SIDES}
+    summary = {}
+    for command in dict.fromkeys(c for side in SIDES for c in sides[side]):
+        entry = summary[command] = {side: sides[side][command] for side in SIDES
+                                    if command in sides[side]}
+        if len(entry) == len(SIDES):
+            entry["change_over_parent"] = entry["change"] / entry["parent"]
+    return summary
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent commit")
@@ -119,8 +144,8 @@ def main(argv=None) -> None:
     index = 0
     for workload in workloads:
         pairs = []
-        entry = report["workloads"][workload] = {"summary": {}, "digests_equal": 0,
-                                                 "pairs": pairs}
+        entry = report["workloads"][workload] = {"summary": {}, "command_s": {},
+                                                 "digests_equal": 0, "pairs": pairs}
         for seed in args.seeds:
             order = SIDES if index % 2 == 0 else SIDES[::-1]
             index += 1
@@ -136,6 +161,7 @@ def main(argv=None) -> None:
                       f"{json.dumps(run.get('metrics'))}", flush=True)
             pairs.append(pair)
             entry["summary"] = summarize(pairs, spec["end_to_end"])
+            entry["command_s"] = command_medians(pairs)
             entry["digests_equal"] = sum(
                 "digests" in p["parent"] and p["parent"]["digests"] == p["change"].get("digests")
                 for p in pairs)

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TemporalGraphSignal, read_json, write_canonical
+from .data import TemporalGraphSignal, read_json, read_json_rows, write_canonical
 from .errors import AdapterError, ContractError, ParseError
 
 # published (num_nodes, num_edges, num_snapshots) per dataset kind
@@ -63,6 +63,7 @@ def _pairs(raw, kind):
 
 
 def _time_major_features(raw, kind, field):
+    # raw is the field's JSON value, or its rows as arrays (read_json_rows)
     try:
         features = np.asarray(raw, dtype=np.float64)
     except (TypeError, ValueError) as exc:
@@ -183,7 +184,8 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
     if raw.suffix.lower() in BINARY_SUFFIXES:
         raise AdapterError(f"{key}: expected a JSON file, got {raw.suffix!r}")
     try:
-        doc = read_json(raw)
+        # a flat layout's features are read a row at a time (read_json_rows)
+        doc = read_json_rows(raw, _FLAT_FIELDS[key][-1]) if key in _FLAT_FIELDS else read_json(raw)
     except ParseError as exc:
         recipe = f"; {METRALA_RECIPE}" if key == "metrala" else ""
         raise AdapterError(f"{key}: {exc}{recipe}") from exc
@@ -198,6 +200,7 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
         features=features,
         frequency=DATASET_FREQUENCIES[key],
     )
+    del features  # the signal holds its own copy
 
     if check_counts:
         expected = DATASET_SHAPES[key]

@@ -162,9 +162,12 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
             trail.append(s)
             continue
         else:
+            # np.mean and np.std's own arithmetic, bit for bit, without
+            # their dispatch (8.5 against 30 us a window)
             values = np.array(trail)
-            mean = float(np.mean(values))
-            std = float(np.std(values))
+            mean = float(np.add.reduce(values)) / policy.window
+            deviation = values - mean
+            std = math.sqrt(float(np.add.reduce(deviation * deviation)) / policy.window)
             bound = mean - policy.multiplier * max(std, MIN_STD)
         thresholds.append(bound)
         if i <= muted_through:

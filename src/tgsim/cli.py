@@ -7,9 +7,10 @@ leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
 
 `train` fits its folds, `eval` scores them and `detect` scores its
-stream in the fork pool of `_pool`, one BLAS thread per worker.  Their
-outputs are byte-identical to a serial run under one BLAS thread, and an
-error raised in a worker reaches the caller as it would serially.
+stream in the fork pool of `_pool`, one BLAS thread per worker, and
+`convert` formats a large signal's features there.  Their outputs are
+byte-identical to a serial run under one BLAS thread, and an error raised
+in a worker reaches the caller as it would serially.
 """
 
 import argparse

@@ -27,18 +27,19 @@ anyway.
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 import shutil
 import tempfile
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.format import read_array
 
+from . import _pool
 from .errors import ContractError, ParseError
 
 REQUIRED_FIELDS = ("name", "num_nodes", "edges", "frequency", "features")
@@ -51,6 +52,18 @@ OPTIONAL_FIELDS = ("weights",)
 # threads (0.18 against 0.63 and 0.35 ms), and about 20 training windows
 # repay the import (a3tgcn, one thread: 8 windows in 352 against 442 ms).
 _SPARSE_NODES = 512
+
+# bytes `load_canonical` hashes at a time
+_HASH_BLOCK = 1 << 20
+
+# floats in one span of features that `write_canonical` formats in one go
+# (about 0.65 MB of text), and from how many it formats them on the fork
+# pool.  Formatting costs 0.6-1.5 us a float.  On 2 CPUs, for random
+# one-channel signals at N = 207 (medians of 8 alternations), the pool lost
+# at 248k floats (214 against 204 ms in-process) and won at 414k (274
+# against 319 ms) and at the metrala shape's 667k (425 against 541 ms)
+_SPAN_FLOATS = 1 << 15
+_FORMAT_POOL_FLOOR = 400_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +174,8 @@ def _fail(path, where, what):
     raise ParseError(f"{path}: {where}: {what}")
 
 
-def read_json(path, data: bytes | None = None):
-    """The JSON document in `path`, or in `data`, that file's bytes if already read.
+def read_json(path):
+    """The JSON document in `path`.
 
     Decoded as UTF-8 with the newline handling of text mode.  Bytes that
     are not UTF-8 and text that is not JSON raise `ParseError` naming the
@@ -170,14 +183,134 @@ def read_json(path, data: bytes | None = None):
     public API: the loaders of the other modules share it.
     """
     try:
-        if data is None:  # text mode: the file's bytes are freed before the parse
-            with open(path, encoding="utf-8") as handle:
-                return json.load(handle)
-        return json.load(io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
+# characters of the file `read_json_rows` reads at a time: a block, its bytes
+# and the unread text before it are all of the file it holds
+_READ_BLOCK = 1 << 18
+_DECODER = json.JSONDecoder()
+_SPACE = json.decoder.WHITESPACE.match  # the whitespace json skips between tokens
+
+
+class _Unread(Exception):
+    """The document is one `read_json_rows` leaves to `read_json`."""
+
+
+class _Stream:
+    """A text file read a block at a time and decoded left to right, as `json` decodes it."""
+
+    def __init__(self, handle):
+        self.handle, self.text, self.pos = handle, "", 0
+
+    def _more(self) -> bool:
+        """Append at least as much again as is unread; False, changing nothing, at the end."""
+        block = self.handle.read(max(_READ_BLOCK, len(self.text) - self.pos))
+        if not block:
+            return False
+        self.text, self.pos = self.text[self.pos:] + block, 0
+        return True
+
+    def peek(self) -> str:
+        """The next character after whitespace, or "" at the end of the file."""
+        while True:
+            self.pos = _SPACE(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self._more():
+                return self.text[self.pos:self.pos + 1]
+
+    def take(self, char: str) -> None:
+        """Consume `char`, the next character after whitespace; anything else is no JSON."""
+        if self.peek() != char:
+            raise _Unread
+        self.pos += 1
+
+    def value(self, decode=_DECODER.raw_decode):
+        """The value `decode(text, pos) -> (value, end)` reads at the next character.
+
+        A value is taken once the two characters after it are read too,
+        or the file has ended: a number cut at the end of a block, as
+        "1e+" of "1e+5", would otherwise decode as its head.
+        """
+        self.peek()
+        while True:
+            try:
+                value, end = decode(self.text, self.pos)
+            except json.JSONDecodeError:
+                if self._more():
+                    continue
+                raise _Unread from None
+            if end + 2 < len(self.text) or not self._more():
+                self.pos = end
+                return value
+
+    def rows(self):
+        """The next value; an array becomes a list of one float64 array per element."""
+        if self.peek() != "[":
+            return self.value()
+        self.pos += 1
+        rows = []
+        if self.peek() == "]":
+            self.pos += 1
+            return rows
+        while True:
+            try:
+                row = np.asarray(self.value(), dtype=np.float64)
+            except (TypeError, ValueError, OverflowError):
+                raise _Unread from None
+            if rows and row.shape != rows[0].shape:
+                raise _Unread
+            rows.append(row)
+            if self.peek() == "]":
+                self.pos += 1
+                return rows
+            self.take(",")
+
+
+def _scan_key(text, pos):
+    return json.decoder.scanstring(text, pos + 1)
+
+
+def read_json_rows(path, field: str):
+    """The JSON document in `path`, with its top-level `field` read a row at a time.
+
+    When the document is an object and `field` is an array whose elements
+    each convert to a float64 array of one shape, `field` is the list of
+    those arrays, converted as each element is read: neither the file's
+    whole text nor the field's Python floats are ever held.  `np.asarray`
+    of that list is `np.asarray` of the field `read_json` gives, and every
+    other member is what `read_json` gives.  Any other document, including
+    one that is not UTF-8 JSON, is `read_json(path)` itself, so it parses
+    or fails exactly as there.  Shares `read_json`'s standing outside the
+    public API.
+    """
+    try:
+        with open(path, encoding="utf-8") as handle:
+            stream = _Stream(handle)
+            stream.take("{")
+            doc = {}
+            if stream.peek() == "}":
+                stream.pos += 1
+            else:
+                while True:
+                    if stream.peek() != '"':
+                        raise _Unread
+                    key = stream.value(_scan_key)
+                    stream.take(":")
+                    doc[key] = stream.rows() if key == field else stream.value()
+                    if stream.peek() == "}":
+                        stream.pos += 1
+                        break
+                    stream.take(",")
+            if stream.peek() != "":
+                raise _Unread
+            return doc
+    except (_Unread, UnicodeDecodeError, RecursionError):
+        return read_json(path)
 
 
 def write_json(doc, path) -> None:
@@ -297,18 +430,22 @@ def load_canonical(path) -> TemporalGraphSignal:
     Malformed input, unknown top-level fields included, is rejected with a
     `ParseError` naming the offending location, never repaired.
 
-    The file's bytes are always read and hashed.  When the sidecar that
+    The file's bytes are always read and hashed, a block at a time, so no
+    copy of the whole file is held.  When the sidecar that
     `write_canonical` left carries the same SHA-256, the signal is built
     from its arrays (still through `TemporalGraphSignal` validation), which
     gives the same signal as parsing, bit for bit; otherwise the JSON is
     parsed.  Nothing is ever written here.
     """
     path = Path(path)
-    data = path.read_bytes()
-    signal = _load_sidecar(path, hashlib.sha256(data).digest())
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(_HASH_BLOCK):
+            digest.update(block)
+    signal = _load_sidecar(path, digest.digest())
     if signal is not None:
         return signal
-    doc = read_json(path, data)
+    doc = read_json(path)
 
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: top-level value must be an object")
@@ -393,8 +530,35 @@ def load_canonical(path) -> TemporalGraphSignal:
     )
 
 
+def _snapshot_text(features: np.ndarray, first: int, stop: int) -> bytes:
+    """Snapshots `first` to `stop` - 1 as `json.dumps` spells them, comma-joined, UTF-8.
+
+    A comma goes in front unless `first` is 0, so the texts of consecutive
+    ranges concatenate to the file's features array.  `json.dumps` spells
+    a finite float as its repr; spelling a snapshot's floats from one flat
+    list skips the N one-channel lists of `tolist()` (at the metrala shape,
+    one process, median of 8 alternations: 0.75 s against 0.90 s a
+    snapshot at a time through `json.dumps`).
+    """
+    def spelled(snapshot):
+        if snapshot.shape[1] == 1:
+            rows = map(float.__repr__, snapshot.ravel().tolist())
+        else:
+            rows = (",".join(map(float.__repr__, row)) for row in snapshot.tolist())
+        return "[[" + "],[".join(rows) + "]]"
+
+    text = ",".join(map(spelled, features[first:stop]))
+    return ("," + text if first else text).encode("utf-8")
+
+
 def write_canonical(signal: TemporalGraphSignal, path) -> None:
     """Write a signal in the canonical format; inverse of `load_canonical`.
+
+    The file is the bytes of one `json.dumps` of the whole document.  The
+    features are formatted in spans of consecutive snapshots of at most
+    `_SPAN_FLOATS` floats each (`_snapshot_text`), on the fork pool when
+    there are at least `_FORMAT_POOL_FLOOR` of them and in this process
+    otherwise; the bytes do not depend on where the spans ran.
 
     After the JSON file, writes its binary sidecar `<path>.npy`: the same
     name, frequency, node count, edges, weights and features, plus the
@@ -410,22 +574,27 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         "edges": [[s, d] for s, d in signal.edges],
         "weights": signal.weights.tolist(),
     }, separators=(",", ":"))
+    features = signal.features
+    step = max(1, _SPAN_FLOATS // features[0].size)
+    jobs = [partial(_snapshot_text, features, first, first + step)
+            for first in range(0, len(features), step)]
+    spans = (job() for job in jobs)
+    if features.size >= _FORMAT_POOL_FLOOR:
+        # one span per worker at a time, so this process holds one wave's text
+        wave = _pool.workers()
+        spans = chain.from_iterable(
+            _pool.run_jobs(jobs[i:i + wave]) for i in range(0, len(jobs), wave))
     path = Path(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(text):
-            data = text.encode("utf-8")
+        def put(data):
             digest.update(data)
             fh.write(data)
 
-        # the bytes of one json.dumps of the whole document, with the features
-        # formatted a snapshot at a time: in one call every float and its
-        # text are held at once, about 90 MB at the metrala shape and the
-        # largest allocation of the whole CLI pipeline
-        put(head[:-1] + ',"features":[')
-        for t, snapshot in enumerate(signal.features):
-            put(("," if t else "") + json.dumps(snapshot.tolist(), separators=(",", ":")))
-        put("]}")
+        put((head[:-1] + ',"features":[').encode("utf-8"))
+        for span in spans:
+            put(span)
+        put(b"]}")
     try:
         _write_sidecar(signal, digest.digest(), path)
     except OSError:

@@ -40,7 +40,11 @@ At N = 1068 this holds a third less: `scripts/window_memory.py` measures it.
 
 Every row of a batch sees the same arithmetic as in a pass of its window
 alone, so a batch's scores are byte-identical to its windows' one at a
-time, for the same code, BLAS build and input. Gradients sum over the
+time, for the same code, BLAS build and input. One exception: on a
+one-node graph a lone window's products have one row, which BLAS may
+route to gemv instead of gemm, so its bits can differ from the same
+window's in a batch (gconv_gru by 5.6e-17 on a 1-node, 2-channel
+signal; tgcn and a3tgcn were equal there). Gradients sum over the
 batch's stacked rows: each parameter's gradient over a block is one
 product over them (`_add_products`, `_add_sums`), which adds the windows'
 and steps' terms in the order BLAS chooses, within round-off of a

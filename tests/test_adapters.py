@@ -1,11 +1,15 @@
+import copy
 import json
+import random
 
 import numpy as np
 import pytest
 
-from tgsim.adapters import DATASET_KINDS, DATASET_SHAPES, adapt_dataset
-from tgsim.data import load_canonical
-from tgsim.errors import AdapterError, ContractError
+import tgsim.cli
+from tgsim import data as data_module
+from tgsim.adapters import DATASET_FREQUENCIES, DATASET_KINDS, DATASET_SHAPES, adapt_dataset
+from tgsim.data import TemporalGraphSignal, load_canonical
+from tgsim.errors import AdapterError, ContractError, TgsimError
 
 
 def dump(tmp_path, doc, name="raw.json"):
@@ -189,3 +193,157 @@ class TestAdapterErrors:
         path = dump(tmp_path, {"edges": [[0, 1]], "FX": fx})
         signal = adapt_dataset(path, "ChickenPox", check_counts=False)
         assert signal.name == "chickenpox"
+
+
+class TestFlatReaderMemory:
+    def test_convert_holds_less_than_twice_the_file(self, tmp_path):
+        import tracemalloc
+
+        # json.load's tree alone (a float object and a list slot per value)
+        # is larger than the file; a converting reader holds 2.7 times the file
+        n, s = 100, 2000
+        x = np.random.default_rng(5).normal(50.0, 10.0, size=(s, n))
+        path = dump(tmp_path, {"edges": ring_edges(n), "weights": [1.0] * (2 * n),
+                               "X": x.tolist()})
+        tracemalloc.start()
+        try:
+            signal = adapt_dataset(path, "metrala", tmp_path / "canonical.json",
+                                   check_counts=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signal.features[:, :, 0].tobytes() == x.tobytes()
+        assert peak < 2 * path.stat().st_size
+
+
+# structural mutations set one JSON path to one of these, or delete it
+REPLACEMENTS = [None, True, 0, -1, 1.5, float("nan"), 1e308, 2 ** 40, "x", [], {}, [1],
+                [[1, 2]], 10 ** 400, "2.5", -0.0, [[[0.5]]]]
+FLAT_FIELDS = {"chickenpox": ("edges", "FX"), "pedalme": ("edges", "weights", "X"),
+               "metrala": ("edges", "weights", "X")}
+
+
+def flat_doc(kind, rng, n=3, s=5):
+    doc = {"edges": ring_edges(n)}
+    if "weights" in FLAT_FIELDS[kind]:
+        doc["weights"] = [0.5] * (2 * n)
+    doc[FLAT_FIELDS[kind][-1]] = [[round(rng.uniform(-100.0, 100.0), rng.randrange(17))
+                                   for _ in range(n)] for _ in range(s)]
+    return doc
+
+
+def mutate_tree(doc, rng):
+    """Delete or replace one member at a random depth of the document."""
+    node = doc
+    while True:
+        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+        if isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.7:
+            node = node[key]
+        elif rng.random() < 0.2:
+            del node[key]
+            return
+        else:
+            node[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
+            return
+
+
+def mutate_text(text, field, rng) -> bytes:
+    """One textual change: cut, prefixed, extended, a character in or out, and so on."""
+    at = rng.randrange(len(text) + 1)
+    choice = rng.randrange(9)
+    if choice == 0:
+        text = text[:at]
+    elif choice == 1:
+        text = "\ufeff" + text
+    elif choice == 2:
+        text += rng.choice([" x", "{}", " 1", "\n\n", "]", ","])
+    elif choice == 3:
+        text = text[:at] + rng.choice('{}[],:"0 -.eE\nx') + text[at:]
+    elif choice == 4:
+        text = text[:at] + text[at + 1:]
+    elif choice == 5:
+        text = text.replace("\n", "\r\n").replace(",", ",\r")
+    elif choice == 6:  # a second feature field: json keeps the last
+        text = text.rstrip()[:-1] + f', "{field}": ' + json.dumps(
+            rng.choice([[[1.0, 2.0, 3.0]], [[1.0], [2.0, 3.0]], [], "x"])) + "}"
+    elif choice == 7:
+        text = "[" + text + "]"
+    else:
+        data = text.encode("utf-8")
+        return data[:at] + b"\xff" + data[at:]
+    return text.encode("utf-8")
+
+
+def oracle(path, kind):
+    """The signal json.load and the old whole-array conversion give, or their exception."""
+    fields = FLAT_FIELDS[kind]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise AdapterError("not JSON") from exc
+    if not isinstance(doc, dict) or any(k not in doc for k in fields):
+        raise AdapterError("layout")
+    try:
+        edges = [(int(s), int(d)) for s, d in doc["edges"]]
+    except (TypeError, ValueError) as exc:
+        raise AdapterError("edges") from exc
+    try:
+        features = np.asarray(doc[fields[-1]], dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise AdapterError("features") from exc
+    if features.ndim == 2:
+        features = features[:, :, None]
+    if features.ndim != 3:
+        raise AdapterError("features")
+    return TemporalGraphSignal(kind, features.shape[1], tuple(edges),
+                               doc["weights"] if "weights" in fields else None, features,
+                               DATASET_FREQUENCIES[kind])
+
+
+def outcome(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except Exception as exc:  # the type is compared, whatever it is
+        return exc
+
+
+class TestFlatReaderEquivalence:
+    @pytest.mark.parametrize("kind", sorted(FLAT_FIELDS))
+    def test_mutated_files_give_the_oracles_signal_or_error(self, tmp_path, monkeypatch,
+                                                             capsys, kind):
+        rng = random.Random(f"flat-{kind}")
+        field = FLAT_FIELDS[kind][-1]
+        path = tmp_path / "raw.json"
+        outcomes = set()
+        for case in range(120):
+            doc = flat_doc(kind, rng)
+            for _ in range(rng.randrange(3)):
+                mutate_tree(doc, rng)
+            text = json.dumps(doc, indent=rng.choice([None, 0, 2]))
+            data = mutate_text(text, field, rng) if rng.random() < 0.5 else text.encode()
+            path.write_bytes(data)
+            # small blocks put block boundaries inside numbers, keys and rows
+            monkeypatch.setattr(data_module, "_READ_BLOCK", rng.choice([1, 3, 7, 64, 1 << 18]))
+            expected = outcome(oracle, path, kind)
+            got = outcome(adapt_dataset, path, kind, check_counts=False)
+            where = f"case {case}: {data[:300]!r}"
+            if isinstance(expected, Exception):
+                assert type(got) is type(expected), where
+                code = 2 if isinstance(expected, (TgsimError, OSError)) else type(expected)
+            else:
+                assert isinstance(got, TemporalGraphSignal), where
+                assert (got.num_nodes, got.edges) == (expected.num_nodes, expected.edges), where
+                assert got.weights.tobytes() == expected.weights.tobytes(), where
+                assert got.features.shape == expected.features.shape, where
+                assert got.features.tobytes() == expected.features.tobytes(), where
+                code = 0
+            argv = ["convert", "--input", str(path), "--kind", kind, "--lenient-counts",
+                    "--out-dir", str(tmp_path / "out")]
+            exit_code = outcome(tgsim.cli.main, argv)
+            assert (exit_code if isinstance(exit_code, int) else type(exit_code)) == code, where
+            outcomes.add(code if isinstance(code, int) else code.__name__)
+        capsys.readouterr()
+        # converted and refused files both occur (metrala's also escape as
+        # TypeError, ValueError and OverflowError, on both readers alike)
+        assert {0, 2} <= outcomes, outcomes

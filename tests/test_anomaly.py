@@ -319,6 +319,44 @@ class TestDetectZscore:
         assert thresholds[:policy.window] == [None] * policy.window
         assert thresholds[policy.window:] == pytest.approx(bounds[policy.window:], abs=1e-12)
 
+    @pytest.mark.parametrize("stream", ["random", "saturated", "rounded", "floored"])
+    @pytest.mark.parametrize("min_std", [MIN_STD, 0.0])
+    def test_trailing_statistics_are_numpys_mean_and_std_bitwise(self, monkeypatch, stream,
+                                                                min_std):
+        rng = np.random.default_rng(17)
+        scores = {
+            "random": rng.uniform(0.7, 0.95, size=400),
+            "saturated": 1.0 - 1e-12 * rng.random(400),
+            "rounded": np.round(rng.uniform(0.8, 0.9, size=400), 3),
+            "floored": 0.9 + 1e-7 * rng.standard_normal(400),
+        }[stream]
+        scores[rng.choice(np.arange(30, 400), size=8, replace=False)] -= 0.3
+        policy, offset = AlarmPolicy(mode="zscore", window=20, multiplier=2.0), 3
+        monkeypatch.setattr(anomaly, "MIN_STD", min_std)
+        events, thresholds = detect_with_thresholds(list(scores), policy, index_offset=offset)
+
+        # the detector's loop with np.mean and np.std themselves
+        expected_events, expected_bounds, trail = [], [], []
+        muted_through = -1
+        for i, s in enumerate(scores):
+            if len(trail) < policy.window:
+                trail.append(s)
+                expected_bounds.append(None)
+                continue
+            values = np.array(trail[-policy.window:])
+            mean, std = float(np.mean(values)), float(np.std(values))
+            expected_bounds.append(mean - policy.multiplier * max(std, min_std))
+            if i <= muted_through:
+                continue
+            if s < expected_bounds[-1]:
+                expected_events.append((offset + i, mean, std))
+                muted_through = min(i + offset, len(scores) - 1)
+            else:
+                trail.append(s)
+        assert [(e.index, e.trailing_mean, e.trailing_std) for e in events] == expected_events
+        assert thresholds == expected_bounds
+        assert len(expected_events) >= 8
+
     def test_indices_strictly_increase(self):
         rng = np.random.default_rng(12)
         scores = rng.uniform(0.0, 1.0, size=120)

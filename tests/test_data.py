@@ -16,6 +16,8 @@ from tgsim.data import (
     load_canonical,
     node_bounds,
     normalize_features,
+    read_json,
+    read_json_rows,
     write_canonical,
 )
 from tgsim.errors import ContractError, ParseError
@@ -210,6 +212,46 @@ class TestCanonicalSidecar:
         }
         assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
+    @pytest.mark.parametrize("make", [
+        lambda: awkward_signal(),
+        lambda: random_signal(np.random.default_rng(13), n=7, s=23, f=1),
+        lambda: TemporalGraphSignal("no edges", 3, (), None, np.ones((2, 3, 1))),
+    ])
+    @pytest.mark.parametrize("span", [1, 10, 1 << 15])
+    def test_pooled_spans_write_the_same_bytes(self, tmp_path, monkeypatch, make, span):
+        # a span of 1 float is one snapshot; of 10, several, the last one short
+        signal = make()
+        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
+        write_canonical(signal, serial)
+        monkeypatch.setattr(data_module, "_SPAN_FLOATS", span)
+        monkeypatch.setattr(data_module, "_FORMAT_POOL_FLOOR", 0)
+        write_canonical(signal, pooled)
+        assert pooled.read_bytes() == serial.read_bytes()
+        assert sidecar_of(pooled).read_bytes() == sidecar_of(serial).read_bytes()
+
+    def test_signals_below_the_floor_format_in_process(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(data_module._pool, "run_jobs", None)  # a fork would call it
+        signal = random_signal(np.random.default_rng(14), n=20, s=500, f=1)
+        assert signal.features.size < data_module._FORMAT_POOL_FLOOR
+        write_canonical(signal, tmp_path / "signal.json")
+        assert_same_signal(load_canonical(tmp_path / "signal.json"), signal)
+
+    def test_sidecar_hit_holds_less_than_the_file(self, tmp_path):
+        import tracemalloc
+
+        # about 28 bytes of JSON a float ("[-1.0844365620373537e-200],")
+        features = np.random.default_rng(4).normal(size=(500, 300, 1)) * 1e-200
+        path = tmp_path / "signal.json"
+        write_canonical(TemporalGraphSignal("big", 300, ((0, 1),), None, features), path)
+        tracemalloc.start()
+        try:
+            signal = load_canonical(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert signal.features.tobytes() == features.tobytes()
+        assert peak < path.stat().st_size
+
     def test_writes_are_byte_identical(self, tmp_path):
         signal = awkward_signal()
         first, second = tmp_path / "a" / "s.json", tmp_path / "b" / "s.json"
@@ -311,6 +353,82 @@ class TestCanonicalSidecar:
         finally:
             tmp_path.chmod(0o755)
         assert listing() == before
+
+
+ROWS_DOCUMENTS = [
+    '{"X": [[1.5, -2e-3, 3E+5], [0, 1, 2]], "edges": [[0, 1]], "name": "a\\u00e9\\"b"}',
+    ' \n{ "k" : {"X": [[1]]} , "X" :[ 1 , 2.25 ,\t-0.0 ] , "X": [[1e5], [2E-5]] }\r\n ',
+    '{"weights": [NaN, Infinity, -Infinity, 12345678901234567890], "X": []}',
+    '{"X": [[[1.0, 2.0]], [[3.0, 4.0]]], "nested": [{"a": [true, false, null]}]}',
+    '{"X": [[1e400, -1e400], ["2.5", 1]]}',
+    '{}',
+    '{"X": 7}',
+    '{"Y": [[1, 2]]}',
+]
+
+
+def stacked(doc):
+    return np.asarray(doc["X"], dtype=np.float64) if "X" in doc else None
+
+
+def others(doc):
+    return json.dumps({k: v for k, v in doc.items() if k != "X"})  # NaN != NaN
+
+
+class TestReadJsonRows:
+    @pytest.mark.parametrize("block", [1, 2, 3, 5, 16, 1 << 18])
+    @pytest.mark.parametrize("text", ROWS_DOCUMENTS)
+    def test_gives_the_document_read_json_gives(self, tmp_path, monkeypatch, text, block):
+        # every block boundary, a number cut inside its exponent included
+        monkeypatch.setattr(data_module, "_READ_BLOCK", block)
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        rows, plain = read_json_rows(path, "X"), read_json(path)
+        assert list(rows) == list(plain)
+        assert others(rows) == others(plain)
+        expected = stacked(plain)
+        if expected is not None:
+            assert stacked(rows).shape == expected.shape
+            assert stacked(rows).tobytes() == expected.tobytes()
+
+    def test_rows_are_float64_arrays(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_text('{"X": [[1, 2.5], [true, null]]}', encoding="utf-8")
+        rows = read_json_rows(path, "X")["X"]
+        assert [row.dtype for row in rows] == [np.float64, np.float64]
+        assert np.array_equal(np.asarray(rows), [[1.0, 2.5], [1.0, np.nan]], equal_nan=True)
+
+    @pytest.mark.parametrize("text", [
+        '[{"X": [[1]]}]',                 # not an object
+        '{"X": [[1, 2], [3]]}',           # ragged rows
+        '{"X": [[1, 2], {"a": 1}]}',      # a row that does not convert
+        '{"X": [[10' + "0" * 400 + ']]}',  # an int too large for a float
+        '{"X": [[1, 2]], "X": [[1], [2, 3]]}',
+    ])
+    def test_other_documents_are_read_json_itself(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        assert read_json_rows(path, "X") == read_json(path)
+
+    @pytest.mark.parametrize("text", [
+        "", "{", '{"X": [[1, 2]]', '{"X": [[1, 2],]}', '{"X": [[1, 2]],}', '{"X" [[1]]}',
+        '{"X": [[1, 2]]} x', '{"X": [[1, 2]]}{}', "\ufeff{}", '{"X": [[1, 2] [3, 4]]}',
+        '{"X": [[1, 2]], "a": tru}', "{'X': [[1]]}",
+    ])
+    def test_malformed_text_raises_read_jsons_error(self, tmp_path, text):
+        path = tmp_path / "doc.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError) as plain:
+            read_json(path)
+        with pytest.raises(ParseError) as rows:
+            read_json_rows(path, "X")
+        assert str(rows.value) == str(plain.value)
+
+    def test_bytes_that_are_not_utf8_raise_read_jsons_error(self, tmp_path):
+        path = tmp_path / "doc.json"
+        path.write_bytes(b'{"X": [[1, 2]], "a": "\xff"}')
+        with pytest.raises(ParseError, match="not UTF-8"):
+            read_json_rows(path, "X")
 
 
 class TestSignalType:

@@ -35,3 +35,45 @@ def test_seed_sweep_runs_the_metrala_shape():
     assert run.returncode == 0, run.stderr
     assert run.stdout.startswith("tgcn seed 1: mean MSE ")
     assert "\n| tgcn | 0/2 | " in run.stdout
+
+
+def load_script(name):
+    import importlib.util
+
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS[0].parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summarizes_synthetic_pairs():
+    bench_pairs = load_script("bench_pairs")
+
+    def run(mb, rate, convert):
+        return {"metrics": {"peak_rss_mb": mb, "score_windows_per_s": rate},
+                "command_s": {"convert": convert, "detect": 3.0}}
+
+    # the change's memory is lower in 9 of 10 pairs and its rate never moves
+    pairs = [{"parent": run(96.0 + i / 10, 900.0, 1.2), "change": run(78.0 + i / 10, 900.0, 1.0)}
+             for i in range(9)]
+    pairs.append({"parent": run(96.0, 900.0, 1.2), "change": run(97.0, 900.0, 0.8)})
+    pairs.append({"parent": run(96.0, 900.0, 1.4), "change": {"correct": False}})
+    metrics = [{"name": "peak_rss_mb", "better": "lower", "bound": 0.05},
+               {"name": "score_windows_per_s", "better": "higher", "bound": 0.25}]
+    summary = bench_pairs.summarize(pairs, metrics)
+    rss = summary["peak_rss_mb"]
+    assert (rss["pairs"], rss["won"], rss["lost"]) == (11, 9, 1)
+    assert rss["parent"]["median"] == pytest.approx(96.3)
+    assert rss["change"]["median"] == pytest.approx(78.45)
+    assert not rss["gain_rule_met"]  # 9 of 11 pairs is under nine tenths
+    rate = summary["score_windows_per_s"]
+    assert (rate["won"], rate["lost"], rate["change_over_parent"]) == (0, 0, 1.0)
+    assert not rate["gain_rule_met"]
+    assert bench_pairs.summarize(pairs[:10], metrics)["peak_rss_mb"]["gain_rule_met"]
+
+    commands = bench_pairs.command_medians(pairs)
+    assert commands["convert"] == {"parent": 1.2, "change": 1.0,
+                                   "change_over_parent": pytest.approx(1.0 / 1.2)}
+    assert commands["detect"] == {"parent": 3.0, "change": 3.0, "change_over_parent": 1.0}
+    assert bench_pairs.medians([{"convert": 1.0}, {"convert": 3.0, "train": 2.0}, {}]) == {
+        "convert": 2.0, "train": 2.0}
