@@ -383,7 +383,9 @@ class TestReadJsonRows:
         monkeypatch.setattr(data_module, "_READ_BLOCK", block)
         path = tmp_path / "doc.json"
         path.write_text(text, encoding="utf-8")
-        rows, plain = read_json_rows(path, "X"), read_json(path)
+        plain = read_json(path)
+        monkeypatch.setattr(data_module, "read_json", None)  # and no fallback to it
+        rows = read_json_rows(path, "X")
         assert list(rows) == list(plain)
         assert others(rows) == others(plain)
         expected = stacked(plain)
