@@ -80,13 +80,36 @@ def save_run_config(out_dir, command: str, args: argparse.Namespace) -> RunConfi
 
 
 def load_run_config(path) -> RunConfig:
+    """A saved run of a known command whose arguments have the types its flags parse to.
+
+    An argument no flag of the command takes is left to the caller:
+    `--config` refuses it, `eval` ignores it.
+    """
     doc = read_json(path)
+    commands = build_parser()[1]
     try:
-        return RunConfig(
-            command=doc["command"], version=doc["version"], arguments=dict(doc["arguments"]),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{path}: malformed run config ({exc})") from None
+        config = RunConfig(command=doc["command"], version=doc["version"],
+                           arguments=doc["arguments"])
+        flags = {action.dest: action for action in commands[config.command]._actions}
+        stored = config.arguments.items()  # an AttributeError unless an object
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: malformed run config ({exc!r})") from None
+    for dest, value in stored:
+        if dest in flags and not _fits(flags[dest], value):
+            raise ParseError(f"{path}: stored {dest} {value!r} is not what its flag takes")
+    return config
+
+
+def _fits(action, value) -> bool:
+    """Whether `value` has the type argparse gives `action` from a command line."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.nargs == "+":
+        return isinstance(value, list) and bool(value) and all(isinstance(v, str) for v in value)
+    kind = bool if action.nargs == 0 else action.type or str
+    # to isinstance a bool is an int, and an int is a fine float
+    return isinstance(value, (int, float) if kind is float else kind) and (
+        kind is bool or not isinstance(value, bool))
 
 
 def _resolve_out_dir(args, command: str) -> Path:
@@ -128,21 +151,9 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _train_configs(args, signal) -> tuple[TrainConfig, ModelConfig]:
-    config = TrainConfig(
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        bucket_length=args.bucket_length,
-        folds=args.folds,
-        seed=args.seed,
-    )
-    model_config = ModelConfig(
-        args.cell,
-        input_channels=signal.num_channels,
-        embed_dim=args.embed_dim,
-        attention_dim=args.attention_dim,
-    )
-    return config, model_config
+def _train_config(args) -> TrainConfig:
+    return TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                       bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
 
 
 def _resampler_for(signal, probability, seed):
@@ -167,7 +178,9 @@ def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
-    config, model_config = _train_configs(args, signal)
+    config = _train_config(args)
+    model_config = ModelConfig(args.cell, input_channels=signal.num_channels,
+                               embed_dim=args.embed_dim, attention_dim=args.attention_dim)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=not args.no_shuffle_folds)
 
     resample_for = None
@@ -207,10 +220,10 @@ def _cmd_eval(args) -> int:
         dataset_path = args.dataset or stored.dataset
         buckets_path = args.buckets or stored.buckets
         shuffle = not stored.no_shuffle_folds
-        signal = load_canonical(dataset_path)
-        config, model_config = _train_configs(stored, signal)
+        config = _train_config(stored)
     except AttributeError as exc:
         raise ParseError(f"{run_dir}/run_config.json is missing a field: {exc}") from None
+    signal = load_canonical(dataset_path)
     labeled, spec = load_labeled_buckets(buckets_path, signal)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
 
@@ -224,9 +237,16 @@ def _cmd_eval(args) -> int:
             "was the bucket file changed since training?"
         )
 
+    # the report echoes the model the checkpoints hold, which all folds share
+    checkpoints = [load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
+                   for index in range(len(pairs))]
+    model_config = checkpoints[0].config
+    if any(checkpoint.config != model_config for checkpoint in checkpoints):
+        raise ParseError(f"{run_dir}: the folds' checkpoints hold different models: "
+                         f"{sorted({repr(checkpoint.config) for checkpoint in checkpoints})}")
+
     def fold(index):
-        checkpoint = load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
-        return evaluate(checkpoint, pairs[index][1]).folds[0]
+        return evaluate(checkpoints[index], pairs[index][1]).folds[0]
 
     adjacency_operator(signal)  # built here, the one every forked fold inherits
     folds = _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))

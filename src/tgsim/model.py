@@ -6,64 +6,53 @@ temporal attention over the per-step states), mean-pools the final node
 states, and maps the pooled vector through a fixed three-layer dense head
 to a logistic similarity score in (0, 1).
 
-Two code paths compute it. `forward_pass` scores a batch of B windows and
-is the one training uses. It runs the batch as one window over B disjoint
-copies of the graph: every per-node array holds B·N rows, A_hat multiplies
-each window's own N rows (one product over all the windows, never a
-block-diagonal matrix), and the head pools each window's N rows into its
-own score. It records a single `autodiff` entry whose rule pulls the B
-scores' gradients back from the head to the first snapshot
-(backpropagation through time). A training step records four entries per
-chunk of its batch: the windows, the labels' subtraction, the square and
-the weighted sum.
+One cell step serves training and scoring. `_snapshot_stages` computes
+what a step takes from its snapshot alone, for a stack of snapshots at a
+time and one BLAS call a snapshot: the embedding (`gcn_embed`), the step's
+graph input and the snapshot's half of each pre-activation. `cell_step`
+adds the state's half and runs the gates, the candidate and the state
+update, node-major (rows x d), into a `_Cell`'s per-step arrays. The
+gates' weights come negated, so each logistic is one exp, +1 and a
+reciprocal, and step 0 skips the zero start state's products. A3T-GCN's
+blend over the steps is `_attention`.
 
-Only the recurrence runs once per step: the gates, the candidate and the
-state update (`cell_step`), and in the backward their pullback, which
-carries the state's gradient to the step before. Everything else runs
-stacked, one numpy call over a block of steps: A_hat X and the embedding
-(`gcn_embed`), the T-GCN graph convolution or GConvGRU's A_hat E and its
-input-side gate products, every parameter-gradient product, and, over the
-whole window, the A3T-GCN attention and its pullback. A block holds as
-many steps as fit their B·N x 2d arrays in `_BLOCK_FLOATS`, and a
-training batch runs in chunks of as many windows as fit all their steps
-there (`window_chunks`): at N = 20 a batch of 8 is one chunk of one block;
-from N = 207 a chunk is one window, and at N = 1068 a block is one step.
-
-The op keeps, per step, only what its pullbacks read: the gates, the
-candidate and the state, and each cell's graph products that a weight
-gradient multiplies (see `_TgcnCell` and `_GConvGruCell`); the embedding
-keeps its relu mask, not its output. What only the forward reads is held
-for the current block or step, and the one product cheaper to redo than to
-keep, T-GCN's R_t * H_{t-1}, is recomputed in the backward by the same
-multiply, so the gradients are the bytes a pass keeping everything gives.
-At N = 1068 this holds a third less: `scripts/window_memory.py` measures it.
+`forward_pass` scores a batch of B windows and is the one training uses.
+It runs the batch as one window over B disjoint copies of the graph: every
+per-node array holds B·N rows, A_hat multiplies each window's own N rows
+(never a block-diagonal matrix), and the head pools each window's N rows
+into its own score. Its steps run in blocks that fit their B·N x 2d arrays
+in `_BLOCK_FLOATS`, and a training batch in chunks of as many windows as
+fit all their steps there (`window_chunks`): at N = 20 a batch of 8 is one
+chunk of one block; from N = 207 a chunk is one window, and at N = 1068 a
+block is one step. It records one `autodiff` entry whose rule pulls the
+scores' gradients back to the first snapshot (backpropagation through
+time), a step at a time through the recurrence and a block at a time for
+every parameter-gradient product (`_add_products`, `_add_sums`), which
+adds the windows' and steps' terms in the order BLAS chooses, within
+round-off of a composition of the elementary autodiff operations. The op
+keeps, per step, only what the pullbacks read: the gates, the candidate,
+the state and each cell's graph products that a weight gradient
+multiplies; the embedding keeps its relu mask, not its output
+(`scripts/window_memory.py` measures it). A training step records four
+entries per chunk: the windows, the labels' subtraction, the square and the
+weighted sum.
 
 Every row of a batch sees the same arithmetic as in a pass of its window
 alone, so a batch's scores are byte-identical to its windows' one at a
 time, for the same code, BLAS build and input. One exception: on a
 one-node graph a lone window's products have one row, which BLAS may
 route to gemv instead of gemm, so its bits can differ from the same
-window's in a batch (gconv_gru by 5.6e-17 on a 1-node, 2-channel
-signal; tgcn and a3tgcn were equal there). Gradients sum over the
-batch's stacked rows: each parameter's gradient over a block is one
-product over them (`_add_products`, `_add_sums`), which adds the windows'
-and steps' terms in the order BLAS chooses, within round-off of a
-composition of the elementary autodiff operations.
+window's in a batch.
 
 `score_windows` is the one way to score windows without a tape: one
 window or many of one signal, normalized with the checkpoint's feature
 bounds. It serves evaluation and stream scoring, and splits a call of at
-least `_POOL_FLOOR` windows x nodes across the fork pool. Every part of a cell
-step that depends on its snapshot alone (the embedding, the step's own
-graph convolution and the snapshot's half of each gate pre-activation)
-runs once per distinct snapshot instead of once per window holding it, a
-run of snapshots at a time; one loop then runs the state's half of each
-gate and the attention over a block of windows, feature-major (d x B·N),
-and the head over every pooled window. Runs and blocks stack products in
-3-D, one BLAS call a slice, which keeps a slice's bits; widening a 2-D
-product over more windows would not. Splitting each gate's product in two
-reassociates its sums, so its scores agree with `forward_pass` to a few
-1e-16, not bit for bit.
+least `_POOL_FLOOR` windows x nodes across the fork pool. A snapshot's
+stages run once per call instead of once per window holding it; blocks of
+windows then run `cell_step` and `_attention` in buffers the call
+allocates once, keeping one step's gates (`_slots`), and the head scores
+every pooled window at the end. Its scores agree with `forward_pass` to a
+few 1e-16.
 
 A_hat comes from `data.adjacency_operator`, its one builder, which keeps
 one form on the signal: a dense N x N array on small graphs, a
@@ -101,25 +90,24 @@ HEAD_WIDTHS = (32, 64, 1)
 
 # floats the window op's stacked arrays may hold: a block of steps takes as
 # many as fit their B·N x 2d arrays, a training chunk as many windows as fit
-# all their steps. 1 << 17 runs a batch of 8 windows at N = 20 as one chunk
-# of one block, while N = 207 still gives one-window chunks and N = 1068
-# one step per block, as a window alone ran before batches: whole-window
-# blocks there were no faster, and an a3tgcn training step's traced peak
-# with its backward's scratch buffers was 64.5 MiB in them against 27.4 in
-# one-step blocks (scripts/window_memory.py's measure, budget 1 << 20). With
-# CSR A_hat at N = 1068 one-step blocks are still the fastest: a train of 8
-# windows took 867 ms, against 1096 ms in blocks of 3 steps (1 << 19) and
-# 1041 ms in blocks of 7 (1 << 20), at one BLAS thread. score_windows holds
-# as many windows' recurrent states in it.
+# all their steps, a score_windows block as many windows' states. 1 << 17
+# runs a batch of 8 windows at N = 20 as one chunk of one block, while
+# N = 207 gives one-window chunks and N = 1068 one step per block: whole-
+# window blocks there were no faster, and an a3tgcn training step's traced
+# peak with its backward's scratch buffers was 64.5 MiB in them against 27.4
+# in one-step blocks (scripts/window_memory.py's measure, budget 1 << 20).
+# With CSR A_hat at N = 1068 one-step blocks are still the fastest: a train
+# of 8 windows took 867 ms, against 1096 ms in blocks of 3 steps (1 << 19)
+# and 1041 ms in blocks of 7 (1 << 20), at one BLAS thread.
 _BLOCK_FLOATS = 1 << 17
 
 # windows x nodes from which score_windows splits its windows across the
 # fork pool. scripts/pool_breakeven.py --score-windows 16 32 64 128
 # --repeats 5, a3tgcn, serial (two BLAS threads) -> pooled (two workers),
-# 2-CPU VM, fused scoring loop: 16 x 207 = 3312 took 0.036 -> 0.031 s,
-# 32 x 207 = 6624 0.055 -> 0.046 s, 64 x 207 = 13248 0.087 -> 0.062 s,
-# 16 x 1068 = 17088 0.166 -> 0.139 s, 32 x 678 = 21696 0.187 -> 0.129 s and
-# 32 x 1068 = 34176 0.356 -> 0.235 s. Pooling pays from about 3,300; the
+# 2-CPU VM, shared cell step: 16 x 207 = 3312 took 0.042 -> 0.045 s,
+# 32 x 207 = 6624 0.072 -> 0.058 s, 64 x 207 = 13248 0.115 -> 0.086 s,
+# 16 x 1068 = 17088 0.210 -> 0.176 s, 32 x 678 = 21696 0.190 -> 0.135 s and
+# 32 x 1068 = 34176 0.433 -> 0.281 s. Pooling pays from about 6,600; the
 # floor stays above that because moving it changes which path, and so which
 # bytes, a call at N >= 207 takes (ROADMAP item 8).
 _POOL_FLOOR = 20_000
@@ -244,10 +232,6 @@ class ModelParams:
                 values[name] = rng.uniform(-limit, limit, size=shape)
         return cls(config, values)
 
-    @classmethod
-    def zeros(cls, config: ModelConfig) -> "ModelParams":
-        return cls(config, {name: np.zeros(shape) for name, shape in parameter_shapes(config).items()})
-
     def __getitem__(self, name: str) -> Tensor:
         return self._tensors[name]
 
@@ -309,29 +293,37 @@ def window_chunks(windows: int, steps: int, n: int, d: int) -> list:
 
     Training runs each chunk as one window op, forward then backward, and
     sums the chunks' gradients in chunk order: a batch of 8 is one chunk at
-    N = 20 and 8 chunks of one window from N = 207, which hold no more at
-    once than one window did. A large graph's chunks run in parallel on
-    the fork pool (`training._BATCH_POOL_FLOOR`).
+    N = 20 and 8 chunks of one window from N = 207. A large graph's chunks
+    run on the fork pool (`training._BATCH_POOL_FLOOR`).
     """
     return _spans(windows, 2 * steps * n * d)
 
 
-def _scratch(buffers: dict, key, shape) -> np.ndarray:
+def _scratch(buffers: dict | None, key, shape) -> np.ndarray:
     """An uninitialized array of `shape`, from a buffer `buffers` keeps under `key`.
 
-    The window's backward takes its stacked temporaries from here, from
-    `params.scratch`, and a `score_windows` part its buffers, from a dict
-    of its own. Freeing an array of 64 KB or more lets glibc's malloc hand
-    the top of the heap back to the system, and the next window faults it
-    back in page by page: about 330 faults a window at N = 20 when these
-    were allocated afresh, costing as much time as the stacking saved. A
-    key serves one array at a time; backward into one ModelParams runs in
+    A fresh array when `buffers` is None. The window's backward keeps its
+    buffers in `params.scratch`, a `score_windows` part in a dict of its
+    own: freeing an array of 64 KB or more lets glibc hand the top of the
+    heap back, and the next window faults it in page by page (about 330
+    faults a window at N = 20, costing as much time as the stacking saved).
+    A key serves one array at a time; backward into one ModelParams runs in
     one thread at a time, as its gradients already require.
     """
+    if buffers is None:
+        return np.empty(shape)
     size = math.prod(shape)
     if key not in buffers or buffers[key].size < size:
         buffers[key] = np.empty(size)
     return buffers[key][:size].reshape(shape)
+
+
+def _slots(buffers: dict | None, key, steps: int, shape) -> np.ndarray:
+    """A steps x `shape` array; from `buffers` (`_scratch`), one slot that every step shares."""
+    if buffers is None:
+        return np.empty((steps,) + shape)
+    one = _scratch(buffers, key, shape)
+    return np.lib.stride_tricks.as_strided(one, (steps,) + shape, (0,) + one.strides)
 
 
 def _add_products(params: ModelParams, name: str, left, right) -> None:
@@ -390,18 +382,18 @@ def gcn_embed(x, a_hat, params: ModelParams):
     """Graph-convolution stage relu(A_hat x W_in + b_in), and its pullback.
 
     `x` is one N x F snapshot or a stack of them, ... x B·N x F: each
-    window's N rows are mixed by A_hat alone, and each product is one call.
-    The output keeps the leading shape, with d columns. The pullback takes
-    the output's gradient and adds the gradients of W_in and b_in; the
-    snapshots need none. It keeps A_hat x, which W_in's gradient multiplies,
-    and the relu mask, a byte an entry, not the output: the cell's `inputs`
-    is its only other reader, and it runs before the next block's embedding.
+    window's N rows are mixed by A_hat alone, and W_in multiplies each
+    leading index's rows in one BLAS call, so a snapshot's embedding has the
+    bits it gets alone. The output keeps the leading shape, with d columns.
+    The pullback takes the output's gradient and adds the gradients of W_in
+    and b_in; the snapshots need none. It keeps A_hat x, which W_in's
+    gradient multiplies, and the relu mask, a byte an entry, not the output:
+    `_snapshot_stages` is its only other reader.
     """
     mixed = _mix(a_hat, x)
-    out = (_rows(mixed) @ params["w_in"].value).reshape(x.shape[:-1] + (-1,))
+    out = np.matmul(mixed, params["w_in"].value)
     out += params["b_in"].value
     np.maximum(out, 0.0, out=out)
-
     mask = out > 0
 
     def pull(g):
@@ -412,57 +404,59 @@ def gcn_embed(x, a_hat, params: ModelParams):
     return out, pull
 
 
-def _sigmoid_grad(g, y):
-    return g * y * (1.0 - y)
-
-
-def _blend(out, gate, h, candidate) -> None:
-    """out = gate * h + (1 - gate) * candidate, in that order of operations."""
-    np.multiply(gate, h, out=out)
-    rest = 1.0 - gate
-    rest *= candidate
-    out += rest
-
-
 class _Cell:
-    """The recurrent cell of a window op, its per-step arrays stacked over the L steps.
+    """The recurrent cell: its weights as the forward reads them, per-step arrays, the backward.
 
-    Each step's arrays hold the B·N rows of the op's windows. `inputs` runs
-    the input-side work of a block of steps, one call per product; `step`
-    runs one step of the recurrence (through `cell_step`); `back` pulls a
-    gradient back through a block: the recurrence a step at a time from the
-    last, then the input side and every parameter-gradient product once for
-    the whole block (`_tail`).
-
-    For its backward every cell keeps each step's update and reset gates,
-    candidate and state: the recurrence's pullback reads them, and the
-    states are also each next step's H_{t-1}. A subclass adds the graph
-    products its weight gradients multiply, and holds what only its
-    forward reads no longer than the block or step that reads it.
+    The weights come split by what they multiply: the snapshot side of the
+    three pre-activations (update gate, reset gate, candidate: [u, r, c]
+    for tgcn and a3tgcn, [z, r, h] for gconv_gru), `w_snap`, 3 x d x d, and
+    their biases, and the state side, `w_gates`, 2 x d x d, and `w_cand`.
+    The gates' weights and biases come negated, so their pre-activations
+    come out as -x and 1 / (1 + exp(-x)) needs no negation pass; rounding is
+    symmetric in sign, so this is exact. `start` sizes each step's gates,
+    candidate and state, which `cell_step` writes and the backward reads; a
+    subclass adds the graph products its weight gradients multiply. `back`
+    pulls a gradient back through a block: the recurrence a step at a time
+    from the last, then every parameter-gradient product once (`_tail`).
     """
 
     names: tuple = ()  # the cell's parameters
+    graph_state = False  # whether the state-side weights multiply A_hat H, not H
 
-    def __init__(self, params: ModelParams, a_hat, steps: int, rows: int):
+    def __init__(self, params: ModelParams, a_hat):
         self.params, self.a_hat, self.a_hat_t = params, a_hat, a_hat.T
-        self.d = d = params.config.embed_dim
+        self.d = params.config.embed_dim
         self.w = {name: params[name].value for name in self.names}
-        self.zeros = np.zeros((rows, d))
-        self.gates = np.empty((steps, 2, rows, d))  # each step's update and reset gates
-        self.states = np.empty((steps, rows, d))
-        self.candidates = np.empty((steps, rows, d))
+        self.w_snap, w_state, self.bias = (np.stack(side) for side in zip(*self._parts()))
+        for stacked in (self.w_snap, w_state, self.bias):
+            np.negative(stacked[:2], out=stacked[:2])
+        self.w_gates, self.w_cand = w_state[:2], w_state[2]
+
+    def start(self, steps: int, rows: int, buffers=None) -> "_Cell":
+        """Size the arrays for `steps` steps of `rows` node rows, from `buffers` (`_scratch`)."""
+        shape = (steps, rows, self.d)
+        self.gates = _slots(buffers, "gates", steps, (2,) + shape[1:])
+        self.states = _scratch(buffers, "states", shape)
+        self.candidates = _slots(buffers, "candidates", steps, shape[1:])
+        self.spare = _scratch(buffers, "spare", shape[1:])  # R_t * H_{t-1}, then 1 - U_t
+        if self.graph_state:  # A_hat H_{t-1} and A_hat (R_t * H_{t-1})
+            self.mixed_prev = _slots(buffers, "mixed_prev", steps, shape[1:])
+            self.gated_prev = _slots(buffers, "gated_prev", steps, shape[1:])
+        return self
 
     def previous(self, t: int):
         """H_{t-1}: the zero start state for t = 0."""
-        return self.states[t - 1] if t else self.zeros
+        return self.states[t - 1] if t else np.zeros(self.states.shape[1:])
 
-    def back(self, block: slice, g, carries):
+    def back(self, block: slice, g, carries, mixed, graph_in):
         """Pull `g`, the gradient of the block's last state, back through the block.
 
         `carries` holds the gradient every state has from outside the
-        recurrence (the attention's), or is None. Adds the cell parameters'
-        gradients; returns the gradient of the state before the block (None
-        before the first step) and that of the block's embeddings.
+        recurrence (the attention's), or is None; `mixed` and `graph_in`
+        are the block's A_hat E and graph input (`_snapshot_stages`). Adds
+        the cell parameters' gradients; returns the gradient of the state
+        before the block (None before the first step) and that of the
+        block's embeddings.
         """
         count, params = block.stop - block.start, self.params
         gates = self.gates[block]
@@ -495,52 +489,23 @@ class _Cell:
                     g += carries[t - 1]
                 g += g_gated * reset
                 g += g_gates
-        return (g if block.start else None), self._tail(block, grads, work)
+        return (g if block.start else None), self._tail(block, grads, work, mixed, graph_in)
 
 
 class _TgcnCell(_Cell):
     """T-GCN: G_t = relu(A_hat E_t W_g), then a GRU over [G_t, H_{t-1}].
 
-    Keeps A_hat E_t for W_g's gradient and G_t once, for its relu mask and
-    the gates' gradients. The gates' operand [G_t, H_{t-1}] and the
-    candidate's [G_t, R_t * H_{t-1}] are built in turn in one rows x 2d
-    buffer that every step reuses; `_tail` rebuilds them for a block from
-    G_t, the states and the reset gates, with the step's own multiply, so
-    the gradients are the bytes they would be had every step kept both.
+    The backward reads A_hat E_t and G_t. `_tail` rebuilds the operands
+    [G_t, H_{t-1}] and [G_t, R_t * H_{t-1}] for a block, R_t * H_{t-1} by
+    the forward's own multiply, so the gradients are the bytes they would
+    be had every step kept both.
     """
 
     names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
 
-    def __init__(self, params, a_hat, steps, rows):
-        super().__init__(params, a_hat, steps, rows)
-        d = self.d
-        self.mixed = np.empty((steps, rows, d))  # A_hat E_t
-        self.conv = np.empty((steps, rows, d))  # G_t
-        self.operand = np.empty((rows, 2 * d))  # [G_t, H_{t-1}], then [G_t, R_t * H_{t-1}]
-        self.bias = np.stack((self.w["b_u"], self.w["b_r"]))
-
-    def inputs(self, block: slice, embedded) -> None:
-        mixed = _mix(self.a_hat, embedded, out=self.mixed[block])
-        np.maximum((_rows(mixed) @ self.w["w_g"]).reshape(mixed.shape), 0.0,
-                   out=self.conv[block])
-
-    def step(self, t: int) -> None:
+    def _parts(self):
         d, w = self.d, self.w
-        h = self.previous(t)
-        operand = self.operand
-        operand[:, :d] = self.conv[t]
-        operand[:, d:] = h
-        pre = np.empty((2,) + h.shape)
-        np.matmul(operand, w["w_u"], out=pre[0])
-        np.matmul(operand, w["w_r"], out=pre[1])
-        pre += self.bias
-        u, r = ad.stable_sigmoid(pre, out=self.gates[t])
-        np.multiply(r, h, out=operand[:, d:])
-        candidate = self.candidates[t]
-        np.matmul(operand, w["w_c"], out=candidate)
-        candidate += w["b_c"]
-        np.tanh(candidate, out=candidate)
-        _blend(self.states[t], u, h, candidate)
+        return [(w[f"w_{g}"][:d], w[f"w_{g}"][d:], w[f"b_{g}"]) for g in "urc"]
 
     def _work(self, shape):
         # the gradients of [G_t, R_t * H_{t-1}] and of [G_t, H_{t-1}]
@@ -556,11 +521,10 @@ class _TgcnCell(_Cell):
         g_joint += g_reset @ self.w["w_r"].T
         return g_joint[:, self.d:]
 
-    def _tail(self, block, grads, work):
+    def _tail(self, block, grads, work, mixed, conv):
         d, params = self.d, self.params
-        conv = self.conv[block]
         g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (conv > 0)
-        _add_products(params, "w_g", self.mixed[block], g_conv)
+        _add_products(params, "w_g", mixed, g_conv)
         # the block's [G_t, H_{t-1}] rows, then its [G_t, R_t * H_{t-1}] rows
         side = _scratch(params.scratch, "side", conv.shape[:-1] + (2 * d,))
         side[..., :d] = conv
@@ -577,52 +541,15 @@ class _TgcnCell(_Cell):
 class _GConvGruCell(_Cell):
     """GConvGRU: GRU gates over A_hat E_t and A_hat H_{t-1}.
 
-    Keeps A_hat E_t, A_hat H_{t-1} and A_hat (R_t * H_{t-1}) for the weight
-    gradients. The input-side products A_hat E_t W_z, W_r and W_h only feed
-    the forward, so they are held for the current block alone.
+    Its backward reads A_hat E_t, A_hat H_{t-1} and A_hat (R_t * H_{t-1})
+    for the weight gradients; `cell_step` writes the last two a step.
     """
 
     names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
+    graph_state = True
 
-    def __init__(self, params, a_hat, steps, rows):
-        super().__init__(params, a_hat, steps, rows)
-        d = self.d
-        self.mixed_in = np.empty((steps, rows, d))  # A_hat E_t
-        self.mixed_prev = np.empty((steps, rows, d))  # A_hat H_{t-1}
-        self.gated_prev = np.empty((steps, rows, d))  # A_hat (R_t * H_{t-1})
-        self.bias = np.stack((self.w["b_z"], self.w["b_r"]))
-        self.block_start, self.input_side = 0, None
-
-    def inputs(self, block: slice, embedded) -> None:
-        mixed = _rows(_mix(self.a_hat, embedded, out=self.mixed_in[block]))
-        # A_hat E_t times W_z, W_r and W_h for the block's steps, in a buffer
-        # the later blocks, never longer than the first (`_spans`), reuse
-        if self.input_side is None:
-            self.input_side = np.empty((3,) + embedded.shape)
-        self.block_start = block.start
-        for i, name in enumerate(("w_z", "w_r", "w_h")):
-            np.matmul(mixed, self.w[name], out=_rows(self.input_side[i, :len(embedded)]))
-
-    def step(self, t: int) -> None:
-        w = self.w
-        h = self.previous(t)
-        i = t - self.block_start
-        mixed_prev = _mix(self.a_hat, h, out=self.mixed_prev[t])
-        # each pre-activation adds its state half to its input half: the
-        # same sum as input + state, addition being commutative
-        pre = np.empty((2,) + h.shape)
-        np.matmul(mixed_prev, w["u_z"], out=pre[0])
-        np.matmul(mixed_prev, w["u_r"], out=pre[1])
-        pre += self.input_side[:2, i]
-        pre += self.bias
-        z, r = ad.stable_sigmoid(pre, out=self.gates[t])
-        gated_prev = _mix(self.a_hat, r * h, out=self.gated_prev[t])
-        candidate = self.candidates[t]
-        np.matmul(gated_prev, w["u_h"], out=candidate)
-        candidate += self.input_side[2, i]
-        candidate += w["b_h"]
-        np.tanh(candidate, out=candidate)
-        _blend(self.states[t], z, h, candidate)
+    def _parts(self):
+        return [(self.w[f"w_{g}"], self.w[f"u_{g}"], self.w[f"b_{g}"]) for g in "zrh"]
 
     def _work(self, shape):
         return None
@@ -634,11 +561,11 @@ class _GConvGruCell(_Cell):
         if t:  # the zero start state needs no gradient
             return _mix(self.a_hat_t, g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
 
-    def _tail(self, block, grads, work):
+    def _tail(self, block, grads, work, mixed, graph_in):
         params = self.params
         for gate, grad, side in zip("zrh", grads, (self.mixed_prev, self.mixed_prev,
                                                    self.gated_prev)):
-            _add_products(params, f"w_{gate}", self.mixed_in[block], grad)
+            _add_products(params, f"w_{gate}", mixed, grad)
             _add_products(params, f"u_{gate}", side[block], grad)
             _add_sums(params, f"b_{gate}", grad)
         g_z, g_r, g_c = (_rows(grad) for grad in grads)
@@ -648,59 +575,117 @@ class _GConvGruCell(_Cell):
         return _mix(self.a_hat_t, g_embedded.reshape(grads.shape[1:]))
 
 
-def _window_cell(kind: str, params: ModelParams, a_hat, steps: int, rows: int) -> _Cell:
-    """The recurrent cell of `kind` for a window op of `steps` snapshots of `rows` node rows."""
+def _window_cell(kind: str, params: ModelParams, a_hat) -> _Cell:
+    """The recurrent cell of `kind`, its arrays not yet sized (`_Cell.start`)."""
     # the attention variant runs the same per-step recurrence as tgcn
     cell = _GConvGruCell if _canonical_kind(kind) == "gconv_gru" else _TgcnCell
-    return cell(params, a_hat, steps, rows)
+    return cell(params, a_hat)
 
 
-def cell_step(cell: _Cell, t: int) -> None:
-    """Step t of a window op's recurrence, from H_{t-1} to H_t in `cell.states[t]`.
+def _snapshot_stages(x, a_hat, cell: _Cell):
+    """The snapshot side of R steps, R x 3 x rows x d, from their rows `x`, R x rows x F.
 
-    The only forward work that runs once per step: the gates, the candidate
-    and the state update, from the input-side work `cell.inputs` ran for
-    the step's whole block.
+    The embedding E (`gcn_embed`), the graph input (A_hat E for GConvGRU,
+    G = relu(A_hat E W_g) for T-GCN) times the snapshot-side weights, plus
+    the biases, each product one BLAS call a step, so a snapshot's stages
+    have the bits it gets alone. Returns them and what the backward reads:
+    (the embedding's pullback, A_hat E, the graph input).
     """
-    cell.step(t)
+    embedded, embed_pull = gcn_embed(x, a_hat, cell.params)
+    mixed = _mix(a_hat, embedded)
+    graph_in = mixed if cell.graph_state else np.maximum(np.matmul(mixed, cell.w["w_g"]), 0.0)
+    stages = np.matmul(graph_in[:, None], cell.w_snap)
+    stages += cell.bias
+    return stages, (embed_pull, mixed, graph_in)
 
 
-def _attention(states, params: ModelParams):
-    """Per-step hidden scores tanh(H_t W_a + b_a), L x rows x a, and the rows x L softmax."""
+def cell_step(cell: _Cell, t: int, stages) -> None:
+    """Step t of the recurrence, from H_{t-1} to H_t in `cell.states[t]`.
+
+    `stages` is the step's snapshot side, 3 x rows x d. Adds the state
+    side, H_{t-1} (A_hat H_{t-1} for GConvGRU) times the gates' weights and
+    R_t * H_{t-1} (A_hat (R_t * H_{t-1})) the candidate's, and writes the
+    gates, candidate, state and GConvGRU's graph products to step t's slots.
+    Step 0 skips the zero start state's products, exactly 0 for finite
+    weights. Run under np.errstate(over="ignore"): a gate pre-activation
+    below -709 makes exp inf, and the gate 0.
+    """
+    gates, candidate, state, spare = cell.gates[t], cell.candidates[t], cell.states[t], cell.spare
+    if t:
+        h = cell.states[t - 1]
+        side = _mix(cell.a_hat, h, out=cell.mixed_prev[t]) if cell.graph_state else h
+        np.matmul(side, cell.w_gates, out=gates)
+        gates += stages[:2]
+        np.exp(gates, out=gates)
+    else:
+        np.exp(stages[:2], out=gates)
+    gates += 1.0
+    np.reciprocal(gates, out=gates)
+    update = gates[0]
+    if t:
+        side = np.multiply(gates[1], h, out=spare)
+        if cell.graph_state:
+            side = _mix(cell.a_hat, side, out=cell.gated_prev[t])
+        np.matmul(side, cell.w_cand, out=candidate)
+        candidate += stages[2]
+        np.tanh(candidate, out=candidate)
+        # U * H + (1 - U) * C, in that order of operations
+        np.multiply(update, h, out=state)
+        rest = np.subtract(1.0, update, out=spare)
+        rest *= candidate
+        state += rest
+    else:
+        if cell.graph_state:
+            cell.mixed_prev[0] = cell.gated_prev[0] = 0.0
+        np.tanh(stages[2], out=candidate)
+        rest = np.subtract(1.0, update, out=spare)
+        np.multiply(rest, candidate, out=state)
+
+
+def _attention(states, params: ModelParams, buffers=None):
+    """The A3T-GCN blend of L x rows x d states: hidden scores, weights and context.
+
+    Per row, step t's energy is tanh(H_t W_a + b_a) v_a, the weights are
+    the softmax of the energies over the steps, and the context is the
+    states' weighted sum, in step order. Returns the hidden scores,
+    L x rows x a, the weights, L x rows x 1, and the rows x d context. With
+    `buffers` (`_scratch`), the weighted states reuse the hidden scores'
+    buffer, which the pullback alone reads, and no hidden scores return.
+    """
     if not len(states):
         raise ContractError("temporal attention needs at least one state")
-    hidden = states @ params["w_a"].value
+    w_a = params["w_a"].value
+    hidden = _scratch(buffers, "hidden", states.shape[:2] + w_a.shape[1:])
+    np.matmul(states, w_a, out=hidden)
     hidden += params["b_a"].value
     np.tanh(hidden, out=hidden)
-    scores = (hidden @ params["v_a"].value)[:, :, 0].T
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return hidden, shifted / shifted.sum(axis=1, keepdims=True)
+    energies = hidden @ params["v_a"].value
+    weights = np.exp(energies - energies.max(axis=0))
+    weights /= weights.sum(axis=0)
+    weighted = np.multiply(weights, states, out=_scratch(buffers, "hidden", states.shape))
+    # a reduce over axis 0 adds the steps in order
+    context = np.add.reduce(weighted, axis=0, out=_scratch(buffers, "context", states.shape[1:]))
+    return (hidden if buffers is None else None), weights, context
 
 
 def temporal_attention(states, params: ModelParams):
     """Blend the L x rows x d per-step states into one rows x d context, and its pullback.
 
-    Per node row, each step gets a scalar score tanh(H_t W_a + b_a) v_a;
-    the scores are softmax-normalized over steps and the states combined
-    as a weighted sum with those per-row weights. The pullback returns the
-    gradient of the states, L x rows x d. The blend and the pullback run
-    over the window op's blocks of steps.
+    The blend is `_attention`'s. The pullback returns the gradient of the
+    states, L x rows x d, and runs over the window op's blocks of steps.
     """
     states = np.asarray(states, dtype=np.float64)
-    hidden, alpha = _attention(states, params)
+    hidden, weights, context = _attention(states, params)
     blocks = _blocks(*states.shape)
-    weights = alpha.T[:, :, None]  # L x rows x 1
-    context = np.zeros(states.shape[1:])
-    for block in blocks:
-        context += (weights[block] * states[block]).sum(axis=0)
+    alpha = weights[:, :, 0]  # L x rows
     w_a, v_a = params["w_a"].value, params["v_a"].value
 
     def pull(g):
         g_alpha = np.empty(alpha.shape)
         for block in blocks:
-            g_alpha[:, block] = (g * states[block]).sum(axis=2).T
-        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=1, keepdims=True))
-        g_score = g_scores.T[:, :, None]  # L x rows x 1
+            g_alpha[block] = (g * states[block]).sum(axis=2)
+        g_scores = alpha * (g_alpha - (g_alpha * alpha).sum(axis=0))
+        g_score = g_scores[:, :, None]  # L x rows x 1
         g_states = np.empty(states.shape)
         for block in blocks:
             g_pre = g_score[block] * v_a.T
@@ -754,7 +739,7 @@ def dense_head(final, params: ModelParams):
     acts, pres = _head_activations(windows.mean(axis=1), layers)
 
     def pull(g):
-        g = _sigmoid_grad(g, acts[-1])
+        g = g * acts[-1] * (1.0 - acts[-1])
         for i in reversed(range(len(layers))):
             w, b = layers[i]
             if i < len(layers) - 1:
@@ -774,12 +759,10 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     `snapshots` is a B x L x N x F array of B windows, or one window's
     L x N x F (a batch of one), and `a_hat` the N x N normalized adjacency,
     a dense array or a CSR array (`data.adjacency_operator`), used as given.
-    The batch runs as one window over B disjoint copies of the graph, B·N
-    node rows a step. The steps run in blocks that fit a fixed float budget:
-    a block's embedding and input-side work run once, stacked, then its
-    steps' recurrence one at a time. Under an active tape the batch is one
-    entry, whose rule runs the pullbacks from the head back to the first
-    snapshot and adds every parameter's gradient, summed over the windows.
+    The batch runs as one window of B·N node rows a step, in blocks of
+    steps: a block's stages at once, then its steps one at a time. Under an
+    active tape the batch is one entry, whose rule adds every parameter's
+    gradient, summed over the windows.
     """
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim == 3:
@@ -795,14 +778,14 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
 
     rows = windows * n
     x = snapshots.transpose(1, 0, 2, 3).reshape(steps, rows, -1)  # each step's B·N rows
-    cell = _window_cell(config.cell_kind, params, a_hat, steps, rows)
+    cell = _window_cell(config.cell_kind, params, a_hat).start(steps, rows)
     blocks = []
-    for block in _blocks(steps, rows, config.embed_dim):
-        embedded, embed_pull = gcn_embed(x[block], a_hat, params)
-        cell.inputs(block, embedded)
-        for t in range(block.start, block.stop):
-            cell_step(cell, t)
-        blocks.append((block, embed_pull))
+    with np.errstate(over="ignore"):
+        for block in _blocks(steps, rows, config.embed_dim):
+            stages, kept = _snapshot_stages(x[block], a_hat, cell)
+            for t in range(block.start, block.stop):
+                cell_step(cell, t, stages[t - block.start])
+            blocks.append((block, kept))
     final, attention_pull = cell.states[-1], None
     if config.cell_kind == "a3tgcn":
         final, attention_pull = temporal_attention(cell.states, params)
@@ -814,63 +797,11 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
         if attention_pull is not None:
             carries = attention_pull(g)
             g = carries[-1]
-        for block, embed_pull in reversed(blocks):
-            g, g_embedded = cell.back(block, g, carries)
+        for block, (embed_pull, mixed, graph_in) in reversed(blocks):
+            g, g_embedded = cell.back(block, g, carries, mixed, graph_in)
             embed_pull(g_embedded)
 
     return ad.record("window", tuple(params.tensors()), scores, rule)
-
-
-def _split_cell(params: ModelParams, config: ModelConfig):
-    """The cell's weights split by what they multiply, transposed for `score_windows`.
-
-    The scorer keeps node states feature-major (d x rows), so every weight
-    comes back transposed: the snapshot-side weights of the three
-    pre-activations stacked (3d x d: [u; r; c] for tgcn and a3tgcn,
-    [z; r; h] for gconv_gru) with their biases (3d x 1), and the state-side
-    weights of the two gates (2d x d) and of the candidate (d x d). The two
-    gates' rows come back negated, on both sides, so their pre-activations
-    come out as -x and the logistic 1 / (1 + exp(-x)) needs no negation
-    pass; rounding is symmetric in sign, so this is exact.
-    """
-    d = config.embed_dim
-    if config.cell_kind == "gconv_gru":
-        parts = [(params[f"w_{g}"].value, params[f"u_{g}"].value, params[f"b_{g}"].value)
-                 for g in "zrh"]
-    else:  # the stacked weight [W; U] of each gate multiplies [G_t, state]
-        parts = [(params[f"w_{g}"].value[:d], params[f"w_{g}"].value[d:], params[f"b_{g}"].value)
-                 for g in "urc"]
-    w_snap, w_state, bias = (np.vstack([col.T for col in cols]) for cols in zip(*parts))
-    for stacked in (w_snap, w_state, bias):
-        np.negative(stacked[:2 * d], out=stacked[:2 * d])
-    return w_snap, bias, w_state[:2 * d], w_state[2 * d:]
-
-
-def _snapshot_stages(x, a_hat, params: ModelParams, config: ModelConfig, w_snap, bias):
-    """Every part of a cell step that depends on its snapshot alone, for R snapshots: R x 3d x N.
-
-    The embedding E = relu(A_hat x W_in + b_in), as `gcn_embed` computes it,
-    then the step's graph input (A_hat E for gconv_gru, G = relu(A_hat E W_g)
-    for the T-GCN step) times the snapshot-side weights of the three
-    pre-activations, plus their biases. Every product runs over a 3-D
-    stack, one BLAS call a snapshot, so a stage has the bits it gets alone:
-    one product over all the run's rows could go to gemm where a lone
-    one-node snapshot's goes to gemv.
-    """
-    embedded = np.matmul(_mix(a_hat, x), params["w_in"].value)
-    embedded += params["b_in"].value
-    mixed = _mix(a_hat, np.maximum(embedded, 0.0, out=embedded))
-    if config.cell_kind != "gconv_gru":
-        mixed = np.maximum(np.matmul(mixed, params["w_g"].value), 0.0)
-    out = np.matmul(w_snap, mixed.transpose(0, 2, 1))
-    out += bias
-    return out
-
-
-def _propagate(a_hat, states, n):
-    """A_hat times each window's node states, for d x (B N) feature-major states:
-    `_mix` over their node-major transpose, N x (d B)."""
-    return _mix(a_hat, states.reshape(-1, n).T).T.reshape(states.shape)
 
 
 def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
@@ -885,19 +816,14 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     a bool, float or string start is refused, not truncated.  Returns one
     score per window, in the order of `starts`.
 
-    Windows are taken in start order, a block at a time; a block holds as
-    many windows as fit their recurrent states in a fixed float budget. The
-    snapshot stage of a signal snapshot runs once per part, in a run of as
-    many snapshots as fit their stages in that budget, and is kept while a
-    later window still holds that snapshot; a block's candidates run as one
-    run. The recurrence skips the zero start state's products, which are
-    exactly 0 for the finite weights a checkpoint holds, and the head scores
-    every pooled window at the end. A call of at least `_POOL_FLOOR` windows
-    x nodes cuts the start-sorted windows into one contiguous part per
-    worker of the fork pool (`_pool`, one BLAS thread per worker); a cut may
-    fall inside a block, and the scores are still bitwise those of one
-    serial call under one BLAS thread, which tests/test_pool.py checks.
-    Call it outside any tape.
+    Call it outside any tape. Windows are taken in start order, in blocks
+    of as many as fit their states in `_BLOCK_FLOATS`. A signal snapshot's
+    stages run once, in runs of as many as fit that budget, and are kept
+    while a later window holds the snapshot; a block's candidates run as one
+    run. From `_POOL_FLOOR` windows x nodes a call cuts the sorted windows
+    into one part per worker of the fork pool (`_pool`, one BLAS thread
+    each); a cut may fall inside a block, and the scores are still bitwise
+    those of one serial call under one BLAS thread (tests/test_pool.py).
     """
     expects = checkpoint.config.input_channels
     if signal.num_channels != expects:
@@ -956,11 +882,9 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
                   candidates) -> np.ndarray:
     """score_windows' scores of windows whose `starts` are in order, checked, in this process.
 
-    One loop over blocks of windows, its arrays feature-major, d x (B N):
-    it fills the stage cache a run of snapshots at a time, then runs the
-    block's recurrence and attention in buffers the call allocates once,
-    and pools the block's final states. The head scores the pooled rows at
-    the end.
+    One loop over blocks of windows fills the stage cache a run of
+    snapshots at a time, runs each block's steps and attention and pools
+    its final states; the head scores the pooled rows at the end.
     """
     config = checkpoint.config
     n, d = signal.num_nodes, config.embed_dim
@@ -970,16 +894,7 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
         candidates = normalize_features(candidates, bounds)
     a_hat = adjacency_operator(signal)
     params = checkpoint.params
-    w_snap, bias, w_gates, w_cand = _split_cell(params, config)
-    graph_state = config.cell_kind == "gconv_gru"
-    if config.cell_kind == "a3tgcn":
-        w_a, b_a, v_a = (params[name].value.T for name in ("w_a", "b_a", "v_a"))
-
-    def stages(x):
-        return _snapshot_stages(x, a_hat, params, config, w_snap, bias)
-
-    def state_side(h):  # what a state-side weight multiplies
-        return _propagate(a_hat, h, n) if graph_state else h
+    cell = _window_cell(config.cell_kind, params, a_hat)
 
     shared = length if candidates is None else length - 1
     block = max(1, _BLOCK_FLOATS // (n * d * length))
@@ -988,66 +903,29 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
     needed = np.unique(starts[:, None] - first + np.arange(shared)).tolist()
     cache, made, buffers = {}, 0, {}
     pooled = np.empty((len(starts), d))
-    with np.errstate(over="ignore"):  # exp(x) is inf for x > 709, giving a gate of 0
+    with np.errstate(over="ignore"):
         for at in range(0, len(starts), block):
             block_starts = (starts[at:at + block] - first).tolist()
-            cols = len(block_starts) * n
+            rows = len(block_starts) * n
             while made < len(needed) and needed[made] < block_starts[-1] + shared:
                 ids = needed[made:made + run]
-                cache.update(zip(ids, stages(features[ids])))
+                cache.update(zip(ids, _snapshot_stages(features[ids], a_hat, cell)[0]))
                 made += len(ids)
             # with starts in order, no later block holds a stage dropped here
             cache = {j: stage for j, stage in cache.items() if j >= block_starts[0]}
             if shared < length:
-                extra = list(stages(candidates[at:at + block]))
-            states = _scratch(buffers, "states", (length, d, cols))
-            gates = _scratch(buffers, "gates", (2 * d, cols))
-            u, r = gates[:d], gates[d:]
-            candidate = _scratch(buffers, "candidate", (d, cols))
-            gated = _scratch(buffers, "gated", (d, cols))
-            for k in range(length):
-                pieces = [cache[s + k] for s in block_starts] if k < shared else extra
-                snap = pieces[0] if len(pieces) == 1 else np.concatenate(
-                    pieces, axis=1, out=_scratch(buffers, "snap", (3 * d, cols)))
-                h, state = states[k - 1], states[k]
-                # the zero start state's products are exactly +0: step 0 skips them
-                if k:
-                    np.matmul(w_gates, state_side(h), out=gates)
-                    gates += snap[:2 * d]
-                    np.exp(gates, out=gates)
-                else:
-                    np.exp(snap[:2 * d], out=gates)
-                gates += 1.0
-                np.reciprocal(gates, out=gates)
-                if k:
-                    np.multiply(r, h, out=gated)
-                    np.matmul(w_cand, state_side(gated), out=candidate)
-                    candidate += snap[2 * d:]
-                    np.tanh(candidate, out=candidate)
-                    np.multiply(u, h, out=state)  # u * h + (1 - u) * c, in the window op's order
-                else:
-                    np.tanh(snap[2 * d:], out=candidate)
-                np.subtract(1.0, u, out=u)
-                if k:
-                    u *= candidate
-                    state += u
-                else:
-                    np.multiply(u, candidate, out=state)
-            final = states[-1]
+                extra = list(_snapshot_stages(candidates[at:at + block], a_hat, cell)[0])
+            if not at or rows != cell.states.shape[1]:  # only the last block may be smaller
+                cell.start(length, rows, buffers)
+            for t in range(length):
+                pieces = [cache[s + t] for s in block_starts] if t < shared else extra
+                stages = pieces[0] if len(pieces) == 1 else np.concatenate(
+                    pieces, axis=1, out=_scratch(buffers, "stages", (3, rows, d)))
+                cell_step(cell, t, stages)
+            final = cell.states[-1]
             if config.cell_kind == "a3tgcn":
-                # per row, the softmax over steps of tanh(H_t W_a + b_a) v_a weights
-                # the states, summed in step order: a reduce over axis 0 adds in order
-                hidden = np.matmul(w_a, states, out=_scratch(buffers, "hidden",
-                                                             (length, len(w_a), cols)))
-                hidden += b_a
-                np.tanh(hidden, out=hidden)
-                energies = np.matmul(v_a, hidden)[:, 0]
-                weights = np.exp(energies - energies.max(axis=0))
-                weights /= weights.sum(axis=0)
-                weighted = np.multiply(weights[:, None], states,
-                                       out=_scratch(buffers, "hidden", states.shape))
-                final = np.add.reduce(weighted, axis=0, out=candidate)
-            pooled[at:at + len(block_starts)] = final.reshape(d, -1, n).mean(axis=2).T
+                final = _attention(cell.states, params, buffers)[2]
+            pooled[at:at + len(block_starts)] = final.reshape(-1, n, d).mean(axis=1)
     # the head's rows are independent (`_row_products`): score them in spans
     # whose widest product, rows x in x out, fits the float budget
     layers = _head_layers(params)

@@ -500,11 +500,12 @@ def load_report(path) -> MetricsReport:
         stored_mean = {name: float(doc["mean"][name]) for name in ("mse", "mae", "rmse")}
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer past the float range, such as 10 ** 400
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed report ({exc})") from None
     for name, value in (("mse", report.mean_mse), ("mae", report.mean_mae),
                         ("rmse", report.mean_rmse)):
-        if abs(stored_mean[name] - value) > 1e-12:
+        if not abs(stored_mean[name] - value) <= 1e-12:  # NaN too
             raise ParseError(
                 f"{path}: stored mean {name} {stored_mean[name]!r} does not match folds"
             )

@@ -1,4 +1,3 @@
-import copy
 import json
 import random
 
@@ -6,6 +5,7 @@ import numpy as np
 import pytest
 
 import tgsim.cli
+from mutate import mutate_tree
 from tgsim import data as data_module
 from tgsim.adapters import DATASET_FREQUENCIES, DATASET_KINDS, DATASET_SHAPES, adapt_dataset
 from tgsim.data import TemporalGraphSignal, load_canonical
@@ -217,8 +217,6 @@ class TestFlatReaderMemory:
 
 
 # structural mutations set one JSON path to one of these, or delete it
-REPLACEMENTS = [None, True, 0, -1, 1.5, float("nan"), 1e308, 2 ** 40, "x", [], {}, [1],
-                [[1, 2]], 10 ** 400, "2.5", -0.0, [[[0.5]]]]
 FLAT_FIELDS = {"chickenpox": ("edges", "FX"), "pedalme": ("edges", "weights", "X"),
                "metrala": ("edges", "weights", "X")}
 
@@ -230,21 +228,6 @@ def flat_doc(kind, rng, n=3, s=5):
     doc[FLAT_FIELDS[kind][-1]] = [[round(rng.uniform(-100.0, 100.0), rng.randrange(17))
                                    for _ in range(n)] for _ in range(s)]
     return doc
-
-
-def mutate_tree(doc, rng):
-    """Delete or replace one member at a random depth of the document."""
-    node = doc
-    while True:
-        key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
-        if isinstance(node[key], (dict, list)) and node[key] and rng.random() < 0.7:
-            node = node[key]
-        elif rng.random() < 0.2:
-            del node[key]
-            return
-        else:
-            node[key] = copy.deepcopy(rng.choice(REPLACEMENTS))
-            return
 
 
 def mutate_text(text, field, rng) -> bytes:

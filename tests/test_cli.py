@@ -1,8 +1,12 @@
 """Command-line pipeline: artifacts, replay, exit codes, stderr contract."""
 
+import copy
+import csv
 import hashlib
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +15,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from mutate import mutate_tree
 from tgsim import cli
 from tgsim.data import TemporalGraphSignal, load_canonical, write_canonical
 from tgsim.model import ModelConfig, load_checkpoint
@@ -360,6 +365,117 @@ class TestEval:
         assert report["error"] == "ParseError"
         assert "missing a field" in report["message"] and field in report["message"]
 
+    @pytest.mark.parametrize("field, value", [
+        ("arguments", [[1, 2]]),  # dict() takes a list of pairs, Namespace no int keys
+        ("dataset", 7), ("buckets", ["b.json"]), ("dataset", None), ("epochs", "3"),
+        ("no_shuffle_folds", 0), ("learning_rate", True), ("command", "nosuch"),
+    ])
+    def test_run_config_of_the_wrong_type(self, ws, tmp_path, capsys, field, value):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        if field in config:
+            config[field] = value
+        else:
+            config["arguments"][field] = value
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "run_config.json" in report["message"]
+
+    def test_echo_is_the_checkpoints_model(self, ws, evaluated, tmp_path):
+        # the stored model flags name another model; the checkpoints hold tgcn, d = 6
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        config["arguments"].update(cell="a3tgcn", embed_dim=2 ** 40, attention_dim=9)
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 0
+        assert digest(clone / "eval" / "metrics.json") == digest(evaluated / "metrics.json")
+        report = load_report(clone / "eval" / "metrics.json")
+        assert report.model == "tgcn"
+        assert (report.config["embed_dim"], report.config["attention_dim"]) == (6, 4)
+
+    def test_folds_of_different_models_are_refused(self, ws, tmp_path, capsys):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        doc = json.loads((clone / "checkpoint_fold_1.json").read_text())
+        doc["config"]["attention_dim"] = 5  # tgcn has no attention weights to disagree
+        (clone / "checkpoint_fold_1.json").write_text(json.dumps(doc))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "different models" in report["message"]
+
+
+def finite_numbers(doc) -> bool:
+    """Whether every number in a JSON document is finite."""
+    if isinstance(doc, dict):
+        return all(finite_numbers(value) for value in doc.values())
+    if isinstance(doc, list):
+        return all(finite_numbers(value) for value in doc)
+    return not isinstance(doc, float) or math.isfinite(doc)
+
+
+class TestRunFileFuzz:
+    """Seeded structural mutations of the run files `eval` and `report` read.
+
+    Every mutated file ends in exit 1-3 with one JSON line on stderr, or in
+    exit 0 with finite outputs; a traceback fails the case.
+    """
+
+    def mutated(self, original, rng):
+        doc = copy.deepcopy(original)
+        for _ in range(1 + rng.randrange(2)):
+            if doc:
+                mutate_tree(doc, rng)
+        return doc
+
+    def check(self, argv, capsys, outputs, where):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        if code:
+            assert code in (1, 2, 3), where
+            lines = err.strip().splitlines()
+            assert len(lines) == 1, where
+            assert set(json.loads(lines[0])) == {"error", "message"}, where
+        else:
+            assert outputs(), where
+        return code
+
+    @pytest.mark.parametrize("name, cases", [("run_config.json", 120), ("folds.json", 60)])
+    def test_eval_run_files(self, ws, tmp_path, capsys, name, cases):
+        rng = random.Random(f"eval-{name}")
+        run = clone_run(ws.train_dir, tmp_path / "run")
+        original = json.loads((run / name).read_text())
+        codes = set()
+        for case in range(cases):
+            doc = self.mutated(original, rng)
+            (run / name).write_text(json.dumps(doc))
+            out = tmp_path / f"out{case}"
+            codes.add(self.check(
+                ["eval", "--run-dir", str(run), "--out-dir", str(out)], capsys,
+                lambda: finite_numbers(json.loads((out / "metrics.json").read_text())),
+                f"case {case}: {doc}"))
+        assert 2 in codes
+
+    def test_report_metrics(self, evaluated, tmp_path, capsys):
+        rng = random.Random("report-metrics")
+        original = json.loads((evaluated / "metrics.json").read_text())
+        path, out = tmp_path / "metrics.json", tmp_path / "out"
+
+        def outputs():
+            with open(out / "comparison.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            return all(math.isfinite(float(row[key])) for row in rows
+                       for key in ("mse", "mae", "rmse", "sample_count"))
+
+        codes = set()
+        for case in range(300):
+            doc = self.mutated(original, rng)
+            path.write_text(json.dumps(doc))
+            codes.add(self.check(["report", "--inputs", str(path), "--out-dir", str(out)],
+                                 capsys, outputs, f"case {case}: {doc}"))
+        assert codes >= {0, 2}
+
 
 class TestUnshuffledFolds:
     def test_blocks_in_bucket_order_evaluate_reproducibly(self, ws, tmp_path, capsys):
@@ -455,6 +571,18 @@ class TestReport:
         assert rows[0] == "dataset,model,mse,mae,rmse,sample_count"
         assert [r.split(",")[1] for r in rows[1:]] == ["tgcn", "random", "tsr"]
         assert all(r.split(",")[0] == "toy" for r in rows[1:])
+
+    @pytest.mark.parametrize("damage", ["nan fold mse", "huge mean"])
+    def test_metrics_that_are_not_finite_are_refused(self, evaluated, tmp_path, capsys, damage):
+        doc = json.loads((evaluated / "metrics.json").read_text())
+        if damage == "nan fold mse":  # its rmse and mae checks pass NaN
+            doc["folds"][0]["mse"] = float("nan")
+        else:
+            doc["mean"]["mae"] = 10 ** 400
+        (tmp_path / "metrics.json").write_text(json.dumps(doc))
+        assert cli.main(["report", "--inputs", str(tmp_path / "metrics.json"),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert stderr_line(capsys)["error"] == "ParseError"
 
     def test_mixed_protocols_are_refused_without_override(self, ws, base_dir, tmp_path, capsys):
         other_prep = tmp_path / "prep9"

@@ -96,6 +96,11 @@ def small_config(kind, f=2, d=4, a=3):
     return ModelConfig(cell_kind=kind, input_channels=f, embed_dim=d, attention_dim=a)
 
 
+def zero_params(config):
+    return ModelParams(config, {name: np.zeros(shape)
+                                for name, shape in parameter_shapes(config).items()})
+
+
 def path_a_hat(n):
     # a path graph keeps the normalized adjacency's rows distinct, so node
     # embeddings cannot degenerate into one shared vector
@@ -185,7 +190,7 @@ class TestModelParams:
                 assert np.abs(value).max() > 0
 
     def test_all_tensors_track_gradients(self):
-        params = ModelParams.zeros(small_config("tgcn"))
+        params = zero_params(small_config("tgcn"))
         assert all(t.requires_grad for t in params.tensors())
 
     @pytest.mark.parametrize("copied", [False, True])
@@ -226,7 +231,7 @@ class TestModelParams:
 
 class TestGcnEmbed:
     def test_zero_parameters_give_zero(self):
-        params = ModelParams.zeros(small_config("tgcn"))
+        params = zero_params(small_config("tgcn"))
         out, _ = gcn_embed(np.ones((3, 2)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
@@ -256,23 +261,27 @@ def one_step(kind, h0, h_prev, a_hat, params):
     """The window cell of `kind` run for one step from embedding h0 and state h_prev.
 
     Step 1 of a two-step cell whose step 0 is not run: its state slot holds
-    h_prev. Returns the cell and H_1.
+    h_prev, and the snapshot stages take h0 as the step's embedding. Returns
+    the cell, with the step's A_hat E and graph input as `cell.kept` for its
+    backward, and H_1.
     """
-    cell = model_module._window_cell(kind, params, a_hat, 2, h0.shape[0])
+    cell = model_module._window_cell(kind, params, a_hat).start(2, h0.shape[0])
     cell.states[0] = h_prev
-    cell.inputs(slice(1, 2), h0[None])
-    cell_step(cell, 1)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model_module, "gcn_embed", lambda x, *_: (x, None))
+        stages, (_, *cell.kept) = model_module._snapshot_stages(h0[None], a_hat, cell)
+    cell_step(cell, 1, stages[0])
     return cell, cell.states[1]
 
 
 class TestCellStep:
     def test_gconv_gru_zeros_fixed_point(self):
-        params = ModelParams.zeros(small_config("gconv_gru"))
+        params = zero_params(small_config("gconv_gru"))
         _, out = one_step("gconv_gru", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_tgcn_zeros_fixed_point(self):
-        params = ModelParams.zeros(small_config("tgcn"))
+        params = zero_params(small_config("tgcn"))
         _, out = one_step("tgcn", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
@@ -321,9 +330,9 @@ class TestCellStep:
         assert np.allclose(out, oracle, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
-        params = ModelParams.zeros(small_config("tgcn"))
+        params = zero_params(small_config("tgcn"))
         with pytest.raises(ConfigError, match="wrong"):
-            model_module._window_cell("wrong", params, path_a_hat(3), 2, 3)
+            model_module._window_cell("wrong", params, path_a_hat(3))
 
 
 class TestTemporalAttention:
@@ -342,7 +351,7 @@ class TestTemporalAttention:
         params = self.make_params()
         out, _ = temporal_attention([state, state, state], params)
         assert np.allclose(out, state, atol=1e-12)
-        alpha = model_module._attention(np.array([state, state, state]), params)[1]
+        alpha = model_module._attention(np.array([state, state, state]), params)[1][:, :, 0].T
         assert np.allclose(alpha, np.full((3, 3), 1.0 / 3.0), atol=1e-12)
 
     def test_weights_form_distribution_and_blend_matches(self):
@@ -351,7 +360,7 @@ class TestTemporalAttention:
         params = self.make_params()
         out, _ = temporal_attention(states, params)
 
-        alpha = model_module._attention(np.array(states), params)[1]
+        alpha = model_module._attention(np.array(states), params)[1][:, :, 0].T
         assert (alpha >= 0).all()
         assert np.abs(alpha.sum(axis=1) - 1.0).max() < 1e-12
         oracle = np.zeros((5, 4))
@@ -368,7 +377,7 @@ class TestForwardPass:
     @pytest.mark.parametrize("kind", CELL_KINDS)
     def test_zero_parameters_score_half(self, kind):
         config = small_config(kind)
-        params = ModelParams.zeros(config)
+        params = zero_params(config)
         snapshots = np.random.default_rng(0).normal(size=(4, 3, 2))
         out = forward_pass(snapshots, path_a_hat(3), params, config)
         assert out.item() == 0.5
@@ -424,13 +433,13 @@ class TestForwardPass:
 
     def test_channel_mismatch_rejected(self):
         config = small_config("tgcn")
-        params = ModelParams.zeros(config)
+        params = zero_params(config)
         with pytest.raises(ConfigError, match="snapshots"):
             forward_pass(np.zeros((4, 3, 5)), path_a_hat(3), params, config)
 
     def test_adjacency_mismatch_rejected(self):
         config = small_config("tgcn")
-        params = ModelParams.zeros(config)
+        params = zero_params(config)
         with pytest.raises(ConfigError, match="adjacency"):
             forward_pass(np.zeros((4, 3, 2)), path_a_hat(4), params, config)
 
@@ -524,7 +533,7 @@ class TestFusedOpGradients:
             cell, out = one_step(kind, h0.value, h_prev.value, a_hat, params)
 
             def pull(g):
-                g_prev, g_embedded = cell.back(slice(1, 2), g, None)
+                g_prev, g_embedded = cell.back(slice(1, 2), g, None, *cell.kept)
                 return g_embedded[0], g_prev
 
             return self.recorded(out, pull, (h0, h_prev), point)
@@ -920,7 +929,7 @@ class TestCheckpoint:
     def test_round_trip_keeps_default_provenance(self, tmp_path):
         config = small_config("tgcn")
         bounds = NodeBounds(mins=np.full((3, 2), -1.5), maxs=np.full((3, 2), 2.5))
-        checkpoint = Checkpoint(config, ModelParams.zeros(config), bounds)
+        checkpoint = Checkpoint(config, zero_params(config), bounds)
         path = tmp_path / "model.json"
         save_checkpoint(checkpoint, path)
         again = load_checkpoint(path)
@@ -933,7 +942,7 @@ class TestCheckpoint:
 
         config = small_config("tgcn")
         with pytest.raises(ContractError, match="NodeBounds"):
-            Checkpoint(config, ModelParams.zeros(config), None)
+            Checkpoint(config, zero_params(config), None)
         path = tmp_path / "model.json"
         save_checkpoint(self.make_checkpoint(), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -1017,7 +1026,7 @@ class TestCheckpoint:
             "demo", 3, ((0, 1), (1, 2)), None, rng.uniform(size=(6, 3, 2))
         )
         config = small_config("tgcn")
-        checkpoint = Checkpoint(config, ModelParams.zeros(config), node_bounds(signal))
+        checkpoint = Checkpoint(config, zero_params(config), node_bounds(signal))
         bucket = Bucket(signal, 0, 4)
         assert score_windows(signal, checkpoint, [bucket.start], 4).tolist() == [0.5]
         labeled = LabeledBucket(bucket, bucket.candidate.copy(), frozenset({1}))
@@ -1047,7 +1056,7 @@ class TestCheckpoint:
         signal = TemporalGraphSignal("demo", 3, (), None, np.zeros((5, 3, 1)))
         config = small_config("tgcn", f=2)
         bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
-        checkpoint = Checkpoint(config, ModelParams.zeros(config), bounds)
+        checkpoint = Checkpoint(config, zero_params(config), bounds)
         with pytest.raises(ConfigError, match="1.*2|2.*1"):
             score_windows(signal, checkpoint, [0], 4)
 

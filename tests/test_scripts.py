@@ -37,6 +37,17 @@ def test_seed_sweep_runs_the_metrala_shape():
     assert "\n| tgcn | 0/2 | " in run.stdout
 
 
+def test_window_memory_measures_every_shape():
+    # the full run for one cell: a training step's memory at all five shapes
+    script = SCRIPTS[0].parent / "window_memory.py"
+    run = subprocess.run([sys.executable, str(script), "--cells", "gconv_gru"], timeout=300,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    row = run.stdout.strip().splitlines()[-1]
+    assert row.startswith("| gconv_gru | ")
+    assert row.count(" / ") == row.count(" + ") == 5
+
+
 def load_script(name):
     import importlib.util
 

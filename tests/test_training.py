@@ -9,7 +9,8 @@ import pytest
 from tgsim.autodiff import Tensor
 from tgsim.data import TemporalGraphSignal, adjacency_operator, node_bounds, normalize_features
 from tgsim.errors import ConfigError, ContractError, ParseError, TrainingError
-from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward_pass
+from tgsim.model import (CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward_pass,
+                         parameter_shapes)
 from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import (
     Adam,
@@ -27,6 +28,11 @@ from tgsim.training import (
     write_report,
     write_report_csv,
 )
+
+
+def zero_params(config):
+    return ModelParams(config, {name: np.zeros(shape)
+                                for name, shape in parameter_shapes(config).items()})
 
 
 def make_signal(n=4, s=16, f=2, seed=5, name="toy"):
@@ -251,7 +257,7 @@ class TestTrain:
         assert all(b.label == 0.5 for b in buckets)
         model_config = tiny_model()
         config = TrainConfig(epochs=4, bucket_length=5, seed=1)
-        start_from(monkeypatch, ModelParams.zeros(model_config))
+        start_from(monkeypatch, zero_params(model_config))
         checkpoint, history = train(buckets, config, model_config)
         assert history == [0.0, 0.0, 0.0, 0.0]
         for name in checkpoint.params:
@@ -290,7 +296,7 @@ class TestTrain:
     def test_divergence_names_epoch_and_bucket(self, monkeypatch):
         labeled = make_labeled(s=14, length=5)
         model_config = tiny_model()
-        poisoned = ModelParams.zeros(model_config)
+        poisoned = zero_params(model_config)
         poisoned["w_in"].value[0, 0] = np.nan
         start_from(monkeypatch, poisoned)
         config = TrainConfig(epochs=1, bucket_length=5)
@@ -327,7 +333,7 @@ class TestTrain:
             seen.append(epoch)
             return clean
 
-        start_from(monkeypatch, ModelParams.zeros(model_config))
+        start_from(monkeypatch, zero_params(model_config))
         _, history = train(half, config, model_config, resample=resample)
         assert seen == [0]
         # the clean bucket's label is 1.0, so the zero model starts at (0.5-1)^2
@@ -400,7 +406,7 @@ class TestEvaluate:
         signal = make_signal(n=3, s=20, f=2, seed=13)
         clean = [hand_bucket(signal, i, 5, perturbed=[]) for i in range(6)]
         model_config = tiny_model()
-        checkpoint = Checkpoint(config=model_config, params=ModelParams.zeros(model_config),
+        checkpoint = Checkpoint(config=model_config, params=zero_params(model_config),
                                 feature_bounds=node_bounds(signal))
         report = evaluate(checkpoint, clean)
         fold = report.folds[0]
@@ -432,7 +438,7 @@ class TestEvaluate:
     def test_channel_mismatch(self):
         labeled = make_labeled(f=2, s=14, length=5)
         wrong = tiny_model(f=3)
-        checkpoint = Checkpoint(config=wrong, params=ModelParams.zeros(wrong),
+        checkpoint = Checkpoint(config=wrong, params=zero_params(wrong),
                                 feature_bounds=bounds_from_buckets(labeled))
         with pytest.raises(ConfigError, match="channels"):
             evaluate(checkpoint, labeled)
@@ -464,7 +470,7 @@ class TestEvaluate:
         # silently score the other signal's windows
         ours = make_labeled(n=4, s=14, length=5, seed=26)
         theirs = make_labeled(n=4, s=14, length=5, seed=27)
-        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()),
+        checkpoint = Checkpoint(tiny_model(), zero_params(tiny_model()),
                                 bounds_from_buckets(ours))
         with pytest.raises(ContractError, match=r"bucket 3 \(start 7\).*signal"):
             evaluate(checkpoint, ours[:3] + [theirs[7]] + ours[3:])
@@ -473,7 +479,7 @@ class TestEvaluate:
         signal = make_signal(n=4, s=14)
         short = inject_noise(bucketize(signal, 4), node_bounds(signal), NoiseSpec(seed=28))
         long = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(seed=28))
-        checkpoint = Checkpoint(tiny_model(), ModelParams.zeros(tiny_model()), node_bounds(signal))
+        checkpoint = Checkpoint(tiny_model(), zero_params(tiny_model()), node_bounds(signal))
         with pytest.raises(ContractError, match=r"bucket 2 \(start 6\) has length 4"):
             evaluate(checkpoint, long[:2] + [short[6]])
 
