@@ -17,7 +17,9 @@ again after every pair, so an interrupted series keeps its finished pairs:
   the change won and lost (ties count for neither), the ratio of the
   medians, and whether the gain rule holds: at least nine tenths of the
   pairs won and the medians apart by more than the parent's quartile
-  spread;
+  spread; and whether the change is past the metric's bound: its median
+  worse than the parent's by more than `bound`, a share of the parent's
+  median (the rule the benchmark's regression check applies);
 - per workload, how many pairs wrote the same output digests on both sides;
 - per workload that times its commands (`command_s` in a round's record,
   as `cli-metrala` does), each side's median seconds per command: the
@@ -66,7 +68,7 @@ def run_once(checkout: Path, command, workload, seed, seconds):
 
 
 def summarize(pairs, metrics):
-    """Per metric: each side's quartiles, pairs won and lost, and the gain rule."""
+    """Per metric: each side's quartiles, pairs won and lost, the gain rule and the bound."""
     summary = {}
     for spec in metrics:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -86,11 +88,13 @@ def summarize(pairs, metrics):
                 lost += diff > 0 if lower else diff < 0
         parent, change = entry["parent"]["median"], entry["change"]["median"]
         gain = parent - change if lower else change - parent
+        bound = spec.get("bound")
         entry.update(
-            pairs=len(pairs), won=won, lost=lost, bound=spec.get("bound"),
+            pairs=len(pairs), won=won, lost=lost, bound=bound,
             change_over_parent=change / parent,
             gain_rule_met=bool(won >= 0.9 * len(pairs)
                                and gain > entry["parent"]["q3"] - entry["parent"]["q1"]),
+            past_bound=bound is not None and bool(-gain > bound * parent),
         )
         summary[name] = entry
     return summary
@@ -166,6 +170,8 @@ def main(argv=None) -> None:
                 "digests" in p["parent"] and p["parent"]["digests"] == p["change"].get("digests")
                 for p in pairs)
             out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+        past = [name for name, summary in entry["summary"].items() if summary["past_bound"]]
+        print(f"{workload}: past their bound: {', '.join(past) or 'none'}", flush=True)
     print(f"wrote {out}")
 
 

@@ -62,12 +62,20 @@ def _pairs(raw, kind):
         raise AdapterError(f"{kind}: 'edges' must be [src, dst] pairs") from exc
 
 
+def _weights(raw, kind):
+    try:
+        return np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AdapterError(f"{kind}: 'weights' must be an array of numbers ({exc})") from exc
+
+
 def _time_major_features(raw, kind, field):
     # raw is the field's JSON value, or its rows as arrays (read_json_rows)
     try:
         features = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError) as exc:
-        raise AdapterError(f"{kind}: '{field}' must be a rectangular numeric array") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AdapterError(
+            f"{kind}: '{field}' must be a rectangular numeric array ({exc})") from exc
     if features.ndim == 2:
         features = features[:, :, None]
     if features.ndim != 3:
@@ -90,7 +98,7 @@ def _adapt_flat(doc, kind):
     _require(doc, fields, kind)
     return (
         _pairs(doc["edges"], kind),
-        doc["weights"] if "weights" in fields else None,
+        _weights(doc["weights"], kind) if "weights" in fields else None,
         _time_major_features(doc[fields[-1]], kind, fields[-1]),
     )
 
@@ -108,7 +116,7 @@ def _adapt_wikimath(doc):
         rows.append(snap["y"])
     return (
         _pairs(doc["edges"], "wikimath"),
-        doc["weights"],
+        _weights(doc["weights"], "wikimath"),
         _time_major_features(rows, "wikimath", "y"),
     )
 
@@ -153,7 +161,8 @@ def _adapt_montevideobus(doc):
             ) from exc
 
     features = _time_major_features(series, "montevideobus", "y")
-    return _pairs(raw_edges, "montevideobus"), weights, features.transpose(1, 0, 2)
+    return (_pairs(raw_edges, "montevideobus"), _weights(weights, "montevideobus"),
+            features.transpose(1, 0, 2))
 
 
 _ADAPTERS = {kind: partial(_adapt_flat, kind=kind) for kind in _FLAT_FIELDS} | {

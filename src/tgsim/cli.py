@@ -244,6 +244,16 @@ def _cmd_eval(args) -> int:
     if any(checkpoint.config != model_config for checkpoint in checkpoints):
         raise ParseError(f"{run_dir}: the folds' checkpoints hold different models: "
                          f"{sorted({repr(checkpoint.config) for checkpoint in checkpoints})}")
+    # the echoed recipe must be the one the artifacts carry: the bucket
+    # file's length, and the epochs in every fold's checkpoint provenance
+    length = labeled[0].bucket.length
+    if config.bucket_length != length:
+        raise ParseError(f"{run_dir}/run_config.json: bucket_length {config.bucket_length} "
+                         f"disagrees with the {length} of {buckets_path}")
+    epochs = {repr(checkpoint.provenance.epochs) for checkpoint in checkpoints}
+    if epochs != {repr(config.epochs)}:
+        raise ParseError(f"{run_dir}/run_config.json: epochs {config.epochs} disagrees "
+                         f"with the checkpoints' {', '.join(sorted(epochs))}")
 
     def fold(index):
         return evaluate(checkpoints[index], pairs[index][1]).folds[0]

@@ -335,7 +335,10 @@ def _parse_index(value, n, where, path):
 def _parse_number(value, where, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         _fail(path, where, f"expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        _fail(path, where, "integer out of float64 range")
 
 
 def _locate_ragged(raw, n, path):
@@ -500,6 +503,8 @@ def load_canonical(path) -> TemporalGraphSignal:
         _fail(path, "features", "expected a non-empty array of snapshots")
     try:
         features = np.asarray(raw_features, dtype=np.float64)
+    except OverflowError:
+        _fail(path, "features", "an integer out of float64 range")
     except (TypeError, ValueError):
         features = None
     if features is None or features.ndim != 3:

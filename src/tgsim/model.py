@@ -1003,6 +1003,7 @@ def load_checkpoint(path) -> Checkpoint:
             final_loss=raw_prov.get("final_loss"),
         )
     # AttributeError: a section that is not an object, such as a list of params
-    except (AttributeError, KeyError, TypeError, ValueError, ConfigError, ContractError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
+            ContractError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from exc
     return Checkpoint(config=config, params=params, feature_bounds=bounds, provenance=provenance)

@@ -188,6 +188,16 @@ class TestAdapterErrors:
         with pytest.raises(AdapterError, match="not valid JSON"):
             adapt_dataset(path, "chickenpox")
 
+    @pytest.mark.parametrize("field", ["X", "weights"])
+    def test_integer_past_float_range_refused(self, tmp_path, field):
+        doc = {"edges": [[0, 1], [1, 0]], "weights": [1.0, 1.0], "X": [[0.5, 0.5], [0.5, 0.5]]}
+        if field == "X":
+            doc["X"][1][0] = 10 ** 400
+        else:
+            doc["weights"][1] = 10 ** 400
+        with pytest.raises(AdapterError, match=f"'{field}'.*too large"):
+            adapt_dataset(dump(tmp_path, doc), "metrala", check_counts=False)
+
     def test_kind_is_case_insensitive(self, tmp_path):
         fx = [[0.0, 1.0]]
         path = dump(tmp_path, {"edges": [[0, 1]], "FX": fx})
@@ -271,16 +281,21 @@ def oracle(path, kind):
         edges = [(int(s), int(d)) for s, d in doc["edges"]]
     except (TypeError, ValueError) as exc:
         raise AdapterError("edges") from exc
+    weights = None
+    if "weights" in fields:
+        try:
+            weights = np.asarray(doc["weights"], dtype=np.float64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise AdapterError("weights") from exc
     try:
         features = np.asarray(doc[fields[-1]], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise AdapterError("features") from exc
     if features.ndim == 2:
         features = features[:, :, None]
     if features.ndim != 3:
         raise AdapterError("features")
-    return TemporalGraphSignal(kind, features.shape[1], tuple(edges),
-                               doc["weights"] if "weights" in fields else None, features,
+    return TemporalGraphSignal(kind, features.shape[1], tuple(edges), weights, features,
                                DATASET_FREQUENCIES[kind])
 
 
@@ -327,6 +342,5 @@ class TestFlatReaderEquivalence:
             assert (exit_code if isinstance(exit_code, int) else type(exit_code)) == code, where
             outcomes.add(code if isinstance(code, int) else code.__name__)
         capsys.readouterr()
-        # converted and refused files both occur (metrala's also escape as
-        # TypeError, ValueError and OverflowError, on both readers alike)
-        assert {0, 2} <= outcomes, outcomes
+        # converted and refused files both occur, and nothing escapes untyped
+        assert outcomes == {0, 2}, outcomes

@@ -119,6 +119,16 @@ class TestConvert:
         assert stderr_line(capsys)["error"] == "AdapterError"
 
 
+    def test_integer_past_float_range_is_a_data_error(self, tmp_path, capsys):
+        doc = self.raw_doc()
+        doc["FX"][2][1] = 10 ** 400
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(doc))
+        code = cli.main(["convert", "--input", str(raw), "--kind", "chickenpox",
+                         "--lenient-counts", "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert stderr_line(capsys)["error"] == "AdapterError"
+
 class TestPrepare:
     def test_bucket_count_and_noise_record(self, ws):
         doc = json.loads(ws.buckets.read_text())
@@ -154,6 +164,18 @@ class TestPrepare:
         assert code == 2
         assert stderr_line(capsys)["error"] == "ContractError"
 
+
+    def test_overflowing_feature_range_is_a_data_error(self, tmp_path, capsys):
+        features = np.zeros((8, 2, 1))
+        features[0, 1, 0], features[1, 1, 0] = -1e308, 1e308
+        dataset = tmp_path / "wide.json"
+        write_canonical(TemporalGraphSignal("wide", 2, (), None, features), dataset)
+        code = cli.main(["prepare", "--dataset", str(dataset), "-L", "4",
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ContractError"
+        assert "feature range overflows" in report["message"]
 
 class TestTrain:
     def test_artifacts(self, ws):
@@ -395,6 +417,33 @@ class TestEval:
         assert report.model == "tgcn"
         assert (report.config["embed_dim"], report.config["attention_dim"]) == (6, 4)
 
+    @pytest.mark.parametrize("field, value, source", [
+        ("bucket_length", 9, "buckets.json"), ("epochs", 500, "checkpoints"),
+    ])
+    def test_recipe_the_artifacts_do_not_carry_is_refused(self, ws, tmp_path, capsys,
+                                                          field, value, source):
+        # the buckets are 4 long and every fold trained 3 epochs
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        config["arguments"][field] = value
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert f"{field} {value} disagrees" in report["message"]
+        assert source in report["message"]
+        assert not (clone / "eval" / "metrics.json").exists()
+
+    def test_folds_trained_for_different_epochs_are_refused(self, ws, tmp_path, capsys):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        doc = json.loads((clone / "checkpoint_fold_2.json").read_text())
+        doc["provenance"]["epochs"] = 4
+        (clone / "checkpoint_fold_2.json").write_text(json.dumps(doc))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "epochs 3 disagrees with the checkpoints' 3, 4" in report["message"]
+
     def test_folds_of_different_models_are_refused(self, ws, tmp_path, capsys):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
         doc = json.loads((clone / "checkpoint_fold_1.json").read_text())
@@ -416,7 +465,8 @@ def finite_numbers(doc) -> bool:
 
 
 class TestRunFileFuzz:
-    """Seeded structural mutations of the run files `eval` and `report` read.
+    """Seeded structural mutations of the files `eval`, `report`, `baseline`,
+    `train` and `detect` read.
 
     Every mutated file ends in exit 1-3 with one JSON line on stderr, or in
     exit 0 with finite outputs; a traceback fails the case.
@@ -476,6 +526,65 @@ class TestRunFileFuzz:
                                  capsys, outputs, f"case {case}: {doc}"))
         assert codes >= {0, 2}
 
+
+    @pytest.mark.parametrize("command, cases", [("baseline", 150), ("train", 100)])
+    def test_bucket_file(self, ws, tmp_path, capsys, command, cases):
+        rng = random.Random(f"{command}-buckets")
+        original = json.loads(ws.buckets.read_text())
+        path = tmp_path / "buckets.json"
+        names = ["losses.json"] if command == "train" else [
+            "baseline_random.json", "baseline_tsr.json"]
+        flags = ["--cell", "tgcn", "--embed-dim", "4", "-L", "4", "--epochs", "1",
+                 "--folds", "2"] if command == "train" else []
+        codes = set()
+        for case in range(cases):
+            doc = self.mutated(original, rng)
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out{case}"
+            codes.add(self.check(
+                [command, "--dataset", str(ws.dataset), "--buckets", str(path), *flags,
+                 "--out-dir", str(out)], capsys,
+                lambda: all(finite_numbers(json.loads((out / name).read_text()))
+                            for name in names),
+                f"case {case}: {doc}"))
+        assert codes >= {0, 2}
+
+    def test_canonical_signal(self, ws, tmp_path, capsys):
+        rng = random.Random("prepare-canonical")
+        original = json.loads(ws.dataset.read_text())
+        path = tmp_path / "toy.json"  # without the sidecar, so the JSON is parsed
+        codes = set()
+        for case in range(150):
+            doc = self.mutated(original, rng)
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out{case}"
+            codes.add(self.check(
+                ["prepare", "--dataset", str(path), "-L", "4", "--out-dir", str(out)], capsys,
+                lambda: finite_numbers(json.loads((out / "buckets.json").read_text())),
+                f"case {case}: {doc}"))
+        assert codes >= {0, 2}
+
+    def test_detect_checkpoint(self, ws, tmp_path, capsys):
+        rng = random.Random("detect-checkpoint")
+        original = json.loads((ws.train_dir / "checkpoint_fold_0.json").read_text())
+        path = tmp_path / "checkpoint.json"
+
+        def outputs():
+            with open(out / "scores.csv", encoding="utf-8", newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            return rows and all(math.isfinite(float(row[key])) for row in rows
+                                for key in ("score", "threshold") if row[key])
+
+        codes = set()
+        for case in range(200):
+            doc = self.mutated(original, rng)
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out{case}"
+            codes.add(self.check(
+                ["detect", "--dataset", str(ws.dataset), "--checkpoint", str(path), "-L", "4",
+                 "--threshold", "0.5", "--out-dir", str(out)],
+                capsys, outputs, f"case {case}: {doc}"))
+        assert codes >= {0, 2}
 
 class TestUnshuffledFolds:
     def test_blocks_in_bucket_order_evaluate_reproducibly(self, ws, tmp_path, capsys):

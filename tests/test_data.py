@@ -114,6 +114,17 @@ class TestCanonicalFormat:
         with pytest.raises(ParseError, match=r"features\[1\]\[1\]\[0\].*non-finite"):
             load_canonical(path)
 
+    @pytest.mark.parametrize("field", ["features", "weights"])
+    def test_integer_past_float_range_refused(self, tmp_path, field):
+        doc = minimal_doc()
+        doc["weights"] = [1.0]
+        if field == "features":
+            doc["features"][1][1][0] = 10 ** 400
+        else:
+            doc["weights"][0] = 10 ** 400
+        with pytest.raises(ParseError, match=f"{field}.*out of float64 range"):
+            load_canonical(write_doc(tmp_path, doc))
+
     def test_weight_length_mismatch(self, tmp_path):
         doc = minimal_doc()
         doc["weights"] = [1.0, 2.0]

@@ -991,6 +991,21 @@ class TestCheckpoint:
         with pytest.raises(ParseError, match="w_u.*non-finite"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("where", ["params", "feature_bounds"])
+    def test_integer_past_float_range_refused(self, tmp_path, where):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if where == "params":
+            doc["params"]["w_u"]["data"][3] = 10 ** 400
+        else:
+            doc["feature_bounds"]["maxs"][1][0] = 10 ** 400
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed checkpoint.*too large"):
+            load_checkpoint(path)
+
     @pytest.mark.parametrize("field", ["input_channels", "attention_dim"])
     def test_huge_config_refused_before_allocating(self, tmp_path, field):
         # the stored shapes do not match: refused before 2^40 floats are asked for

@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from tgsim._seeds import generators, seed_words
 from tgsim.data import TemporalGraphSignal, node_bounds
 from tgsim.errors import ContractError, ParseError
 from tgsim.noise import (
@@ -114,6 +115,20 @@ class TestLabels:
         with pytest.raises(ContractError, match="out of range"):
             LabeledBucket(bucket, bucket.candidate.copy(), frozenset({4}))
 
+    @pytest.mark.parametrize("nodes", [[1.0], ["2"], [None], 3])
+    def test_node_that_is_not_an_integer_rejected(self, nodes):
+        signal = TemporalGraphSignal("s", 4, (), None, np.zeros((3, 4, 1)))
+        bucket = Bucket(signal, 0, 3)
+        with pytest.raises(ContractError, match="must be integers"):
+            LabeledBucket(bucket, bucket.candidate.copy(), nodes)
+
+    def test_numpy_and_python_indices_make_one_set(self):
+        signal = TemporalGraphSignal("s", 4, (), None, np.zeros((3, 4, 1)))
+        bucket = Bucket(signal, 0, 3)
+        item = LabeledBucket(bucket, bucket.candidate.copy(), np.array([3, 1, 3]))
+        assert item.perturbed == {1, 3}
+        assert all(type(i) is int for i in item.perturbed)
+
 
 class TestInjectNoise:
     def test_zero_probability_is_identity(self, signal):
@@ -183,24 +198,48 @@ class TestInjectNoise:
         with pytest.raises(ContractError, match="bounds shape"):
             inject_noise(bucketize(signal, 5), bad, NoiseSpec(0.5, seed=0))
 
-    def test_matches_per_node_redraw_loop(self, signal):
-        # the one-call redraw consumes the stream in the same node-major
-        # order as drawing each node's channels in turn
+    @pytest.mark.parametrize("n, f, seeds", [(6, 2, 20), (20, 1, 4), (207, 1, 2)],
+                             ids=["N6-F2", "N20-F1", "N207-F1"])
+    def test_matches_per_node_redraw_loop(self, n, f, seeds):
+        # the one-call redraw consumes default_rng([seed, i]) in the same
+        # node-major order as drawing each node's channels in turn, at the
+        # test signal's shape and the benchmark's N = 20 and N = 207
+        signal = make_signal(np.random.default_rng(n), n=n, s=40, f=f)
         buckets = bucketize(signal, 5)
         bounds = node_bounds(signal)
-        for seed in range(20):
+        for seed in range(seeds):
             spec = NoiseSpec(0.5, seed=seed)
             for index, (bucket, item) in enumerate(zip(buckets, inject_noise(buckets, bounds, spec))):
                 rng = np.random.default_rng([seed, index])
                 candidate = bucket.candidate.copy()
                 nodes = []
                 if rng.random() < spec.corrupt_probability:
-                    nodes = rng.choice(6, size=int(rng.integers(1, 7)), replace=False)
+                    nodes = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
                     for node in nodes:
                         candidate[node] = rng.uniform(bounds.mins[node], bounds.maxs[node])
                 assert np.array_equal(item.candidate, candidate)
                 assert item.perturbed == frozenset(int(i) for i in nodes)
-                assert item.label == float(Fraction(6 - len(nodes), 6))
+                assert item.label == float(Fraction(n - len(nodes), n))
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 - 1, 2**32, 2**64 + 5, 2**130 + 3])
+    def test_generators_are_default_rngs(self, seed):
+        # one-, two-, three- and five-word seeds: more entropy words than
+        # the pool's four goes through the SeedSequence's last mixing loop
+        words = seed_words(seed, 300)
+        rngs = list(generators(seed, 300))
+        for index in (0, 1, 255, 256, 299):
+            want = np.random.SeedSequence([seed, index]).generate_state(4, np.uint64)
+            assert np.array_equal(words[index], want)
+            reference = np.random.default_rng([seed, index])
+            assert rngs[index].bit_generator.state == reference.bit_generator.state
+            assert np.array_equal(rngs[index].random(5), reference.random(5))
+
+    def test_overflowing_range_refused(self):
+        features = np.zeros((6, 2, 1))
+        features[0, 1, 0], features[1, 1, 0] = -1e308, 1e308
+        signal = TemporalGraphSignal("wide", 2, (), None, features)
+        with pytest.raises(ContractError, match="node 1's feature range overflows"):
+            inject_noise(bucketize(signal, 3), node_bounds(signal), NoiseSpec(0.5, seed=0))
 
     def test_snapshots_property_swaps_in_candidate(self, signal):
         item = inject_noise(bucketize(signal, 5)[:1], node_bounds(signal), NoiseSpec(1.0, seed=2))[0]
@@ -286,6 +325,20 @@ class TestSerialization:
         doc["buckets"][0]["label"] = 0.97
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ParseError, match="label"):
+            load_labeled_buckets(path, signal)
+
+    @pytest.mark.parametrize("field", ["candidate", "label"])
+    def test_integer_past_float_range_refused(self, signal, tmp_path, field):
+        labeled = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(1.0, seed=13))
+        path = tmp_path / "buckets.json"
+        write_labeled_buckets(labeled, path, NoiseSpec(1.0, seed=13))
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if field == "candidate":
+            doc["buckets"][2]["candidate"][1][0] = 10 ** 400
+        else:
+            doc["buckets"][2]["label"] = 10 ** 400
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"buckets\[2\].*too large"):
             load_labeled_buckets(path, signal)
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])

@@ -81,6 +81,14 @@ def test_bench_pairs_summarizes_synthetic_pairs():
     assert (rate["won"], rate["lost"], rate["change_over_parent"]) == (0, 0, 1.0)
     assert not rate["gain_rule_met"]
     assert bench_pairs.summarize(pairs[:10], metrics)["peak_rss_mb"]["gain_rule_met"]
+    assert not rss["past_bound"] and not rate["past_bound"]
+
+    # worse by more than the bound, a share of the parent's median, in either direction
+    swapped = [{"parent": p["change"], "change": p["parent"]} for p in pairs[:10]]
+    assert bench_pairs.summarize(swapped, metrics)["peak_rss_mb"]["past_bound"]  # 78.45 -> 96.3
+    for rate, past in ((670.0, True), (675.0, False)):  # 675 is exactly 25 % worse
+        slower = [{"parent": run(96.0, 900.0, 1.0), "change": run(96.0, rate, 1.0)}]
+        assert bench_pairs.summarize(slower, metrics)["score_windows_per_s"]["past_bound"] is past
 
     commands = bench_pairs.command_medians(pairs)
     assert commands["convert"] == {"parent": 1.2, "change": 1.0,
