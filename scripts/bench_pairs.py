@@ -24,7 +24,9 @@ again after every pair, so an interrupted series keeps its finished pairs:
 - per workload that times its commands (`command_s` in a round's record,
   as `cli-metrala` does), each side's median seconds per command: the
   median over the pairs of each run's median over its rounds;
-- the CPU count, Python, numpy and BLAS of each side, from the records.
+- the CPU count, Python, numpy and BLAS of each side, from the records;
+- each side's net `src/` line count, the lines of its Python files as
+  `wc -l` counts them.
 
     python3 scripts/bench_pairs.py --parent ../parent --label adjacency_from_arcs \\
         --seeds 1 2 3 4 5 6 7 8 9 10
@@ -65,6 +67,11 @@ def run_once(checkout: Path, command, workload, seed, seconds):
         "command_s": medians(r.get("command_s", {}) for r in record["rounds"]),
         "environment": record["environment"],
     }
+
+
+def src_lines(checkout: Path) -> int:
+    """The newlines in every Python file under the checkout's `src/`."""
+    return sum(path.read_bytes().count(b"\n") for path in (checkout / "src").rglob("*.py"))
 
 
 def summarize(pairs, metrics):
@@ -144,7 +151,8 @@ def main(argv=None) -> None:
 
     out = ROOT / f"BENCH_{args.label}.json"
     report = {"label": args.label, "command": spec["command"], "seconds": spec["run_seconds"],
-              "seeds": args.seeds, "environment": {}, "workloads": {}}
+              "seeds": args.seeds, "environment": {}, "workloads": {},
+              "src_lines": {side: src_lines(checkout) for side, checkout in checkouts.items()}}
     index = 0
     for workload in workloads:
         pairs = []

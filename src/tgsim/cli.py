@@ -6,6 +6,10 @@ refuses stored arguments the command does not take.  Errors
 leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
 
+Each checkpoint `train` writes is its fold's one record: model, recipe, test
+windows and the bucket file's SHA-256.  `eval` scores the folds and echoes the
+recipe from the checkpoints; it reads only input paths from run_config.json.
+
 `train` fits its folds, `eval` scores them and `detect` scores its
 stream in the fork pool of `_pool`, one BLAS thread per worker, and
 `convert` formats a large signal's features there.  Their outputs are
@@ -15,10 +19,11 @@ in a worker reaches the caller as it would serially.
 
 import argparse
 import csv
+import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import partial
 from pathlib import Path
 
@@ -151,11 +156,6 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _train_config(args) -> TrainConfig:
-    return TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                       bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
-
-
 def _resampler_for(signal, probability, seed):
     """run_folds' resample_for: fresh corruption of a fold's clean windows each epoch."""
     bounds = node_bounds(signal)
@@ -174,11 +174,17 @@ def _resampler_for(signal, probability, seed):
     return resample_for
 
 
+def _sha256(path) -> str:
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
 def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
-    config = _train_config(args)
+    digest = _sha256(args.buckets)
+    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
+                         bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
     model_config = ModelConfig(args.cell, input_channels=signal.num_channels,
                                embed_dim=args.embed_dim, attention_dim=args.attention_dim)
     pairs = kfold_split(labeled, config.folds, config.seed, shuffle=not args.no_shuffle_folds)
@@ -189,18 +195,43 @@ def _cmd_train(args) -> int:
     runs = run_folds(pairs, config, model_config, resample_for=resample_for, score=False)
     histories = []
     for index, (checkpoint, history, _) in enumerate(runs):
-        save_checkpoint(checkpoint, out_dir / f"checkpoint_fold_{index}.json")
+        provenance = replace(checkpoint.provenance, buckets_sha256=digest)
+        save_checkpoint(replace(checkpoint, provenance=provenance),
+                        out_dir / f"checkpoint_fold_{index}.json")
         histories.append(history)
 
-    write_json(
-        {"test_starts": [[b.bucket.start for b in test] for _, test in pairs]},
-        out_dir / "folds.json",
-    )
     write_json({"per_fold": histories}, out_dir / "losses.json")
     save_run_config(out_dir, "train", args)
     final = ", ".join(f"{h[-1]:.4f}" for h in histories)
     print(f"trained {len(pairs)} folds ({config.epochs} epochs), final losses: {final}")
     return 0
+
+
+def _recorded_folds(run_dir, labeled, buckets_path) -> list:
+    """(checkpoint, test buckets) of a train run's folds 0 to K - 1, K from fold 0's recipe:
+    one model and recipe, trained on `labeled`'s file, in order, tests partitioning it."""
+    first = load_checkpoint(run_dir / "checkpoint_fold_0.json")
+    checkpoints = [first] + [load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
+                             for index in range(1, first.provenance.recipe.folds)]
+    for what, values in (("models", {c.config for c in checkpoints}),
+                         ("recipes", {c.provenance.recipe for c in checkpoints})):
+        if len(values) > 1:
+            raise ParseError(f"{run_dir}: the folds' checkpoints hold different {what}: "
+                             f"{sorted(map(repr, values))}")
+    digest = _sha256(buckets_path)
+    if {c.provenance.buckets_sha256 for c in checkpoints} != {digest}:
+        raise ParseError(f"{run_dir}: the folds were trained on another bucket file "
+                         f"than {buckets_path} (SHA-256 {digest})")
+    folds = [c.provenance.fold for c in checkpoints]
+    if folds != list(range(len(checkpoints))):
+        raise ParseError(f"{run_dir}: the checkpoints record folds {folds}, out of order")
+    by_start = {b.bucket.start: b for b in labeled}
+    starts = [start for c in checkpoints for start in c.provenance.test_starts]
+    # a start the file repeats names no one window
+    if sorted(starts) != sorted(by_start) or len(by_start) < len(labeled):
+        raise ParseError(f"{run_dir}: the folds' test starts do not partition "
+                         f"the windows of {buckets_path}")
+    return [(c, [by_start[start] for start in c.provenance.test_starts]) for c in checkpoints]
 
 
 def _cmd_eval(args) -> int:
@@ -210,63 +241,28 @@ def _cmd_eval(args) -> int:
         raise ParseError(
             f"{run_dir}: expected a train run, found {run_config.command!r}"
         )
-    stored = argparse.Namespace(**run_config.arguments)
     if args.out_dir is None:
         # keep the train run's own run_config.json intact
         args.out_dir = str(run_dir / "eval")
     out_dir = _resolve_out_dir(args, "eval")
 
     try:
-        dataset_path = args.dataset or stored.dataset
-        buckets_path = args.buckets or stored.buckets
-        shuffle = not stored.no_shuffle_folds
-        config = _train_config(stored)
-    except AttributeError as exc:
+        dataset_path = args.dataset or run_config.arguments["dataset"]
+        buckets_path = args.buckets or run_config.arguments["buckets"]
+    except KeyError as exc:
         raise ParseError(f"{run_dir}/run_config.json is missing a field: {exc}") from None
     signal = load_canonical(dataset_path)
     labeled, spec = load_labeled_buckets(buckets_path, signal)
-    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=shuffle)
-
-    recorded = read_json(run_dir / "folds.json")
-    if not isinstance(recorded, dict):
-        raise ParseError(f"{run_dir}/folds.json: expected an object with 'test_starts'")
-    starts = [[b.bucket.start for b in test] for _, test in pairs]
-    if recorded.get("test_starts") != starts:
-        raise ParseError(
-            f"{run_dir}/folds.json does not match the recomputed fold assignment; "
-            "was the bucket file changed since training?"
-        )
-
-    # the report echoes the model the checkpoints hold, which all folds share
-    checkpoints = [load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
-                   for index in range(len(pairs))]
-    model_config = checkpoints[0].config
-    if any(checkpoint.config != model_config for checkpoint in checkpoints):
-        raise ParseError(f"{run_dir}: the folds' checkpoints hold different models: "
-                         f"{sorted({repr(checkpoint.config) for checkpoint in checkpoints})}")
-    # the echoed recipe must be the one the artifacts carry: the bucket
-    # file's length, and the epochs in every fold's checkpoint provenance
-    length = labeled[0].bucket.length
-    if config.bucket_length != length:
-        raise ParseError(f"{run_dir}/run_config.json: bucket_length {config.bucket_length} "
-                         f"disagrees with the {length} of {buckets_path}")
-    epochs = {repr(checkpoint.provenance.epochs) for checkpoint in checkpoints}
-    if epochs != {repr(config.epochs)}:
-        raise ParseError(f"{run_dir}/run_config.json: epochs {config.epochs} disagrees "
-                         f"with the checkpoints' {', '.join(sorted(epochs))}")
-
-    def fold(index):
-        return evaluate(checkpoints[index], pairs[index][1]).folds[0]
+    folds = _recorded_folds(run_dir, labeled, buckets_path)
 
     adjacency_operator(signal)  # built here, the one every forked fold inherits
-    folds = _pool.run_jobs(partial(fold, index) for index in range(len(pairs)))
+    scored = _pool.run_jobs(partial(evaluate, checkpoint, test) for checkpoint, test in folds)
 
-    echo = config_echo(config, model_config)
+    model_config, recipe = folds[0][0].config, folds[0][0].provenance.recipe
+    echo = config_echo(recipe, model_config)
     echo.update(_noise_metadata(spec))
-    report = MetricsReport(
-        dataset=signal.name, model=model_config.cell_kind,
-        folds=tuple(folds), config=echo,
-    )
+    report = MetricsReport(dataset=signal.name, model=model_config.cell_kind,
+                           folds=tuple(one.folds[0] for one in scored), config=echo)
     write_report(report, out_dir / "metrics.json")
     write_report_csv(report, out_dir / "metrics.csv")
     save_run_config(out_dir, "eval", args)
@@ -396,9 +392,11 @@ def build_parser() -> tuple[_Parser, dict]:
 
     p = commands["eval"] = sub.add_parser(
         "eval", help="score a train run's held-out folds into a metrics report")
-    p.add_argument("--run-dir", required=True, help="directory written by train")
+    p.add_argument("--run-dir", required=True,
+                   help="directory written by train: each fold's recipe and test windows "
+                        "come from its checkpoint, the input paths from run_config.json")
     p.add_argument("--dataset", default=None, help="override the recorded dataset path")
-    p.add_argument("--buckets", default=None, help="override the recorded bucket file")
+    p.add_argument("--buckets", default=None, help="the recorded bucket file at another path")
     p.set_defaults(func=_cmd_eval)
 
     p = commands["baseline"] = sub.add_parser(

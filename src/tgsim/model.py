@@ -71,7 +71,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -245,14 +246,70 @@ class ModelParams:
         return list(self._tensors.values())
 
 
+def _whole(value, least: int) -> bool:
+    """Whether `value` is an int, not a bool, from `least` to the largest float."""
+    return (isinstance(value, int) and not isinstance(value, bool)
+            and least <= value <= sys.float_info.max)
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Hyperparameters for one training run, kept in each checkpoint's provenance.
+
+    `bucket_length` is recorded here even though the buckets are built
+    elsewhere; train() checks the two agree so a report's config echo can
+    be trusted.
+    """
+
+    epochs: int = 30
+    learning_rate: float = 0.003
+    bucket_length: int = 10
+    folds: int = 3
+    seed: int = 0
+
+    def __post_init__(self):
+        for name, least in (("epochs", 1), ("bucket_length", 2), ("folds", 2), ("seed", 0)):
+            value = getattr(self, name)
+            if not _whole(value, least):
+                raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not 0 < rate <= sys.float_info.max:
+            raise ConfigError(f"learning rate must be positive and finite, got {rate!r}")
+
+
 @dataclass(frozen=True)
 class Provenance:
-    """Where a checkpoint came from: enough to reproduce the training run."""
+    """Where a checkpoint came from: the recipe, fold and bucket file that trained it.
+
+    `recipe` is the run's TrainConfig. Fold `fold` of `training.run_folds`
+    trained from `training.fold_seed(recipe.seed, fold)` and scores the
+    windows at `test_starts`, in that order; a lone `training.train` has no
+    fold, and its recipe is the config it was given. `buckets_sha256` is the
+    SHA-256 of the bucket file `tgsim train` read, which pins its noise spec
+    too; it is empty where no file was read.
+    """
 
     dataset: str = ""
-    seed: int = 0
-    epochs: int = 0
+    recipe: TrainConfig = field(default_factory=TrainConfig)
+    fold: int | None = None
+    test_starts: tuple[int, ...] = ()
+    buckets_sha256: str = ""
     final_loss: float | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "test_starts", tuple(self.test_starts))
+        loss = 0.0 if self.final_loss is None else self.final_loss
+        wrong = [name for name, ok in (
+            ("dataset", isinstance(self.dataset, str)),
+            ("recipe", isinstance(self.recipe, TrainConfig)),
+            ("fold", self.fold is None or _whole(self.fold, 0)),
+            ("test_starts", all(_whole(start, 0) for start in self.test_starts)),
+            ("buckets_sha256", isinstance(self.buckets_sha256, str)),
+            ("final_loss", isinstance(loss, (int, float)) and not isinstance(loss, bool)
+             and abs(loss) <= sys.float_info.max),
+        ) if not ok]
+        if wrong:
+            raise ContractError(f"provenance {', '.join(wrong)}: wrong type or out of range")
 
 
 @dataclass(frozen=True)
@@ -938,12 +995,7 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Self-describing JSON: config, flat row-major parameters, provenance."""
     doc = {
-        "config": {
-            "cell_kind": checkpoint.config.cell_kind,
-            "input_channels": checkpoint.config.input_channels,
-            "embed_dim": checkpoint.config.embed_dim,
-            "attention_dim": checkpoint.config.attention_dim,
-        },
+        "config": asdict(checkpoint.config),
         "params": {
             name: {"shape": list(t.shape), "data": t.value.reshape(-1).tolist()}
             for name, t in checkpoint.params.items()
@@ -952,12 +1004,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             "mins": checkpoint.feature_bounds.mins.tolist(),
             "maxs": checkpoint.feature_bounds.maxs.tolist(),
         },
-        "provenance": {
-            "dataset": checkpoint.provenance.dataset,
-            "seed": checkpoint.provenance.seed,
-            "epochs": checkpoint.provenance.epochs,
-            "final_loss": checkpoint.provenance.final_loss,
-        },
+        "provenance": asdict(checkpoint.provenance),
     }
     Path(path).write_text(json.dumps(doc, separators=(",", ":")), encoding="utf-8")
 
@@ -965,13 +1012,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 def load_checkpoint(path) -> Checkpoint:
     doc = read_json(path)
     try:
-        raw_config = doc["config"]
-        config = ModelConfig(
-            cell_kind=raw_config["cell_kind"],
-            input_channels=raw_config["input_channels"],
-            embed_dim=raw_config["embed_dim"],
-            attention_dim=raw_config["attention_dim"],
-        )
+        config = ModelConfig(**{f.name: doc["config"][f.name] for f in fields(ModelConfig)})
         values = {}
         for name, entry in doc["params"].items():
             shape = entry["shape"]
@@ -991,17 +1032,12 @@ def load_checkpoint(path) -> Checkpoint:
         raw_bounds = doc["feature_bounds"]
         if raw_bounds is None:
             raise ParseError(f"{path}: checkpoint has no feature bounds")
-        bounds = NodeBounds(
-            mins=np.asarray(raw_bounds["mins"], dtype=np.float64),
-            maxs=np.asarray(raw_bounds["maxs"], dtype=np.float64),
-        )
-        raw_prov = doc.get("provenance", {})
-        provenance = Provenance(
-            dataset=raw_prov.get("dataset", ""),
-            seed=raw_prov.get("seed", 0),
-            epochs=raw_prov.get("epochs", 0),
-            final_loss=raw_prov.get("final_loss"),
-        )
+        bounds = NodeBounds(**{f.name: np.asarray(raw_bounds[f.name], dtype=np.float64)
+                               for f in fields(NodeBounds)})
+        stored = doc["provenance"]
+        recipe = TrainConfig(**{f.name: stored["recipe"][f.name] for f in fields(TrainConfig)})
+        provenance = Provenance(**{f.name: stored[f.name] for f in fields(Provenance)
+                                   if f.name != "recipe"}, recipe=recipe)
     # AttributeError: a section that is not an object, such as a list of params
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
             ContractError) as exc:

@@ -35,8 +35,8 @@ from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
 from .data import NodeBounds, adjacency_operator, normalize_features, read_json, write_json
 from .errors import ConfigError, ContractError, ParseError, TrainingError
-from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass, score_windows,
-                    window_chunks)
+from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, TrainConfig, forward_pass,
+                    score_windows, window_chunks)
 
 # windows per optimizer step; with lr 0.003 no worse than one window per
 # step at lr 0.001 over the seed sweep (scripts/seed_sweep.py)
@@ -53,36 +53,6 @@ BATCH_SIZE = 8
 # moving it changes which path, and so which bytes, they take (ROADMAP
 # item 8).
 _BATCH_POOL_FLOOR = 5_000
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    """Hyperparameters for one training run.
-
-    `bucket_length` is recorded here even though the buckets are built
-    elsewhere; train() checks the two agree so a report's config echo can
-    be trusted.
-    """
-
-    epochs: int = 30
-    learning_rate: float = 0.003
-    bucket_length: int = 10
-    folds: int = 3
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.epochs, int) or isinstance(self.epochs, bool) or self.epochs < 1:
-            raise ConfigError(f"epochs must be a positive integer, got {self.epochs!r}")
-        if not (0 < self.learning_rate < math.inf):
-            raise ConfigError(
-                f"learning rate must be positive and finite, got {self.learning_rate!r}"
-            )
-        if not isinstance(self.bucket_length, int) or self.bucket_length < 2:
-            raise ConfigError(f"bucket length must be an integer >= 2, got {self.bucket_length!r}")
-        if not isinstance(self.folds, int) or self.folds < 2:
-            raise ConfigError(f"need at least 2 folds, got {self.folds!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ConfigError(f"seed must be a nonnegative integer, got {self.seed!r}")
 
 
 class Adam:
@@ -346,18 +316,8 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
         history.append(float(np.mean(np.concatenate(epoch_losses))))
     params.drop_gradients()  # a checkpoint needs neither gradients nor backward buffers
 
-    checkpoint = Checkpoint(
-        config=model_config,
-        params=params,
-        feature_bounds=bounds,
-        provenance=Provenance(
-            dataset=signal.name,
-            seed=config.seed,
-            epochs=config.epochs,
-            final_loss=history[-1],
-        ),
-    )
-    return checkpoint, history
+    provenance = Provenance(dataset=signal.name, recipe=config, final_loss=history[-1])
+    return Checkpoint(model_config, params, bounds, provenance), history
 
 
 def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
@@ -398,7 +358,9 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
     """Train, and with `score` evaluate, every fold of kfold_split `pairs`.
 
     Returns one (checkpoint, loss history, FoldResult or None) per fold.
-    Fold i trains from fold_seed(config.seed, i); `resample_for(i,
+    Fold i trains from fold_seed(config.seed, i), and its checkpoint's
+    provenance records `config`, i and its test windows' starts, the
+    record CLI `eval` scores the fold from; `resample_for(i,
     train_buckets)`, when given, returns that fold's per-epoch `resample`
     for train.  The folds are independent jobs of the fork pool
     (`_pool.run_jobs`), and a forked fold starts from the parent's state,
@@ -413,6 +375,9 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
         fold_config = replace(config, seed=fold_seed(config.seed, index))
         checkpoint, history = train(train_buckets, fold_config, model_config,
                                     resample=resample)
+        checkpoint = replace(checkpoint, provenance=replace(
+            checkpoint.provenance, recipe=config, fold=index,
+            test_starts=[b.bucket.start for b in test_buckets]))
         result = evaluate(checkpoint, test_buckets).folds[0] if score else None
         return checkpoint, history, result
 

@@ -349,7 +349,7 @@ def test_10_pipeline_byte_determinism(tmp_path):
     pipeline(tmp_path / "a")
     pipeline(tmp_path / "b")
     compared = []
-    for rel in ("prep/buckets.json", "train/folds.json", "train/losses.json",
+    for rel in ("prep/buckets.json", "train/losses.json",
                 "train/checkpoint_fold_0.json", "train/checkpoint_fold_1.json",
                 "train/checkpoint_fold_2.json", "train/eval/metrics.json",
                 "train/eval/metrics.csv", "base/baseline_random.json",

@@ -181,18 +181,22 @@ class TestTrain:
     def test_artifacts(self, ws):
         names = {p.name for p in ws.train_dir.iterdir()}
         assert {"checkpoint_fold_0.json", "checkpoint_fold_1.json",
-                "checkpoint_fold_2.json", "losses.json", "folds.json",
-                "run_config.json"} <= names
+                "checkpoint_fold_2.json", "losses.json", "run_config.json"} <= names
+        assert "folds.json" not in names  # each checkpoint records its own fold
         losses = json.loads((ws.train_dir / "losses.json").read_text())
         assert [len(h) for h in losses["per_fold"]] == [3, 3, 3]
 
-    def test_fold_record_partitions_the_bucket_starts(self, ws):
-        folds = json.loads((ws.train_dir / "folds.json").read_text())
-        seen = sorted(start for fold in folds["test_starts"] for start in fold)
-        assert seen == list(range(13))
-        assert list(folds) == ["test_starts"]
+    def test_checkpoints_record_their_fold_and_recipe(self, ws):
+        provenances = [load_checkpoint(ws.train_dir / f"checkpoint_fold_{i}.json").provenance
+                       for i in range(3)]
+        assert [p.fold for p in provenances] == [0, 1, 2]
+        assert {p.recipe for p in provenances} == {
+            TrainConfig(epochs=3, bucket_length=4, folds=3, seed=1)}
+        assert {p.buckets_sha256 for p in provenances} == {digest(ws.buckets)}
+        starts = [s for p in provenances for s in p.test_starts]
+        assert sorted(starts) == list(range(13))
         # shuffled: not the contiguous blocks of --no-shuffle-folds
-        assert [s for fold in folds["test_starts"] for s in fold] != seen
+        assert starts != sorted(starts)
 
     def test_checkpoints_reload_and_carry_bounds(self, ws):
         checkpoint = load_checkpoint(ws.train_dir / "checkpoint_fold_0.json")
@@ -358,25 +362,44 @@ class TestEval:
         assert code == 2
         assert "expected a train run" in stderr_line(capsys)["message"]
 
-    def test_tampered_fold_record_is_detected(self, ws, tmp_path, capsys):
+    @pytest.mark.parametrize("damage, message", [
+        ("dropped start", "do not partition"), ("repeated start", "do not partition"),
+        ("swapped files", "out of order"), ("lone train", "out of order"),
+    ])
+    def test_tampered_fold_record_is_detected(self, ws, tmp_path, capsys, damage, message):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
-        folds = json.loads((clone / "folds.json").read_text())
-        folds["test_starts"][0], folds["test_starts"][1] = (
-            folds["test_starts"][1], folds["test_starts"][0])
-        (clone / "folds.json").write_text(json.dumps(folds))
-        code = cli.main(["eval", "--run-dir", str(clone)])
-        assert code == 2
-        assert "fold assignment" in stderr_line(capsys)["message"]
-
-    def test_fold_record_must_be_an_object(self, ws, tmp_path, capsys):
-        clone = clone_run(ws.train_dir, tmp_path / "clone")
-        (clone / "folds.json").write_text("[]")
+        paths = [clone / f"checkpoint_fold_{i}.json" for i in range(2)]
+        docs = [json.loads(path.read_text()) for path in paths]
+        if damage == "dropped start":
+            docs[0]["provenance"]["test_starts"].pop()
+        elif damage == "repeated start":
+            docs[0]["provenance"]["test_starts"][0] = docs[1]["provenance"]["test_starts"][0]
+        elif damage == "swapped files":
+            docs.reverse()
+        else:
+            docs[0]["provenance"]["fold"] = None
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
         assert cli.main(["eval", "--run-dir", str(clone)]) == 2
         report = stderr_line(capsys)
         assert report["error"] == "ParseError"
-        assert "folds.json" in report["message"]
+        assert message in report["message"]
+        assert not (clone / "eval" / "metrics.json").exists()
 
-    @pytest.mark.parametrize("field", ["dataset", "buckets", "no_shuffle_folds", "epochs"])
+    def test_another_bucket_file_is_refused(self, ws, tmp_path, capsys):
+        # the same windows under other noise: only the digest tells them apart
+        assert cli.main(["prepare", "--dataset", str(ws.dataset), "-L", "4", "--seed", "4",
+                         "--out-dir", str(tmp_path / "prep")]) == 0
+        capsys.readouterr()
+        other = tmp_path / "prep" / "buckets.json"
+        code = cli.main(["eval", "--run-dir", str(ws.train_dir), "--buckets", str(other),
+                         "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert f"another bucket file than {other}" in report["message"]
+
+    @pytest.mark.parametrize("field", ["dataset", "buckets"])
     def test_run_config_missing_a_field(self, ws, tmp_path, capsys, field):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
         config = json.loads((clone / "run_config.json").read_text())
@@ -417,32 +440,40 @@ class TestEval:
         assert report.model == "tgcn"
         assert (report.config["embed_dim"], report.config["attention_dim"]) == (6, 4)
 
-    @pytest.mark.parametrize("field, value, source", [
-        ("bucket_length", 9, "buckets.json"), ("epochs", 500, "checkpoints"),
+    @pytest.mark.parametrize("edit", [
+        {"learning_rate": 0.5},
+        {"bucket_length": 9, "epochs": 500, "folds": 7, "seed": 99},
+        {"no_shuffle_folds": True, "redraw_noise": True},
     ])
-    def test_recipe_the_artifacts_do_not_carry_is_refused(self, ws, tmp_path, capsys,
-                                                          field, value, source):
-        # the buckets are 4 long and every fold trained 3 epochs
+    def test_echo_is_the_checkpoints_recipe(self, ws, evaluated, tmp_path, edit):
+        # the toy run trained at the default 0.003; the checkpoints say so, not run_config.json
         clone = clone_run(ws.train_dir, tmp_path / "clone")
         config = json.loads((clone / "run_config.json").read_text())
-        config["arguments"][field] = value
+        config["arguments"].update(edit)
         (clone / "run_config.json").write_text(json.dumps(config))
-        assert cli.main(["eval", "--run-dir", str(clone)]) == 2
-        report = stderr_line(capsys)
-        assert report["error"] == "ParseError"
-        assert f"{field} {value} disagrees" in report["message"]
-        assert source in report["message"]
-        assert not (clone / "eval" / "metrics.json").exists()
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 0
+        assert digest(clone / "eval" / "metrics.json") == digest(evaluated / "metrics.json")
+        echo = load_report(clone / "eval" / "metrics.json").config
+        assert (echo["learning_rate"], echo["epochs"], echo["folds"]) == (0.003, 3, 3)
+
+    def test_run_config_needs_only_the_input_paths(self, ws, evaluated, tmp_path):
+        clone = clone_run(ws.train_dir, tmp_path / "clone")
+        config = json.loads((clone / "run_config.json").read_text())
+        config["arguments"] = {key: config["arguments"][key] for key in ("dataset", "buckets")}
+        (clone / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(clone)]) == 0
+        assert digest(clone / "eval" / "metrics.json") == digest(evaluated / "metrics.json")
 
     def test_folds_trained_for_different_epochs_are_refused(self, ws, tmp_path, capsys):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
         doc = json.loads((clone / "checkpoint_fold_2.json").read_text())
-        doc["provenance"]["epochs"] = 4
+        doc["provenance"]["recipe"]["epochs"] = 4
         (clone / "checkpoint_fold_2.json").write_text(json.dumps(doc))
         assert cli.main(["eval", "--run-dir", str(clone)]) == 2
         report = stderr_line(capsys)
         assert report["error"] == "ParseError"
-        assert "epochs 3 disagrees with the checkpoints' 3, 4" in report["message"]
+        assert "different recipes" in report["message"]
+        assert "epochs=3" in report["message"] and "epochs=4" in report["message"]
 
     def test_folds_of_different_models_are_refused(self, ws, tmp_path, capsys):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
@@ -491,7 +522,8 @@ class TestRunFileFuzz:
             assert outputs(), where
         return code
 
-    @pytest.mark.parametrize("name, cases", [("run_config.json", 120), ("folds.json", 60)])
+    @pytest.mark.parametrize("name, cases", [("run_config.json", 120),
+                                             ("checkpoint_fold_0.json", 60)])
     def test_eval_run_files(self, ws, tmp_path, capsys, name, cases):
         rng = random.Random(f"eval-{name}")
         run = clone_run(ws.train_dir, tmp_path / "run")
@@ -593,7 +625,8 @@ class TestUnshuffledFolds:
             "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
             *TRAIN_FLAGS, "--epochs", "1", "--no-shuffle-folds", "--out-dir", str(run),
         ]) == 0
-        starts = json.loads((run / "folds.json").read_text())["test_starts"]
+        starts = [load_checkpoint(run / f"checkpoint_fold_{i}.json").provenance.test_starts
+                  for i in range(3)]
         # 13 buckets in 3 folds: contiguous blocks that concatenate to bucket order
         assert [len(fold) for fold in starts] == [5, 4, 4]
         assert [s for fold in starts for s in fold] == list(range(13))
@@ -725,7 +758,8 @@ FILE_ARGUMENTS = [
     ("convert", "--input"), ("convert", "--config"),
     ("prepare", "--dataset"), ("prepare", "--config"),
     ("train", "--dataset"), ("train", "--buckets"), ("train", "--config"),
-    ("eval", "run_config.json"), ("eval", "folds.json"), ("eval", "checkpoint_fold_0.json"),
+    ("eval", "run_config.json"), ("eval", "checkpoint_fold_0.json"),
+    ("eval", "checkpoint_fold_2.json"),
     ("eval", "--dataset"), ("eval", "--buckets"), ("eval", "--config"),
     ("baseline", "--dataset"), ("baseline", "--buckets"), ("baseline", "--config"),
     ("detect", "--dataset"), ("detect", "--checkpoint"), ("detect", "--config"),

@@ -911,7 +911,9 @@ class TestCheckpoint:
         config = small_config(kind)
         params = ModelParams.initialize(config, 31)
         bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
-        provenance = Provenance(dataset="demo", seed=31, epochs=5, final_loss=0.0125)
+        provenance = Provenance(dataset="demo", recipe=TrainConfig(epochs=5, seed=31), fold=1,
+                                test_starts=(4, 0, 7), buckets_sha256="ab" * 32,
+                                final_loss=0.0125)
         return Checkpoint(config, params, bounds, provenance)
 
     def test_round_trip_is_lossless(self, tmp_path):
@@ -1031,6 +1033,37 @@ class TestCheckpoint:
         save_checkpoint(self.make_checkpoint(), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
         doc[section] = []
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("field, damage", [
+        (f"provenance{field}", damage)
+        for field in ("", ".dataset", ".recipe", ".recipe.epochs", ".recipe.learning_rate",
+                      ".recipe.bucket_length", ".recipe.folds", ".recipe.seed", ".fold",
+                      ".test_starts", ".test_starts.1", ".buckets_sha256", ".final_loss")
+        for damage in ("missing", "wrong type", "nan", "past float range")
+        if (field, damage) != (".test_starts.1", "missing")  # a shorter list is no damage
+    ])
+    def test_provenance_field_refused(self, tmp_path, field, damage):
+        import json
+
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        *parents, name = field.split(".")
+        owner = doc
+        for parent in parents:
+            owner = owner[parent]
+        if isinstance(owner, list):
+            name = int(name)
+        if damage == "missing":
+            del owner[name]
+        else:
+            # a string where a number belongs, and a number where a string does
+            wrong = 5 if isinstance(owner[name], str) else str(owner[name])
+            owner[name] = {"wrong type": wrong, "nan": float("nan"),
+                           "past float range": 10 ** 400}[damage]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ParseError, match="malformed checkpoint"):
             load_checkpoint(path)

@@ -363,7 +363,7 @@ class TestCli:
         roots = iter([tmp_path / "serial", tmp_path / "pooled"])
         serial, pooled = both_paths(monkeypatch, lambda: pipeline(dataset, buckets, next(roots),
                                                                  extra))
-        assert len(serial) == 12
+        assert len(serial) == 11  # train: 3 checkpoints, losses, run config; eval 3; detect 3
         assert serial == pooled
         assert capsys.readouterr().err == ""
 

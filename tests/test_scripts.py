@@ -96,3 +96,16 @@ def test_bench_pairs_summarizes_synthetic_pairs():
     assert commands["detect"] == {"parent": 3.0, "change": 3.0, "change_over_parent": 1.0}
     assert bench_pairs.medians([{"convert": 1.0}, {"convert": 3.0, "train": 2.0}, {}]) == {
         "convert": 2.0, "train": 2.0}
+
+
+def test_bench_pairs_counts_net_src_lines(tmp_path):
+    bench_pairs = load_script("bench_pairs")
+    package = tmp_path / "src" / "pkg"
+    (package / "sub").mkdir(parents=True)
+    (package / "__pycache__").mkdir()
+    (package / "a.py").write_text("import os\n\nx = 1\n")
+    (package / "sub" / "b.py").write_text("y = 2\nz = 3\n")
+    (package / "notes.txt").write_text("not code\n")
+    (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\n\n\n")
+    (tmp_path / "setup.py").write_text("outside src\n")
+    assert bench_pairs.src_lines(tmp_path) == 5  # a.py and b.py, as wc -l counts them

@@ -88,6 +88,9 @@ class TestTrainConfig:
             {"seed": -1},
             {"seed": True},
             {"learning_rate": math.inf},
+            {"learning_rate": True},
+            {"learning_rate": 10 ** 400},
+            {"epochs": 10 ** 400},
         ],
     )
     def test_rejects_bad_values(self, kwargs):
@@ -359,8 +362,8 @@ class TestTrain:
         assert np.array_equal(checkpoint.feature_bounds.mins, expected.mins)
         assert np.array_equal(checkpoint.feature_bounds.maxs, expected.maxs)
         assert checkpoint.provenance.dataset == "toy"
-        assert checkpoint.provenance.seed == 9
-        assert checkpoint.provenance.epochs == 2
+        assert checkpoint.provenance.recipe == config
+        assert checkpoint.provenance.fold is None  # a lone train is no fold of a run
 
     def test_checkpoint_keeps_no_backward_buffers(self):
         # callers keep checkpoints (a benchmark round keeps every one), so
@@ -511,6 +514,15 @@ class TestCrossValidate:
         assert report.config["embed_dim"] == 4
         assert report.model == "tgcn"
         assert report.dataset == "toy"
+
+    def test_checkpoints_record_their_fold(self):
+        # the run's recipe, though fold i trained from fold_seed(5, i)
+        report, checkpoints = cross_validate(self.labeled, self.config, self.model_config)
+        for index, (fold, checkpoint) in enumerate(zip(report.folds, checkpoints)):
+            assert checkpoint.provenance.recipe == self.config
+            assert checkpoint.provenance.fold == index
+            assert checkpoint.provenance.test_starts == fold.starts
+            assert checkpoint.provenance.buckets_sha256 == ""
 
     def test_fold_models_differ(self):
         _, checkpoints = cross_validate(self.labeled, self.config, self.model_config)
