@@ -1,9 +1,11 @@
 """Seed sweep of the headline cross-validation: how often a fold collapses.
 
-Runs `cross_validate` for every given cell and seed on one of two shapes,
-and prints one line per run, then a table with, per cell, the folds that
-collapsed to a near-constant prediction (standard deviation at most
-0.002) and the median and range of the mean MSE over seeds.
+Runs the headline cross-validation (`kfold_split`, then
+`training.run_folds`, the path `cross_validate` takes) for every given
+cell and seed on one of two shapes, and prints one line per run, then a
+table with, per cell, the folds that collapsed to a near-constant
+prediction (standard deviation at most 0.002) and the median and range of
+the mean MSE over seeds.
 
 - `--shape chickenpox` (the default): the chickenpox-shaped test corpus
   (`tests/synth.py`'s `chickenpox_like()`), corrupted with
@@ -16,9 +18,14 @@ collapsed to a near-constant prediction (standard deviation at most
 
     python scripts/seed_sweep.py --cells a3tgcn tgcn gconv_gru --seeds 1 2 3 4 5 --epochs 30
     python scripts/seed_sweep.py --shape metrala --cells a3tgcn --seeds 1 2 3 --epochs 30
+    python scripts/seed_sweep.py --shape metrala --cells a3tgcn --seeds 1 2 3 --redraw-noise
 
 The learning rate defaults to `TrainConfig`'s and the batch size to
 `training.BATCH_SIZE`; `--batch-size` overrides the constant for the runs.
+`--redraw-noise` redraws each fold's training corruption every epoch, as
+`tgsim train --redraw-noise` does (`cli._resampler_for`, at the shape's
+probability of 0.5 and the run's training seed); without it every epoch
+trains on the one labeled set, as `cross_validate` does.
 """
 
 import argparse
@@ -33,14 +40,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from inputs import derived_seed, metrala_corpus  # noqa: E402
 from synth import chickenpox_like  # noqa: E402
-from tgsim import training  # noqa: E402
+from tgsim import cli, training  # noqa: E402
 from tgsim.data import TemporalGraphSignal, node_bounds  # noqa: E402
 from tgsim.model import CELL_KINDS, ModelConfig  # noqa: E402
 from tgsim.noise import NoiseSpec, bucketize, inject_noise  # noqa: E402
-from tgsim.training import TrainConfig, cross_validate  # noqa: E402
+from tgsim.training import TrainConfig  # noqa: E402
 
 COLLAPSE_STD = 0.002
 BUCKET_LENGTH = 10
+NOISE_PROBABILITY = 0.5  # both shapes' corruption probability
 # the cli-metrala workload's protocol (bench/workloads.py): stride, folds
 METRALA_STRIDE, METRALA_FOLDS = 32, 2
 
@@ -49,14 +57,15 @@ def labeled_windows(shape: str, seed: int):
     """The shape's labeled windows, its fold count and the training seed for `seed`."""
     if shape == "chickenpox":
         signal = chickenpox_like()
-        buckets, spec, folds = bucketize(signal, BUCKET_LENGTH), NoiseSpec(0.5, 11), 3
+        buckets, folds = bucketize(signal, BUCKET_LENGTH), 3
+        spec = NoiseSpec(NOISE_PROBABILITY, 11)
     else:
         corpus, _ = metrala_corpus(seed)
         signal = TemporalGraphSignal(corpus.name, corpus.num_nodes, corpus.edges,
                                      corpus.weights, corpus.features, corpus.frequency)
         seed = derived_seed(seed, 13)  # the workload's prepare and train --seed
         buckets = bucketize(signal, BUCKET_LENGTH, METRALA_STRIDE)
-        spec, folds = NoiseSpec(0.5, seed), METRALA_FOLDS
+        spec, folds = NoiseSpec(NOISE_PROBABILITY, seed), METRALA_FOLDS
     return inject_noise(buckets, node_bounds(signal), spec), folds, seed
 
 
@@ -68,6 +77,8 @@ def main(argv=None) -> None:
     parser.add_argument("--epochs", type=int, default=30)
     parser.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
     parser.add_argument("--batch-size", type=int, default=training.BATCH_SIZE)
+    parser.add_argument("--redraw-noise", action="store_true",
+                        help="redraw each fold's training corruption every epoch")
     args = parser.parse_args(argv)
     if args.batch_size < 1:
         parser.error("--batch-size must be a positive integer")
@@ -80,22 +91,27 @@ def main(argv=None) -> None:
             labeled, fold_count, train_seed = labeled_windows(args.shape, seed)
             config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                                  bucket_length=BUCKET_LENGTH, folds=fold_count, seed=train_seed)
+            resample_for = (cli._resampler_for(labeled[0].bucket.signal, NOISE_PROBABILITY,
+                                               train_seed) if args.redraw_noise else None)
             start = time.perf_counter()
-            report, _ = cross_validate(labeled, config, ModelConfig(cell, input_channels=1))
-            stds = [float(np.std(fold.predictions)) for fold in report.folds]
-            flat = [std <= COLLAPSE_STD for std in stds]
+            pairs = training.kfold_split(labeled, fold_count, train_seed)
+            runs = training.run_folds(pairs, config, ModelConfig(cell, input_channels=1),
+                                      resample_for=resample_for)
+            results = [result for _, _, result in runs]
+            flat = [float(np.std(fold.predictions)) <= COLLAPSE_STD for fold in results]
             collapsed += sum(flat)
             folds += len(flat)
-            means.append(report.mean_mse)
-            print(f"{cell} seed {seed}: mean MSE {report.mean_mse:.4f}, folds "
+            means.append(float(np.mean([fold.mse for fold in results])))
+            print(f"{cell} seed {seed}: mean MSE {means[-1]:.4f}, folds "
                   + ", ".join(f"{f.mse:.4f}{' (collapsed)' if c else ''}"
-                              for f, c in zip(report.folds, flat))
+                              for f, c in zip(results, flat))
                   + f" [{time.perf_counter() - start:.0f} s]", flush=True)
         rows.append((cell, collapsed, folds, np.median(means), min(means), max(means)))
 
     seeds = ", ".join(map(str, args.seeds))
+    redraw = ", --redraw-noise" if args.redraw_noise else ""
     print(f"\n{args.shape}, lr {args.learning_rate:g}, batch {args.batch_size}, "
-          f"{args.epochs} epochs, seeds {seeds}\n")
+          f"{args.epochs} epochs{redraw}, seeds {seeds}\n")
     print("| Cell | Collapsed folds | Mean MSE, median [range] |")
     print("|---|---|---|")
     for cell, collapsed, folds, median, low, high in rows:

@@ -5,9 +5,8 @@ returns their results in job order. Jobs reach the workers through fork,
 so closures need no pickling; only job indices and results cross the
 pipes. Its callers: `training.run_folds` (the folds of `cross_validate`
 and of CLI `train`), CLI `eval`'s folds, `training.train`'s window chunks
-of a batch on a large graph, `model.score_windows` calls of many
-windows x nodes (`score_stream`, and `evaluate` outside a fold worker),
-and `data.write_canonical`'s feature text for many floats (CLI `convert`).
+of a batch on a large graph, and `model.score_windows` calls of many
+windows x nodes (`score_stream`, and `evaluate` outside a fold worker).
 
 Up to twice as many jobs as CPUs get one worker each; more jobs share
 one worker per CPU. Equal jobs, such as the folds of a cross-validation,

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import TemporalGraphSignal, read_json, read_json_rows, write_canonical
+from .data import TemporalGraphSignal, index_pairs, read_json, read_json_rows, write_canonical
 from .errors import AdapterError, ContractError, ParseError
 
 # published (num_nodes, num_edges, num_snapshots) per dataset kind
@@ -56,10 +56,12 @@ def _require(doc, keys, kind):
 
 
 def _pairs(raw, kind):
+    if not isinstance(raw, list):
+        raise AdapterError(f"{kind}: 'edges' must be an array of [src, dst] pairs")
     try:
-        return [(int(s), int(d)) for s, d in raw]
-    except (TypeError, ValueError) as exc:
-        raise AdapterError(f"{kind}: 'edges' must be [src, dst] pairs") from exc
+        return index_pairs(raw)
+    except ContractError as exc:
+        raise AdapterError(f"{kind}: {exc}") from None
 
 
 def _weights(raw, kind):
@@ -204,7 +206,7 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
     signal = TemporalGraphSignal(
         name=key,
         num_nodes=features.shape[1],
-        edges=tuple(edges),
+        edges=edges,
         weights=weights,
         features=features,
         frequency=DATASET_FREQUENCIES[key],

@@ -11,10 +11,9 @@ windows and the bucket file's SHA-256.  `eval` scores the folds and echoes the
 recipe from the checkpoints; it reads only input paths from run_config.json.
 
 `train` fits its folds, `eval` scores them and `detect` scores its
-stream in the fork pool of `_pool`, one BLAS thread per worker, and
-`convert` formats a large signal's features there.  Their outputs are
-byte-identical to a serial run under one BLAS thread, and an error raised
-in a worker reaches the caller as it would serially.
+stream in the fork pool of `_pool`, one BLAS thread per worker.  Their
+outputs are byte-identical to a serial run under one BLAS thread, and an
+error raised in a worker reaches the caller as it would serially.
 """
 
 import argparse
@@ -227,8 +226,7 @@ def _recorded_folds(run_dir, labeled, buckets_path) -> list:
         raise ParseError(f"{run_dir}: the checkpoints record folds {folds}, out of order")
     by_start = {b.bucket.start: b for b in labeled}
     starts = [start for c in checkpoints for start in c.provenance.test_starts]
-    # a start the file repeats names no one window
-    if sorted(starts) != sorted(by_start) or len(by_start) < len(labeled):
+    if sorted(starts) != sorted(by_start):
         raise ParseError(f"{run_dir}: the folds' test starts do not partition "
                          f"the windows of {buckets_path}")
     return [(c, [by_start[start] for start in c.provenance.test_starts]) for c in checkpoints]

@@ -16,12 +16,12 @@ computes from the signal's arc arrays: the CSR form never passes through
 a dense N x N array, and the dense form is those nonzeros scattered into
 one.
 
-The JSON file is the only source of truth.  `write_canonical` also leaves a
-binary sidecar next to it (`<file>.npy`): the decoded arrays plus the
-SHA-256 of the exact JSON bytes.  `load_canonical` builds the signal from
-the sidecar only when that hash matches the file it just read, so a missing,
-stale or damaged sidecar costs nothing but the JSON parse it would have done
-anyway.
+The JSON file is the only source of truth.  `write_canonical` writes it a
+snapshot at a time in this process, then leaves a binary sidecar next to it
+(`<file>.npy`): the decoded arrays plus the SHA-256 of the exact JSON bytes.
+`load_canonical` builds the signal from the sidecar only when that hash
+matches the file it just read, so a missing, stale or damaged sidecar costs
+nothing but the JSON parse it would have done anyway.
 """
 
 from __future__ import annotations
@@ -32,14 +32,12 @@ import os
 import shutil
 import tempfile
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 from numpy.lib.format import read_array
 
-from . import _pool
 from .errors import ContractError, ParseError
 
 REQUIRED_FIELDS = ("name", "num_nodes", "edges", "frequency", "features")
@@ -56,14 +54,23 @@ _SPARSE_NODES = 512
 # bytes `load_canonical` hashes at a time
 _HASH_BLOCK = 1 << 20
 
-# floats in one span of features that `write_canonical` formats in one go
-# (about 0.65 MB of text), and from how many it formats them on the fork
-# pool.  Formatting costs 0.6-1.5 us a float.  On 2 CPUs, for random
-# one-channel signals at N = 207 (medians of 8 alternations), the pool lost
-# at 248k floats (214 against 204 ms in-process) and won at 414k (274
-# against 319 ms) and at the metrala shape's 667k (425 against 541 ms)
-_SPAN_FLOATS = 1 << 15
-_FORMAT_POOL_FLOOR = 400_000
+
+def index_pairs(edges) -> tuple[tuple[int, int], ...]:
+    """`edges` as (src, dst) pairs of Python ints, never coerced.
+
+    An endpoint that is no Python or numpy integer (a float, a bool, a
+    string) is a `ContractError` naming its edge.  Shared with the adapters.
+    """
+    try:
+        pairs = tuple((s, d) for s, d in edges)
+    except (TypeError, ValueError):
+        raise ContractError("edges must be (src, dst) pairs") from None
+    if set(map(type, chain.from_iterable(pairs))) <= {int}:
+        return pairs  # the common case, checked without a loop of Python bytecode
+    for i, value in enumerate(chain.from_iterable(pairs)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ContractError(f"edges[{i // 2}]: expected an integer node index, got {value!r}")
+    return tuple((int(s), int(d)) for s, d in pairs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,7 +93,7 @@ class TemporalGraphSignal:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ContractError(f"num_nodes must be a positive integer, got {n!r}")
 
-        edges = tuple((int(s), int(d)) for s, d in self.edges)
+        edges = index_pairs(self.edges)
         for s, d in edges:
             if not (0 <= s < n and 0 <= d < n):
                 raise ContractError(f"edge ({s}, {d}) out of range for {n} nodes")
@@ -535,35 +542,27 @@ def load_canonical(path) -> TemporalGraphSignal:
     )
 
 
-def _snapshot_text(features: np.ndarray, first: int, stop: int) -> bytes:
-    """Snapshots `first` to `stop` - 1 as `json.dumps` spells them, comma-joined, UTF-8.
+def _snapshot_text(snapshot: np.ndarray) -> str:
+    """One N x F snapshot as `json.dumps` spells it.
 
-    A comma goes in front unless `first` is 0, so the texts of consecutive
-    ranges concatenate to the file's features array.  `json.dumps` spells
-    a finite float as its repr; spelling a snapshot's floats from one flat
-    list skips the N one-channel lists of `tolist()` (at the metrala shape,
-    one process, median of 8 alternations: 0.75 s against 0.90 s a
-    snapshot at a time through `json.dumps`).
+    `json.dumps` spells a finite float as its repr; spelling a one-channel
+    snapshot's floats from one flat list skips the N one-channel lists of
+    `tolist()` (at the metrala shape, median of 8 alternations: 0.75 s
+    against 0.90 s a snapshot at a time through `json.dumps`).
     """
-    def spelled(snapshot):
-        if snapshot.shape[1] == 1:
-            rows = map(float.__repr__, snapshot.ravel().tolist())
-        else:
-            rows = (",".join(map(float.__repr__, row)) for row in snapshot.tolist())
-        return "[[" + "],[".join(rows) + "]]"
-
-    text = ",".join(map(spelled, features[first:stop]))
-    return ("," + text if first else text).encode("utf-8")
+    if snapshot.shape[1] == 1:
+        rows = map(float.__repr__, snapshot.ravel().tolist())
+    else:
+        rows = (",".join(map(float.__repr__, row)) for row in snapshot.tolist())
+    return "[[" + "],[".join(rows) + "]]"
 
 
 def write_canonical(signal: TemporalGraphSignal, path) -> None:
     """Write a signal in the canonical format; inverse of `load_canonical`.
 
-    The file is the bytes of one `json.dumps` of the whole document.  The
-    features are formatted in spans of consecutive snapshots of at most
-    `_SPAN_FLOATS` floats each (`_snapshot_text`), on the fork pool when
-    there are at least `_FORMAT_POOL_FLOOR` of them and in this process
-    otherwise; the bytes do not depend on where the spans ran.
+    The file is the bytes of one `json.dumps` of the whole document,
+    written in this process a snapshot at a time (`_snapshot_text`) and
+    hashed as it is written, so no more than one snapshot's text is held.
 
     After the JSON file, writes its binary sidecar `<path>.npy`: the same
     name, frequency, node count, edges, weights and features, plus the
@@ -579,27 +578,18 @@ def write_canonical(signal: TemporalGraphSignal, path) -> None:
         "edges": [[s, d] for s, d in signal.edges],
         "weights": signal.weights.tolist(),
     }, separators=(",", ":"))
-    features = signal.features
-    step = max(1, _SPAN_FLOATS // features[0].size)
-    jobs = [partial(_snapshot_text, features, first, first + step)
-            for first in range(0, len(features), step)]
-    spans = (job() for job in jobs)
-    if features.size >= _FORMAT_POOL_FLOOR:
-        # one span per worker at a time, so this process holds one wave's text
-        wave = _pool.workers()
-        spans = chain.from_iterable(
-            _pool.run_jobs(jobs[i:i + wave]) for i in range(0, len(jobs), wave))
     path = Path(path)
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
-        def put(data):
+        def put(text):
+            data = text.encode("utf-8")
             digest.update(data)
             fh.write(data)
 
-        put((head[:-1] + ',"features":[').encode("utf-8"))
-        for span in spans:
-            put(span)
-        put(b"]}")
+        put(head[:-1] + ',"features":[')
+        for i, snapshot in enumerate(signal.features):
+            put(("," if i else "") + _snapshot_text(snapshot))
+        put("]}")
     try:
         _write_sidecar(signal, digest.digest(), path)
     except OSError:

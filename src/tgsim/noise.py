@@ -248,7 +248,8 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
     A file without a valid `noise` record is refused with `ParseError`, and
     so is a bucket record that lacks a field, holds a non-finite candidate,
     or stores a label other than the one recomputed from its perturbed-node
-    list, so a tampered file cannot smuggle in an inconsistent pair.
+    list, so a tampered file cannot smuggle in an inconsistent pair.  So is a
+    record that repeats a window start: folds split by start must be disjoint.
     """
     doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and "length" in doc):
@@ -265,7 +266,7 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
         raise ParseError(f"{path}: bad or missing noise record: {exc}") from exc
 
     length = doc["length"]
-    labeled = []
+    labeled, record_of = [], {}
     for i, record in enumerate(doc["buckets"]):
         try:
             bucket = Bucket(signal, record["start"], length)
@@ -282,5 +283,9 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
                 f"{path}: buckets[{i}]: stored label {record['label']!r} does not match "
                 f"the perturbed-node count"
             )
+        first = record_of.setdefault(bucket.start, i)
+        if first != i:
+            raise ParseError(f"{path}: buckets[{i}]: repeats the window start "
+                             f"{bucket.start} of buckets[{first}]")
         labeled.append(item)
     return labeled, spec

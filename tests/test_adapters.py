@@ -198,6 +198,19 @@ class TestAdapterErrors:
         with pytest.raises(AdapterError, match=f"'{field}'.*too large"):
             adapt_dataset(dump(tmp_path, doc), "metrala", check_counts=False)
 
+    def test_edges_object_refused(self, tmp_path):
+        doc = {"edges": {}, "FX": [[0.5, 0.5]]}
+        with pytest.raises(AdapterError, match="'edges' must be an array"):
+            adapt_dataset(dump(tmp_path, doc), "chickenpox", check_counts=False)
+
+    @pytest.mark.parametrize("endpoint", [0.5, 1.0, "2", True, None])
+    def test_non_integer_endpoint_refused(self, tmp_path, endpoint):
+        doc = {"edges": [[0, 1], [endpoint, 2]], "weights": [1.0, 1.0],
+               "X": [[0.5, 0.5, 0.5], [0.5, 0.5, 0.5]]}
+        with pytest.raises(AdapterError,
+                           match=r"metrala: edges\[1\]: expected an integer node index"):
+            adapt_dataset(dump(tmp_path, doc), "metrala", check_counts=False)
+
     def test_kind_is_case_insensitive(self, tmp_path):
         fx = [[0.0, 1.0]]
         path = dump(tmp_path, {"edges": [[0, 1]], "FX": fx})
@@ -277,10 +290,14 @@ def oracle(path, kind):
         raise AdapterError("not JSON") from exc
     if not isinstance(doc, dict) or any(k not in doc for k in fields):
         raise AdapterError("layout")
+    if not isinstance(doc["edges"], list):
+        raise AdapterError("edges")
     try:
-        edges = [(int(s), int(d)) for s, d in doc["edges"]]
+        edges = [(s, d) for s, d in doc["edges"]]
     except (TypeError, ValueError) as exc:
         raise AdapterError("edges") from exc
+    if any(type(value) is not int for pair in edges for value in pair):
+        raise AdapterError("edges")  # a float, bool or string endpoint is never coerced
     weights = None
     if "weights" in fields:
         try:

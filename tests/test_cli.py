@@ -285,6 +285,20 @@ class TestTrain:
         assert code == 2
         assert "13 buckets" in stderr_line(capsys)["message"]
 
+    def test_repeated_window_start_is_a_data_error(self, ws, tmp_path, capsys):
+        # two copies of one window could land on both sides of a fold
+        doc = json.loads(ws.buckets.read_text())
+        doc["buckets"].append(doc["buckets"][0])
+        path = tmp_path / "buckets.json"
+        path.write_text(json.dumps(doc))
+        code = cli.main(["train", "--dataset", str(ws.dataset), "--buckets", str(path),
+                         *TRAIN_FLAGS, "--out-dir", str(tmp_path / "out")])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "buckets[13]: repeats the window start 0 of buckets[0]" in report["message"]
+        assert not (tmp_path / "out" / "checkpoint_fold_0.json").exists()
+
     def test_diverging_run_exits_three(self, ws, tmp_path, capsys):
         # an absurd learning rate: Adam moves the weights by about 1e300 a step,
         # and their products overflow into nan within a few batches
@@ -496,8 +510,8 @@ def finite_numbers(doc) -> bool:
 
 
 class TestRunFileFuzz:
-    """Seeded structural mutations of the files `eval`, `report`, `baseline`,
-    `train` and `detect` read.
+    """Seeded structural mutations of the files `convert`, `eval`, `report`,
+    `baseline`, `train` and `detect` read.
 
     Every mutated file ends in exit 1-3 with one JSON line on stderr, or in
     exit 0 with finite outputs; a traceback fails the case.
@@ -521,6 +535,31 @@ class TestRunFileFuzz:
         else:
             assert outputs(), where
         return code
+
+    def test_convert_input(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        original = {"edges": [[0, 1], [1, 2], [2, 0], [1, 0]], "weights": [1.0, 0.5, 2.0, 1.5],
+                    "X": rng.random((6, 3)).tolist()}
+        rng = random.Random("convert-metrala")
+        path = tmp_path / "raw.json"
+
+        def outputs():
+            # the pairs go through as given: no endpoint is coerced to an integer
+            written = json.loads((out / "metrala.json").read_text())
+            given = doc["edges"]
+            return (isinstance(given, list) and written["edges"] == given
+                    and all(type(value) is int for pair in given for value in pair)
+                    and finite_numbers(written))
+
+        codes = set()
+        for case in range(300):
+            doc = self.mutated(original, rng)
+            path.write_text(json.dumps(doc))
+            out = tmp_path / f"out{case}"
+            codes.add(self.check(
+                ["convert", "--input", str(path), "--kind", "metrala", "--lenient-counts",
+                 "--out-dir", str(out)], capsys, outputs, f"case {case}: {doc}"))
+        assert codes >= {0, 2}
 
     @pytest.mark.parametrize("name, cases", [("run_config.json", 120),
                                              ("checkpoint_fold_0.json", 60)])

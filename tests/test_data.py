@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from synth import DATASET_SHAPES, published_arcs, published_signal
+from tgsim import _pool
 from tgsim import data as data_module
 from tgsim.data import (
     NodeBounds,
@@ -223,29 +224,24 @@ class TestCanonicalSidecar:
         }
         assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode("utf-8")
 
-    @pytest.mark.parametrize("make", [
-        lambda: awkward_signal(),
-        lambda: random_signal(np.random.default_rng(13), n=7, s=23, f=1),
-        lambda: TemporalGraphSignal("no edges", 3, (), None, np.ones((2, 3, 1))),
-    ])
-    @pytest.mark.parametrize("span", [1, 10, 1 << 15])
-    def test_pooled_spans_write_the_same_bytes(self, tmp_path, monkeypatch, make, span):
-        # a span of 1 float is one snapshot; of 10, several, the last one short
-        signal = make()
-        serial, pooled = tmp_path / "serial.json", tmp_path / "pooled.json"
-        write_canonical(signal, serial)
-        monkeypatch.setattr(data_module, "_SPAN_FLOATS", span)
-        monkeypatch.setattr(data_module, "_FORMAT_POOL_FLOOR", 0)
-        write_canonical(signal, pooled)
-        assert pooled.read_bytes() == serial.read_bytes()
-        assert sidecar_of(pooled).read_bytes() == sidecar_of(serial).read_bytes()
+    @pytest.mark.parametrize("n, snapshots, f", [(20, 500, 1), (207, 2000, 1), (30, 800, 20)])
+    def test_written_in_process_at_every_size(self, tmp_path, monkeypatch, n, snapshots, f):
+        # 10k, 414k and 480k floats: the last two past where the writer once forked
+        def forked(jobs):
+            raise AssertionError("write_canonical called the fork pool")
 
-    def test_signals_below_the_floor_format_in_process(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(data_module._pool, "run_jobs", None)  # a fork would call it
-        signal = random_signal(np.random.default_rng(14), n=20, s=500, f=1)
-        assert signal.features.size < data_module._FORMAT_POOL_FLOOR
-        write_canonical(signal, tmp_path / "signal.json")
-        assert_same_signal(load_canonical(tmp_path / "signal.json"), signal)
+        monkeypatch.setattr(_pool, "run_jobs", forked)
+        signal = random_signal(np.random.default_rng(14), n=n, s=snapshots, f=f)
+        path = tmp_path / "signal.json"
+        write_canonical(signal, path)
+        doc = {
+            "name": signal.name, "num_nodes": signal.num_nodes, "frequency": signal.frequency,
+            "edges": [[s, d] for s, d in signal.edges], "weights": signal.weights.tolist(),
+            "features": signal.features.tolist(),
+        }
+        assert path.read_bytes() == json.dumps(doc, separators=(",", ":")).encode("utf-8")
+        sidecar_of(path).unlink()
+        assert_same_signal(load_canonical(path), signal)
 
     def test_sidecar_hit_holds_less_than_the_file(self, tmp_path):
         import tracemalloc
@@ -463,6 +459,17 @@ class TestSignalType:
     def test_constructor_rejects_bad_edges(self):
         with pytest.raises(ContractError, match=r"\(3, 0\)"):
             TemporalGraphSignal("s", 2, ((3, 0),), None, np.ones((1, 2, 1)))
+
+    @pytest.mark.parametrize("endpoint", [0.9, 1.0, True, "1", np.float64(1.0), np.True_])
+    def test_constructor_refuses_non_integer_endpoints(self, endpoint):
+        with pytest.raises(ContractError, match=r"edges\[1\]: expected an integer node index"):
+            TemporalGraphSignal("s", 3, ((0, 1), (endpoint, 2)), None, np.ones((1, 3, 1)))
+
+    def test_constructor_takes_numpy_integers_as_ints(self):
+        edges = ((np.int64(0), np.int32(2)), (np.intp(1), 0))
+        signal = TemporalGraphSignal("s", 3, edges, None, np.ones((1, 3, 1)))
+        assert signal.edges == ((0, 2), (1, 0))
+        assert {type(value) for pair in signal.edges for value in pair} == {int}
 
     def test_constructor_rejects_non_finite_features(self):
         features = np.ones((1, 2, 1))

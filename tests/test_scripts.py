@@ -37,6 +37,18 @@ def test_seed_sweep_runs_the_metrala_shape():
     assert "\n| tgcn | 0/2 | " in run.stdout
 
 
+def test_seed_sweep_redraws_noise():
+    # one seed, one epoch, one cell, each fold's corruption redrawn every epoch
+    script = SCRIPTS[0].parent / "seed_sweep.py"
+    run = subprocess.run([sys.executable, str(script), "--cells", "tgcn", "--seeds", "1",
+                          "--epochs", "1", "--redraw-noise"], timeout=300,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.startswith("tgcn seed 1: mean MSE ")
+    assert "\nchickenpox, lr 0.003, batch 8, 1 epochs, --redraw-noise, seeds 1\n" in run.stdout
+    assert "\n| tgcn | " in run.stdout
+
+
 def test_window_memory_measures_every_shape():
     # the full run for one cell: a training step's memory at all five shapes
     script = SCRIPTS[0].parent / "window_memory.py"
