@@ -1,9 +1,11 @@
 """Adapters from the published dataset files to the canonical format.
 
 Each supported dataset ships in its own ad-hoc JSON layout; the adapters here
-are thin translators into `TemporalGraphSignal`.  The only cross-check applied
-is the published (nodes, edges, snapshots) shape for each kind, and that check
-can be switched off to run the same code paths on small test fixtures.
+are thin translators into `TemporalGraphSignal`, with weights and features
+converted by `data.json_floats` (a refused value is named as `'X'[3][17]`).
+Each kind's result must also have its published (nodes, edges, snapshots)
+shape, a check that can be switched off to run the same code paths on small
+test fixtures.
 """
 
 from __future__ import annotations
@@ -11,9 +13,8 @@ from __future__ import annotations
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from .data import TemporalGraphSignal, index_pairs, read_json, read_json_rows, write_canonical
+from .data import (TemporalGraphSignal, index_pairs, json_floats, read_json, read_json_rows,
+                   write_canonical)
 from .errors import AdapterError, ContractError, ParseError
 
 # published (num_nodes, num_edges, num_snapshots) per dataset kind
@@ -64,20 +65,16 @@ def _pairs(raw, kind):
         raise AdapterError(f"{kind}: {exc}") from None
 
 
-def _weights(raw, kind):
+def _floats(raw, kind, field):
     try:
-        return np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AdapterError(f"{kind}: 'weights' must be an array of numbers ({exc})") from exc
+        return json_floats(raw, f"'{field}'")
+    except ContractError as exc:
+        raise AdapterError(f"{kind}: {exc}") from None
 
 
 def _time_major_features(raw, kind, field):
-    # raw is the field's JSON value, or its rows as arrays (read_json_rows)
-    try:
-        features = np.asarray(raw, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AdapterError(
-            f"{kind}: '{field}' must be a rectangular numeric array ({exc})") from exc
+    # raw is the field's JSON value, or the array read_json_rows built of it
+    features = _floats(raw, kind, field)
     if features.ndim == 2:
         features = features[:, :, None]
     if features.ndim != 3:
@@ -100,7 +97,7 @@ def _adapt_flat(doc, kind):
     _require(doc, fields, kind)
     return (
         _pairs(doc["edges"], kind),
-        _weights(doc["weights"], kind) if "weights" in fields else None,
+        _floats(doc["weights"], kind, "weights") if "weights" in fields else None,
         _time_major_features(doc[fields[-1]], kind, fields[-1]),
     )
 
@@ -118,7 +115,7 @@ def _adapt_wikimath(doc):
         rows.append(snap["y"])
     return (
         _pairs(doc["edges"], "wikimath"),
-        _weights(doc["weights"], "wikimath"),
+        _floats(doc["weights"], "wikimath", "weights"),
         _time_major_features(rows, "wikimath", "y"),
     )
 
@@ -163,7 +160,7 @@ def _adapt_montevideobus(doc):
             ) from exc
 
     features = _time_major_features(series, "montevideobus", "y")
-    return (_pairs(raw_edges, "montevideobus"), _weights(weights, "montevideobus"),
+    return (_pairs(raw_edges, "montevideobus"), _floats(weights, "montevideobus", "weight"),
             features.transpose(1, 0, 2))
 
 
@@ -179,6 +176,7 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
     """Convert a published dataset file into a canonical signal.
 
     Writes the canonical file to `out` when given and returns the signal.
+    A file that does not fit its kind's layout is an `AdapterError` naming it.
     With `check_counts` the result must match the published
     (nodes, edges, snapshots) shape for that kind; disable it to convert
     trimmed fixtures through the same code path.
@@ -201,7 +199,10 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
         recipe = f"; {METRALA_RECIPE}" if key == "metrala" else ""
         raise AdapterError(f"{key}: {exc}{recipe}") from exc
 
-    edges, weights, features = _ADAPTERS[key](doc)
+    try:
+        edges, weights, features = _ADAPTERS[key](doc)
+    except AdapterError as exc:
+        raise AdapterError(f"{raw}: {exc}") from None
     del doc  # as large as the signal itself; free it before the canonical write
     signal = TemporalGraphSignal(
         name=key,

@@ -51,8 +51,11 @@ def baseline_report(labeled, method: str, seed: int = 0, extra: dict | None = No
     in bucket order; "tsr" scores each bucket's window, corrupted candidate
     included, with the trend regression of `_tsr_score`.  Baselines do not
     train, so everything lands in a single fold.  `extra` entries are
-    merged into the config echo (protocol metadata, mostly).
+    merged into the config echo (protocol metadata, mostly).  `seed` must be
+    a nonnegative integer, as `NoiseSpec` requires.
     """
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ContractError(f"seed must be a nonnegative integer, got {seed!r}")
     labeled = list(labeled)
     if not labeled:
         raise ContractError("need at least one bucket")

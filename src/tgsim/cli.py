@@ -18,7 +18,6 @@ error raised in a worker reaches the caller as it would serially.
 
 import argparse
 import csv
-import hashlib
 import json
 import os
 import sys
@@ -32,7 +31,8 @@ from . import __version__, _pool
 from .adapters import DATASET_KINDS, adapt_dataset
 from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_stream, write_events, write_scores_csv
 from .baselines import BASELINE_METHODS, baseline_report
-from .data import adjacency_operator, load_canonical, node_bounds, read_json, write_json
+from .data import (adjacency_operator, file_sha256, load_canonical, node_bounds, read_json,
+                   write_json)
 from .errors import ContractError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
@@ -173,15 +173,11 @@ def _resampler_for(signal, probability, seed):
     return resample_for
 
 
-def _sha256(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
 def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
-    digest = _sha256(args.buckets)
+    digest = file_sha256(args.buckets).hex()
     config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                          bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
     model_config = ModelConfig(args.cell, input_channels=signal.num_channels,
@@ -217,7 +213,7 @@ def _recorded_folds(run_dir, labeled, buckets_path) -> list:
         if len(values) > 1:
             raise ParseError(f"{run_dir}: the folds' checkpoints hold different {what}: "
                              f"{sorted(map(repr, values))}")
-    digest = _sha256(buckets_path)
+    digest = file_sha256(buckets_path).hex()
     if {c.provenance.buckets_sha256 for c in checkpoints} != {digest}:
         raise ParseError(f"{run_dir}: the folds were trained on another bucket file "
                          f"than {buckets_path} (SHA-256 {digest})")

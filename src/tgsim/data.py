@@ -8,6 +8,10 @@ per-node-channel feature bounds with min-max normalization, and
 `read_json` and `write_json`, the one reader and the one pretty writer of
 the JSON files the toolkit writes and loads back.
 
+One rule covers what every loader reads from JSON: numbers become floats
+only through `json_floats`, and a signal is validated only by
+`TemporalGraphSignal`.  Both name the first bad location.
+
 `adjacency_operator` is the one builder of A_hat: the dense matrix below
 `_SPARSE_NODES` nodes, a `scipy.sparse` CSR array from there on, one form
 cached per signal.  That path alone imports scipy, so smaller graphs
@@ -28,9 +32,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import shutil
 import tempfile
+from contextlib import suppress
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -51,20 +57,34 @@ OPTIONAL_FIELDS = ("weights",)
 # repay the import (a3tgcn, one thread: 8 windows in 352 against 442 ms).
 _SPARSE_NODES = 512
 
-# bytes `load_canonical` hashes at a time
+# bytes `file_sha256` hashes at a time
 _HASH_BLOCK = 1 << 20
+
+
+def file_sha256(path) -> bytes:
+    """The SHA-256 of the bytes in `path`, read a block at a time, so no copy of the file is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while block := handle.read(_HASH_BLOCK):
+            digest.update(block)
+    return digest.digest()
 
 
 def index_pairs(edges) -> tuple[tuple[int, int], ...]:
     """`edges` as (src, dst) pairs of Python ints, never coerced.
 
-    An endpoint that is no Python or numpy integer (a float, a bool, a
-    string) is a `ContractError` naming its edge.  Shared with the adapters.
+    An element that is no pair, or an endpoint that is no Python or numpy
+    integer (a float, a bool, a string), is a `ContractError` naming its
+    edge.  Shared with the adapters.
     """
     try:
         pairs = tuple((s, d) for s, d in edges)
     except (TypeError, ValueError):
-        raise ContractError("edges must be (src, dst) pairs") from None
+        where = "edges"  # then the first element that does not unpack, looked up only now
+        with suppress(TypeError, ValueError):
+            for i, pair in enumerate(edges):
+                where, (_, _) = f"edges[{i}]", pair
+        raise ContractError(f"{where}: expected (src, dst) pairs") from None
     if set(map(type, chain.from_iterable(pairs))) <= {int}:
         return pairs  # the common case, checked without a loop of Python bytecode
     for i, value in enumerate(chain.from_iterable(pairs)):
@@ -78,7 +98,9 @@ class TemporalGraphSignal:
     """A fixed weighted graph observed over S snapshots of node features.
 
     Arrays are copied in and locked read-only, so a loaded signal can be
-    shared across threads without defensive copies.
+    shared across threads without defensive copies.  A `ContractError`
+    names the first bad edge, weight or feature, looked up only after a
+    whole-array check has failed.
     """
 
     name: str
@@ -96,7 +118,8 @@ class TemporalGraphSignal:
         edges = index_pairs(self.edges)
         for s, d in edges:
             if not (0 <= s < n and 0 <= d < n):
-                raise ContractError(f"edge ({s}, {d}) out of range for {n} nodes")
+                raise ContractError(
+                    f"edges[{edges.index((s, d))}]: ({s}, {d}) out of range for {n} nodes")
 
         weights = self.weights
         if weights is None:
@@ -107,7 +130,9 @@ class TemporalGraphSignal:
                 f"expected {len(edges)} edge weights, got shape {weights.shape}"
             )
         if not np.isfinite(weights).all() or (weights < 0).any():
-            raise ContractError("edge weights must be finite and nonnegative")
+            i = int(np.flatnonzero(~np.isfinite(weights) | (weights < 0))[0])
+            what = "negative weight" if np.isfinite(weights[i]) else "non-finite value"
+            raise ContractError(f"weights[{i}]: {what} {float(weights[i])!r}")
 
         features = np.array(self.features, dtype=np.float64)
         if features.ndim != 3:
@@ -123,7 +148,9 @@ class TemporalGraphSignal:
                 f"need at least one snapshot and one channel, got shape {features.shape}"
             )
         if not np.isfinite(features).all():
-            raise ContractError("features contain non-finite values")
+            i, j, k = np.argwhere(~np.isfinite(features))[0]
+            raise ContractError(
+                f"features[{i}][{j}][{k}]: non-finite value {float(features[i, j, k])!r}")
 
         weights.setflags(write=False)
         features.setflags(write=False)
@@ -177,10 +204,6 @@ class NodeBounds:
         return self.mins.shape[1]
 
 
-def _fail(path, where, what):
-    raise ParseError(f"{path}: {where}: {what}")
-
-
 def read_json(path):
     """The JSON document in `path`.
 
@@ -196,6 +219,63 @@ def read_json(path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+
+
+def json_floats(value, where: str) -> np.ndarray:
+    """`value`, a JSON number or nested JSON arrays of them, as a float64 array.
+
+    A bool, a string, null, a ragged array, an integer past float64 range
+    or a non-finite value is a `ContractError` naming the first one in
+    reading order, as `where` plus its indices (`features[1][1][0]`).  A
+    valid value costs `np.asarray` and one scan of its values' types; a
+    float64 array `read_json_rows` built needs no scan.  Shares
+    `read_json`'s standing outside the public API.
+    """
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        array = None
+    if array is not None and np.isfinite(array).all():
+        if isinstance(value, np.ndarray):
+            return array
+        leaves = [value]
+        for _ in range(array.ndim):
+            leaves = chain.from_iterable(leaves)
+        if set(map(type, leaves)) <= {int, float}:
+            return array
+    # the expected shape is the first element's at each depth, as numpy reads it
+    shape, first = [], value
+    while isinstance(first, list):
+        shape.append(len(first))
+        first = first[0] if first else None
+    at, what = next(_faults(value, where, shape), (where, "expected an array of numbers"))
+    raise ContractError(f"{at}: {what}")
+
+
+def _spelled(value) -> str:
+    if isinstance(value, list):
+        return f"an array of length {len(value)}"
+    return "an object" if isinstance(value, dict) else json.dumps(value)
+
+
+def _faults(node, at: str, shape):
+    """(location, problem) of each value under `node` that `json_floats` refuses, in reading order."""
+    if not shape:
+        # null is how JSON writers such as JavaScript's spell NaN and the infinities
+        if node is None or type(node) is float and not math.isfinite(node):
+            yield at, f"non-finite value {_spelled(node)}"
+        elif type(node) not in (int, float):
+            yield at, f"expected a number, got {_spelled(node)}"
+        else:
+            try:
+                float(node)
+            except OverflowError:
+                yield at, "integer too large, out of float64 range"
+    elif not isinstance(node, list) or len(node) != shape[0]:
+        yield at, f"expected an array of length {shape[0]}, got {_spelled(node)}"
+    else:
+        for i, item in enumerate(node):
+            yield from _faults(item, f"{at}[{i}]", shape[1:])
 
 
 # characters of the file `read_json_rows` reads at a time: a block, its bytes
@@ -256,25 +336,25 @@ class _Stream:
                 return value
 
     def rows(self):
-        """The next value; an array becomes a list of one float64 array per element."""
+        """The next value; an array becomes one float64 array, each element through `json_floats`."""
         if self.peek() != "[":
             return self.value()
         self.pos += 1
         rows = []
         if self.peek() == "]":
             self.pos += 1
-            return rows
+            return np.asarray(rows)
         while True:
             try:
-                row = np.asarray(self.value(), dtype=np.float64)
-            except (TypeError, ValueError, OverflowError):
+                row = json_floats(self.value(), "")
+            except ContractError:
                 raise _Unread from None
             if rows and row.shape != rows[0].shape:
                 raise _Unread
             rows.append(row)
             if self.peek() == "]":
                 self.pos += 1
-                return rows
+                return np.asarray(rows)
             self.take(",")
 
 
@@ -286,14 +366,13 @@ def read_json_rows(path, field: str):
     """The JSON document in `path`, with its top-level `field` read a row at a time.
 
     When the document is an object and `field` is an array whose elements
-    each convert to a float64 array of one shape, `field` is the list of
-    those arrays, converted as each element is read: neither the file's
-    whole text nor the field's Python floats are ever held.  `np.asarray`
-    of that list is `np.asarray` of the field `read_json` gives, and every
-    other member is what `read_json` gives.  Any other document, including
-    one that is not UTF-8 JSON, is `read_json(path)` itself, so it parses
-    or fails exactly as there.  Shares `read_json`'s standing outside the
-    public API.
+    `json_floats` accepts, each with one shape, `field` is `json_floats` of
+    the field `read_json` gives, converted as each element is read: neither
+    the file's whole text nor the field's Python floats are ever held.
+    Every other member is what `read_json` gives.  Any other document,
+    including one that is not UTF-8 JSON, is `read_json(path)` itself, so
+    it parses or fails exactly as there.  Shares `read_json`'s standing
+    outside the public API.
     """
     try:
         with open(path, encoding="utf-8") as handle:
@@ -329,46 +408,6 @@ def write_json(doc, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _parse_index(value, n, where, path):
-    if isinstance(value, bool) or not isinstance(value, int):
-        _fail(path, where, f"expected an integer node index, got {value!r}")
-    if not 0 <= value < n:
-        _fail(path, where, f"node index {value} out of range for {n} nodes")
-    return value
-
-
-def _parse_number(value, where, path):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        _fail(path, where, f"expected a number, got {value!r}")
-    try:
-        return float(value)
-    except OverflowError:
-        _fail(path, where, "integer out of float64 range")
-
-
-def _locate_ragged(raw, n, path):
-    # slow scan used only after the vectorized conversion failed
-    width = None
-    for i, snap in enumerate(raw):
-        if not isinstance(snap, list):
-            _fail(path, f"features[{i}]", "expected an array of node rows")
-        if len(snap) != n:
-            _fail(path, f"features[{i}]", f"expected {n} node rows, found {len(snap)}")
-        for j, row in enumerate(snap):
-            if not isinstance(row, list):
-                _fail(path, f"features[{i}][{j}]", "expected an array of channel values")
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                _fail(
-                    path,
-                    f"features[{i}][{j}]",
-                    f"expected {width} channel values, found {len(row)}",
-                )
-            for k, value in enumerate(row):
-                _parse_number(value, f"features[{i}][{j}][{k}]", path)
 
 
 _SIDECAR_FORMAT = "tgsim-canonical-sidecar/1"
@@ -438,21 +477,18 @@ def load_canonical(path) -> TemporalGraphSignal:
     """Load and validate a canonical-format signal file.
 
     Malformed input, unknown top-level fields included, is rejected with a
-    `ParseError` naming the offending location, never repaired.
+    `ParseError` naming the file and the offending location, never
+    repaired: `json_floats` and `TemporalGraphSignal` check the fields.
 
-    The file's bytes are always read and hashed, a block at a time, so no
-    copy of the whole file is held.  When the sidecar that
+    The file's bytes are always hashed, a block at a time (`file_sha256`),
+    so no copy of the whole file is held.  When the sidecar that
     `write_canonical` left carries the same SHA-256, the signal is built
     from its arrays (still through `TemporalGraphSignal` validation), which
     gives the same signal as parsing, bit for bit; otherwise the JSON is
     parsed.  Nothing is ever written here.
     """
     path = Path(path)
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        while block := handle.read(_HASH_BLOCK):
-            digest.update(block)
-    signal = _load_sidecar(path, digest.digest())
+    signal = _load_sidecar(path, file_sha256(path))
     if signal is not None:
         return signal
     doc = read_json(path)
@@ -465,81 +501,23 @@ def load_canonical(path) -> TemporalGraphSignal:
     for name in doc:
         if name not in REQUIRED_FIELDS and name not in OPTIONAL_FIELDS:
             raise ParseError(f"{path}: unknown field '{name}'")
+    # the signal type leaves these unchecked, and would iterate an object's keys as edges
+    for name, kind, expected in (("name", str, "a string"), ("frequency", str, "a string"),
+                                 ("edges", list, "an array of [src, dst] pairs")):
+        if not isinstance(doc[name], kind):
+            raise ParseError(f"{path}: {name}: expected {expected}, got {_spelled(doc[name])}")
 
-    if not isinstance(doc["name"], str):
-        _fail(path, "name", f"expected a string, got {doc['name']!r}")
-    if not isinstance(doc["frequency"], str):
-        _fail(path, "frequency", f"expected a string, got {doc['frequency']!r}")
-    n = doc["num_nodes"]
-    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
-        _fail(path, "num_nodes", f"expected a positive integer, got {n!r}")
-
-    raw_edges = doc["edges"]
-    if not isinstance(raw_edges, list):
-        _fail(path, "edges", "expected an array of [src, dst] pairs")
-    edges = []
-    for i, pair in enumerate(raw_edges):
-        if not isinstance(pair, list) or len(pair) != 2:
-            _fail(path, f"edges[{i}]", f"expected a [src, dst] pair, got {pair!r}")
-        src = _parse_index(pair[0], n, f"edges[{i}]", path)
-        dst = _parse_index(pair[1], n, f"edges[{i}]", path)
-        edges.append((src, dst))
-
-    weights = None
-    if "weights" in doc:
-        raw_weights = doc["weights"]
-        if not isinstance(raw_weights, list):
-            _fail(path, "weights", "expected an array of numbers")
-        if len(raw_weights) != len(edges):
-            _fail(
-                path,
-                "weights",
-                f"expected {len(edges)} entries to match edges, found {len(raw_weights)}",
-            )
-        weights = []
-        for i, value in enumerate(raw_weights):
-            value = _parse_number(value, f"weights[{i}]", path)
-            if not np.isfinite(value):
-                _fail(path, f"weights[{i}]", f"non-finite value {value!r}")
-            if value < 0:
-                _fail(path, f"weights[{i}]", f"negative weight {value!r}")
-            weights.append(value)
-
-    raw_features = doc["features"]
-    if not isinstance(raw_features, list) or not raw_features:
-        _fail(path, "features", "expected a non-empty array of snapshots")
     try:
-        features = np.asarray(raw_features, dtype=np.float64)
-    except OverflowError:
-        _fail(path, "features", "an integer out of float64 range")
-    except (TypeError, ValueError):
-        features = None
-    if features is None or features.ndim != 3:
-        _locate_ragged(raw_features, n, path)
-        _fail(path, "features", "expected an S x N x F array")
-    if features.shape[1] != n:
-        _fail(
-            path, "features[0]", f"expected {n} node rows, found {features.shape[1]}"
+        return TemporalGraphSignal(
+            name=doc["name"],
+            num_nodes=doc["num_nodes"],
+            edges=doc["edges"],
+            weights=json_floats(doc["weights"], "weights") if "weights" in doc else None,
+            features=json_floats(doc["features"], "features"),
+            frequency=doc["frequency"],
         )
-    if features.shape[2] < 1:
-        _fail(path, "features[0][0]", "expected at least one channel value")
-    bad = ~np.isfinite(features)
-    if bad.any():
-        i, j, k = np.argwhere(bad)[0]
-        _fail(
-            path,
-            f"features[{i}][{j}][{k}]",
-            f"non-finite value {features[i, j, k]!r}",
-        )
-
-    return TemporalGraphSignal(
-        name=doc["name"],
-        num_nodes=n,
-        edges=tuple(edges),
-        weights=weights,
-        features=features,
-        frequency=doc["frequency"],
-    )
+    except ContractError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def _snapshot_text(snapshot: np.ndarray) -> str:

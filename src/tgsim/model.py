@@ -81,7 +81,7 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import NodeBounds, adjacency_operator, normalize_features, read_json
+from .data import NodeBounds, adjacency_operator, json_floats, normalize_features, read_json
 from .errors import ConfigError, ContractError, ParseError
 
 CELL_KINDS = ("gconv_gru", "tgcn", "a3tgcn")
@@ -1010,6 +1010,11 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """The checkpoint `save_checkpoint` wrote to `path`; malformed content is a `ParseError`.
+
+    Parameters and bounds go through `json_floats`, so they are finite, as
+    scoring's zero start state (W @ 0 is 0) needs.
+    """
     doc = read_json(path)
     try:
         config = ModelConfig(**{f.name: doc["config"][f.name] for f in fields(ModelConfig)})
@@ -1020,19 +1025,16 @@ def load_checkpoint(path) -> Checkpoint:
                     type(size) is int and size >= 0 for size in shape)):
                 raise ParseError(f"{path}: parameter {name!r} has shape {shape!r}, "
                                  f"expected two non-negative integers")
-            data = np.asarray(entry["data"], dtype=np.float64)
+            data = json_floats(entry["data"], f"parameter {name!r}")
             if data.shape != (shape[0] * shape[1],):
                 raise ParseError(f"{path}: parameter {name!r} carries {data.size} values "
                                  f"for shape {shape}")
-            # scoring's zero start state relies on W @ 0 being 0
-            if not np.isfinite(data).all():
-                raise ParseError(f"{path}: parameter {name!r} holds a non-finite value")
             values[name] = data.reshape(shape)
         params = ModelParams(config, values, grads=False)
         raw_bounds = doc["feature_bounds"]
         if raw_bounds is None:
             raise ParseError(f"{path}: checkpoint has no feature bounds")
-        bounds = NodeBounds(**{f.name: np.asarray(raw_bounds[f.name], dtype=np.float64)
+        bounds = NodeBounds(**{f.name: json_floats(raw_bounds[f.name], f"feature_bounds.{f.name}")
                                for f in fields(NodeBounds)})
         stored = doc["provenance"]
         recipe = TrainConfig(**{f.name: stored["recipe"][f.name] for f in fields(TrainConfig)})

@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import NodeBounds, TemporalGraphSignal, read_json
+from .data import NodeBounds, TemporalGraphSignal, json_floats, read_json
 from .errors import ContractError, ParseError
 
 
@@ -132,7 +132,7 @@ class NoiseSpec:
 
     def __post_init__(self):
         p = self.corrupt_probability
-        if not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
+        if isinstance(p, bool) or not (isinstance(p, (int, float)) and 0.0 <= p <= 1.0):
             raise ContractError(f"corrupt probability must be in [0, 1], got {p!r}")
         if isinstance(self.seed, bool) or not isinstance(self.seed, int) or self.seed < 0:
             raise ContractError(f"seed must be a nonnegative integer, got {self.seed!r}")
@@ -246,10 +246,11 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
     """Rebuild a frozen training set against its source signal, and its spec.
 
     A file without a valid `noise` record is refused with `ParseError`, and
-    so is a bucket record that lacks a field, holds a non-finite candidate,
-    or stores a label other than the one recomputed from its perturbed-node
-    list, so a tampered file cannot smuggle in an inconsistent pair.  So is a
-    record that repeats a window start: folds split by start must be disjoint.
+    so is a bucket record (named as `buckets[2]`) that lacks a field, holds
+    a candidate or label `json_floats` refuses, or stores a label other than
+    the one recomputed from its perturbed-node list, so a tampered file
+    cannot smuggle in an inconsistent pair.  So is a record that repeats a
+    window start: folds split by start must be disjoint.
     """
     doc = read_json(path)
     if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and "length" in doc):
@@ -270,13 +271,10 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
     for i, record in enumerate(doc["buckets"]):
         try:
             bucket = Bucket(signal, record["start"], length)
-            candidate = np.asarray(record["candidate"], dtype=np.float64)
-            if not np.isfinite(candidate).all():
-                raise ContractError("candidate contains non-finite values")
-            item = LabeledBucket(bucket, candidate, record["perturbed_nodes"])
-            # NaN compares false, so test for a match, not a mismatch
-            mismatch = not abs(item.label - record["label"]) <= 1e-12
-        except (KeyError, TypeError, ValueError, OverflowError, ContractError) as exc:
+            item = LabeledBucket(bucket, json_floats(record["candidate"], "candidate"),
+                                 record["perturbed_nodes"])
+            mismatch = abs(item.label - float(json_floats(record["label"], "label"))) > 1e-12
+        except (KeyError, TypeError, ContractError) as exc:
             raise ParseError(f"{path}: buckets[{i}]: {exc}") from exc
         if mismatch:
             raise ParseError(

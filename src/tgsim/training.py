@@ -24,6 +24,7 @@ fold worker both run serially, since nested pool calls do.
 """
 
 import csv
+import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
@@ -33,7 +34,8 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import NodeBounds, adjacency_operator, normalize_features, read_json, write_json
+from .data import (NodeBounds, adjacency_operator, json_floats, normalize_features, read_json,
+                   write_json)
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, TrainConfig, forward_pass,
                     score_windows, window_chunks)
@@ -443,34 +445,48 @@ def write_report(report: MetricsReport, path) -> None:
     write_json(doc, path)
 
 
+def _json_int(value, where: str) -> int:
+    if type(value) is not int:
+        raise ContractError(f"{where}: expected an integer, got {json.dumps(value)}")
+    return value
+
+
 def load_report(path) -> MetricsReport:
+    """The report `write_report` wrote to `path`; malformed content is a `ParseError`.
+
+    Metrics, predictions and labels go through `json_floats`; sample counts
+    and starts must be JSON integers; the stored means must match the folds.
+    """
     doc = read_json(path)
     try:
         folds = tuple(
             FoldResult(
-                mse=float(f["mse"]),
-                mae=float(f["mae"]),
-                rmse=float(f["rmse"]),
-                sample_count=int(f["sample_count"]),
-                predictions=tuple(float(p) for p in f["predictions"]),
-                labels=tuple(float(y) for y in f["labels"]),
-                starts=tuple(int(s) for s in f["starts"]),
+                mse=float(json_floats(f["mse"], f"folds[{i}].mse")),
+                mae=float(json_floats(f["mae"], f"folds[{i}].mae")),
+                rmse=float(json_floats(f["rmse"], f"folds[{i}].rmse")),
+                sample_count=_json_int(f["sample_count"], f"folds[{i}].sample_count"),
+                # float() of each element: a 0-d or nested array is a TypeError
+                predictions=tuple(map(float, json_floats(f["predictions"],
+                                                         f"folds[{i}].predictions"))),
+                labels=tuple(map(float, json_floats(f["labels"], f"folds[{i}].labels"))),
+                starts=tuple(_json_int(s, f"folds[{i}].starts[{j}]")
+                             for j, s in enumerate(f["starts"])),
             )
-            for f in doc["folds"]
+            for i, f in enumerate(doc["folds"])
         )
         report = MetricsReport(
             dataset=doc["dataset"], model=doc["model"], folds=folds,
             config=dict(doc["config"]),
         )
-        stored_mean = {name: float(doc["mean"][name]) for name in ("mse", "mae", "rmse")}
+        stored_mean = {name: float(json_floats(doc["mean"][name], f"mean.{name}"))
+                       for name in ("mse", "mae", "rmse")}
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
-    # OverflowError: an integer past the float range, such as 10 ** 400
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed report ({exc})") from None
     for name, value in (("mse", report.mean_mse), ("mae", report.mean_mae),
                         ("rmse", report.mean_rmse)):
-        if not abs(stored_mean[name] - value) <= 1e-12:  # NaN too
+        if abs(stored_mean[name] - value) > 1e-12:
             raise ParseError(
                 f"{path}: stored mean {name} {stored_mean[name]!r} does not match folds"
             )

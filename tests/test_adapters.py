@@ -280,8 +280,23 @@ def mutate_text(text, field, rng) -> bytes:
     return text.encode("utf-8")
 
 
+def numbers(value, what):
+    """`value` as a float64 array when every value in it is a finite JSON int or float."""
+    try:
+        array = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise AdapterError(what) from exc
+    values = [value]
+    for _ in range(array.ndim):
+        values = [item for node in values for item in node]
+    # a bool, a string or null is never coerced, nor is NaN or an infinity let through
+    if any(type(item) not in (int, float) for item in values) or not np.isfinite(array).all():
+        raise AdapterError(what)
+    return array
+
+
 def oracle(path, kind):
-    """The signal json.load and the old whole-array conversion give, or their exception."""
+    """The signal json.load and a whole-array conversion of JSON numbers give, or their exception."""
     fields = FLAT_FIELDS[kind]
     try:
         with open(path, encoding="utf-8") as fh:
@@ -298,16 +313,8 @@ def oracle(path, kind):
         raise AdapterError("edges") from exc
     if any(type(value) is not int for pair in edges for value in pair):
         raise AdapterError("edges")  # a float, bool or string endpoint is never coerced
-    weights = None
-    if "weights" in fields:
-        try:
-            weights = np.asarray(doc["weights"], dtype=np.float64)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise AdapterError("weights") from exc
-    try:
-        features = np.asarray(doc[fields[-1]], dtype=np.float64)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise AdapterError("features") from exc
+    weights = numbers(doc["weights"], "weights") if "weights" in fields else None
+    features = numbers(doc[fields[-1]], "features")
     if features.ndim == 2:
         features = features[:, :, None]
     if features.ndim != 3:

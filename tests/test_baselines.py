@@ -196,6 +196,12 @@ class TestBaselineReport:
         with pytest.raises(ContractError, match="unknown baseline method"):
             baseline_report(labeled, "arima")
 
+    @pytest.mark.parametrize("seed", [-1, True, 1.5])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        labeled = make_labeled(make_signal(s=12), length=4)
+        with pytest.raises(ContractError, match="seed must be a nonnegative integer"):
+            baseline_report(labeled, "random", seed=seed)
+
     def test_empty_buckets(self):
         with pytest.raises(ContractError, match="at least one bucket"):
             baseline_report([], "tsr")

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -500,6 +501,15 @@ class TestEval:
         assert "different models" in report["message"]
 
 
+def leaves(value):
+    """Every value under a JSON value that is not an array, in reading order."""
+    if isinstance(value, list):
+        for item in value:
+            yield from leaves(item)
+    else:
+        yield value
+
+
 def finite_numbers(doc) -> bool:
     """Whether every number in a JSON document is finite."""
     if isinstance(doc, dict):
@@ -544,11 +554,17 @@ class TestRunFileFuzz:
         path = tmp_path / "raw.json"
 
         def outputs():
-            # the pairs go through as given: no endpoint is coerced to an integer
+            # the input goes through as given: no endpoint is coerced to an integer, and no
+            # weight or feature value to a float unless it is a JSON int or float already
             written = json.loads((out / "metrala.json").read_text())
             given = doc["edges"]
+            numbers = [*leaves(doc["weights"]), *leaves(doc["X"])]
             return (isinstance(given, list) and written["edges"] == given
                     and all(type(value) is int for pair in given for value in pair)
+                    and all(type(value) in (int, float) for value in numbers)
+                    and written["weights"] == [float(w) for w in doc["weights"]]
+                    and list(leaves(written["features"])) == [float(x) for x in leaves(doc["X"])]
+                    and np.shape(written["features"])[:2] == np.shape(doc["X"])[:2]
                     and finite_numbers(written))
 
         codes = set()
@@ -692,6 +708,14 @@ class TestBaseline:
             assert digest(tmp_path / "b2" / name) == digest(base_dir / name)
 
 
+    def test_negative_seed_is_a_data_error(self, ws, tmp_path, capsys):
+        assert cli.main(["baseline", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+                         "--seed", "-1", "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ContractError"
+        assert "seed must be a nonnegative integer" in report["message"]
+
+
 class TestDetect:
     def test_scores_and_events_with_snapshot_indexing(self, ws, tmp_path):
         out = tmp_path / "det"
@@ -806,7 +830,67 @@ FILE_ARGUMENTS = [
 ]
 
 
+# a value no JSON number loader may coerce: (command, the keys leading to it
+# in the file the command reads, the location the message names)
+REFUSED_NUMBERS = {
+    "raw weights": ("convert", ("weights", 1), r"metrala: 'weights'\[1\]"),
+    "raw features": ("convert", ("X", 2, 1), r"metrala: 'X'\[2\]\[1\]"),
+    "canonical weights": ("prepare", ("weights", 3), r"weights\[3\]"),
+    "canonical features": ("prepare", ("features", 1, 2, 0), r"features\[1\]\[2\]\[0\]"),
+    "candidate": ("baseline", ("buckets", 1, "candidate", 0, 1),
+                  r"buckets\[1\]: candidate\[0\]\[1\]"),
+    "label": ("baseline", ("buckets", 1, "label"), r"buckets\[1\]: label"),
+    "parameter": ("detect", ("params", "w_u", "data", 3),
+                  r"malformed checkpoint: parameter 'w_u'\[3\]"),
+    "bounds": ("detect", ("feature_bounds", "maxs", 1, 0),
+               r"malformed checkpoint: feature_bounds\.maxs\[1\]\[0\]"),
+    "metric": ("report", ("folds", 0, "mse"), r"folds\[0\]\.mse"),
+    "prediction": ("report", ("folds", 0, "predictions", 1), r"folds\[0\]\.predictions\[1\]"),
+    "sample count": ("report", ("folds", 0, "sample_count"), r"folds\[0\]\.sample_count"),
+    "start": ("report", ("folds", 0, "starts", 1), r"folds\[0\]\.starts\[1\]"),
+}
+INTEGER_FIELDS = ("sample count", "start")
+
+
 class TestErrorSurface:
+    @pytest.mark.parametrize("case, value", [
+        (case, value) for case in REFUSED_NUMBERS
+        for value in [True, "1.5", None] + ([0.9] if case in INTEGER_FIELDS else [])])
+    def test_value_that_is_no_json_number_is_a_data_error(self, ws, evaluated, tmp_path,
+                                                          capsys, case, value):
+        command, keys, where = REFUSED_NUMBERS[case]
+        bad = tmp_path / "bad.json"
+        arguments = {
+            "convert": ["--input", bad, "--kind", "metrala", "--lenient-counts"],
+            "prepare": ["--dataset", bad, "-L", "4"],
+            "baseline": ["--dataset", ws.dataset, "--buckets", bad],
+            "detect": ["--dataset", ws.dataset, "--checkpoint", bad, "-L", "4",
+                       "--threshold", "0.5"],
+            "report": ["--inputs", bad],
+        }[command]
+        source = {"prepare": ws.dataset, "baseline": ws.buckets,
+                  "detect": ws.train_dir / "checkpoint_fold_0.json",
+                  "report": evaluated / "metrics.json"}.get(command)
+        doc = json.loads(source.read_text()) if source else {
+            "edges": [[0, 1], [1, 2], [2, 0]], "weights": [1.0, 0.5, 2.0],
+            "X": [[0.25, 0.5, 0.75] for _ in range(4)]}
+        if case == "label":
+            doc["buckets"][1]["perturbed_nodes"] = []  # label 1.0, which a `true` once matched
+        owner = doc
+        for key in keys[:-1]:
+            owner = owner[key]
+        owner[keys[-1]] = value
+        bad.write_text(json.dumps(doc))
+
+        argv = [command, *map(str, arguments), "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == ("AdapterError" if command == "convert" else "ParseError")
+        # the file, the location, and the value as the file spells it
+        pattern = rf"bad\.json: (.*: )?{where}: .*{re.escape(json.dumps(value))}$"
+        assert re.search(pattern, report["message"]), report["message"]
+
+
     @pytest.mark.parametrize("content", sorted(BAD_JSON))
     @pytest.mark.parametrize("command, argument", FILE_ARGUMENTS)
     def test_unreadable_file_is_a_data_error(self, ws, tmp_path, capsys,

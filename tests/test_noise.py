@@ -250,7 +250,7 @@ class TestInjectNoise:
 
 
 class TestNoiseSpec:
-    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan"), True])
     def test_bad_probability(self, p):
         with pytest.raises(ContractError):
             NoiseSpec(p, seed=0)
@@ -403,7 +403,7 @@ class TestSerialization:
         write_labeled_buckets(labeled, path, NoiseSpec(0.5, seed=13))
         doc = json.loads(path.read_text(encoding="utf-8"))
         for record in ({"corrupt_probability": 1.7, "seed": 0}, None, [], {"seed": 13},
-                       {"corrupt_probability": 0.5}):
+                       {"corrupt_probability": 0.5}, {"corrupt_probability": True, "seed": 0}):
             doc["noise"] = record
             path.write_text(json.dumps(doc), encoding="utf-8")
             with pytest.raises(ParseError, match="noise record"):
