@@ -56,7 +56,7 @@ def shape_line(name, args):
     labeled = inject_noise(bucketize(signal, LENGTH), node_bounds(signal), NoiseSpec(0.5, 3))
     config = ModelConfig(args.cell, 1)
     train_config = training.TrainConfig(epochs=1, bucket_length=LENGTH, seed=4)
-    checkpoint = Checkpoint(config, ModelParams.initialize(config, 5), node_bounds(signal))
+    checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
     score_windows(signal, checkpoint, [0], LENGTH)  # builds A_hat before any timing
 
     batch = min(training.BATCH_SIZE, args.train_windows)

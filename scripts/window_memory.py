@@ -54,7 +54,7 @@ def traced_step(kind, signal):
 
     def step():
         with Tape():
-            out = forward_pass(window, a_hat, params, params.config)
+            out = forward_pass(window, a_hat, params)
             held = tracemalloc.get_traced_memory()[0]
             backward(ad.square(ad.subtract(out, Tensor([[0.5]]))))
         return held

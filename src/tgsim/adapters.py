@@ -10,6 +10,7 @@ test fixtures.
 
 from __future__ import annotations
 
+import json
 from functools import partial
 from pathlib import Path
 
@@ -105,6 +106,9 @@ def _adapt_flat(doc, kind):
 def _adapt_wikimath(doc):
     _require(doc, ("edges", "weights", "time_periods"), "wikimath")
     periods = doc["time_periods"]
+    if type(periods) is not int:
+        raise AdapterError(f"wikimath: 'time_periods' must be a JSON integer, "
+                           f"got {json.dumps(periods)}")
     rows = []
     for t in range(periods):
         snap = doc.get(str(t))
@@ -132,6 +136,10 @@ def _node_series(node):
 
 def _adapt_montevideobus(doc):
     _require(doc, ("nodes", "links"), "montevideobus")
+    for member in ("nodes", "links"):
+        if not isinstance(doc[member], list):
+            raise AdapterError(f"montevideobus: '{member}' must be an array, "
+                               f"not {type(doc[member]).__name__}")
     nodes = doc["nodes"]
     series = []
     for i, node in enumerate(nodes):

@@ -9,7 +9,7 @@ either method and reports them in the same form as a model's folds.
 import numpy as np
 
 from .errors import ContractError
-from .training import MetricsReport, fold_result
+from .training import FoldResult, MetricsReport
 
 BASELINE_METHODS = ("random", "tsr")
 
@@ -67,17 +67,7 @@ def baseline_report(labeled, method: str, seed: int = 0, extra: dict | None = No
         raise ContractError(
             f"unknown baseline method {method!r}, expected one of {BASELINE_METHODS}"
         )
-    fold = fold_result(
-        scores,
-        [item.label for item in labeled],
-        [item.bucket.start for item in labeled],
-    )
-    config = {"method": method, "seed": seed}
-    if extra:
-        config.update(extra)
-    return MetricsReport(
-        dataset=labeled[0].bucket.signal.name,
-        model=method,
-        folds=(fold,),
-        config=config,
-    )
+    fold = FoldResult(scores, [item.label for item in labeled],
+                      [item.bucket.start for item in labeled])
+    return MetricsReport(dataset=labeled[0].bucket.signal.name, model=method, folds=(fold,),
+                         config={"method": method, "seed": seed, **(extra or {})})

@@ -195,21 +195,14 @@ class NodeBounds:
         object.__setattr__(self, "mins", mins)
         object.__setattr__(self, "maxs", maxs)
 
-    @property
-    def num_nodes(self) -> int:
-        return self.mins.shape[0]
-
-    @property
-    def num_channels(self) -> int:
-        return self.mins.shape[1]
-
 
 def read_json(path):
     """The JSON document in `path`.
 
     Decoded as UTF-8 with the newline handling of text mode.  Bytes that
-    are not UTF-8 and text that is not JSON raise `ParseError` naming the
-    file; the caller checks the document's shape.  Not part of `tgsim`'s
+    are not UTF-8, text that is not JSON and arrays or objects nested past
+    the parser's recursion limit raise `ParseError` naming the file; the
+    caller checks the document's shape.  Not part of `tgsim`'s
     public API: the loaders of the other modules share it.
     """
     try:
@@ -219,6 +212,8 @@ def read_json(path):
         raise ParseError(f"{path}: not UTF-8 text: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError(f"{path}: JSON nested too deeply to read") from None
 
 
 def json_floats(value, where: str) -> np.ndarray:

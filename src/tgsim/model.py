@@ -114,15 +114,6 @@ _BLOCK_FLOATS = 1 << 17
 _POOL_FLOOR = 20_000
 
 
-def _canonical_kind(kind: str) -> str:
-    key = str(kind).lower().replace("-", "_")
-    if key == "gconvgru":
-        key = "gconv_gru"
-    if key not in CELL_KINDS:
-        raise ConfigError(f"unknown cell kind {kind!r}; expected one of {', '.join(CELL_KINDS)}")
-    return key
-
-
 @dataclass(frozen=True)
 class ModelConfig:
     cell_kind: str
@@ -131,7 +122,11 @@ class ModelConfig:
     attention_dim: int = 32
 
     def __post_init__(self):
-        object.__setattr__(self, "cell_kind", _canonical_kind(self.cell_kind))
+        kind = str(self.cell_kind).lower().replace("-", "_").replace("gconvgru", "gconv_gru")
+        if kind not in CELL_KINDS:
+            raise ConfigError(f"unknown cell kind {self.cell_kind!r}; "
+                              f"expected one of {', '.join(CELL_KINDS)}")
+        object.__setattr__(self, "cell_kind", kind)
         for name in ("input_channels", "embed_dim", "attention_dim"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:
@@ -314,14 +309,14 @@ class Provenance:
 
 @dataclass(frozen=True)
 class Checkpoint:
-    """A trained model: its config, parameters, feature bounds and provenance.
+    """A trained model: its parameters, feature bounds and provenance.
 
+    Its `config` is its parameters' own, so the two cannot disagree.
     `feature_bounds` are required: they are the training windows' per
     node-channel minima and maxima, which `train` always stores, and
     scoring normalizes every window with them.
     """
 
-    config: ModelConfig
     params: ModelParams
     feature_bounds: NodeBounds
     provenance: Provenance = field(default_factory=Provenance)
@@ -329,6 +324,10 @@ class Checkpoint:
     def __post_init__(self):
         if not isinstance(self.feature_bounds, NodeBounds):
             raise ContractError(f"a checkpoint needs NodeBounds, got {self.feature_bounds!r}")
+
+    @property
+    def config(self) -> ModelConfig:
+        return self.params.config
 
 
 def _spans(count: int, floats: int) -> list:
@@ -632,10 +631,10 @@ class _GConvGruCell(_Cell):
         return _mix(self.a_hat_t, g_embedded.reshape(grads.shape[1:]))
 
 
-def _window_cell(kind: str, params: ModelParams, a_hat) -> _Cell:
-    """The recurrent cell of `kind`, its arrays not yet sized (`_Cell.start`)."""
+def _window_cell(params: ModelParams, a_hat) -> _Cell:
+    """The recurrent cell of `params`' kind, its arrays not yet sized (`_Cell.start`)."""
     # the attention variant runs the same per-step recurrence as tgcn
-    cell = _GConvGruCell if _canonical_kind(kind) == "gconv_gru" else _TgcnCell
+    cell = _GConvGruCell if params.config.cell_kind == "gconv_gru" else _TgcnCell
     return cell(params, a_hat)
 
 
@@ -810,8 +809,8 @@ def dense_head(final, params: ModelParams):
     return acts[-1], pull
 
 
-def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> Tensor:
-    """Score a batch of windows; returns a B x 1 tensor in (0, 1).
+def forward_pass(snapshots, a_hat, params: ModelParams) -> Tensor:
+    """Score a batch of windows with `params`' cell; returns a B x 1 tensor in (0, 1).
 
     `snapshots` is a B x L x N x F array of B windows, or one window's
     L x N x F (a batch of one), and `a_hat` the N x N normalized adjacency,
@@ -821,6 +820,7 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
     active tape the batch is one entry, whose rule adds every parameter's
     gradient, summed over the windows.
     """
+    config = params.config
     snapshots = np.asarray(snapshots, dtype=np.float64)
     if snapshots.ndim == 3:
         snapshots = snapshots[None]
@@ -835,7 +835,7 @@ def forward_pass(snapshots, a_hat, params: ModelParams, config: ModelConfig) -> 
 
     rows = windows * n
     x = snapshots.transpose(1, 0, 2, 3).reshape(steps, rows, -1)  # each step's B·N rows
-    cell = _window_cell(config.cell_kind, params, a_hat).start(steps, rows)
+    cell = _window_cell(params, a_hat).start(steps, rows)
     blocks = []
     with np.errstate(over="ignore"):
         for block in _blocks(steps, rows, config.embed_dim):
@@ -951,7 +951,7 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
         candidates = normalize_features(candidates, bounds)
     a_hat = adjacency_operator(signal)
     params = checkpoint.params
-    cell = _window_cell(config.cell_kind, params, a_hat)
+    cell = _window_cell(params, a_hat)
 
     shared = length if candidates is None else length - 1
     block = max(1, _BLOCK_FLOATS // (n * d * length))
@@ -1044,4 +1044,4 @@ def load_checkpoint(path) -> Checkpoint:
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError, ConfigError,
             ContractError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from exc
-    return Checkpoint(config=config, params=params, feature_bounds=bounds, provenance=provenance)
+    return Checkpoint(params=params, feature_bounds=bounds, provenance=provenance)

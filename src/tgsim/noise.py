@@ -247,7 +247,8 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
 
     A file without a valid `noise` record is refused with `ParseError`, and
     so is a bucket record (named as `buckets[2]`) that lacks a field, holds
-    a candidate or label `json_floats` refuses, or stores a label other than
+    a candidate or label `json_floats` refuses or a perturbed node that is
+    not a JSON integer (`true` is not node 1), or stores a label other than
     the one recomputed from its perturbed-node list, so a tampered file
     cannot smuggle in an inconsistent pair.  So is a record that repeats a
     window start: folds split by start must be disjoint.
@@ -271,6 +272,11 @@ def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[Labele
     for i, record in enumerate(doc["buckets"]):
         try:
             bucket = Bucket(signal, record["start"], length)
+            # a bool is an int to LabeledBucket, so refuse it here, where the JSON is read
+            wrong = [v for v in record["perturbed_nodes"] if type(v) is not int]
+            if wrong:
+                raise ContractError(f"perturbed_nodes must be JSON integers, "
+                                    f"got {json.dumps(wrong[0])}")
             item = LabeledBucket(bucket, json_floats(record["candidate"], "candidate"),
                                  record["perturbed_nodes"])
             mismatch = abs(item.label - float(json_floats(record["label"], "label"))) > 1e-12

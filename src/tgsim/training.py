@@ -5,7 +5,9 @@ The model module stays purely functional; everything stateful about a run
 one optimizer, Adam (Kingma & Ba, arXiv:1412.6980), stepped at
 TrainConfig's learning rate once per batch of BATCH_SIZE windows.  Every
 source of randomness is seeded, so a (buckets, config) pair pins the
-resulting report down to the byte.
+resulting report down to the byte.  A fold's metrics are never given:
+`FoldResult` derives them from its predictions and labels, and
+`load_report` refuses a stored figure that differs.
 
 The folds are independent jobs: run_folds, which serves cross_validate and
 the CLI's train, runs them in the fork pool of `_pool`, one BLAS thread
@@ -140,26 +142,32 @@ def kfold_split(buckets, folds: int, seed: int, shuffle: bool = True):
 
 @dataclass(frozen=True)
 class FoldResult:
-    """Metrics plus the raw predictions behind them for one test fold."""
+    """One test fold: its predictions, labels and window starts, and their metrics.
 
-    mse: float
-    mae: float
-    rmse: float
-    sample_count: int
+    `mse`, `mae` and `rmse` are `compute_metrics` of the predictions and
+    labels, and `sample_count` their length; they are derived here, never
+    given, so they cannot disagree with the samples behind them.
+    """
+
     predictions: tuple[float, ...]
     labels: tuple[float, ...]
     starts: tuple[int, ...]
+    mse: float = field(init=False)
+    mae: float = field(init=False)
+    rmse: float = field(init=False)
+    sample_count: int = field(init=False)
 
     def __post_init__(self):
-        if self.sample_count < 1:
-            raise ContractError("a fold must hold at least one sample")
-        lengths = {len(self.predictions), len(self.labels), len(self.starts), self.sample_count}
+        samples = {"predictions": tuple(float(p) for p in self.predictions),
+                   "labels": tuple(float(y) for y in self.labels),
+                   "starts": tuple(int(s) for s in self.starts)}
+        lengths = set(map(len, samples.values()))
         if len(lengths) != 1:
             raise ContractError(f"fold arrays disagree on sample count: {sorted(lengths)}")
-        if abs(self.rmse - math.sqrt(self.mse)) > 1e-12:
-            raise ContractError(f"rmse {self.rmse!r} is not the square root of mse {self.mse!r}")
-        if self.mae > self.rmse + 1e-12:
-            raise ContractError(f"mae {self.mae!r} exceeds rmse {self.rmse!r}")
+        mse, mae, rmse = compute_metrics(samples["predictions"], samples["labels"])
+        derived = dict(samples, mse=mse, mae=mae, rmse=rmse, sample_count=lengths.pop())
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True)
@@ -291,7 +299,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
             def chunk(part):
                 params.grads.fill(0.0)
                 with Tape():
-                    out = forward_pass(windows[part], a_hat, params, model_config)
+                    out = forward_pass(windows[part], a_hat, params)
                     squared = ad.square(ad.subtract(out, Tensor(labels[part])))
                     backward(ad.matmul(Tensor(weights[:, part]), squared))
                 return params.grads.copy(), squared.value[:, 0]
@@ -319,7 +327,7 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     params.drop_gradients()  # a checkpoint needs neither gradients nor backward buffers
 
     provenance = Provenance(dataset=signal.name, recipe=config, final_loss=history[-1])
-    return Checkpoint(model_config, params, bounds, provenance), history
+    return Checkpoint(params, bounds, provenance), history
 
 
 def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
@@ -335,19 +343,8 @@ def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
     preds = score_windows(signal, checkpoint, [b.bucket.start for b in test_set],
                           test_set[0].bucket.length,
                           candidates=np.stack([b.candidate for b in test_set])).tolist()
-    labels = [b.label for b in test_set]
-    fold = fold_result(preds, labels, [b.bucket.start for b in test_set])
+    fold = FoldResult(preds, [b.label for b in test_set], [b.bucket.start for b in test_set])
     return MetricsReport(dataset=signal.name, model=checkpoint.config.cell_kind, folds=(fold,))
-
-
-def fold_result(preds, labels, starts) -> FoldResult:
-    mse, mae, rmse = compute_metrics(preds, labels)
-    return FoldResult(
-        mse=mse, mae=mae, rmse=rmse, sample_count=len(list(preds)),
-        predictions=tuple(float(p) for p in preds),
-        labels=tuple(float(y) for y in labels),
-        starts=tuple(int(s) for s in starts),
-    )
 
 
 def fold_seed(seed: int, index: int) -> int:
@@ -455,41 +452,38 @@ def load_report(path) -> MetricsReport:
     """The report `write_report` wrote to `path`; malformed content is a `ParseError`.
 
     Metrics, predictions and labels go through `json_floats`; sample counts
-    and starts must be JSON integers; the stored means must match the folds.
+    and starts must be JSON integers.  `FoldResult` derives each fold's
+    metrics and sample count from its predictions and labels, and a stored
+    one more than 1e-12 from its derived value is refused, named as
+    `folds[0].mse`; so is a stored mean that does not match the folds.
     """
     doc = read_json(path)
     try:
-        folds = tuple(
-            FoldResult(
-                mse=float(json_floats(f["mse"], f"folds[{i}].mse")),
-                mae=float(json_floats(f["mae"], f"folds[{i}].mae")),
-                rmse=float(json_floats(f["rmse"], f"folds[{i}].rmse")),
-                sample_count=_json_int(f["sample_count"], f"folds[{i}].sample_count"),
-                # float() of each element: a 0-d or nested array is a TypeError
-                predictions=tuple(map(float, json_floats(f["predictions"],
-                                                         f"folds[{i}].predictions"))),
-                labels=tuple(map(float, json_floats(f["labels"], f"folds[{i}].labels"))),
-                starts=tuple(_json_int(s, f"folds[{i}].starts[{j}]")
-                             for j, s in enumerate(f["starts"])),
-            )
-            for i, f in enumerate(doc["folds"])
-        )
-        report = MetricsReport(
-            dataset=doc["dataset"], model=doc["model"], folds=folds,
-            config=dict(doc["config"]),
-        )
-        stored_mean = {name: float(json_floats(doc["mean"][name], f"mean.{name}"))
-                       for name in ("mse", "mae", "rmse")}
+        folds = []
+        for i, f in enumerate(doc["folds"]):
+            where = f"folds[{i}]"
+            stored = {name: float(json_floats(f[name], f"{where}.{name}"))
+                      for name in ("mse", "mae", "rmse")}
+            stored["sample_count"] = _json_int(f["sample_count"], f"{where}.sample_count")
+            # FoldResult's float() of each element: a 0-d or nested array is a TypeError
+            folds.append(FoldResult(
+                json_floats(f["predictions"], f"{where}.predictions"),
+                json_floats(f["labels"], f"{where}.labels"),
+                [_json_int(s, f"{where}.starts[{j}]") for j, s in enumerate(f["starts"])]))
+            for name, value in stored.items():
+                if abs(value - getattr(folds[-1], name)) > 1e-12:
+                    raise ParseError(f"{path}: stored {where}.{name} {value!r} does not match "
+                                     f"its predictions' {getattr(folds[-1], name)!r}")
+        report = MetricsReport(dataset=doc["dataset"], model=doc["model"], folds=folds,
+                               config=dict(doc["config"]))
+        for name in ("mse", "mae", "rmse"):
+            value = float(json_floats(doc["mean"][name], f"mean.{name}"))
+            if abs(value - getattr(report, f"mean_{name}")) > 1e-12:
+                raise ParseError(f"{path}: stored mean {name} {value!r} does not match folds")
     except ContractError as exc:
         raise ParseError(f"{path}: {exc}") from None
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed report ({exc})") from None
-    for name, value in (("mse", report.mean_mse), ("mae", report.mean_mae),
-                        ("rmse", report.mean_rmse)):
-        if abs(stored_mean[name] - value) > 1e-12:
-            raise ParseError(
-                f"{path}: stored mean {name} {stored_mean[name]!r} does not match folds"
-            )
     return report
 
 

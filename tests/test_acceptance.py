@@ -80,7 +80,7 @@ def test_01_gradients_match_central_differences():
     target = Tensor([[0.7]])
 
     def full(*_):
-        out = forward_pass(snaps, a_hat, params, cfg)
+        out = forward_pass(snaps, a_hat, params)
         return ad.square(ad.subtract(out, target))
 
     model_err = grad_check(full, list(params.tensors()), eps=1e-5)

@@ -37,7 +37,6 @@ def seeded_checkpoint(signal, seed=7, embed_dim=4):
     config = ModelConfig("tgcn", input_channels=signal.num_channels,
                          embed_dim=embed_dim, attention_dim=3)
     return Checkpoint(
-        config=config,
         params=ModelParams.initialize(config, seed),
         feature_bounds=node_bounds(signal),
     )
@@ -81,7 +80,7 @@ class TestScoreStream:
         a_hat = adjacency_operator(signal)
         for bucket, score in zip(buckets, scores):
             window = normalize_features(bucket.snapshots, checkpoint.feature_bounds)
-            want = forward_pass(window, a_hat, checkpoint.params, checkpoint.config).item()
+            want = forward_pass(window, a_hat, checkpoint.params).item()
             assert score == pytest.approx(want, abs=1e-15)
 
     def test_exact_fit_gives_single_score(self):
@@ -109,7 +108,6 @@ class TestScoreStream:
         signal = make_signal(n=3, f=2)
         config = ModelConfig("tgcn", input_channels=2, embed_dim=4, attention_dim=3)
         checkpoint = Checkpoint(
-            config=config,
             params=ModelParams.initialize(config, 1),
             feature_bounds=NodeBounds(mins=np.zeros((4, 2)), maxs=np.ones((4, 2))),
         )

@@ -789,6 +789,22 @@ class TestReport:
                          "--out-dir", str(tmp_path / "out")]) == 2
         assert stderr_line(capsys)["error"] == "ParseError"
 
+    def test_fold_metrics_that_disagree_with_predictions_are_refused(self, evaluated, tmp_path,
+                                                                     capsys):
+        # predictions equal to their labels give MSE 0, not the 0.25 stored
+        doc = json.loads((evaluated / "metrics.json").read_text())
+        fold = doc["folds"][0]
+        fold.update(predictions=fold["labels"], mse=0.25, mae=0.5, rmse=0.5)
+        doc["folds"] = [fold]
+        doc["mean"] = {"mse": 0.25, "mae": 0.5, "rmse": 0.5, "sample_count": fold["sample_count"]}
+        (tmp_path / "metrics.json").write_text(json.dumps(doc))
+        assert cli.main(["report", "--inputs", str(tmp_path / "metrics.json"),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert re.search(r"folds\[0\]\.mse 0\.25 ", report["message"]), report["message"]
+        assert not (tmp_path / "out" / "comparison.csv").exists()
+
     def test_mixed_protocols_are_refused_without_override(self, ws, base_dir, tmp_path, capsys):
         other_prep = tmp_path / "prep9"
         assert cli.main(["prepare", "--dataset", str(ws.dataset), "-L", "4",
@@ -813,6 +829,7 @@ class TestReport:
 BAD_JSON = {
     "non_utf8": b'{"name": "caf\xe9"}',
     "truncated": b'{"name": "toy", "edges": [[0, 1], [1',
+    "nested_too_deep": b"[" * 100_000 + b"]" * 100_000,
 }
 
 # (command, file argument); a bare file name is that file in a copy of the
@@ -959,6 +976,38 @@ class TestErrorSurface:
         assert report["error"] == "ParseError"
         assert "buckets[1]" in report["message"] and "non-finite" in report["message"]
         assert not (tmp_path / "out" / "baseline_tsr.json").exists()
+
+    @pytest.mark.parametrize("kind, member, value", [
+        ("wikimath", "time_periods", "2"), ("wikimath", "time_periods", True),
+        ("montevideobus", "links", 5), ("montevideobus", "nodes", 5)])
+    def test_wrong_typed_adapter_member_is_a_data_error(self, tmp_path, capsys,
+                                                        kind, member, value):
+        doc = {"wikimath": {"edges": [[0, 1]], "weights": [1.0], "time_periods": 2,
+                            "0": {"y": [1.0, 2.0]}, "1": {"y": [3.0, 4.0]}},
+               "montevideobus": {"nodes": [{"y": [1.0, 2.0]}, {"y": [3.0, 4.0]}],
+                                 "links": [{"source": 0, "target": 1}]}}[kind]
+        doc[member] = value
+        raw = tmp_path / "raw.json"
+        raw.write_text(json.dumps(doc))
+        assert cli.main(["convert", "--input", str(raw), "--kind", kind, "--lenient-counts",
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "AdapterError"
+        assert "raw.json" in report["message"] and f"'{member}'" in report["message"]
+
+    def test_bool_perturbed_node_is_a_data_error(self, ws, tmp_path, capsys):
+        # with the label (N-1)/N a `true` once loaded as node 1
+        doc = json.loads(ws.buckets.read_text())
+        n = len(doc["buckets"][1]["candidate"])
+        doc["buckets"][1].update(perturbed_nodes=[True], label=(n - 1) / n)
+        bad = tmp_path / "buckets.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main(["baseline", "--dataset", str(ws.dataset), "--buckets", str(bad),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert re.search(r"buckets\[1\]: perturbed_nodes .*true$", report["message"]), (
+            report["message"])
 
     def test_unknown_subcommand(self, capsys):
         assert cli.main(["frobnicate"]) == 1

@@ -656,7 +656,7 @@ for kind in CELL_KINDS:
     config = ModelConfig(kind, 1)
     cross_validate(labeled, TrainConfig(epochs=1, bucket_length=4), config)
     params = ModelParams.initialize(config, 0)
-    score_stream(stream, Checkpoint(config, params, node_bounds(stream)), 4)
+    score_stream(stream, Checkpoint(params, node_bounds(stream)), 4)
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

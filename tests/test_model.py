@@ -257,15 +257,15 @@ class TestGcnEmbed:
         assert np.allclose(out, oracle, atol=1e-12)
 
 
-def one_step(kind, h0, h_prev, a_hat, params):
-    """The window cell of `kind` run for one step from embedding h0 and state h_prev.
+def one_step(h0, h_prev, a_hat, params):
+    """The window cell of `params` run for one step from embedding h0 and state h_prev.
 
     Step 1 of a two-step cell whose step 0 is not run: its state slot holds
     h_prev, and the snapshot stages take h0 as the step's embedding. Returns
     the cell, with the step's A_hat E and graph input as `cell.kept` for its
     backward, and H_1.
     """
-    cell = model_module._window_cell(kind, params, a_hat).start(2, h0.shape[0])
+    cell = model_module._window_cell(params, a_hat).start(2, h0.shape[0])
     cell.states[0] = h_prev
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_module, "gcn_embed", lambda x, *_: (x, None))
@@ -277,12 +277,12 @@ def one_step(kind, h0, h_prev, a_hat, params):
 class TestCellStep:
     def test_gconv_gru_zeros_fixed_point(self):
         params = zero_params(small_config("gconv_gru"))
-        _, out = one_step("gconv_gru", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
+        _, out = one_step(np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     def test_tgcn_zeros_fixed_point(self):
         params = zero_params(small_config("tgcn"))
-        _, out = one_step("tgcn", np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
+        _, out = one_step(np.zeros((3, 4)), np.zeros((3, 4)), path_a_hat(3), params)
         assert np.array_equal(out, np.zeros((3, 4)))
 
     @pytest.mark.parametrize("kind,bias", [("gconv_gru", "b_z"), ("tgcn", "b_u")])
@@ -291,7 +291,7 @@ class TestCellStep:
         params = ModelParams.initialize(small_config(kind), 3)
         params[bias].value[:] = 50.0  # update gate pinned at 1
         h_prev = rng.normal(size=(3, 4))
-        _, out = one_step(kind, rng.normal(size=(3, 4)), h_prev, path_a_hat(3), params)
+        _, out = one_step(rng.normal(size=(3, 4)), h_prev, path_a_hat(3), params)
         assert np.allclose(out, h_prev, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["gconv_gru", "tgcn"])
@@ -301,7 +301,7 @@ class TestCellStep:
         a_hat = path_a_hat(3)
         h0 = rng.normal(size=(3, 4))
         h_prev = rng.normal(size=(3, 4))
-        _, out = one_step(kind, h0, h_prev, a_hat, params)
+        _, out = one_step(h0, h_prev, a_hat, params)
 
         v = {name: t.value for name, t in params.items()}
         if kind == "gconv_gru":
@@ -330,9 +330,13 @@ class TestCellStep:
         assert np.allclose(out, oracle, atol=1e-12)
 
     def test_unknown_kind_rejected(self):
-        params = zero_params(small_config("tgcn"))
+        # a cell takes its kind from its params' config, which refuses an unknown one
         with pytest.raises(ConfigError, match="wrong"):
-            model_module._window_cell("wrong", params, path_a_hat(3))
+            zero_params(small_config("wrong"))
+        for kind, cell in (("gconv_gru", model_module._GConvGruCell),
+                           ("tgcn", model_module._TgcnCell), ("a3tgcn", model_module._TgcnCell)):
+            params = zero_params(small_config(kind))
+            assert type(model_module._window_cell(params, path_a_hat(3))) is cell
 
 
 class TestTemporalAttention:
@@ -379,7 +383,7 @@ class TestForwardPass:
         config = small_config(kind)
         params = zero_params(config)
         snapshots = np.random.default_rng(0).normal(size=(4, 3, 2))
-        out = forward_pass(snapshots, path_a_hat(3), params, config)
+        out = forward_pass(snapshots, path_a_hat(3), params)
         assert out.item() == 0.5
 
     @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -388,7 +392,7 @@ class TestForwardPass:
         config = small_config(kind)
         params = ModelParams.initialize(config, 11)
         for _ in range(5):
-            out = forward_pass(rng.normal(size=(4, 3, 2)) * 10.0, path_a_hat(3), params, config)
+            out = forward_pass(rng.normal(size=(4, 3, 2)) * 10.0, path_a_hat(3), params)
             assert 0.0 < out.item() < 1.0
 
     @pytest.mark.parametrize("kind", CELL_KINDS)
@@ -398,11 +402,11 @@ class TestForwardPass:
         params = ModelParams.initialize(config, 13)
         snapshots = rng.normal(size=(4, 5, 2))
         a_hat = path_a_hat(5)
-        base = forward_pass(snapshots, a_hat, params, config).item()
+        base = forward_pass(snapshots, a_hat, params).item()
 
         perm = rng.permutation(5)
         permuted = forward_pass(
-            snapshots[:, perm, :], a_hat[np.ix_(perm, perm)], params, config
+            snapshots[:, perm, :], a_hat[np.ix_(perm, perm)], params
         ).item()
         assert abs(base - permuted) < 1e-12
 
@@ -413,7 +417,7 @@ class TestForwardPass:
         params = ModelParams.initialize(config, 17)
         snapshots = rng.normal(size=(4, 3, 2))
         a_hat = path_a_hat(3)
-        out = forward_pass(snapshots, a_hat, params, config).item()
+        out = forward_pass(snapshots, a_hat, params).item()
         oracle = ref_forward(snapshots, a_hat, {n: t.value for n, t in params.items()}, config)
         assert abs(out - oracle) < 1e-12
 
@@ -427,21 +431,21 @@ class TestForwardPass:
         first = rng.normal(size=(1, 3, 2))
         tail_a = rng.normal(size=(3, 3, 2))
         tail_b = rng.normal(size=(3, 3, 2))
-        out_a = forward_pass(np.concatenate([first, tail_a]), a_hat, params, config).item()
-        out_b = forward_pass(np.concatenate([first, tail_b]), a_hat, params, config).item()
+        out_a = forward_pass(np.concatenate([first, tail_a]), a_hat, params).item()
+        out_b = forward_pass(np.concatenate([first, tail_b]), a_hat, params).item()
         assert abs(out_a - out_b) < 1e-12
 
     def test_channel_mismatch_rejected(self):
         config = small_config("tgcn")
         params = zero_params(config)
         with pytest.raises(ConfigError, match="snapshots"):
-            forward_pass(np.zeros((4, 3, 5)), path_a_hat(3), params, config)
+            forward_pass(np.zeros((4, 3, 5)), path_a_hat(3), params)
 
     def test_adjacency_mismatch_rejected(self):
         config = small_config("tgcn")
         params = zero_params(config)
         with pytest.raises(ConfigError, match="adjacency"):
-            forward_pass(np.zeros((4, 3, 2)), path_a_hat(4), params, config)
+            forward_pass(np.zeros((4, 3, 2)), path_a_hat(4), params)
 
 
 class TestGradients:
@@ -456,10 +460,10 @@ class TestGradients:
         label = Tensor([[0.3]])
 
         def loss(*_):
-            out = forward_pass(snapshots, a_hat, params, config)
+            out = forward_pass(snapshots, a_hat, params)
             return ad.square(ad.subtract(out, label))
 
-        assert forward_pass(snapshots, a_hat, params, config).item() != 0.5
+        assert forward_pass(snapshots, a_hat, params).item() != 0.5
         err = grad_check(loss, params.tensors(), eps=1e-5)
         assert err < 1e-6
 
@@ -471,7 +475,7 @@ class TestGradients:
         params["b_in"].value[:] = 0.5
         snapshots = np.random.default_rng(30).normal(size=(3, 3, 2))
         with Tape():
-            out = forward_pass(snapshots, path_a_hat(3), params, config)
+            out = forward_pass(snapshots, path_a_hat(3), params)
             loss = ad.square(ad.subtract(out, Tensor([[0.9]])))
             backward(loss)
         dead = [name for name, t in params.items() if np.abs(t.grad).max() == 0]
@@ -530,7 +534,7 @@ class TestFusedOpGradients:
         a_hat = path_a_hat(4)
 
         def op(h0, h_prev, *_):
-            cell, out = one_step(kind, h0.value, h_prev.value, a_hat, params)
+            cell, out = one_step(h0.value, h_prev.value, a_hat, params)
 
             def pull(g):
                 g_prev, g_embedded = cell.back(slice(1, 2), g, None, *cell.kept)
@@ -567,7 +571,7 @@ class TestFusedOpGradients:
         self.check(op, [self.leaf(rng, (5, 4))] + heads, (1, 1), 4)
 
 
-def composed_forward(snapshots, a_hat, params, config):
+def composed_forward(snapshots, a_hat, params):
     """The forward pass built from elementary autodiff ops, one entry per op.
 
     Reference for the fused layers: the same scores and gradients, to
@@ -580,10 +584,10 @@ def composed_forward(snapshots, a_hat, params, config):
         for b, window in enumerate(snapshots):
             unit = np.zeros((len(snapshots), 1))
             unit[b, 0] = 1.0
-            placed = ad.matmul(Tensor(unit), composed_forward(window, a_hat, params, config))
+            placed = ad.matmul(Tensor(unit), composed_forward(window, a_hat, params))
             column = placed if column is None else ad.add(column, placed)
         return column
-    p = params
+    p, config = params, params.config
     a = Tensor(a_hat)
     h = Tensor(np.zeros((snapshots.shape[1], config.embed_dim)))
     states = []
@@ -680,7 +684,7 @@ def test_fused_layers_match_composed_ops_within_roundoff(monkeypatch, kind):
         for forward_fn in (forward_pass, composed_forward):
             ad.zero_grads(params.tensors())
             with Tape():
-                out = forward_fn(window, a_hat, params, config)
+                out = forward_fn(window, a_hat, params)
                 backward(ad.square(ad.subtract(out, Tensor([[0.3]]))))
             results.append((out.item(), params.grads.copy()))
         assert blocks == expected_blocks, layout
@@ -729,7 +733,7 @@ def window_gradients(params, config, a_hat, windows, labels):
     for window, label in zip(windows, labels):
         params.grads.fill(0.0)
         with Tape():
-            out = forward_pass(window, a_hat, params, config)
+            out = forward_pass(window, a_hat, params)
             backward(ad.square(ad.subtract(out, Tensor(label[None]))))
         scores.append(out.item())
         total += params.grads
@@ -742,7 +746,7 @@ def test_batch_is_its_windows_one_at_a_time(kind, name):
     """A batch's scores are byte-identical to its windows' alone, its gradients within 1e-12."""
     config, params, a_hat, batch, labels = batch_inputs(kind, name)
     with Tape():
-        out = forward_pass(batch, a_hat, params, config)
+        out = forward_pass(batch, a_hat, params)
         squared = ad.square(ad.subtract(out, Tensor(labels)))
         backward(ad.matmul(Tensor(np.full((1, len(batch)), 1.0 / len(batch))), squared))
     batched = params.grads.copy()
@@ -766,7 +770,7 @@ def test_csr_window_op_matches_dense(kind, name):
     for a_hat in (operator.toarray(), operator):
         params.grads.fill(0.0)
         with Tape():
-            out = forward_pass(batch, a_hat, params, config)
+            out = forward_pass(batch, a_hat, params)
             squared = ad.square(ad.subtract(out, Tensor(labels)))
             backward(ad.matmul(Tensor(np.full((1, 2), 0.5)), squared))
         results.append((out.value.copy(), params.grads.copy()))
@@ -815,7 +819,7 @@ def test_training_step_at_wikimath_shape_holds_only_what_its_backward_reads(kind
 
     def step():
         with Tape():
-            out = forward_pass(signal.features, a_hat, params, config)
+            out = forward_pass(signal.features, a_hat, params)
             backward(ad.square(ad.subtract(out, Tensor([[0.5]]))))
 
     step()  # allocates the backward's scratch buffers, as a train's first step does
@@ -889,7 +893,7 @@ class TestTape:
         try:
             # a training batch of one chunk: its windows, their errors, and their mean
             with Tape() as tape:
-                out = forward_pass(batch, path_a_hat(6), params, config)
+                out = forward_pass(batch, path_a_hat(6), params)
                 squared = ad.square(ad.subtract(out, Tensor(np.full((8, 1), 0.4))))
                 loss = ad.matmul(Tensor(np.full((1, 8), 1.0 / 8)), squared)
                 backward(loss)
@@ -914,7 +918,7 @@ class TestCheckpoint:
         provenance = Provenance(dataset="demo", recipe=TrainConfig(epochs=5, seed=31), fold=1,
                                 test_starts=(4, 0, 7), buckets_sha256="ab" * 32,
                                 final_loss=0.0125)
-        return Checkpoint(config, params, bounds, provenance)
+        return Checkpoint(params, bounds, provenance)
 
     def test_round_trip_is_lossless(self, tmp_path):
         checkpoint = self.make_checkpoint()
@@ -928,10 +932,21 @@ class TestCheckpoint:
         assert np.array_equal(again.feature_bounds.mins, checkpoint.feature_bounds.mins)
         assert again.provenance == checkpoint.provenance
 
+    def test_config_is_the_params_config(self):
+        checkpoint = self.make_checkpoint()
+        assert checkpoint.config is checkpoint.params.config
+        # no second copy to set: not at construction, not afterwards
+        with pytest.raises(TypeError):
+            Checkpoint(config=small_config("tgcn"), params=checkpoint.params,
+                       feature_bounds=checkpoint.feature_bounds)
+        with pytest.raises(AttributeError):
+            checkpoint.config = small_config("tgcn")
+        assert checkpoint.config.cell_kind == "a3tgcn"
+
     def test_round_trip_keeps_default_provenance(self, tmp_path):
         config = small_config("tgcn")
         bounds = NodeBounds(mins=np.full((3, 2), -1.5), maxs=np.full((3, 2), 2.5))
-        checkpoint = Checkpoint(config, zero_params(config), bounds)
+        checkpoint = Checkpoint(zero_params(config), bounds)
         path = tmp_path / "model.json"
         save_checkpoint(checkpoint, path)
         again = load_checkpoint(path)
@@ -944,7 +959,7 @@ class TestCheckpoint:
 
         config = small_config("tgcn")
         with pytest.raises(ContractError, match="NodeBounds"):
-            Checkpoint(config, zero_params(config), None)
+            Checkpoint(zero_params(config), None)
         path = tmp_path / "model.json"
         save_checkpoint(self.make_checkpoint(), path)
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -1074,7 +1089,7 @@ class TestCheckpoint:
             "demo", 3, ((0, 1), (1, 2)), None, rng.uniform(size=(6, 3, 2))
         )
         config = small_config("tgcn")
-        checkpoint = Checkpoint(config, zero_params(config), node_bounds(signal))
+        checkpoint = Checkpoint(zero_params(config), node_bounds(signal))
         bucket = Bucket(signal, 0, 4)
         assert score_windows(signal, checkpoint, [bucket.start], 4).tolist() == [0.5]
         labeled = LabeledBucket(bucket, bucket.candidate.copy(), frozenset({1}))
@@ -1091,12 +1106,11 @@ class TestCheckpoint:
 
         bounds = node_bounds(signal)
         bucket = Bucket(signal, 0, 4)
-        scored = score_windows(signal, Checkpoint(config, params, bounds), [0], 4)[0]
+        scored = score_windows(signal, Checkpoint(params, bounds), [0], 4)[0]
         by_hand = forward_pass(
             normalize_features(bucket.snapshots, bounds),
             adjacency_operator(signal),
             params,
-            config,
         ).item()
         assert abs(scored - by_hand) <= 1e-15
 
@@ -1104,7 +1118,7 @@ class TestCheckpoint:
         signal = TemporalGraphSignal("demo", 3, (), None, np.zeros((5, 3, 1)))
         config = small_config("tgcn", f=2)
         bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
-        checkpoint = Checkpoint(config, zero_params(config), bounds)
+        checkpoint = Checkpoint(zero_params(config), bounds)
         with pytest.raises(ConfigError, match="1.*2|2.*1"):
             score_windows(signal, checkpoint, [0], 4)
 
@@ -1124,7 +1138,7 @@ def scoring_checkpoint(signal, config, seed):
     params = ModelParams(config, {
         name: t.value if "head" in name else 3.0 * t.value for name, t in drawn.items()
     })
-    return Checkpoint(config, params, node_bounds(signal))
+    return Checkpoint(params, node_bounds(signal))
 
 
 def per_window_scores(signal, checkpoint, starts, length, candidates=None):
@@ -1137,7 +1151,7 @@ def per_window_scores(signal, checkpoint, starts, length, candidates=None):
         if candidates is not None:
             window[-1] = candidates[i]
         window = normalize_features(window, bounds)
-        out.append(forward_pass(window, a_hat, checkpoint.params, checkpoint.config).item())
+        out.append(forward_pass(window, a_hat, checkpoint.params).item())
     return np.array(out)
 
 

@@ -239,7 +239,7 @@ class TestSerialEquality:
         monkeypatch.setattr(model, "_POOL_FLOOR", 0)
         signal = corpus(n, snapshots)
         config = ModelConfig(kind, input_channels=1)
-        checkpoint = Checkpoint(config, ModelParams.initialize(config, 5), node_bounds(signal))
+        checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
         counts = job_counts(monkeypatch)
         serial, pooled = both_paths(
             monkeypatch, lambda: np.array(score_stream(signal, checkpoint, 10)).tobytes())
@@ -268,7 +268,7 @@ class TestSerialEquality:
         shuffled = [labeled[i] for i in np.random.default_rng(6).permutation(len(labeled))]
         assert len(shuffled) * 207 >= model._POOL_FLOOR
         config = ModelConfig(kind, input_channels=1)
-        checkpoint = Checkpoint(config, ModelParams.initialize(config, 5),
+        checkpoint = Checkpoint(ModelParams.initialize(config, 5),
                                 node_bounds(labeled[0].bucket.signal))
         counts = job_counts(monkeypatch)
         serial, pooled = both_paths(monkeypatch,
@@ -279,7 +279,7 @@ class TestSerialEquality:
     def test_short_stream_stays_in_process(self, monkeypatch, two_cpus):
         signal = corpus(20, 120)  # 111 windows, the size of the acceptance streams
         config = ModelConfig("a3tgcn", input_channels=1)
-        checkpoint = Checkpoint(config, ModelParams.initialize(config, 5), node_bounds(signal))
+        checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
         counts = job_counts(monkeypatch)
         assert len(score_stream(signal, checkpoint, 10)) == 111
         assert counts == [1]
