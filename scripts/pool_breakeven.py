@@ -25,7 +25,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from synth import DATASET_SHAPES, published_signal  # noqa: E402
 from tgsim import _pool, model, training  # noqa: E402
 from tgsim.data import node_bounds  # noqa: E402
-from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, score_windows  # noqa: E402
+from tgsim.model import (CELL_KINDS, Checkpoint, ModelConfig, ModelParams, Provenance,  # noqa: E402
+                         score_windows)
 from tgsim.noise import NoiseSpec, bucketize, inject_noise  # noqa: E402
 
 LENGTH = 10
@@ -56,8 +57,9 @@ def shape_line(name, args):
     labeled = inject_noise(bucketize(signal, LENGTH), node_bounds(signal), NoiseSpec(0.5, 3))
     config = ModelConfig(args.cell, 1)
     train_config = training.TrainConfig(epochs=1, bucket_length=LENGTH, seed=4)
-    checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
-    score_windows(signal, checkpoint, [0], LENGTH)  # builds A_hat before any timing
+    checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal),
+                            Provenance(recipe=train_config))  # scores windows of LENGTH
+    score_windows(signal, checkpoint, [0])  # builds A_hat before any timing
 
     batch = min(training.BATCH_SIZE, args.train_windows)
     serial, pooled = timed(lambda: training.train(labeled[:args.train_windows], train_config,
@@ -67,7 +69,7 @@ def shape_line(name, args):
              f"{batch * n}) {serial:.3f} -> {pooled:.3f} s (x{serial / pooled:.2f})"]
     for windows in args.score_windows:
         starts = range(windows)
-        serial, pooled = timed(lambda: score_windows(signal, checkpoint, starts, LENGTH),
+        serial, pooled = timed(lambda: score_windows(signal, checkpoint, starts),
                                model, "_POOL_FLOOR", args.repeats)
         parts.append(f"score {windows} ({windows * n}) {serial:.3f} -> {pooled:.3f} s "
                      f"(x{serial / pooled:.2f})")

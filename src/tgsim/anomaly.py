@@ -97,24 +97,22 @@ class AnomalyEvent:
     echo_indices: tuple[int, ...] = ()
 
 
-def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint, length: int) -> list[float]:
-    """Similarity score for every window of `length` snapshots, one per end index.
+def score_stream(signal: TemporalGraphSignal, checkpoint: Checkpoint) -> list[float]:
+    """Similarity score for every window of the checkpoint's length L, one per end index.
 
-    The first score covers snapshots [0, length); the last ends at the final
+    The first score covers snapshots [0, L); the last ends at the final
     snapshot.  Entry i corresponds to the window ending at snapshot
-    i + length - 1.
+    i + L - 1.
 
     The windows are scored by one score_windows call, which splits a long
     stream across the fork pool.
     """
-    if not isinstance(length, int) or isinstance(length, bool) or length < 2:
-        raise ContractError(f"window length must be an integer >= 2, got {length!r}")
+    length = checkpoint.provenance.recipe.bucket_length
     if signal.num_snapshots < length:
         raise ContractError(
             f"signal has {signal.num_snapshots} snapshots, need at least {length}"
         )
-    return score_windows(signal, checkpoint, range(signal.num_snapshots - length + 1),
-                         length).tolist()
+    return score_windows(signal, checkpoint, range(signal.num_snapshots - length + 1)).tolist()
 
 
 def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
@@ -123,8 +121,8 @@ def detect_with_thresholds(scores, policy: AlarmPolicy, index_offset: int = 0):
     Thresholds are None where the policy is still warming up (the first
     `window` scores in zscore mode; fixed mode has no warm-up).  Indices in
     the events are shifted by `index_offset` so callers can report absolute
-    snapshot positions.  For the output of score_stream(signal, checkpoint,
-    L), whose entry i ends at snapshot i + L - 1, pass index_offset = L - 1.
+    snapshot positions.  For the output of score_stream, whose entry i ends
+    at snapshot i + L - 1, pass index_offset = L - 1.
 
     That same L - 1 is the number of later windows whose history still
     holds the end snapshot of a fired window, so it is also the mute

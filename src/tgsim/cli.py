@@ -33,7 +33,7 @@ from .anomaly import ALARM_MODES, AlarmPolicy, detect_with_thresholds, score_str
 from .baselines import BASELINE_METHODS, baseline_report
 from .data import (adjacency_operator, file_sha256, load_canonical, node_bounds, read_json,
                    write_json)
-from .errors import ContractError, ParseError, TgsimError, TrainingError
+from .errors import ConfigError, ParseError, TgsimError, TrainingError
 from .model import CELL_KINDS, ModelConfig, load_checkpoint, save_checkpoint
 from .noise import NoiseSpec, bucketize, inject_noise, load_labeled_buckets, write_labeled_buckets
 from .training import (
@@ -177,6 +177,8 @@ def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
+    if args.bucket_length is None:
+        args.bucket_length = labeled[0].bucket.length
     digest = file_sha256(args.buckets).hex()
     config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
                          bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
@@ -269,8 +271,6 @@ def _cmd_baseline(args) -> int:
     out_dir = _resolve_out_dir(args, "baseline")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
-    if not labeled:
-        raise ContractError(f"{args.buckets}: no buckets to score")
     extra = {"bucket_length": labeled[0].bucket.length}
     extra.update(_noise_metadata(spec))
     for method in BASELINE_METHODS:
@@ -286,12 +286,16 @@ def _cmd_detect(args) -> int:
     out_dir = _resolve_out_dir(args, "detect")
     signal = load_canonical(args.dataset)
     checkpoint = load_checkpoint(args.checkpoint)
-    scores = score_stream(signal, checkpoint, args.bucket_length)
+    length = checkpoint.provenance.recipe.bucket_length
+    if args.bucket_length not in (None, length):
+        raise ConfigError(f"-L {args.bucket_length}: the checkpoint's windows are {length} long")
+    args.bucket_length = length
+    scores = score_stream(signal, checkpoint)
     policy = AlarmPolicy(
         mode=args.mode, threshold=args.threshold,
         window=args.window, multiplier=args.multiplier,
     )
-    offset = args.bucket_length - 1
+    offset = length - 1
     events, thresholds = detect_with_thresholds(scores, policy, index_offset=offset)
     write_events(events, out_dir / "events.json")
     write_scores_csv(scores, thresholds, out_dir / "scores.csv", index_offset=offset)
@@ -374,7 +378,7 @@ def build_parser() -> tuple[_Parser, dict]:
     # the training recipe's defaults are TrainConfig's
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
-    p.add_argument("-L", "--bucket-length", type=int, default=TrainConfig.bucket_length)
+    p.add_argument("-L", "--bucket-length", type=int, help="must be the bucket file's window length")
     p.add_argument("--folds", type=int, default=TrainConfig.folds)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--no-shuffle-folds", action="store_true",
@@ -404,7 +408,7 @@ def build_parser() -> tuple[_Parser, dict]:
         "detect", help="stream a recorded signal through a checkpoint and flag dips")
     p.add_argument("--dataset", required=True, help="canonical signal to scan")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("-L", "--bucket-length", type=int, default=10)
+    p.add_argument("-L", "--bucket-length", type=int, help="must be the checkpoint's window length")
     p.add_argument("--mode", default="fixed", choices=ALARM_MODES)
     p.add_argument("--threshold", type=float, default=0.7)
     p.add_argument("--window", type=int, default=20)

@@ -251,9 +251,8 @@ def _whole(value, least: int) -> bool:
 class TrainConfig:
     """Hyperparameters for one training run, kept in each checkpoint's provenance.
 
-    `bucket_length` is recorded here even though the buckets are built
-    elsewhere; train() checks the two agree so a report's config echo can
-    be trusted.
+    `bucket_length` is the window length: train() and evaluate() refuse
+    buckets of another, and scoring reads it from a checkpoint's recipe.
     """
 
     epochs: int = 30
@@ -314,7 +313,8 @@ class Checkpoint:
     Its `config` is its parameters' own, so the two cannot disagree.
     `feature_bounds` are required: they are the training windows' per
     node-channel minima and maxima, which `train` always stores, and
-    scoring normalizes every window with them.
+    scoring normalizes every window with them.  It scores windows of its
+    recipe's `bucket_length`, 10 for a hand-built `Provenance()`.
     """
 
     params: ModelParams
@@ -861,11 +861,10 @@ def forward_pass(snapshots, a_hat, params: ModelParams) -> Tensor:
     return ad.record("window", tuple(params.tensors()), scores, rule)
 
 
-def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
-                  candidates=None) -> np.ndarray:
+def score_windows(signal, checkpoint: Checkpoint, starts, candidates=None) -> np.ndarray:
     """Scores of many windows of one signal, computed in one call without a tape.
 
-    Window i covers snapshots [starts[i], starts[i] + length) of `signal`.
+    Window i covers the checkpoint's L snapshots [starts[i], starts[i] + L) of `signal`.
     `candidates`, when given, holds one raw N x F snapshot per window that
     replaces the window's last snapshot (a labeled bucket's candidate).
     Features are normalized with the checkpoint's stored bounds.  `starts`
@@ -891,8 +890,6 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
             f"checkpoint bounds cover {bounds.mins.shape}, "
             f"signal needs ({signal.num_nodes}, {signal.num_channels})"
         )
-    if not isinstance(length, int) or isinstance(length, bool) or length < 1:
-        raise ContractError(f"window length must be a positive integer, got {length!r}")
     # numpy would read a bool among ints as 0 or 1
     if isinstance(starts, (list, tuple)) and any(isinstance(s, (bool, np.bool_)) for s in starts):
         raise ContractError("window starts must be integers, got a bool")
@@ -902,6 +899,7 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     if starts.size and starts.dtype.kind not in "iu":
         raise ContractError(f"window starts must be integers, got {starts.dtype} values")
     starts = starts.astype(np.intp)
+    length = checkpoint.provenance.recipe.bucket_length
     last_start = signal.num_snapshots - length
     if starts.size and (starts.min() < 0 or starts.max() > last_start):
         raise ContractError(
@@ -926,7 +924,7 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     size = -(-len(order) // count)
     parts = [order[at:at + size] for at in range(0, len(order), size)]
     results = _pool.run_jobs(
-        partial(_score_sorted, signal, checkpoint, bounds, starts[part], length,
+        partial(_score_sorted, signal, checkpoint, bounds, starts[part],
                 None if candidates is None else candidates[part])
         for part in parts
     )
@@ -935,15 +933,14 @@ def score_windows(signal, checkpoint: Checkpoint, starts, length: int,
     return scores
 
 
-def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, length: int,
-                  candidates) -> np.ndarray:
+def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, candidates) -> np.ndarray:
     """score_windows' scores of windows whose `starts` are in order, checked, in this process.
 
     One loop over blocks of windows fills the stage cache a run of
     snapshots at a time, runs each block's steps and attention and pools
     its final states; the head scores the pooled rows at the end.
     """
-    config = checkpoint.config
+    config, length = checkpoint.config, checkpoint.provenance.recipe.bucket_length
     n, d = signal.num_nodes, config.embed_dim
     first = int(starts[0])
     features = normalize_features(signal.features[first:int(starts[-1]) + length], bounds)

@@ -245,17 +245,18 @@ def write_labeled_buckets(labeled, path, spec: NoiseSpec) -> None:
 def load_labeled_buckets(path, signal: TemporalGraphSignal) -> tuple[list[LabeledBucket], NoiseSpec]:
     """Rebuild a frozen training set against its source signal, and its spec.
 
-    A file without a valid `noise` record is refused with `ParseError`, and
-    so is a bucket record (named as `buckets[2]`) that lacks a field, holds
-    a candidate or label `json_floats` refuses or a perturbed node that is
-    not a JSON integer (`true` is not node 1), or stores a label other than
-    the one recomputed from its perturbed-node list, so a tampered file
-    cannot smuggle in an inconsistent pair.  So is a record that repeats a
-    window start: folds split by start must be disjoint.
+    A file with no buckets or no valid `noise` record is refused with
+    `ParseError`, and so is a bucket record (named as `buckets[2]`) that
+    lacks a field, holds a candidate or label `json_floats` refuses or a
+    perturbed node that is not a JSON integer (`true` is not node 1), or
+    stores a label other than the one recomputed from its perturbed-node
+    list, so a tampered file cannot smuggle in an inconsistent pair.  So is
+    a record that repeats a window start: folds split by start must be disjoint.
     """
     doc = read_json(path)
-    if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and "length" in doc):
-        raise ParseError(f"{path}: expected an object with 'dataset', 'length', 'buckets'")
+    if not (isinstance(doc, dict) and isinstance(doc.get("buckets"), list) and doc["buckets"]
+            and "length" in doc):
+        raise ParseError(f"{path}: expected an object with 'dataset', 'length' and some 'buckets'")
     if doc.get("dataset") != signal.name:
         raise ParseError(
             f"{path}: training set is for dataset {doc.get('dataset')!r}, "

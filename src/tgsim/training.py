@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import partial
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -144,9 +145,9 @@ def kfold_split(buckets, folds: int, seed: int, shuffle: bool = True):
 class FoldResult:
     """One test fold: its predictions, labels and window starts, and their metrics.
 
-    `mse`, `mae` and `rmse` are `compute_metrics` of the predictions and
-    labels, and `sample_count` their length; they are derived here, never
-    given, so they cannot disagree with the samples behind them.
+    Predictions and labels are real numbers, starts integers, none a bool.
+    `mse`, `mae`, `rmse` (`compute_metrics`) and `sample_count` are derived
+    from them, never given, so they cannot disagree with the samples.
     """
 
     predictions: tuple[float, ...]
@@ -158,9 +159,13 @@ class FoldResult:
     sample_count: int = field(init=False)
 
     def __post_init__(self):
-        samples = {"predictions": tuple(float(p) for p in self.predictions),
-                   "labels": tuple(float(y) for y in self.labels),
-                   "starts": tuple(int(s) for s in self.starts)}
+        samples = {name: tuple(getattr(self, name)) for name in ("predictions", "labels", "starts")}
+        for name, values in samples.items():
+            kind = Integral if name == "starts" else Real
+            wrong = [v for v in values if isinstance(v, bool) or not isinstance(v, kind)]
+            if wrong:
+                raise ContractError(f"fold {name}: {wrong[0]!r} is a bool or not {kind.__name__}")
+            samples[name] = tuple(map(int if kind is Integral else float, values))
         lengths = set(map(len, samples.values()))
         if len(lengths) != 1:
             raise ContractError(f"fold arrays disagree on sample count: {sorted(lengths)}")
@@ -202,25 +207,26 @@ class MetricsReport:
 
 
 def bounds_from_buckets(buckets) -> NodeBounds:
-    """Per node-and-channel min and max over every snapshot in the buckets."""
+    """Per node-and-channel min and max over every snapshot of `buckets`, windows of one signal."""
     buckets = list(buckets)
     if not buckets:
         raise ContractError("cannot derive bounds from zero buckets")
-    stacked = np.concatenate([b.snapshots for b in buckets], axis=0)
-    return NodeBounds(mins=stacked.min(axis=0), maxs=stacked.max(axis=0))
+    held = {t for b in buckets for t in range(b.bucket.start, b.bucket.start + b.bucket.length - 1)}
+    history = buckets[0].bucket.signal.features[sorted(held)]
+    candidates = np.stack([b.candidate for b in buckets])
+    return NodeBounds(mins=np.minimum(history.min(axis=0), candidates.min(axis=0)),
+                      maxs=np.maximum(history.max(axis=0), candidates.max(axis=0)))
 
 
-def _check_buckets(buckets, length=None, signal=None):
+def _check_buckets(buckets, length: int, signal=None):
     """The one signal all buckets are windows of, each `length` snapshots long.
 
-    `length` and `signal` default to the first bucket's.  A fault names
-    the bucket's index in `buckets` and its start.
+    `signal` defaults to the first bucket's.  A fault names the bucket's
+    index in `buckets` and its start.
     """
     if not buckets:
         raise ContractError("need at least one bucket")
-    first = buckets[0].bucket
-    length = first.length if length is None else length
-    signal = first.signal if signal is None else signal
+    signal = buckets[0].bucket.signal if signal is None else signal
     for i, b in enumerate(buckets):
         other = b.bucket.signal
         if other is not signal:
@@ -333,15 +339,14 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
 def evaluate(checkpoint: Checkpoint, test_set) -> MetricsReport:
     """Score every bucket with the checkpoint: a report of one fold.
 
-    All buckets must be windows of one length over one signal; they are
-    scored in one `score_windows` call, and the fold keeps their order.
+    All buckets must be windows of one signal, of the length the checkpoint
+    was trained on; one `score_windows` call scores them, in their order.
     The report's config is empty: callers that write a report build its
     echo with config_echo.
     """
     test_set = list(test_set)
-    signal = _check_buckets(test_set)
+    signal = _check_buckets(test_set, checkpoint.provenance.recipe.bucket_length)
     preds = score_windows(signal, checkpoint, [b.bucket.start for b in test_set],
-                          test_set[0].bucket.length,
                           candidates=np.stack([b.candidate for b in test_set])).tolist()
     fold = FoldResult(preds, [b.label for b in test_set], [b.bucket.start for b in test_set])
     return MetricsReport(dataset=signal.name, model=checkpoint.config.cell_kind, folds=(fold,))
@@ -465,7 +470,7 @@ def load_report(path) -> MetricsReport:
             stored = {name: float(json_floats(f[name], f"{where}.{name}"))
                       for name in ("mse", "mae", "rmse")}
             stored["sample_count"] = _json_int(f["sample_count"], f"{where}.sample_count")
-            # FoldResult's float() of each element: a 0-d or nested array is a TypeError
+            # FoldResult refuses a nested array's rows; a 0-d array is a TypeError
             folds.append(FoldResult(
                 json_floats(f["predictions"], f"{where}.predictions"),
                 json_floats(f["labels"], f"{where}.labels"),

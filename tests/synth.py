@@ -50,6 +50,32 @@ def chickenpox_like(seed=93):
                                weights=None, features=resting_traces(20, 520, rng, 0.10, 0.006, 9))
 
 
+def diffusion_like(seed=24):
+    """A chickenpox-shaped signal whose traces live on the graph (ROADMAP item 24).
+
+    P is the graph's row-normalised A + I and S = P^3.  Each step's shock
+    z_t = S e_t, e_t ~ N(0, I), is divided per node by its exact std, the
+    root of diag(S S^T); then x_t = 0.5 x_{t-1} + sqrt(0.75) z_t has unit
+    variance at every node, and the features are 0.5 + 0.1 x_t plus
+    N(0, 0.005^2) noise.  Every node has about the same marginal, so only a
+    node's neighbours give a swap or a lag away.  No surges.
+    """
+    n, s = 20, 520
+    rng = np.random.default_rng(seed)
+    edges = county_graph(n, 51, rng)
+    p = np.eye(n)
+    p[tuple(np.array(edges).T)] = 1.0
+    p /= p.sum(axis=1, keepdims=True)
+    smooth = np.linalg.matrix_power(p, 3)
+    smooth /= np.sqrt((smooth * smooth).sum(axis=1, keepdims=True))
+    x, rows = np.zeros(n), []
+    for _ in range(s):
+        x = 0.5 * x + np.sqrt(0.75) * (smooth @ rng.normal(size=n))
+        rows.append(0.5 + 0.1 * x + rng.normal(0, 0.005, n))
+    return TemporalGraphSignal(name="diffusion", num_nodes=n, edges=edges, weights=None,
+                               features=np.array(rows)[:, :, None])
+
+
 def pedalme_like_raw(seed=29):
     n, s = 15, 30
     rng = np.random.default_rng(seed)

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import BUCKET_LENGTH, NOISE, TRAIN, record
-from synth import chickenpox_like
+from synth import chickenpox_like, diffusion_like
 from tgsim import autodiff as ad
 from tgsim import cli
 from tgsim.autodiff import Tensor, grad_check
@@ -275,7 +275,7 @@ def test_08_clean_outranks_corrupted(chickenpox_corpus, chickenpox_run):
             clean.append(bucket.candidate)
             bad.append(cand)
         scores = [score_windows(buckets[0].signal, checkpoint, [b.start for b in buckets],
-                                buckets[0].length, np.array(candidates))
+                                np.array(candidates))
                   for candidates in (clean, bad)]
         wins += int(np.sum(scores[0] > scores[1]))
         trials += len(buckets)
@@ -303,7 +303,7 @@ def test_09_planted_corruption_flagged(chickenpox_corpus, chickenpox_run):
             feats[planted, node, 0] = rng.uniform(bounds.mins[node], bounds.maxs[node]).item()
         stream = TemporalGraphSignal(name="stream", num_nodes=n, edges=signal.edges,
                                      weights=None, features=feats)
-        scores = score_stream(stream, checkpoint, BUCKET_LENGTH)
+        scores = score_stream(stream, checkpoint)
         events, _ = detect_with_thresholds(scores, AlarmPolicy(mode="zscore"),
                                            index_offset=BUCKET_LENGTH - 1)
         indices = [e.index for e in events]
@@ -361,3 +361,16 @@ def test_10_pipeline_byte_determinism(tmp_path):
         compared.append(rel)
     record("10 determinism", True,
            f"{len(compared)} artifacts byte-identical across repeat runs")
+
+
+def test_11_diffusion_corpus_yardsticks():
+    # a record, not a gate: ROADMAP item 23's table shows today's graph
+    # layer learns nothing on this corpus, so no model is trained here
+    signal = diffusion_like()
+    labeled = inject_noise(bucketize(signal, BUCKET_LENGTH), node_bounds(signal), NOISE)
+    rand_mse = baseline_report(labeled, "random", seed=0).mean_mse
+    tsr_mse = baseline_report(labeled, "tsr").mean_mse
+    variance = float(np.var([b.label for b in labeled]))
+    record("11 diffusion yardsticks (record)", True,
+           f"trend {tsr_mse:.4f}, random {rand_mse:.4f}, label variance {variance:.4f} "
+           f"over {len(labeled)} windows")

@@ -19,7 +19,7 @@ from tgsim.anomaly import (
 from tgsim.data import (NodeBounds, TemporalGraphSignal, adjacency_operator, node_bounds,
                         normalize_features)
 from tgsim.errors import ConfigError, ContractError
-from tgsim.model import Checkpoint, ModelConfig, ModelParams, forward_pass
+from tgsim.model import Checkpoint, ModelConfig, ModelParams, Provenance, forward_pass
 from tgsim.noise import NoiseSpec, bucketize, inject_noise
 from tgsim.training import TrainConfig, train
 
@@ -33,12 +33,13 @@ def make_signal(n=3, s=12, f=2, seed=5, name="toy", features=None):
     )
 
 
-def seeded_checkpoint(signal, seed=7, embed_dim=4):
+def seeded_checkpoint(signal, length, seed=7, embed_dim=4):
     config = ModelConfig("tgcn", input_channels=signal.num_channels,
                          embed_dim=embed_dim, attention_dim=3)
     return Checkpoint(
         params=ModelParams.initialize(config, seed),
         feature_bounds=node_bounds(signal),
+        provenance=Provenance(recipe=TrainConfig(bucket_length=length)),
     )
 
 
@@ -73,8 +74,8 @@ class TestAlarmPolicy:
 class TestScoreStream:
     def test_matches_per_bucket_forward(self):
         signal = make_signal(s=12)
-        checkpoint = seeded_checkpoint(signal)
-        scores = score_stream(signal, checkpoint, 5)
+        checkpoint = seeded_checkpoint(signal, 5)
+        scores = score_stream(signal, checkpoint)
         buckets = bucketize(signal, 5)
         assert len(scores) == len(buckets) == 8
         a_hat = adjacency_operator(signal)
@@ -85,24 +86,24 @@ class TestScoreStream:
 
     def test_exact_fit_gives_single_score(self):
         signal = make_signal(s=5)
-        scores = score_stream(signal, seeded_checkpoint(signal), 5)
+        scores = score_stream(signal, seeded_checkpoint(signal, 5))
         assert len(scores) == 1
 
     def test_constant_signal_scores_are_constant(self):
         signal = make_signal(s=15, features=np.full((15, 3, 2), 0.37))
-        scores = score_stream(signal, seeded_checkpoint(signal), 4)
+        scores = score_stream(signal, seeded_checkpoint(signal, 4))
         assert max(scores) - min(scores) <= 1e-12
 
     def test_scores_are_probabilities(self):
         signal = make_signal(s=20, seed=9)
-        scores = score_stream(signal, seeded_checkpoint(signal), 6)
+        scores = score_stream(signal, seeded_checkpoint(signal, 6))
         assert all(0.0 < s < 1.0 for s in scores)
 
     def test_channel_mismatch(self):
         signal = make_signal(f=2)
-        other = seeded_checkpoint(make_signal(f=3, seed=8))
+        other = seeded_checkpoint(make_signal(f=3, seed=8), 4)
         with pytest.raises(ConfigError, match="channels"):
-            score_stream(signal, other, 4)
+            score_stream(signal, other)
 
     def test_bounds_shape_mismatch(self):
         signal = make_signal(n=3, f=2)
@@ -110,20 +111,15 @@ class TestScoreStream:
         checkpoint = Checkpoint(
             params=ModelParams.initialize(config, 1),
             feature_bounds=NodeBounds(mins=np.zeros((4, 2)), maxs=np.ones((4, 2))),
+            provenance=Provenance(recipe=TrainConfig(bucket_length=4)),
         )
         with pytest.raises(ConfigError, match="bounds cover"):
-            score_stream(signal, checkpoint, 4)
+            score_stream(signal, checkpoint)
 
     def test_signal_shorter_than_window(self):
         signal = make_signal(s=4)
         with pytest.raises(ContractError, match="4 snapshots"):
-            score_stream(signal, seeded_checkpoint(signal), 5)
-
-    @pytest.mark.parametrize("length", [1, 0, True, 2.0])
-    def test_bad_window_length(self, length):
-        signal = make_signal(s=8)
-        with pytest.raises(ContractError, match="window length"):
-            score_stream(signal, seeded_checkpoint(signal), length)
+            score_stream(signal, seeded_checkpoint(signal, 5))
 
 
 def smooth_features(s, n, rng, noise=0.005):
@@ -161,7 +157,7 @@ class TestCorruptionDip:
         for node in rng.choice(5, size=3, replace=False):
             fresh[hit, node, 0] = rng.uniform(bounds.mins[node, 0], bounds.maxs[node, 0])
         stream = make_signal(n=5, s=60, f=1, features=fresh)
-        scores = score_stream(stream, checkpoint, 6)
+        scores = score_stream(stream, checkpoint)
         # entry i ends at snapshot i + 5, so the corrupted candidate is entry 35
         assert int(np.argmin(scores)) == hit - 5
 

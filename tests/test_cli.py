@@ -242,6 +242,22 @@ class TestTrain:
         assert "'optimizer'" in report["message"]
         assert not (tmp_path / "replay" / "losses.json").exists()
 
+    def test_window_length_is_the_bucket_files(self, ws, tmp_path):
+        # without -L, train once took 10 and refused this file of 4-snapshot windows
+        flags = TRAIN_FLAGS[:6] + TRAIN_FLAGS[8:]
+        assert "-L" not in flags
+        out = tmp_path / "derived"
+        assert cli.main(["train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+                         *flags, "--out-dir", str(out)]) == 0
+        for name in ("checkpoint_fold_0.json", "checkpoint_fold_1.json",
+                     "checkpoint_fold_2.json", "losses.json"):
+            assert digest(out / name) == digest(ws.train_dir / name)
+        arguments = json.loads((out / "run_config.json").read_text())["arguments"]
+        assert arguments["bucket_length"] == 4
+        assert cli.main(["train", "--config", str(out / "run_config.json"),
+                         "--out-dir", str(tmp_path / "replay")]) == 0
+        assert digest(tmp_path / "replay" / "losses.json") == digest(out / "losses.json")
+
     def test_config_for_wrong_subcommand(self, ws, capsys):
         code = cli.main(["eval", "--config", str(ws.train_dir / "run_config.json")])
         assert code == 1
@@ -731,6 +747,34 @@ class TestDetect:
         assert rows[1].split(",")[0] == "3"
         assert json.loads((out / "events.json").read_text()) == []
 
+    def test_window_length_is_the_checkpoints(self, ws, tmp_path):
+        # the checkpoint was trained on 4-snapshot windows; without -L, detect
+        # once scored 10-snapshot ones
+        checkpoint = str(ws.train_dir / "checkpoint_fold_0.json")
+        for name, length in (("given", ["-L", "4"]), ("derived", [])):
+            assert cli.main(["detect", "--dataset", str(ws.dataset), "--checkpoint", checkpoint,
+                             *length, "--threshold", "0.6", "--out-dir",
+                             str(tmp_path / name)]) == 0
+        rows = (tmp_path / "derived" / "scores.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 13 and rows[1].split(",")[0] == "3"
+        for name in ("events.json", "scores.csv"):
+            assert digest(tmp_path / "derived" / name) == digest(tmp_path / "given" / name)
+        arguments = json.loads((tmp_path / "derived" / "run_config.json").read_text())["arguments"]
+        assert arguments["bucket_length"] == 4
+
+    @pytest.mark.parametrize("length", ["3", "10"])
+    def test_another_window_length_is_refused(self, ws, tmp_path, capsys, length):
+        # once exit 0, scoring windows the model was not trained on
+        out = tmp_path / "det"
+        code = cli.main(["detect", "--dataset", str(ws.dataset),
+                         "--checkpoint", str(ws.train_dir / "checkpoint_fold_0.json"),
+                         "-L", length, "--out-dir", str(out)])
+        assert code == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ConfigError"
+        assert report["message"] == f"-L {length}: the checkpoint's windows are 4 long"
+        assert not (out / "scores.csv").exists()
+
     def test_oversized_trail_window_is_a_data_error(self, ws, tmp_path, capsys):
         code = cli.main([
             "detect", "--dataset", str(ws.dataset),
@@ -1027,6 +1071,18 @@ class TestErrorSurface:
         assert code == 2
         report = stderr_line(capsys)
         assert report["error"] == "FileNotFoundError"
+
+    @pytest.mark.parametrize("command", ["train", "baseline"])
+    def test_bucket_file_without_buckets_is_a_data_error(self, ws, tmp_path, capsys, command):
+        doc = json.loads(ws.buckets.read_text())
+        doc["buckets"] = []
+        bad = tmp_path / "buckets.json"
+        bad.write_text(json.dumps(doc))
+        assert cli.main([command, "--dataset", str(ws.dataset), "--buckets", str(bad),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        report = stderr_line(capsys)
+        assert report["error"] == "ParseError"
+        assert "buckets.json" in report["message"] and "'buckets'" in report["message"]
 
     def test_wrong_bucket_length_for_file(self, ws, tmp_path, capsys):
         code = cli.main([

@@ -646,7 +646,7 @@ os.sched_getaffinity = lambda pid: {0}
 from synth import published_signal
 from tgsim.anomaly import score_stream
 from tgsim.data import node_bounds
-from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams
+from tgsim.model import CELL_KINDS, Checkpoint, ModelConfig, ModelParams, Provenance
 from tgsim.noise import NoiseSpec, bucketize, inject_noise
 from tgsim.training import TrainConfig, cross_validate
 
@@ -656,7 +656,8 @@ for kind in CELL_KINDS:
     config = ModelConfig(kind, 1)
     cross_validate(labeled, TrainConfig(epochs=1, bucket_length=4), config)
     params = ModelParams.initialize(config, 0)
-    score_stream(stream, Checkpoint(params, node_bounds(stream)), 4)
+    recipe = TrainConfig(bucket_length=4)
+    score_stream(stream, Checkpoint(params, node_bounds(stream), Provenance(recipe=recipe)))
 print(sorted(name for name in sys.modules if name.startswith("scipy")))
 """
 

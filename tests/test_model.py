@@ -1089,11 +1089,12 @@ class TestCheckpoint:
             "demo", 3, ((0, 1), (1, 2)), None, rng.uniform(size=(6, 3, 2))
         )
         config = small_config("tgcn")
-        checkpoint = Checkpoint(zero_params(config), node_bounds(signal))
+        checkpoint = Checkpoint(zero_params(config), node_bounds(signal),
+                                Provenance(recipe=TrainConfig(bucket_length=4)))
         bucket = Bucket(signal, 0, 4)
-        assert score_windows(signal, checkpoint, [bucket.start], 4).tolist() == [0.5]
+        assert score_windows(signal, checkpoint, [bucket.start]).tolist() == [0.5]
         labeled = LabeledBucket(bucket, bucket.candidate.copy(), frozenset({1}))
-        scores = score_windows(signal, checkpoint, [bucket.start], 4, [labeled.candidate])
+        scores = score_windows(signal, checkpoint, [bucket.start], [labeled.candidate])
         assert scores.tolist() == [0.5]
 
     def test_forward_applies_stored_bounds(self):
@@ -1106,7 +1107,8 @@ class TestCheckpoint:
 
         bounds = node_bounds(signal)
         bucket = Bucket(signal, 0, 4)
-        scored = score_windows(signal, Checkpoint(params, bounds), [0], 4)[0]
+        checkpoint = Checkpoint(params, bounds, Provenance(recipe=TrainConfig(bucket_length=4)))
+        scored = score_windows(signal, checkpoint, [0])[0]
         by_hand = forward_pass(
             normalize_features(bucket.snapshots, bounds),
             adjacency_operator(signal),
@@ -1120,25 +1122,26 @@ class TestCheckpoint:
         bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
         checkpoint = Checkpoint(zero_params(config), bounds)
         with pytest.raises(ConfigError, match="1.*2|2.*1"):
-            score_windows(signal, checkpoint, [0], 4)
+            score_windows(signal, checkpoint, [0])
 
 
-def scored_signal(kind, n=5, s=40, f=2, seed=41):
-    """A signal on a path-plus-chord graph and a checkpoint whose bounds it fits."""
+def scored_signal(kind, n=5, s=40, f=2, seed=41, length=6):
+    """A signal on a path-plus-chord graph and a checkpoint of windows of `length` it fits."""
     rng = np.random.default_rng(seed)
     edges = tuple((i, i + 1) for i in range(n - 1)) + ((0, n - 1),)
     signal = TemporalGraphSignal("scored", n, edges, None, rng.uniform(10.0, 20.0, (s, n, f)))
-    return signal, scoring_checkpoint(signal, small_config(kind, f=f, d=6, a=4), seed)
+    return signal, scoring_checkpoint(signal, small_config(kind, f=f, d=6, a=4), seed, length)
 
 
-def scoring_checkpoint(signal, config, seed):
-    """A checkpoint with `signal`'s bounds and strong cell weights."""
+def scoring_checkpoint(signal, config, seed, length=10):
+    """A checkpoint of windows of `length` with `signal`'s bounds and strong cell weights."""
     # cell weights three times the initial draw move every gate well off 0.5
     drawn = ModelParams.initialize(config, seed)
     params = ModelParams(config, {
         name: t.value if "head" in name else 3.0 * t.value for name, t in drawn.items()
     })
-    return Checkpoint(params, node_bounds(signal))
+    return Checkpoint(params, node_bounds(signal),
+                      Provenance(recipe=TrainConfig(bucket_length=length)))
 
 
 def per_window_scores(signal, checkpoint, starts, length, candidates=None):
@@ -1165,12 +1168,12 @@ class TestScoreWindows:
     @pytest.mark.parametrize("length", [2, 6])
     @pytest.mark.parametrize("kind", CELL_KINDS)
     def test_stream_matches_forward_pass_across_blocks(self, monkeypatch, kind, length):
-        signal, checkpoint = scored_signal(kind)
+        signal, checkpoint = scored_signal(kind, length=length)
         starts = list(range(signal.num_snapshots - length + 1))
         # 4 windows a block: several blocks, the last one partial
         blocks_of(monkeypatch, 4, signal, checkpoint, length)
         assert len(starts) % 4 != 0
-        got = score_windows(signal, checkpoint, starts, length)
+        got = score_windows(signal, checkpoint, starts)
         want = per_window_scores(signal, checkpoint, starts, length)
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -1182,7 +1185,7 @@ class TestScoreWindows:
         starts = rng.choice(30, size=17, replace=True).tolist()
         candidates = rng.uniform(8.0, 22.0, (len(starts), signal.num_nodes, 2))
         blocks_of(monkeypatch, 3, signal, checkpoint, 6)
-        got = score_windows(signal, checkpoint, starts, 6, candidates)
+        got = score_windows(signal, checkpoint, starts, candidates)
         want = per_window_scores(signal, checkpoint, starts, 6, candidates)
         assert np.max(np.abs(got - want)) <= 1e-15
 
@@ -1190,8 +1193,8 @@ class TestScoreWindows:
     def test_two_calls_are_bitwise_equal(self, kind):
         signal, checkpoint = scored_signal(kind)
         starts = list(range(0, 35, 2))[::-1]
-        first = score_windows(signal, checkpoint, starts, 6)
-        again = score_windows(signal, checkpoint, starts, 6)
+        first = score_windows(signal, checkpoint, starts)
+        again = score_windows(signal, checkpoint, starts)
         assert first.tobytes() == again.tobytes()
 
     @pytest.mark.parametrize("windows", [1, 4, 1000])
@@ -1204,12 +1207,12 @@ class TestScoreWindows:
         monkeypatch.setattr(model_module, "_snapshot_stages",
                             lambda x, *args: embedded.append(len(x)) or stages(x, *args))
         blocks_of(monkeypatch, windows, signal, checkpoint, 6)
-        score_windows(signal, checkpoint, range(35), 6)
+        score_windows(signal, checkpoint, range(35))
         assert sum(embedded) == signal.num_snapshots
         embedded.clear()
         # candidates replace the last snapshot: the history snapshots 0..33
         # once each, plus one candidate per window
-        score_windows(signal, checkpoint, range(30), 6, np.zeros((30, 5, 2)))
+        score_windows(signal, checkpoint, range(30), np.zeros((30, 5, 2)))
         assert sum(embedded) == 34 + 30
 
     @pytest.mark.parametrize("with_candidates", [False, True])
@@ -1224,8 +1227,8 @@ class TestScoreWindows:
         candidates = None
         if with_candidates:
             candidates = rng.uniform(size=(len(starts), signal.num_nodes, 1))
-        together = score_windows(signal, checkpoint, starts, 10, candidates)
-        alone = [score_windows(signal, checkpoint, [start], 10,
+        together = score_windows(signal, checkpoint, starts, candidates)
+        alone = [score_windows(signal, checkpoint, [start],
                                None if candidates is None else candidates[i:i + 1])
                  for i, start in enumerate(starts)]
         assert together.tobytes() == np.concatenate(alone).tobytes()
@@ -1237,19 +1240,19 @@ class TestScoreWindows:
         checkpoint = scoring_checkpoint(signal, ModelConfig(kind, 1), 45)
         assert not isinstance(adjacency_operator(signal), np.ndarray)
         starts = [6, 0, 3, 4]
-        got = score_windows(signal, checkpoint, starts, 10)
+        got = score_windows(signal, checkpoint, starts)
         want = per_window_scores(signal, checkpoint, starts, 10)
         assert np.max(np.abs(got - want)) <= 1e-15
 
     def test_no_windows_gives_no_scores(self):
         signal, checkpoint = scored_signal("tgcn")
-        assert score_windows(signal, checkpoint, [], 6).shape == (0,)
+        assert score_windows(signal, checkpoint, []).shape == (0,)
 
     @pytest.mark.parametrize("starts", [[-1, 0], [0, 35], [40]])
     def test_starts_outside_the_signal_rejected(self, starts):
         signal, checkpoint = scored_signal("tgcn")
         with pytest.raises(ContractError, match="window starts"):
-            score_windows(signal, checkpoint, starts, 6)
+            score_windows(signal, checkpoint, starts)
 
     @pytest.mark.parametrize("starts", [[0.7, 1.9], [True], [2, False], (np.True_,), ["2"],
                                         np.array([1.0, 2.0]), np.array([True]), [1, None]])
@@ -1257,30 +1260,24 @@ class TestScoreWindows:
         # a truncating cast would score [0.7, 1.9] as windows 0 and 1, ["2"] as window 2
         signal, checkpoint = scored_signal("tgcn")
         with pytest.raises(ContractError, match="window starts must be integers"):
-            score_windows(signal, checkpoint, starts, 6)
+            score_windows(signal, checkpoint, starts)
 
     @pytest.mark.parametrize("starts", [[[0, 1], [2, 3]], 5, np.array(2)])
     def test_starts_that_are_not_one_sequence_rejected(self, starts):
         signal, checkpoint = scored_signal("tgcn")
         with pytest.raises(ContractError, match="window starts must be one sequence"):
-            score_windows(signal, checkpoint, starts, 6)
+            score_windows(signal, checkpoint, starts)
 
     def test_integer_starts_of_every_form_accepted(self):
         signal, checkpoint = scored_signal("tgcn")
-        want = score_windows(signal, checkpoint, [3, 1, 2], 6)
+        want = score_windows(signal, checkpoint, [3, 1, 2])
         for starts in (np.array([3, 1, 2]), np.array([3, 1, 2], dtype=np.uint8),
                        [np.int64(3), 1, np.int32(2)]):
-            assert score_windows(signal, checkpoint, starts, 6).tobytes() == want.tobytes()
-        assert score_windows(signal, checkpoint, range(1, 4), 6).tobytes() == \
+            assert score_windows(signal, checkpoint, starts).tobytes() == want.tobytes()
+        assert score_windows(signal, checkpoint, range(1, 4)).tobytes() == \
             want[[1, 2, 0]].tobytes()
 
     def test_candidate_shape_checked(self):
         signal, checkpoint = scored_signal("tgcn")
         with pytest.raises(ContractError, match="candidates"):
-            score_windows(signal, checkpoint, [0, 1], 6, np.zeros((2, 5, 3)))
-
-    @pytest.mark.parametrize("length", [0, True, 2.0])
-    def test_bad_length_rejected(self, length):
-        signal, checkpoint = scored_signal("tgcn")
-        with pytest.raises(ContractError, match="window length"):
-            score_windows(signal, checkpoint, [0], length)
+            score_windows(signal, checkpoint, [0, 1], np.zeros((2, 5, 3)))

@@ -242,7 +242,7 @@ class TestSerialEquality:
         checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
         counts = job_counts(monkeypatch)
         serial, pooled = both_paths(
-            monkeypatch, lambda: np.array(score_stream(signal, checkpoint, 10)).tobytes())
+            monkeypatch, lambda: np.array(score_stream(signal, checkpoint)).tobytes())
         assert counts == [1, 2]
         assert serial == pooled
 
@@ -281,7 +281,7 @@ class TestSerialEquality:
         config = ModelConfig("a3tgcn", input_channels=1)
         checkpoint = Checkpoint(ModelParams.initialize(config, 5), node_bounds(signal))
         counts = job_counts(monkeypatch)
-        assert len(score_stream(signal, checkpoint, 10)) == 111
+        assert len(score_stream(signal, checkpoint)) == 111
         assert counts == [1]
 
 

@@ -9,8 +9,8 @@ import pytest
 from tgsim.autodiff import Tensor
 from tgsim.data import TemporalGraphSignal, adjacency_operator, node_bounds, normalize_features
 from tgsim.errors import ConfigError, ContractError, ParseError, TrainingError
-from tgsim.model import (CELL_KINDS, Checkpoint, ModelConfig, ModelParams, forward_pass,
-                         parameter_shapes)
+from tgsim.model import (CELL_KINDS, Checkpoint, ModelConfig, ModelParams, Provenance,
+                         forward_pass, parameter_shapes)
 from tgsim.noise import LabeledBucket, NoiseSpec, bucketize, inject_noise
 from tgsim.training import (
     Adam,
@@ -41,6 +41,10 @@ def make_signal(n=4, s=16, f=2, seed=5, name="toy"):
         name=name, num_nodes=n, edges=edges, weights=None,
         features=rng.random((s, n, f)),
     )
+
+
+# the provenance of a hand-built checkpoint that scores windows of 5 snapshots
+FIVE = Provenance(recipe=TrainConfig(bucket_length=5))
 
 
 def make_labeled(n=4, s=16, f=2, length=5, seed=5, p=0.5):
@@ -250,6 +254,42 @@ class TestFoldResult:
         with pytest.raises(ContractError, match="disagree"):
             FoldResult(predictions=(0.5,), labels=(1.0,), starts=(0, 1))
 
+    @pytest.mark.parametrize("starts", [[0.5], [1.0], [True], [np.True_], ["0"]])
+    def test_start_that_is_no_integer_rejected(self, starts):
+        # int() once truncated 0.5 to window 0 and read True as window 1
+        with pytest.raises(ContractError, match="fold starts: .* is a bool or not Integral"):
+            FoldResult([1.0], [0.9], starts)
+
+    @pytest.mark.parametrize("name", ["predictions", "labels"])
+    @pytest.mark.parametrize("value", [True, np.False_, "0.5", None])
+    def test_prediction_or_label_that_is_no_number_rejected(self, name, value):
+        # float() once read True as 1.0
+        samples = {"predictions": [0.5], "labels": [1.0], "starts": [0], name: [value]}
+        with pytest.raises(ContractError, match=f"fold {name}: .* is a bool or not Real"):
+            FoldResult(**samples)
+
+    def test_python_and_numpy_numbers_accepted(self):
+        fold = FoldResult([np.float32(0.5), 1], np.array([1.0, 0.0]), [np.int64(3), np.uint8(4)])
+        assert fold.predictions == (0.5, 1.0) and fold.labels == (1.0, 0.0)
+        assert fold.starts == (3, 4) and type(fold.starts[0]) is int
+        assert fold.mse == 0.625
+
+
+class TestBoundsFromBuckets:
+    @pytest.mark.parametrize("stride", [1, 3, 7])
+    def test_bytes_equal_every_window_stacked(self, stride):
+        # stride 3 overlaps windows of 5, stride 7 leaves snapshots out; the
+        # candidates lie outside their histories' range, and come in no order
+        signal = make_signal(n=4, s=40, seed=30)
+        rng = np.random.default_rng(31)
+        buckets = bucketize(signal, 5, stride)
+        labeled = [LabeledBucket(buckets[i], buckets[i].candidate + rng.normal(0, 1.0, (4, 2)), ())
+                   for i in rng.permutation(len(buckets))]
+        stacked = np.concatenate([b.snapshots for b in labeled])
+        bounds = bounds_from_buckets(labeled)
+        assert bounds.mins.tobytes() == stacked.min(axis=0).tobytes()
+        assert bounds.maxs.tobytes() == stacked.max(axis=0).tobytes()
+
 
 class TestTrain:
     def test_zero_init_on_half_labels_is_stationary(self, monkeypatch):
@@ -408,7 +448,7 @@ class TestEvaluate:
         signal = make_signal(n=3, s=20, f=2, seed=13)
         clean = [hand_bucket(signal, i, 5, perturbed=[]) for i in range(6)]
         model_config = tiny_model()
-        checkpoint = Checkpoint(zero_params(model_config), node_bounds(signal))
+        checkpoint = Checkpoint(zero_params(model_config), node_bounds(signal), FIVE)
         report = evaluate(checkpoint, clean)
         fold = report.folds[0]
         assert fold.predictions == (0.5,) * 6
@@ -439,7 +479,7 @@ class TestEvaluate:
     def test_channel_mismatch(self):
         labeled = make_labeled(f=2, s=14, length=5)
         wrong = tiny_model(f=3)
-        checkpoint = Checkpoint(zero_params(wrong), bounds_from_buckets(labeled))
+        checkpoint = Checkpoint(zero_params(wrong), bounds_from_buckets(labeled), FIVE)
         with pytest.raises(ConfigError, match="channels"):
             evaluate(checkpoint, labeled)
 
@@ -454,7 +494,7 @@ class TestEvaluate:
         labeled = make_labeled(n=4, s=30, length=5, seed=23)
         model_config = tiny_model(kind)
         checkpoint = Checkpoint(ModelParams.initialize(model_config, 24),
-                                bounds_from_buckets(labeled))
+                                bounds_from_buckets(labeled), FIVE)
         order = np.random.default_rng(25).permutation(len(labeled))
         shuffled = [labeled[i] for i in order]
         fold = evaluate(checkpoint, shuffled).folds[0]
@@ -470,7 +510,7 @@ class TestEvaluate:
         # silently score the other signal's windows
         ours = make_labeled(n=4, s=14, length=5, seed=26)
         theirs = make_labeled(n=4, s=14, length=5, seed=27)
-        checkpoint = Checkpoint(zero_params(tiny_model()), bounds_from_buckets(ours))
+        checkpoint = Checkpoint(zero_params(tiny_model()), bounds_from_buckets(ours), FIVE)
         with pytest.raises(ContractError, match=r"bucket 3 \(start 7\).*signal"):
             evaluate(checkpoint, ours[:3] + [theirs[7]] + ours[3:])
 
@@ -478,9 +518,17 @@ class TestEvaluate:
         signal = make_signal(n=4, s=14)
         short = inject_noise(bucketize(signal, 4), node_bounds(signal), NoiseSpec(seed=28))
         long = inject_noise(bucketize(signal, 5), node_bounds(signal), NoiseSpec(seed=28))
-        checkpoint = Checkpoint(zero_params(tiny_model()), node_bounds(signal))
+        checkpoint = Checkpoint(zero_params(tiny_model()), node_bounds(signal), FIVE)
         with pytest.raises(ContractError, match=r"bucket 2 \(start 6\) has length 4"):
             evaluate(checkpoint, long[:2] + [short[6]])
+
+    def test_windows_of_another_length_than_the_checkpoints_rejected(self):
+        # scored at their own length, L = 3 windows once ran through an L = 10 model
+        signal = make_signal(n=4, s=14)
+        short = inject_noise(bucketize(signal, 3), node_bounds(signal), NoiseSpec(seed=29))
+        checkpoint = Checkpoint(zero_params(tiny_model()), node_bounds(signal))
+        with pytest.raises(ContractError, match=r"bucket 0 \(start 0\) has length 3, expected 10"):
+            evaluate(checkpoint, short)
 
 
 class TestCrossValidate:
