@@ -6,7 +6,9 @@ labeled windows with every batch run in this process and with every batch
 run on the fork pool (`training._BATCH_POOL_FLOOR` set past any batch,
 then to 0), and likewise `model.score_windows` calls of a few sizes
 (`model._POOL_FLOOR`). Each timing is the median of `--repeats` runs, the
-serial and pooled runs alternated; serial runs use this process's BLAS
+serial and pooled runs alternated, and which of them goes first alternated
+from one repeat to the next, so the process's one-time warm-up does not
+land on one side only; serial runs use this process's BLAS
 threads, pooled workers one each. Prints one line per shape, with each
 call's windows x nodes beside it, the figure the two floors compare.
 
@@ -35,12 +37,15 @@ NEVER = float("inf")
 
 
 def timed(run, floor_owner, name, repeats):
-    """Median seconds of run() with the floor `name` of `floor_owner` past every call, then at 0."""
+    """Median seconds of run() with the floor `name` of `floor_owner` past every call, and at 0.
+
+    Even repeats run the serial side (past every call) first, odd ones the pooled side.
+    """
     saved = getattr(floor_owner, name)
     seconds = {NEVER: [], 0: []}
     try:
-        for _ in range(repeats):
-            for floor in seconds:
+        for repeat in range(repeats):
+            for floor in (NEVER, 0) if repeat % 2 == 0 else (0, NEVER):
                 setattr(floor_owner, name, floor)
                 began = time.perf_counter()
                 run()

@@ -1,7 +1,7 @@
 """Seed sweep of the headline cross-validation: how often a fold collapses.
 
-Runs the headline cross-validation (`kfold_split`, then
-`training.run_folds`, the path `cross_validate` takes) for every given
+Runs the headline cross-validation (`training.run_folds`, the path
+`cross_validate` takes, on a shuffled split) for every given
 cell and seed on one of two shapes, and prints one line per run, then a
 table with, per cell, the folds that collapsed to a near-constant
 prediction (standard deviation at most 0.002) and the median and range of
@@ -23,9 +23,9 @@ the mean MSE over seeds.
 The learning rate defaults to `TrainConfig`'s and the batch size to
 `training.BATCH_SIZE`; `--batch-size` overrides the constant for the runs.
 `--redraw-noise` redraws each fold's training corruption every epoch, as
-`tgsim train --redraw-noise` does (`cli._resampler_for`, at the shape's
-probability of 0.5 and the run's training seed); without it every epoch
-trains on the one labeled set, as `cross_validate` does.
+`tgsim train --redraw-noise` does (`TrainConfig.redraw_probability` at the
+shape's probability of 0.5, seeded from each fold's seed); without it every
+epoch trains on the one labeled set.
 """
 
 import argparse
@@ -40,7 +40,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
 
 from inputs import derived_seed, metrala_corpus  # noqa: E402
 from synth import chickenpox_like  # noqa: E402
-from tgsim import cli, training  # noqa: E402
+from tgsim import training  # noqa: E402
 from tgsim.data import TemporalGraphSignal, node_bounds  # noqa: E402
 from tgsim.model import CELL_KINDS, ModelConfig  # noqa: E402
 from tgsim.noise import NoiseSpec, bucketize, inject_noise  # noqa: E402
@@ -89,14 +89,12 @@ def main(argv=None) -> None:
         means, collapsed, folds = [], 0, 0
         for seed in args.seeds:
             labeled, fold_count, train_seed = labeled_windows(args.shape, seed)
-            config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                                 bucket_length=BUCKET_LENGTH, folds=fold_count, seed=train_seed)
-            resample_for = (cli._resampler_for(labeled[0].bucket.signal, NOISE_PROBABILITY,
-                                               train_seed) if args.redraw_noise else None)
+            config = TrainConfig(
+                epochs=args.epochs, learning_rate=args.learning_rate, bucket_length=BUCKET_LENGTH,
+                folds=fold_count, seed=train_seed,
+                redraw_probability=NOISE_PROBABILITY if args.redraw_noise else None)
             start = time.perf_counter()
-            pairs = training.kfold_split(labeled, fold_count, train_seed)
-            runs = training.run_folds(pairs, config, ModelConfig(cell, input_channels=1),
-                                      resample_for=resample_for)
+            runs = training.run_folds(labeled, config, ModelConfig(cell, input_channels=1))
             results = [result for _, _, result in runs]
             flat = [float(np.std(fold.predictions)) <= COLLAPSE_STD for fold in results]
             collapsed += sum(flat)

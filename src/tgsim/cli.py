@@ -6,9 +6,11 @@ refuses stored arguments the command does not take.  Errors
 leave a single JSON line on stderr; exit codes are 0 (ok), 1 (usage),
 2 (bad data or config), 3 (training or evaluation failure).
 
-Each checkpoint `train` writes is its fold's one record: model, recipe, test
-windows and the bucket file's SHA-256.  `eval` scores the folds and echoes the
-recipe from the checkpoints; it reads only input paths from run_config.json.
+Each checkpoint `train` writes is its fold's one record: model, recipe (fold
+split and noise redraw included) and the bucket file's SHA-256.  `eval`
+re-derives each fold's test windows from the recipe, scores them and echoes
+the recipe from the checkpoints; it reads only input paths from
+run_config.json.
 
 `train` fits its folds, `eval` scores them and `detect` scores its
 stream in the fork pool of `_pool`, one BLAS thread per worker.  Their
@@ -155,24 +157,6 @@ def _cmd_prepare(args) -> int:
     return 0
 
 
-def _resampler_for(signal, probability, seed):
-    """run_folds' resample_for: fresh corruption of a fold's clean windows each epoch."""
-    bounds = node_bounds(signal)
-
-    def resample_for(fold_index, train_buckets):
-        clean = [b.bucket for b in train_buckets]
-
-        def resample(epoch):
-            derived = int(
-                np.random.SeedSequence([seed, 4, fold_index, epoch]).generate_state(1)[0]
-            )
-            return inject_noise(clean, bounds, NoiseSpec(probability, derived))
-
-        return resample
-
-    return resample_for
-
-
 def _cmd_train(args) -> int:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
@@ -180,16 +164,13 @@ def _cmd_train(args) -> int:
     if args.bucket_length is None:
         args.bucket_length = labeled[0].bucket.length
     digest = file_sha256(args.buckets).hex()
-    config = TrainConfig(epochs=args.epochs, learning_rate=args.learning_rate,
-                         bucket_length=args.bucket_length, folds=args.folds, seed=args.seed)
+    config = TrainConfig(
+        epochs=args.epochs, learning_rate=args.learning_rate, bucket_length=args.bucket_length,
+        folds=args.folds, seed=args.seed, shuffle_folds=not args.no_shuffle_folds,
+        redraw_probability=spec.corrupt_probability if args.redraw_noise else None)
     model_config = ModelConfig(args.cell, input_channels=signal.num_channels,
                                embed_dim=args.embed_dim, attention_dim=args.attention_dim)
-    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=not args.no_shuffle_folds)
-
-    resample_for = None
-    if args.redraw_noise:
-        resample_for = _resampler_for(signal, spec.corrupt_probability, config.seed)
-    runs = run_folds(pairs, config, model_config, resample_for=resample_for, score=False)
+    runs = run_folds(labeled, config, model_config, score=False)
     histories = []
     for index, (checkpoint, history, _) in enumerate(runs):
         provenance = replace(checkpoint.provenance, buckets_sha256=digest)
@@ -200,13 +181,13 @@ def _cmd_train(args) -> int:
     write_json({"per_fold": histories}, out_dir / "losses.json")
     save_run_config(out_dir, "train", args)
     final = ", ".join(f"{h[-1]:.4f}" for h in histories)
-    print(f"trained {len(pairs)} folds ({config.epochs} epochs), final losses: {final}")
+    print(f"trained {len(runs)} folds ({config.epochs} epochs), final losses: {final}")
     return 0
 
 
 def _recorded_folds(run_dir, labeled, buckets_path) -> list:
     """(checkpoint, test buckets) of a train run's folds 0 to K - 1, K from fold 0's recipe:
-    one model and recipe, trained on `labeled`'s file, in order, tests partitioning it."""
+    one model and recipe, trained on `labeled`'s file, in order, tests split by the recipe."""
     first = load_checkpoint(run_dir / "checkpoint_fold_0.json")
     checkpoints = [first] + [load_checkpoint(run_dir / f"checkpoint_fold_{index}.json")
                              for index in range(1, first.provenance.recipe.folds)]
@@ -222,12 +203,9 @@ def _recorded_folds(run_dir, labeled, buckets_path) -> list:
     folds = [c.provenance.fold for c in checkpoints]
     if folds != list(range(len(checkpoints))):
         raise ParseError(f"{run_dir}: the checkpoints record folds {folds}, out of order")
-    by_start = {b.bucket.start: b for b in labeled}
-    starts = [start for c in checkpoints for start in c.provenance.test_starts]
-    if sorted(starts) != sorted(by_start):
-        raise ParseError(f"{run_dir}: the folds' test starts do not partition "
-                         f"the windows of {buckets_path}")
-    return [(c, [by_start[start] for start in c.provenance.test_starts]) for c in checkpoints]
+    recipe = first.provenance.recipe
+    pairs = kfold_split(labeled, recipe.folds, recipe.seed, shuffle=recipe.shuffle_folds)
+    return [(c, test) for c, (_, test) in zip(checkpoints, pairs)]
 
 
 def _cmd_eval(args) -> int:
@@ -273,8 +251,10 @@ def _cmd_baseline(args) -> int:
     labeled, spec = load_labeled_buckets(args.buckets, signal)
     extra = {"bucket_length": labeled[0].bucket.length}
     extra.update(_noise_metadata(spec))
-    for method in BASELINE_METHODS:
-        report = baseline_report(labeled, method, seed=args.seed, extra=extra)
+    # every report is built before any is written: a refused method leaves no files
+    reports = [baseline_report(labeled, method, seed=args.seed, extra=extra)
+               for method in BASELINE_METHODS]
+    for method, report in zip(BASELINE_METHODS, reports):
         write_report(report, out_dir / f"baseline_{method}.json")
         write_report_csv(report, out_dir / f"baseline_{method}.csv")
         print(f"{method}: mse {report.mean_mse:.4f} over {report.total_samples} buckets")

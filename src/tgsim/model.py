@@ -249,10 +249,14 @@ def _whole(value, least: int) -> bool:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Hyperparameters for one training run, kept in each checkpoint's provenance.
+    """The recipe of one training run, kept in each checkpoint's provenance.
 
     `bucket_length` is the window length: train() and evaluate() refuse
     buckets of another, and scoring reads it from a checkpoint's recipe.
+    `training.run_folds` splits its windows with `kfold_split(windows,
+    folds, seed, shuffle=shuffle_folds)`.  With `redraw_probability` set,
+    train corrupts its clean windows afresh each epoch at that probability;
+    with None every epoch trains on the set it was given.
     """
 
     epochs: int = 30
@@ -260,6 +264,8 @@ class TrainConfig:
     bucket_length: int = 10
     folds: int = 3
     seed: int = 0
+    shuffle_folds: bool = True
+    redraw_probability: float | None = None
 
     def __post_init__(self):
         for name, least in (("epochs", 1), ("bucket_length", 2), ("folds", 2), ("seed", 0)):
@@ -269,6 +275,12 @@ class TrainConfig:
         rate = self.learning_rate
         if isinstance(rate, bool) or not 0 < rate <= sys.float_info.max:
             raise ConfigError(f"learning rate must be positive and finite, got {rate!r}")
+        if not isinstance(self.shuffle_folds, bool):
+            raise ConfigError(f"shuffle_folds must be a bool, got {self.shuffle_folds!r}")
+        p = self.redraw_probability
+        if p is not None and (isinstance(p, bool) or not isinstance(p, (int, float))
+                              or not 0 <= p <= 1):
+            raise ConfigError(f"redraw probability must be None or in [0, 1], got {p!r}")
 
 
 @dataclass(frozen=True)
@@ -277,27 +289,25 @@ class Provenance:
 
     `recipe` is the run's TrainConfig. Fold `fold` of `training.run_folds`
     trained from `training.fold_seed(recipe.seed, fold)` and scores the
-    windows at `test_starts`, in that order; a lone `training.train` has no
-    fold, and its recipe is the config it was given. `buckets_sha256` is the
-    SHA-256 of the bucket file `tgsim train` read, which pins its noise spec
-    too; it is empty where no file was read.
+    test windows of fold `fold` of the recipe's split; a lone
+    `training.train` has no fold, and its recipe is the config it was given.
+    `buckets_sha256` is the SHA-256 of the bucket file `tgsim train` read,
+    which pins its windows and noise spec too; it is empty where no file was
+    read.
     """
 
     dataset: str = ""
     recipe: TrainConfig = field(default_factory=TrainConfig)
     fold: int | None = None
-    test_starts: tuple[int, ...] = ()
     buckets_sha256: str = ""
     final_loss: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "test_starts", tuple(self.test_starts))
         loss = 0.0 if self.final_loss is None else self.final_loss
         wrong = [name for name, ok in (
             ("dataset", isinstance(self.dataset, str)),
             ("recipe", isinstance(self.recipe, TrainConfig)),
             ("fold", self.fold is None or _whole(self.fold, 0)),
-            ("test_starts", all(_whole(start, 0) for start in self.test_starts)),
             ("buckets_sha256", isinstance(self.buckets_sha256, str)),
             ("final_loss", isinstance(loss, (int, float)) and not isinstance(loss, bool)
              and abs(loss) <= sys.float_info.max),

@@ -37,11 +37,12 @@ import numpy as np
 from . import _pool
 from . import autodiff as ad
 from .autodiff import Tape, Tensor, backward
-from .data import (NodeBounds, adjacency_operator, json_floats, normalize_features, read_json,
-                   write_json)
+from .data import (NodeBounds, adjacency_operator, json_floats, node_bounds, normalize_features,
+                   read_json, write_json)
 from .errors import ConfigError, ContractError, ParseError, TrainingError
 from .model import (Checkpoint, ModelConfig, ModelParams, Provenance, TrainConfig, forward_pass,
                     score_windows, window_chunks)
+from .noise import NoiseSpec, inject_noise
 
 # windows per optimizer step; with lr 0.003 no worse than one window per
 # step at lr 0.001 over the seed sweep (scripts/seed_sweep.py)
@@ -115,9 +116,11 @@ def kfold_split(buckets, folds: int, seed: int, shuffle: bool = True):
 
     A seeded shuffle precedes the split, then the shuffled order is cut
     into near-equal contiguous chunks (the first n mod K chunks take the
-    extra element).  With shuffle=False the chunks are contiguous in the
-    original order, which keeps overlapping windows out of each other's
-    folds at the cost of a temporal-distribution mismatch.
+    extra element).  With shuffle=False the chunks are contiguous blocks of
+    the original order, at the cost of a temporal-distribution mismatch.
+    That does not keep overlapping windows apart: with stride-1 windows of
+    L snapshots, the L - 1 windows on each side of a block boundary still
+    share snapshots with the other fold.
     """
     buckets = list(buckets)
     n = len(buckets)
@@ -218,15 +221,14 @@ def bounds_from_buckets(buckets) -> NodeBounds:
                       maxs=np.maximum(history.max(axis=0), candidates.max(axis=0)))
 
 
-def _check_buckets(buckets, length: int, signal=None):
+def _check_buckets(buckets, length: int):
     """The one signal all buckets are windows of, each `length` snapshots long.
 
-    `signal` defaults to the first bucket's.  A fault names the bucket's
-    index in `buckets` and its start.
+    A fault names the bucket's index in `buckets` and its start.
     """
     if not buckets:
         raise ContractError("need at least one bucket")
-    signal = buckets[0].bucket.signal if signal is None else signal
+    signal = buckets[0].bucket.signal
     for i, b in enumerate(buckets):
         other = b.bucket.signal
         if other is not signal:
@@ -244,7 +246,7 @@ def _check_buckets(buckets, length: int, signal=None):
     return signal
 
 
-def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample=None):
+def train(train_set, config: TrainConfig, model_config: ModelConfig):
     """Fit a model on labeled buckets; returns (checkpoint, loss history).
 
     The parameters start from ModelParams.initialize(model_config,
@@ -265,11 +267,12 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     returned.  The min and max of the training windows themselves
     normalize the features and are stored in the checkpoint so later
     scoring normalizes identically; the signal's snapshots are normalized
-    once per call, a window's candidate once per epoch.
-    `resample`, when given, is called with the epoch index before each
-    epoch and must return the bucket list to use for that epoch (fresh
-    corruption draws, typically).  All buckets are windows of one signal.
-    The loss history holds one mean per epoch, over every window.
+    once per call, a window's candidate once per epoch.  With
+    `config.redraw_probability` set, epoch e trains on the set's clean
+    windows corrupted afresh (`inject_noise` within the signal's node
+    bounds, seeded from (config.seed, 4, e)); the bounds stay the given
+    set's.  All buckets are windows of one signal.  The loss history holds
+    one mean per epoch, over every window.
     """
     train_set = list(train_set)
     signal = _check_buckets(train_set, config.bucket_length)
@@ -283,12 +286,16 @@ def train(train_set, config: TrainConfig, model_config: ModelConfig, *, resample
     params = ModelParams.initialize(model_config, config.seed)
     optimizer = Adam(params.values, params.grads, config.learning_rate)
 
+    if config.redraw_probability is not None:
+        clean, signal_bounds = [b.bucket for b in train_set], node_bounds(signal)
+
     history = []
     for epoch in range(config.epochs):
         epoch_set = train_set
-        if resample is not None:
-            epoch_set = list(resample(epoch))
-            _check_buckets(epoch_set, config.bucket_length, signal)
+        if config.redraw_probability is not None:
+            draw = int(np.random.SeedSequence([config.seed, 4, epoch]).generate_state(1)[0])
+            epoch_set = inject_noise(clean, signal_bounds,
+                                     NoiseSpec(config.redraw_probability, draw))
         order = np.random.default_rng([config.seed, 1, epoch]).permutation(len(epoch_set))
         candidates = normalize_features(np.stack([b.candidate for b in epoch_set]), bounds)
         epoch_losses = []
@@ -357,31 +364,27 @@ def fold_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence([seed, 2, index]).generate_state(1)[0])
 
 
-def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
-              resample_for=None, score: bool = True) -> list:
-    """Train, and with `score` evaluate, every fold of kfold_split `pairs`.
+def run_folds(labeled, config: TrainConfig, model_config: ModelConfig, *,
+              score: bool = True) -> list:
+    """Train, and with `score` evaluate, every fold of `labeled` under `config`'s split.
 
-    Returns one (checkpoint, loss history, FoldResult or None) per fold.
-    Fold i trains from fold_seed(config.seed, i), and its checkpoint's
-    provenance records `config`, i and its test windows' starts, the
-    record CLI `eval` scores the fold from; `resample_for(i,
-    train_buckets)`, when given, returns that fold's per-epoch `resample`
-    for train.  The folds are independent jobs of the fork pool
-    (`_pool.run_jobs`), and a forked fold starts from the parent's state,
-    not from the state an earlier fold left: `resample_for` must derive
-    everything a fold draws from the fold index, as the CLI's resampler
-    seeds from (seed, fold, epoch).  Then the results are bitwise those of
-    a serial loop run under one BLAS thread.
+    The folds are `kfold_split(labeled, config.folds, config.seed,
+    shuffle=config.shuffle_folds)`.  Returns one (checkpoint, loss history,
+    FoldResult or None) per fold.  Fold i trains from fold_seed(config.seed,
+    i), which seeds everything it draws, and its checkpoint's provenance
+    records `config` and i, from which CLI `eval` re-derives its test
+    windows.  The folds are independent jobs of the fork pool
+    (`_pool.run_jobs`); the results are bitwise those of a serial loop run
+    under one BLAS thread.
     """
+    pairs = kfold_split(labeled, config.folds, config.seed, shuffle=config.shuffle_folds)
+
     def fold(index):
         train_buckets, test_buckets = pairs[index]
-        resample = None if resample_for is None else resample_for(index, train_buckets)
         fold_config = replace(config, seed=fold_seed(config.seed, index))
-        checkpoint, history = train(train_buckets, fold_config, model_config,
-                                    resample=resample)
+        checkpoint, history = train(train_buckets, fold_config, model_config)
         checkpoint = replace(checkpoint, provenance=replace(
-            checkpoint.provenance, recipe=config, fold=index,
-            test_starts=[b.bucket.start for b in test_buckets]))
+            checkpoint.provenance, recipe=config, fold=index))
         result = evaluate(checkpoint, test_buckets).folds[0] if score else None
         return checkpoint, history, result
 
@@ -391,17 +394,15 @@ def run_folds(pairs, config: TrainConfig, model_config: ModelConfig, *,
 
 
 def cross_validate(labeled, config: TrainConfig, model_config: ModelConfig):
-    """K-fold protocol on a shuffled split: train on K-1 chunks, test on the held-out one.
+    """K-fold protocol: train on K-1 chunks, test on the held-out one (`run_folds`).
 
     Returns (report, checkpoints) with one checkpoint per fold.  Each fold
     trains from its own derived seed so fold models are independent draws;
-    the folds run through run_folds, so in parallel where the fork pool can.
+    the folds run in parallel where the fork pool can.
     """
-    labeled = list(labeled)
-    pairs = kfold_split(labeled, config.folds, config.seed)
-    runs = run_folds(pairs, config, model_config)
+    runs = run_folds(labeled, config, model_config)
     report = MetricsReport(
-        dataset=labeled[0].bucket.signal.name, model=model_config.cell_kind,
+        dataset=runs[0][0].provenance.dataset, model=model_config.cell_kind,
         folds=tuple(result for _, _, result in runs), config=config_echo(config, model_config),
     )
     return report, [checkpoint for checkpoint, _, _ in runs]

@@ -20,7 +20,8 @@ from mutate import mutate_tree
 from tgsim import cli
 from tgsim.data import TemporalGraphSignal, load_canonical, write_canonical
 from tgsim.model import ModelConfig, load_checkpoint
-from tgsim.training import TrainConfig, config_echo, load_report
+from tgsim.noise import load_labeled_buckets
+from tgsim.training import TrainConfig, config_echo, kfold_split, load_report
 
 
 def toy_signal(n=5, s=16, f=2, name="toy", seed=7):
@@ -194,7 +195,10 @@ class TestTrain:
         assert {p.recipe for p in provenances} == {
             TrainConfig(epochs=3, bucket_length=4, folds=3, seed=1)}
         assert {p.buckets_sha256 for p in provenances} == {digest(ws.buckets)}
-        starts = [s for p in provenances for s in p.test_starts]
+        labeled, _ = load_labeled_buckets(ws.buckets, load_canonical(ws.dataset))
+        recipe = provenances[0].recipe
+        starts = [b.bucket.start for _, test in kfold_split(
+            labeled, recipe.folds, recipe.seed, shuffle=recipe.shuffle_folds) for b in test]
         assert sorted(starts) == list(range(13))
         # shuffled: not the contiguous blocks of --no-shuffle-folds
         assert starts != sorted(starts)
@@ -369,6 +373,7 @@ class TestEval:
         assert config == expected
         assert set(config) == {
             "epochs", "learning_rate", "bucket_length", "folds", "seed",
+            "shuffle_folds", "redraw_probability",
             "cell_kind", "input_channels", "embed_dim", "attention_dim",
             "noise_probability", "noise_seed",
         }
@@ -394,18 +399,13 @@ class TestEval:
         assert "expected a train run" in stderr_line(capsys)["message"]
 
     @pytest.mark.parametrize("damage, message", [
-        ("dropped start", "do not partition"), ("repeated start", "do not partition"),
         ("swapped files", "out of order"), ("lone train", "out of order"),
     ])
     def test_tampered_fold_record_is_detected(self, ws, tmp_path, capsys, damage, message):
         clone = clone_run(ws.train_dir, tmp_path / "clone")
         paths = [clone / f"checkpoint_fold_{i}.json" for i in range(2)]
         docs = [json.loads(path.read_text()) for path in paths]
-        if damage == "dropped start":
-            docs[0]["provenance"]["test_starts"].pop()
-        elif damage == "repeated start":
-            docs[0]["provenance"]["test_starts"][0] = docs[1]["provenance"]["test_starts"][0]
-        elif damage == "swapped files":
+        if damage == "swapped files":
             docs.reverse()
         else:
             docs[0]["provenance"]["fold"] = None
@@ -696,14 +696,36 @@ class TestUnshuffledFolds:
             "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
             *TRAIN_FLAGS, "--epochs", "1", "--no-shuffle-folds", "--out-dir", str(run),
         ]) == 0
-        starts = [load_checkpoint(run / f"checkpoint_fold_{i}.json").provenance.test_starts
-                  for i in range(3)]
+        assert cli.main(["eval", "--run-dir", str(run)]) == 0
+        starts = [fold.starts for fold in load_report(run / "eval" / "metrics.json").folds]
         # 13 buckets in 3 folds: contiguous blocks that concatenate to bucket order
         assert [len(fold) for fold in starts] == [5, 4, 4]
         assert [s for fold in starts for s in fold] == list(range(13))
-        assert cli.main(["eval", "--run-dir", str(run)]) == 0
         assert cli.main(["eval", "--run-dir", str(run), "--out-dir", str(tmp_path / "again")]) == 0
         assert digest(tmp_path / "again" / "metrics.json") == digest(run / "eval" / "metrics.json")
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("flag, key, shuffled, redrawn", [
+        ("--no-shuffle-folds", "no_shuffle_folds", False, False),
+        ("--redraw-noise", "redraw_noise", True, True),
+    ])
+    def test_eval_echoes_the_split_and_redraw_from_the_checkpoints(
+            self, ws, tmp_path, capsys, flag, key, shuffled, redrawn):
+        run = tmp_path / "run"
+        assert cli.main([
+            "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+            *TRAIN_FLAGS, "--epochs", "1", flag, "--out-dir", str(run),
+        ]) == 0
+        # the flag is gone from run_config.json; the checkpoints' recipe still says it
+        config = json.loads((run / "run_config.json").read_text())
+        assert config["arguments"].pop(key) is True
+        (run / "run_config.json").write_text(json.dumps(config))
+        assert cli.main(["eval", "--run-dir", str(run)]) == 0
+        echo = load_report(run / "eval" / "metrics.json").config
+        assert echo["shuffle_folds"] is shuffled
+        # a redraw runs at the bucket file's probability, echoed as noise_probability
+        assert echo["redraw_probability"] == (echo["noise_probability"] if redrawn else None)
+        assert echo["noise_probability"] == 0.5
         capsys.readouterr()
 
 
@@ -723,6 +745,17 @@ class TestBaseline:
             name = f"baseline_{method}.json"
             assert digest(tmp_path / "b2" / name) == digest(base_dir / name)
 
+
+    def test_a_refused_method_leaves_no_report(self, ws, tmp_path, capsys):
+        # random scores windows of 2; trend regression refuses them after it
+        assert cli.main(["prepare", "--dataset", str(ws.dataset), "-L", "2",
+                         "--out-dir", str(tmp_path / "prep")]) == 0
+        out = tmp_path / "out"
+        assert cli.main(["baseline", "--dataset", str(ws.dataset),
+                         "--buckets", str(tmp_path / "prep" / "buckets.json"),
+                         "--out-dir", str(out)]) == 2
+        assert "length >= 3" in stderr_line(capsys)["message"]
+        assert sorted(p.name for p in out.iterdir()) == []
 
     def test_negative_seed_is_a_data_error(self, ws, tmp_path, capsys):
         assert cli.main(["baseline", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),

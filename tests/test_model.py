@@ -915,8 +915,8 @@ class TestCheckpoint:
         config = small_config(kind)
         params = ModelParams.initialize(config, 31)
         bounds = NodeBounds(mins=np.zeros((3, 2)), maxs=np.ones((3, 2)))
-        provenance = Provenance(dataset="demo", recipe=TrainConfig(epochs=5, seed=31), fold=1,
-                                test_starts=(4, 0, 7), buckets_sha256="ab" * 32,
+        recipe = TrainConfig(epochs=5, seed=31, shuffle_folds=False, redraw_probability=0.25)
+        provenance = Provenance(dataset="demo", recipe=recipe, fold=1, buckets_sha256="ab" * 32,
                                 final_loss=0.0125)
         return Checkpoint(params, bounds, provenance)
 
@@ -1055,10 +1055,10 @@ class TestCheckpoint:
     @pytest.mark.parametrize("field, damage", [
         (f"provenance{field}", damage)
         for field in ("", ".dataset", ".recipe", ".recipe.epochs", ".recipe.learning_rate",
-                      ".recipe.bucket_length", ".recipe.folds", ".recipe.seed", ".fold",
-                      ".test_starts", ".test_starts.1", ".buckets_sha256", ".final_loss")
+                      ".recipe.bucket_length", ".recipe.folds", ".recipe.seed",
+                      ".recipe.shuffle_folds", ".recipe.redraw_probability", ".fold",
+                      ".buckets_sha256", ".final_loss")
         for damage in ("missing", "wrong type", "nan", "past float range")
-        if (field, damage) != (".test_starts.1", "missing")  # a shorter list is no damage
     ])
     def test_provenance_field_refused(self, tmp_path, field, damage):
         import json
@@ -1081,6 +1081,23 @@ class TestCheckpoint:
                            "past float range": 10 ** 400}[damage]
         path.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(ParseError, match="malformed checkpoint"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name, value", [
+        ("shuffle_folds", 0), ("shuffle_folds", None), ("redraw_probability", True),
+        ("redraw_probability", 1.5), ("redraw_probability", -0.25),
+    ])
+    def test_bad_split_or_redraw_in_the_recipe_refused(self, tmp_path, name, value):
+        import json
+
+        message = {"shuffle_folds": "shuffle_folds must be a bool",
+                   "redraw_probability": r"redraw probability must be None or in \[0, 1\]"}
+        path = tmp_path / "model.json"
+        save_checkpoint(self.make_checkpoint(), path)
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["provenance"]["recipe"][name] = value
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(ParseError, match=f"malformed checkpoint: {message[name]}"):
             load_checkpoint(path)
 
     def test_forward_on_buckets(self):

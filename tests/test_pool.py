@@ -308,16 +308,18 @@ class TestTrainBatches:
     def test_a_non_finite_loss_in_a_worker_names_its_bucket(self, monkeypatch):
         monkeypatch.setattr(training, "_BATCH_POOL_FLOOR", 0)
         labeled = labeled_corpus(207, 20)
-        config = TrainConfig(epochs=1, bucket_length=10, seed=2)
+        config = TrainConfig(epochs=1, bucket_length=10, seed=2, redraw_probability=0.5)
         order = np.random.default_rng([config.seed, 1, 0]).permutation(len(labeled))
         assert order[5] != 5
         bad = labeled[order[5]]
         poisoned = [LabeledBucket(b.bucket, np.full(b.candidate.shape, np.inf), b.perturbed)
                     if b is bad else b for b in labeled]
+        # the epoch's redraw hands train the poisoned set; forked workers inherit the patch
+        monkeypatch.setattr(training, "inject_noise", lambda *args: poisoned)
 
         def run():
             with pytest.raises(TrainingError) as caught:
-                train(labeled, config, ModelConfig("tgcn", 1), resample=lambda epoch: poisoned)
+                train(labeled, config, ModelConfig("tgcn", 1))
             return str(caught.value)
 
         counts = job_counts(monkeypatch)

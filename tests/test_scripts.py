@@ -8,6 +8,7 @@ fails here instead of at the script's next use.
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -38,15 +39,19 @@ def test_seed_sweep_runs_the_metrala_shape():
 
 
 def test_seed_sweep_redraws_noise():
-    # one seed, one epoch, one cell, each fold's corruption redrawn every epoch
+    # one seed, one epoch, one cell, each fold's corruption redrawn every epoch, and not
     script = SCRIPTS[0].parent / "seed_sweep.py"
-    run = subprocess.run([sys.executable, str(script), "--cells", "tgcn", "--seeds", "1",
-                          "--epochs", "1", "--redraw-noise"], timeout=300,
-                         capture_output=True, text=True)
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.startswith("tgcn seed 1: mean MSE ")
-    assert "\nchickenpox, lr 0.003, batch 8, 1 epochs, --redraw-noise, seeds 1\n" in run.stdout
-    assert "\n| tgcn | " in run.stdout
+    runs = [subprocess.run([sys.executable, str(script), "--cells", "tgcn", "--seeds", "1",
+                            "--epochs", "1", *extra], timeout=300, capture_output=True, text=True)
+            for extra in (["--redraw-noise"], [])]
+    for run in runs:
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.startswith("tgcn seed 1: mean MSE ")
+        assert "\n| tgcn | " in run.stdout
+    assert "\nchickenpox, lr 0.003, batch 8, 1 epochs, --redraw-noise, seeds 1\n" in runs[0].stdout
+    # the seed's line without its timing: the redraw must reach the training
+    redrawn, fixed = (run.stdout.splitlines()[0].rsplit(" [", 1)[0] for run in runs)
+    assert redrawn != fixed
 
 
 def test_window_memory_measures_every_shape():
@@ -121,3 +126,16 @@ def test_bench_pairs_counts_net_src_lines(tmp_path):
     (package / "__pycache__" / "a.cpython-311.pyc").write_bytes(b"\n\n\n")
     (tmp_path / "setup.py").write_text("outside src\n")
     assert bench_pairs.src_lines(tmp_path) == 5  # a.py and b.py, as wc -l counts them
+
+
+def test_pool_breakeven_alternates_which_side_runs_first():
+    pool_breakeven = load_script("pool_breakeven")
+    owner = SimpleNamespace(floor=7)
+    seen = []
+    serial, pooled = pool_breakeven.timed(lambda: seen.append(owner.floor), owner, "floor", 4)
+    assert owner.floor == 7  # restored
+    assert seen == [pool_breakeven.NEVER, 0, 0, pool_breakeven.NEVER,
+                    pool_breakeven.NEVER, 0, 0, pool_breakeven.NEVER]
+    firsts = seen[::2]
+    assert firsts.count(pool_breakeven.NEVER) == firsts.count(0) == 2
+    assert serial >= 0 and pooled >= 0

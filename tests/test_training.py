@@ -2,10 +2,12 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from tgsim import training
 from tgsim.autodiff import Tensor
 from tgsim.data import TemporalGraphSignal, adjacency_operator, node_bounds, normalize_features
 from tgsim.errors import ConfigError, ContractError, ParseError, TrainingError
@@ -99,6 +101,25 @@ class TestTrainConfig:
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"shuffle_folds": 1}, "shuffle_folds must be a bool"),
+        ({"shuffle_folds": None}, "shuffle_folds must be a bool"),
+        ({"shuffle_folds": "no"}, "shuffle_folds must be a bool"),
+        ({"redraw_probability": True}, "redraw probability"),
+        ({"redraw_probability": -0.1}, "redraw probability"),
+        ({"redraw_probability": 1.5}, "redraw probability"),
+        ({"redraw_probability": math.nan}, "redraw probability"),
+        ({"redraw_probability": "0.5"}, "redraw probability"),
+    ])
+    def test_rejects_a_bad_split_or_redraw(self, kwargs, message):
+        with pytest.raises(ConfigError, match=message):
+            TrainConfig(**kwargs)
+
+    def test_split_and_redraw_defaults(self):
+        config = TrainConfig(redraw_probability=0)
+        assert (config.shuffle_folds, config.redraw_probability) == (True, 0)
+        assert TrainConfig().redraw_probability is None
 
 
 class TestComputeMetrics:
@@ -348,10 +369,10 @@ class TestTrain:
             train(labeled, config, model_config)
 
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-    def test_divergence_names_the_window_inside_its_batch(self):
+    def test_divergence_names_the_window_inside_its_batch(self, monkeypatch):
         # an infinite candidate spoils its own window's score, not its batch neighbours'
         labeled = make_labeled(s=14, length=5)
-        config = TrainConfig(epochs=1, bucket_length=5, seed=2)
+        config = TrainConfig(epochs=1, bucket_length=5, seed=2, redraw_probability=0.5)
         order = np.random.default_rng([config.seed, 1, 0]).permutation(len(labeled))
         bad = labeled[order[5]]
         poisoned = [LabeledBucket(b.bucket, np.full(b.candidate.shape, np.inf), b.perturbed)
@@ -359,39 +380,57 @@ class TestTrain:
         # the error names the bucket's index in the list, not its place in the shuffle
         assert order[5] != 5
         message = rf"epoch 0, bucket {order[5]} \(window start {bad.bucket.start}\)"
+        # the epoch's redraw hands train the poisoned set
+        monkeypatch.setattr(training, "inject_noise", lambda *args: poisoned)
         with pytest.raises(TrainingError, match=message):
-            train(labeled, config, tiny_model(), resample=lambda epoch: poisoned)
+            train(labeled, config, tiny_model())
 
-    def test_resample_supplies_each_epoch(self, monkeypatch):
+    def test_redraw_supplies_each_epoch(self, monkeypatch):
         signal = make_signal(n=2, s=12, f=2, seed=11)
         half = [hand_bucket(signal, 0, 5, perturbed=[0])]
-        clean = [hand_bucket(signal, 0, 5, perturbed=[])]
-        assert clean[0].label == 1.0
         model_config = tiny_model()
-        config = TrainConfig(epochs=1, bucket_length=5)
-        seen = []
-
-        def resample(epoch):
-            seen.append(epoch)
-            return clean
-
+        config = TrainConfig(epochs=1, bucket_length=5, redraw_probability=0.0)
         start_from(monkeypatch, zero_params(model_config))
-        _, history = train(half, config, model_config, resample=resample)
-        assert seen == [0]
-        # the clean bucket's label is 1.0, so the zero model starts at (0.5-1)^2
+        _, history = train(half, config, model_config)
+        # redrawn at p = 0 the bucket is clean, label 1.0: the zero model starts at (0.5-1)^2
         assert history == [0.25]
 
-    def test_resample_called_once_per_epoch(self):
+    def test_redraw_draws_once_per_epoch_from_the_seed(self, monkeypatch):
         labeled = make_labeled(s=14, length=5)
         calls = []
 
-        def resample(epoch):
-            calls.append(epoch)
-            return labeled
+        def recorded(buckets, bounds, spec):
+            calls.append((spec.corrupt_probability, spec.seed))
+            # the given set's clean windows, within the signal's node bounds
+            assert list(map(id, buckets)) == [id(b.bucket) for b in labeled]
+            signal_bounds = node_bounds(labeled[0].bucket.signal)
+            assert np.array_equal(bounds.mins, signal_bounds.mins)
+            assert np.array_equal(bounds.maxs, signal_bounds.maxs)
+            return inject_noise(buckets, bounds, spec)
 
-        train(labeled, TrainConfig(epochs=3, bucket_length=5), tiny_model(),
-              resample=resample)
-        assert calls == [0, 1, 2]
+        monkeypatch.setattr(training, "inject_noise", recorded)
+        config = TrainConfig(epochs=3, bucket_length=5, seed=6, redraw_probability=0.3)
+        train(labeled, config, tiny_model())
+        assert calls == [(0.3, int(np.random.SeedSequence([6, 4, epoch]).generate_state(1)[0]))
+                         for epoch in range(3)]
+
+    def test_redraw_at_zero_trains_on_the_clean_windows(self):
+        features = np.random.default_rng(12).random((20, 4, 2))
+        features[-1] = 0.5  # an interior last snapshot: corrupted and clean windows share bounds
+        signal = TemporalGraphSignal("toy", 4, ((0, 1), (1, 2), (2, 3)), None, features)
+        buckets, bounds = bucketize(signal, 5), node_bounds(signal)
+        corrupted = inject_noise(buckets, bounds, NoiseSpec(0.9, 4))
+        clean = inject_noise(buckets, bounds, NoiseSpec(0.0, 4))
+        assert any(b.label < 1.0 for b in corrupted) and all(b.label == 1.0 for b in clean)
+        ours, theirs = bounds_from_buckets(corrupted), bounds_from_buckets(clean)
+        assert ours.mins.tobytes() == theirs.mins.tobytes()
+        assert ours.maxs.tobytes() == theirs.maxs.tobytes()
+        config = TrainConfig(epochs=3, bucket_length=5, seed=2)
+        _, redrawn = train(corrupted, replace(config, redraw_probability=0.0), tiny_model())
+        _, fixed = train(corrupted, config, tiny_model())
+        _, on_clean = train(clean, config, tiny_model())
+        assert redrawn == on_clean
+        assert redrawn != fixed
 
     def test_stores_training_bounds_and_provenance(self):
         labeled = make_labeled(s=14, length=5, seed=6)
@@ -434,8 +473,6 @@ class TestTrain:
         config = TrainConfig(epochs=1, bucket_length=5)
         with pytest.raises(ContractError, match="another signal"):
             train(a + b, config, tiny_model())
-        with pytest.raises(ContractError, match="another signal"):
-            train(a, config, tiny_model(), resample=lambda epoch: b)
 
     def test_channel_mismatch(self):
         labeled = make_labeled(f=2, s=14, length=5)
@@ -565,8 +602,19 @@ class TestCrossValidate:
         for index, (fold, checkpoint) in enumerate(zip(report.folds, checkpoints)):
             assert checkpoint.provenance.recipe == self.config
             assert checkpoint.provenance.fold == index
-            assert checkpoint.provenance.test_starts == fold.starts
+            test = kfold_split(self.labeled, self.config.folds, self.config.seed)[index][1]
+            assert fold.starts == tuple(b.bucket.start for b in test)
             assert checkpoint.provenance.buckets_sha256 == ""
+
+    def test_unshuffled_split_tests_contiguous_blocks(self):
+        # 12 windows in 3 folds: blocks in bucket order, as kfold_split(shuffle=False) cuts
+        config = replace(self.config, shuffle_folds=False)
+        report, checkpoints = cross_validate(self.labeled, config, self.model_config)
+        starts = [b.bucket.start for b in self.labeled]
+        assert [fold.starts for fold in report.folds] == [
+            tuple(starts[0:4]), tuple(starts[4:8]), tuple(starts[8:12])]
+        assert report.config["shuffle_folds"] is False
+        assert {c.provenance.recipe for c in checkpoints} == {config}
 
     def test_fold_models_differ(self):
         _, checkpoints = cross_validate(self.labeled, self.config, self.model_config)
