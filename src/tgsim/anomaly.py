@@ -70,6 +70,10 @@ class AlarmPolicy:
 
     def __post_init__(self):
         object.__setattr__(self, "mode", _canonical_mode(self.mode))
+        for name in ("threshold", "multiplier"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"{name} must be a number, got {value!r}")
         if not (0.0 < self.threshold < 1.0):
             raise ConfigError(f"threshold must lie strictly inside (0, 1), got {self.threshold!r}")
         if not isinstance(self.window, int) or isinstance(self.window, bool) or self.window < 3:

@@ -17,25 +17,32 @@ reciprocal, and step 0 skips the zero start state's products. A3T-GCN's
 blend over the steps is `_attention`.
 
 `forward_pass` scores a batch of B windows and is the one training uses.
-It runs the batch as one window over B disjoint copies of the graph: every
-per-node array holds B·N rows, A_hat multiplies each window's own N rows
-(never a block-diagonal matrix), and the head pools each window's N rows
-into its own score. Its steps run in blocks that fit their B·N x 2d arrays
-in `_BLOCK_FLOATS`, and a training batch in chunks of as many windows as
-fit all their steps there (`window_chunks`): at N = 20 a batch of 8 is one
-chunk of one block; from N = 207 a chunk is one window, and at N = 1068 a
-block is one step. It records one `autodiff` entry whose rule pulls the
-scores' gradients back to the first snapshot (backpropagation through
-time), a step at a time through the recurrence and a block at a time for
-every parameter-gradient product (`_add_products`, `_add_sums`), which
-adds the windows' and steps' terms in the order BLAS chooses, within
-round-off of a composition of the elementary autodiff operations. The op
-keeps, per step, only what the pullbacks read: the gates, the candidate,
-the state and each cell's graph products that a weight gradient
-multiplies; the embedding keeps its relu mask, not its output
-(`scripts/window_memory.py` measures it). A training step records four
-entries per chunk: the windows, the labels' subtraction, the square and the
-weighted sum.
+It runs the batch as one window over B disjoint copies of the graph:
+every per-node array holds B·N rows, A_hat multiplies each window's own
+N rows (never a block-diagonal matrix), and the head pools each window's
+N rows into its own score. Its steps run in blocks that fit their B·N x
+2d arrays in `_BLOCK_FLOATS`, and a training batch in chunks of as many
+windows as fit all their steps there (`window_chunks`): at N = 20 a
+batch of 8 is one chunk of one block; from N = 207 a chunk is one
+window, and at N = 1068 a block is one step. It records one `autodiff`
+entry whose rule pulls the scores' gradients back to the first snapshot
+(backpropagation through time), through one cell backward for every kind
+(`_Cell.back`). A step at a time it pulls the gradient through the
+recurrence and the state side alone: the candidate's state-side product
+every step, the gates' from step 1 on, each through A_hat^T for
+GConvGRU. A block at a time it pulls the graph input's gradient back in
+one product per pre-activation, then through T-GCN's relu and W_g, then
+A_hat^T, and takes every parameter-gradient product once
+(`_add_products`, `_add_sums`, and a cell weight's over the 2d-column
+rows [graph input, state side], half of it to each side's weight). A
+block's products add the windows' and steps' terms in the order BLAS
+chooses, within round-off of a composition of the elementary autodiff
+operations. The op keeps, per step, only what the pullbacks read: the
+gates, the candidate, the state and GConvGRU's A_hat products that a
+weight gradient multiplies; the embedding keeps its relu mask, not its
+output (`scripts/window_memory.py` measures it). A training step records
+four entries per chunk: the windows, the labels' subtraction, the square
+and the weighted sum.
 
 Every row of a batch sees the same arithmetic as in a pass of its window
 alone, so a batch's scores are byte-identical to its windows' one at a
@@ -247,6 +254,11 @@ def _whole(value, least: int) -> bool:
             and least <= value <= sys.float_info.max)
 
 
+def _real(value) -> bool:
+    """Whether `value` is an int or a float, not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     """The recipe of one training run, kept in each checkpoint's provenance.
@@ -273,13 +285,12 @@ class TrainConfig:
             if not _whole(value, least):
                 raise ConfigError(f"{name} must be an integer >= {least}, got {value!r}")
         rate = self.learning_rate
-        if isinstance(rate, bool) or not 0 < rate <= sys.float_info.max:
+        if not (_real(rate) and 0 < rate <= sys.float_info.max):
             raise ConfigError(f"learning rate must be positive and finite, got {rate!r}")
         if not isinstance(self.shuffle_folds, bool):
             raise ConfigError(f"shuffle_folds must be a bool, got {self.shuffle_folds!r}")
         p = self.redraw_probability
-        if p is not None and (isinstance(p, bool) or not isinstance(p, (int, float))
-                              or not 0 <= p <= 1):
+        if p is not None and not (_real(p) and 0 <= p <= 1):
             raise ConfigError(f"redraw probability must be None or in [0, 1], got {p!r}")
 
 
@@ -309,8 +320,7 @@ class Provenance:
             ("recipe", isinstance(self.recipe, TrainConfig)),
             ("fold", self.fold is None or _whole(self.fold, 0)),
             ("buckets_sha256", isinstance(self.buckets_sha256, str)),
-            ("final_loss", isinstance(loss, (int, float)) and not isinstance(loss, bool)
-             and abs(loss) <= sys.float_info.max),
+            ("final_loss", _real(loss) and abs(loss) <= sys.float_info.max),
         ) if not ok]
         if wrong:
             raise ContractError(f"provenance {', '.join(wrong)}: wrong type or out of range")
@@ -471,29 +481,42 @@ def gcn_embed(x, a_hat, params: ModelParams):
 
 
 class _Cell:
-    """The recurrent cell: its weights as the forward reads them, per-step arrays, the backward.
+    """The one recurrent cell: its weights as the forward reads them, per-step arrays, the backward.
 
-    The weights come split by what they multiply: the snapshot side of the
-    three pre-activations (update gate, reset gate, candidate: [u, r, c]
-    for tgcn and a3tgcn, [z, r, h] for gconv_gru), `w_snap`, 3 x d x d, and
-    their biases, and the state side, `w_gates`, 2 x d x d, and `w_cand`.
-    The gates' weights and biases come negated, so their pre-activations
-    come out as -x and 1 / (1 + exp(-x)) needs no negation pass; rounding is
-    symmetric in sign, so this is exact. `start` sizes each step's gates,
-    candidate and state, which `cell_step` writes and the backward reads; a
-    subclass adds the graph products its weight gradients multiply. `back`
-    pulls a gradient back through a block: the recurrence a step at a time
-    from the last, then every parameter-gradient product once (`_tail`).
+    Each of the three pre-activations (update gate, reset gate, candidate:
+    [u, r, c] for tgcn and a3tgcn, [z, r, h] for gconv_gru) adds a
+    snapshot side, the step's graph input times a d x d weight, a state
+    side, H_{t-1} (the candidate's R_t * H_{t-1}) times another, and a
+    bias. The two sides differ by kind, and only in what `__init__` sets:
+    T-GCN's graph input is relu(A_hat E_t W_g) (`w_g`) and its state side
+    is H_{t-1} itself; GConvGRU's graph input is A_hat E_t, and A_hat mixes
+    its state side too (`graph_state`). `weights` stacks each
+    pre-activation's 2d x d weight over [snapshot side, state side]: T-GCN's
+    W_u, W_r, W_c as they are, GConvGRU's W over U (`terms` names them).
+    The forward reads the snapshot side, `w_snap`, 3 x d x d, and the
+    biases, the state side, `w_gates`, 2 x d x d, and `w_cand`, with the
+    gates' weights and biases negated, so their pre-activations come out as
+    -x and 1 / (1 + exp(-x)) needs no negation pass; rounding is symmetric
+    in sign, so this is exact. `start` sizes each step's gates, candidate
+    and state, which `cell_step` writes and `back` reads, and with
+    `graph_state` its A_hat H_{t-1} and A_hat (R_t * H_{t-1}), which the
+    weight gradients multiply.
     """
-
-    names: tuple = ()  # the cell's parameters
-    graph_state = False  # whether the state-side weights multiply A_hat H, not H
 
     def __init__(self, params: ModelParams, a_hat):
         self.params, self.a_hat, self.a_hat_t = params, a_hat, a_hat.T
-        self.d = params.config.embed_dim
-        self.w = {name: params[name].value for name in self.names}
-        self.w_snap, w_state, self.bias = (np.stack(side) for side in zip(*self._parts()))
+        d = self.d = params.config.embed_dim
+        self.graph_state = params.config.cell_kind == "gconv_gru"
+        # per pre-activation: the parameters whose rows, stacked, are its weight, and its bias
+        if self.graph_state:
+            self.terms = [((f"w_{g}", f"u_{g}"), f"b_{g}") for g in "zrh"]
+        else:  # the attention variant runs the same per-step recurrence as tgcn
+            self.terms = [((f"w_{g}",), f"b_{g}") for g in "urc"]
+        self.w_g = None if self.graph_state else params["w_g"].value
+        self.weights = np.stack([np.concatenate([params[name].value for name in names])
+                                 for names, _ in self.terms])  # 3 x 2d x d
+        self.w_snap, w_state = self.weights[:, :d].copy(), self.weights[:, d:].copy()
+        self.bias = np.stack([params[bias].value for _, bias in self.terms])
         for stacked in (self.w_snap, w_state, self.bias):
             np.negative(stacked[:2], out=stacked[:2])
         self.w_gates, self.w_cand = w_state[:2], w_state[2]
@@ -523,8 +546,14 @@ class _Cell:
         the cell parameters' gradients; returns the gradient of the state
         before the block (None before the first step) and that of the
         block's embeddings.
+
+        The recurrence runs a step at a time from the last, through the
+        state side alone. Then, once for the block, the snapshot side's
+        gradient, and one product per pre-activation over the operand
+        [graph input, state side], 2d columns, for its weight's gradient.
         """
-        count, params = block.stop - block.start, self.params
+        count, params, d = block.stop - block.start, self.params, self.d
+        w_gate, w_reset, w_cand = (weight[d:].T for weight in self.weights)
         gates = self.gates[block]
         rests = np.subtract(1.0, gates, out=_scratch(params.scratch, "rests", gates.shape))
         c = self.candidates[block]
@@ -532,7 +561,6 @@ class _Cell:
         np.subtract(1.0, slopes, out=slopes)
         # the pre-activation gradients of the update gate, the reset gate and the candidate
         grads = _scratch(params.scratch, "grads", (3, count) + g.shape)
-        work = self._work(grads.shape[1:])
         for t in reversed(range(block.start, block.stop)):
             i = t - block.start
             (gate, reset), (gate_rest, reset_rest) = gates[i], rests[i]
@@ -544,108 +572,54 @@ class _Cell:
             g_gate *= gate_rest
             np.multiply(g, gate_rest, out=g_cand)
             g_cand *= slopes[i]
-            g_gated = self._gated_grad(work, i, g_cand)
+            # the state side's gradients, each through A_hat^T for GConvGRU: first
+            # R_t * H_{t-1}'s, then, once that is read, the gates' share of H_{t-1}'s
+            g_side = _scratch(params.scratch, "state_side", g.shape)
+            g_gated = np.matmul(g_cand, w_cand, out=g_side)
+            if self.graph_state:
+                g_gated = _mix(self.a_hat_t, g_gated)
             np.multiply(g_gated, h, out=g_reset)
             g_reset *= reset
             g_reset *= reset_rest
-            g_gates = self._gates_grad(work, i, g_gate, g_reset, t)
-            if t:
+            if t:  # the zero start state needs no gradient
                 g = g * gate
                 if carries is not None:
                     g += carries[t - 1]
                 g += g_gated * reset
-                g += g_gates
-        return (g if block.start else None), self._tail(block, grads, work, mixed, graph_in)
+                np.matmul(g_gate, w_gate, out=g_side)
+                g_side += g_reset @ w_reset
+                g += _mix(self.a_hat_t, g_side) if self.graph_state else g_side
 
-
-class _TgcnCell(_Cell):
-    """T-GCN: G_t = relu(A_hat E_t W_g), then a GRU over [G_t, H_{t-1}].
-
-    The backward reads A_hat E_t and G_t. `_tail` rebuilds the operands
-    [G_t, H_{t-1}] and [G_t, R_t * H_{t-1}] for a block, R_t * H_{t-1} by
-    the forward's own multiply, so the gradients are the bytes they would
-    be had every step kept both.
-    """
-
-    names = ("w_g", "w_u", "b_u", "w_r", "b_r", "w_c", "b_c")
-
-    def _parts(self):
-        d, w = self.d, self.w
-        return [(w[f"w_{g}"][:d], w[f"w_{g}"][d:], w[f"b_{g}"]) for g in "urc"]
-
-    def _work(self, shape):
-        # the gradients of [G_t, R_t * H_{t-1}] and of [G_t, H_{t-1}]
-        return _scratch(self.params.scratch, "work", (2,) + shape[:2] + (2 * self.d,))
-
-    def _gated_grad(self, work, i, g_cand):
-        np.matmul(g_cand, self.w["w_c"].T, out=work[0, i])
-        return work[0, i, :, self.d:]
-
-    def _gates_grad(self, work, i, g_gate, g_reset, t):
-        g_joint = work[1, i]
-        np.matmul(g_gate, self.w["w_u"].T, out=g_joint)
-        g_joint += g_reset @ self.w["w_r"].T
-        return g_joint[:, self.d:]
-
-    def _tail(self, block, grads, work, mixed, conv):
-        d, params = self.d, self.params
-        g_conv = (work[0, ..., :d] + work[1, ..., :d]) * (conv > 0)
-        _add_products(params, "w_g", mixed, g_conv)
-        # the block's [G_t, H_{t-1}] rows, then its [G_t, R_t * H_{t-1}] rows
-        side = _scratch(params.scratch, "side", conv.shape[:-1] + (2 * d,))
-        side[..., :d] = conv
-        side[0, :, d:] = self.previous(block.start)
-        side[1:, :, d:] = self.states[block.start:block.stop - 1]
-        for gate, grad in zip("urc", grads):
-            if gate == "c":
-                np.multiply(self.gates[block, 1], side[..., d:], out=side[..., d:])
-            _add_products(params, f"w_{gate}", side, grad)
-            _add_sums(params, f"b_{gate}", grad)
-        return _mix(self.a_hat_t, (_rows(g_conv) @ self.w["w_g"].T).reshape(g_conv.shape))
-
-
-class _GConvGruCell(_Cell):
-    """GConvGRU: GRU gates over A_hat E_t and A_hat H_{t-1}.
-
-    Its backward reads A_hat E_t, A_hat H_{t-1} and A_hat (R_t * H_{t-1})
-    for the weight gradients; `cell_step` writes the last two a step.
-    """
-
-    names = ("w_z", "u_z", "b_z", "w_r", "u_r", "b_r", "w_h", "u_h", "b_h")
-    graph_state = True
-
-    def _parts(self):
-        return [(self.w[f"w_{g}"], self.w[f"u_{g}"], self.w[f"b_{g}"]) for g in "zrh"]
-
-    def _work(self, shape):
-        return None
-
-    def _gated_grad(self, work, i, g_cand):
-        return _mix(self.a_hat_t, g_cand @ self.w["u_h"].T)
-
-    def _gates_grad(self, work, i, g_gate, g_reset, t):
-        if t:  # the zero start state needs no gradient
-            return _mix(self.a_hat_t, g_reset @ self.w["u_r"].T + g_gate @ self.w["u_z"].T)
-
-    def _tail(self, block, grads, work, mixed, graph_in):
-        params = self.params
-        for gate, grad, side in zip("zrh", grads, (self.mixed_prev, self.mixed_prev,
-                                                   self.gated_prev)):
-            _add_products(params, f"w_{gate}", mixed, grad)
-            _add_products(params, f"u_{gate}", side[block], grad)
-            _add_sums(params, f"b_{gate}", grad)
-        g_z, g_r, g_c = (_rows(grad) for grad in grads)
-        g_embedded = g_c @ self.w["w_h"].T
-        g_embedded += g_r @ self.w["w_r"].T
-        g_embedded += g_z @ self.w["w_z"].T
-        return _mix(self.a_hat_t, g_embedded.reshape(grads.shape[1:]))
-
-
-def _window_cell(params: ModelParams, a_hat) -> _Cell:
-    """The recurrent cell of `params`' kind, its arrays not yet sized (`_Cell.start`)."""
-    # the attention variant runs the same per-step recurrence as tgcn
-    cell = _GConvGruCell if params.config.cell_kind == "gconv_gru" else _TgcnCell
-    return cell(params, a_hat)
+        # the graph input's gradient, in the order (u + r) + c
+        g_u, g_r, g_c = (_rows(grad) for grad in grads)
+        v_gate, v_reset, v_cand = (weight[:d].T for weight in self.weights)
+        g_in = g_u @ v_gate
+        g_in += g_r @ v_reset
+        g_in += g_c @ v_cand
+        if self.w_g is not None:  # through relu(A_hat E W_g)
+            g_in *= _rows(graph_in) > 0
+            _add_products(params, "w_g", mixed, g_in)
+            g_in = g_in @ self.w_g.T
+        # each weight's gradient: the block's [graph input, H_{t-1}] rows (A_hat H_{t-1} with
+        # graph_state), then for the candidate [graph input, R_t * H_{t-1}] (A_hat (R_t * H_{t-1}))
+        operand = _scratch(params.scratch, "operand", graph_in.shape[:-1] + (2 * d,))
+        operand[..., :d] = graph_in
+        if self.graph_state:
+            operand[..., d:] = self.mixed_prev[block]
+        else:
+            operand[0, :, d:] = self.previous(block.start)
+            operand[1:, :, d:] = self.states[block.start:block.stop - 1]
+        for k, ((names, bias), grad) in enumerate(zip(self.terms, grads)):
+            if k == 2:  # the candidate's state side
+                if self.graph_state:
+                    operand[..., d:] = self.gated_prev[block]
+                else:  # R_t * H_{t-1}, by the forward's own multiply
+                    np.multiply(gates[:, 1], operand[..., d:], out=operand[..., d:])
+            product = _rows(operand).T @ _rows(grad)
+            for name, part in zip(names, np.split(product, len(names))):
+                params[name].grad += part
+            _add_sums(params, bias, grad)
+        return (g if block.start else None), _mix(self.a_hat_t, g_in.reshape(grads.shape[1:]))
 
 
 def _snapshot_stages(x, a_hat, cell: _Cell):
@@ -659,7 +633,7 @@ def _snapshot_stages(x, a_hat, cell: _Cell):
     """
     embedded, embed_pull = gcn_embed(x, a_hat, cell.params)
     mixed = _mix(a_hat, embedded)
-    graph_in = mixed if cell.graph_state else np.maximum(np.matmul(mixed, cell.w["w_g"]), 0.0)
+    graph_in = mixed if cell.w_g is None else np.maximum(np.matmul(mixed, cell.w_g), 0.0)
     stages = np.matmul(graph_in[:, None], cell.w_snap)
     stages += cell.bias
     return stages, (embed_pull, mixed, graph_in)
@@ -845,7 +819,7 @@ def forward_pass(snapshots, a_hat, params: ModelParams) -> Tensor:
 
     rows = windows * n
     x = snapshots.transpose(1, 0, 2, 3).reshape(steps, rows, -1)  # each step's B·N rows
-    cell = _window_cell(params, a_hat).start(steps, rows)
+    cell = _Cell(params, a_hat).start(steps, rows)
     blocks = []
     with np.errstate(over="ignore"):
         for block in _blocks(steps, rows, config.embed_dim):
@@ -958,7 +932,7 @@ def _score_sorted(signal, checkpoint: Checkpoint, bounds, starts, candidates) ->
         candidates = normalize_features(candidates, bounds)
     a_hat = adjacency_operator(signal)
     params = checkpoint.params
-    cell = _window_cell(params, a_hat)
+    cell = _Cell(params, a_hat)
 
     shared = length if candidates is None else length - 1
     block = max(1, _BLOCK_FLOATS // (n * d * length))

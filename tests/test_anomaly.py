@@ -64,6 +64,11 @@ class TestAlarmPolicy:
             {"multiplier": 0.0},
             {"multiplier": -1.0},
             {"multiplier": math.inf},
+            {"threshold": "0.5"},
+            {"threshold": None},
+            {"multiplier": None},
+            {"multiplier": "3"},
+            {"multiplier": True},
         ],
     )
     def test_rejects_bad_values(self, kwargs):

@@ -265,7 +265,7 @@ def one_step(h0, h_prev, a_hat, params):
     the cell, with the step's A_hat E and graph input as `cell.kept` for its
     backward, and H_1.
     """
-    cell = model_module._window_cell(params, a_hat).start(2, h0.shape[0])
+    cell = model_module._Cell(params, a_hat).start(2, h0.shape[0])
     cell.states[0] = h_prev
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model_module, "gcn_embed", lambda x, *_: (x, None))
@@ -333,10 +333,10 @@ class TestCellStep:
         # a cell takes its kind from its params' config, which refuses an unknown one
         with pytest.raises(ConfigError, match="wrong"):
             zero_params(small_config("wrong"))
-        for kind, cell in (("gconv_gru", model_module._GConvGruCell),
-                           ("tgcn", model_module._TgcnCell), ("a3tgcn", model_module._TgcnCell)):
+        # and A_hat mixes the state side of GConvGRU's cell alone
+        for kind, graph_state in (("gconv_gru", True), ("tgcn", False), ("a3tgcn", False)):
             params = zero_params(small_config(kind))
-            assert type(model_module._window_cell(params, path_a_hat(3))) is cell
+            assert model_module._Cell(params, path_a_hat(3)).graph_state is graph_state
 
 
 class TestTemporalAttention:
@@ -807,7 +807,7 @@ def test_csr_training_matches_dense(monkeypatch, kind, name):
 @pytest.mark.parametrize("kind", CELL_KINDS)
 def test_training_step_at_wikimath_shape_holds_only_what_its_backward_reads(kind):
     """A second training step on one 10-step window at N = 1068 peaks under 26 MiB of traced
-    memory beyond its scratch buffers: 18.7-24.2 MiB over the cells, against 28.6-33.8 MiB
+    memory beyond its scratch buffers: 18.3-23.6 MiB over the cells, against 28.6-33.8 MiB
     when the window op kept T-GCN's gate operands twice, GConvGRU's input-side products for
     every step and the embedding's output."""
     import tracemalloc

@@ -95,6 +95,8 @@ class TestTrainConfig:
             {"learning_rate": math.inf},
             {"learning_rate": True},
             {"learning_rate": 10 ** 400},
+            {"learning_rate": "0.1"},
+            {"learning_rate": None},
             {"epochs": 10 ** 400},
         ],
     )
