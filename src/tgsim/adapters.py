@@ -189,45 +189,44 @@ def adapt_dataset(raw, kind: str, out=None, check_counts: bool = True) -> Tempor
     (nodes, edges, snapshots) shape for that kind; disable it to convert
     trimmed fixtures through the same code path.
     """
-    key = kind.lower()
-    if key not in _ADAPTERS:
+    if kind not in DATASET_KINDS:
         raise ContractError(
             f"unknown dataset kind {kind!r}; expected one of {', '.join(DATASET_KINDS)}"
         )
 
     raw = Path(raw)
-    if key == "metrala" and raw.suffix.lower() in BINARY_SUFFIXES:
+    if kind == "metrala" and raw.suffix.lower() in BINARY_SUFFIXES:
         raise AdapterError(f"metrala: {METRALA_RECIPE}")
     if raw.suffix.lower() in BINARY_SUFFIXES:
-        raise AdapterError(f"{key}: expected a JSON file, got {raw.suffix!r}")
+        raise AdapterError(f"{kind}: expected a JSON file, got {raw.suffix!r}")
     try:
         # a flat layout's features are read a row at a time (read_json_rows)
-        doc = read_json_rows(raw, _FLAT_FIELDS[key][-1]) if key in _FLAT_FIELDS else read_json(raw)
+        doc = read_json_rows(raw, _FLAT_FIELDS[kind][-1]) if kind in _FLAT_FIELDS else read_json(raw)
     except ParseError as exc:
-        recipe = f"; {METRALA_RECIPE}" if key == "metrala" else ""
-        raise AdapterError(f"{key}: {exc}{recipe}") from exc
+        recipe = f"; {METRALA_RECIPE}" if kind == "metrala" else ""
+        raise AdapterError(f"{kind}: {exc}{recipe}") from exc
 
     try:
-        edges, weights, features = _ADAPTERS[key](doc)
+        edges, weights, features = _ADAPTERS[kind](doc)
     except AdapterError as exc:
         raise AdapterError(f"{raw}: {exc}") from None
     del doc  # as large as the signal itself; free it before the canonical write
     signal = TemporalGraphSignal(
-        name=key,
+        name=kind,
         num_nodes=features.shape[1],
         edges=edges,
         weights=weights,
         features=features,
-        frequency=DATASET_FREQUENCIES[key],
+        frequency=DATASET_FREQUENCIES[kind],
     )
     del features  # the signal holds its own copy
 
     if check_counts:
-        expected = DATASET_SHAPES[key]
+        expected = DATASET_SHAPES[kind]
         actual = (signal.num_nodes, signal.num_edges, signal.num_snapshots)
         if actual != expected:
             raise AdapterError(
-                f"{key}: converted shape (nodes, edges, snapshots) = {actual} "
+                f"{kind}: converted shape (nodes, edges, snapshots) = {actual} "
                 f"does not match the published {expected}"
             )
 

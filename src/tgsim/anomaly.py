@@ -37,15 +37,6 @@ ALARM_MODES = ("fixed", "zscore")
 MIN_STD = 1e-4
 
 
-def _canonical_mode(mode: str) -> str:
-    flat = mode.lower().replace("-", "").replace("_", "") if isinstance(mode, str) else mode
-    if flat == "zscore":
-        return "zscore"
-    if flat == "fixed":
-        return "fixed"
-    raise ConfigError(f"unknown alarm mode {mode!r}, expected one of {ALARM_MODES}")
-
-
 @dataclass(frozen=True)
 class AlarmPolicy:
     """When to fire: a flat threshold, or a dip below the trailing mean.
@@ -69,7 +60,8 @@ class AlarmPolicy:
     multiplier: float = 3.0
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", _canonical_mode(self.mode))
+        if self.mode not in ALARM_MODES:
+            raise ConfigError(f"unknown alarm mode {self.mode!r}, expected one of {ALARM_MODES}")
         for name in ("threshold", "multiplier"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, float)):

@@ -294,16 +294,6 @@ def softmax_rows(a: Tensor) -> Tensor:
     return record("softmax-over-rows", (a,), y, rule)
 
 
-def scalar_multiply(a: Tensor, scalar: float) -> Tensor:
-    s = float(scalar)
-
-    def rule(g):
-        if a.requires_grad:
-            a.grad += g * s
-
-    return record("scalar-multiply", (a,), a.value * s, rule)
-
-
 def square(a: Tensor) -> Tensor:
     av = a.value
 

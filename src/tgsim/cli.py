@@ -74,15 +74,15 @@ class RunConfig:
     arguments: dict
 
 
-def save_run_config(out_dir, command: str, args: argparse.Namespace) -> RunConfig:
+def save_run_config(args: argparse.Namespace) -> None:
+    """Write a finished run's resolved arguments as run_config.json in its output directory."""
     arguments = {
         key: value
         for key, value in sorted(vars(args).items())
         if key not in ("func", "config")
     }
-    config = RunConfig(command=command, version=__version__, arguments=arguments)
-    write_json(asdict(config), Path(out_dir) / "run_config.json")
-    return config
+    config = RunConfig(command=args.command, version=__version__, arguments=arguments)
+    write_json(asdict(config), Path(args.out_dir) / "run_config.json")
 
 
 def load_run_config(path) -> RunConfig:
@@ -133,18 +133,16 @@ def _noise_metadata(spec: NoiseSpec) -> dict:
     return {"noise_probability": spec.corrupt_probability, "noise_seed": spec.seed}
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> None:
     out_dir = _resolve_out_dir(args, "convert")
-    out_path = out_dir / f"{args.kind.lower()}.json"
+    out_path = out_dir / f"{args.kind}.json"
     signal = adapt_dataset(args.input, args.kind, out=out_path,
                            check_counts=not args.lenient_counts)
-    save_run_config(out_dir, "convert", args)
     print(f"wrote {signal.name}: {signal.num_nodes} nodes, "
           f"{signal.num_snapshots} snapshots -> {out_path}")
-    return 0
 
 
-def _cmd_prepare(args) -> int:
+def _cmd_prepare(args) -> None:
     out_dir = _resolve_out_dir(args, "prepare")
     signal = load_canonical(args.dataset)
     buckets = bucketize(signal, args.bucket_length, args.stride)
@@ -152,12 +150,10 @@ def _cmd_prepare(args) -> int:
     labeled = inject_noise(buckets, node_bounds(signal), spec)
     out_path = out_dir / "buckets.json"
     write_labeled_buckets(labeled, out_path, spec=spec)
-    save_run_config(out_dir, "prepare", args)
     print(f"wrote {len(labeled)} labeled buckets -> {out_path}")
-    return 0
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args) -> None:
     out_dir = _resolve_out_dir(args, "train")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
@@ -179,10 +175,8 @@ def _cmd_train(args) -> int:
         histories.append(history)
 
     write_json({"per_fold": histories}, out_dir / "losses.json")
-    save_run_config(out_dir, "train", args)
     final = ", ".join(f"{h[-1]:.4f}" for h in histories)
     print(f"trained {len(runs)} folds ({config.epochs} epochs), final losses: {final}")
-    return 0
 
 
 def _recorded_folds(run_dir, labeled, buckets_path) -> list:
@@ -208,7 +202,7 @@ def _recorded_folds(run_dir, labeled, buckets_path) -> list:
     return [(c, test) for c, (_, test) in zip(checkpoints, pairs)]
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> None:
     run_dir = Path(args.run_dir)
     run_config = load_run_config(run_dir / "run_config.json")
     if run_config.command != "train":
@@ -239,13 +233,11 @@ def _cmd_eval(args) -> int:
                            folds=tuple(one.folds[0] for one in scored), config=echo)
     write_report(report, out_dir / "metrics.json")
     write_report_csv(report, out_dir / "metrics.csv")
-    save_run_config(out_dir, "eval", args)
     print(f"mean mse {report.mean_mse:.4f}, mae {report.mean_mae:.4f}, "
           f"rmse {report.mean_rmse:.4f} over {len(folds)} folds")
-    return 0
 
 
-def _cmd_baseline(args) -> int:
+def _cmd_baseline(args) -> None:
     out_dir = _resolve_out_dir(args, "baseline")
     signal = load_canonical(args.dataset)
     labeled, spec = load_labeled_buckets(args.buckets, signal)
@@ -258,11 +250,9 @@ def _cmd_baseline(args) -> int:
         write_report(report, out_dir / f"baseline_{method}.json")
         write_report_csv(report, out_dir / f"baseline_{method}.csv")
         print(f"{method}: mse {report.mean_mse:.4f} over {report.total_samples} buckets")
-    save_run_config(out_dir, "baseline", args)
-    return 0
 
 
-def _cmd_detect(args) -> int:
+def _cmd_detect(args) -> None:
     out_dir = _resolve_out_dir(args, "detect")
     signal = load_canonical(args.dataset)
     checkpoint = load_checkpoint(args.checkpoint)
@@ -279,15 +269,17 @@ def _cmd_detect(args) -> int:
     events, thresholds = detect_with_thresholds(scores, policy, index_offset=offset)
     write_events(events, out_dir / "events.json")
     write_scores_csv(scores, thresholds, out_dir / "scores.csv", index_offset=offset)
-    save_run_config(out_dir, "detect", args)
     print(f"{len(events)} events over {len(scores)} scored snapshots")
-    return 0
 
 
 def _check_protocol(reports, paths) -> None:
-    for key in ("dataset",) + PROTOCOL_KEYS:
+    # baselines train nothing and carry no fold split, so the split is
+    # compared only across the reports that carry one
+    for key in ("dataset",) + PROTOCOL_KEYS + ("shuffle_folds",):
         values = {}
         for report, path in zip(reports, paths):
+            if key == "shuffle_folds" and key not in report.config:
+                continue
             value = report.dataset if key == "dataset" else report.config.get(key)
             values.setdefault(repr(value), []).append(str(path))
         if len(values) > 1:
@@ -297,7 +289,7 @@ def _check_protocol(reports, paths) -> None:
             )
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> None:
     out_dir = _resolve_out_dir(args, "report")
     reports = [load_report(path) for path in args.inputs]
     if not args.allow_mixed:
@@ -312,9 +304,7 @@ def _cmd_report(args) -> int:
                 report.mean_mse, report.mean_mae, report.mean_rmse,
                 report.total_samples,
             ])
-    save_run_config(out_dir, "report", args)
     print(f"wrote {len(reports)} rows -> {out_path}")
-    return 0
 
 
 def _add_common(parser) -> None:
@@ -399,7 +389,7 @@ def build_parser() -> tuple[_Parser, dict]:
         "report", help="merge metric reports into one comparison table")
     p.add_argument("--inputs", nargs="+", required=True, help="report JSON files")
     p.add_argument("--allow-mixed", action="store_true",
-                   help="merge even when bucket length or noise settings disagree")
+                   help="merge even when bucket length, noise settings or fold split disagree")
     p.set_defaults(func=_cmd_report)
 
     for command in commands.values():
@@ -457,7 +447,10 @@ def main(argv=None) -> int:
         # keep stderr to the one diagnostic line; non-finite values are
         # caught and reported by the trainer itself
         with np.errstate(over="ignore", invalid="ignore"):
-            return args.func(args)
+            args.func(args)
+        # a refused command raised above, so only a finished run leaves a record
+        save_run_config(args)
+        return 0
     except UsageError as exc:
         return _fail(1, exc)
     except TrainingError as exc:

@@ -129,11 +129,9 @@ class ModelConfig:
     attention_dim: int = 32
 
     def __post_init__(self):
-        kind = str(self.cell_kind).lower().replace("-", "_").replace("gconvgru", "gconv_gru")
-        if kind not in CELL_KINDS:
+        if self.cell_kind not in CELL_KINDS:
             raise ConfigError(f"unknown cell kind {self.cell_kind!r}; "
                               f"expected one of {', '.join(CELL_KINDS)}")
-        object.__setattr__(self, "cell_kind", kind)
         for name in ("input_channels", "embed_dim", "attention_dim"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int) or value < 1:

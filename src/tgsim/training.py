@@ -57,7 +57,11 @@ BATCH_SIZE = 8
 # 8 x 678 = 5424 0.409 -> 0.266 s and 8 x 1068 = 8544 0.896 -> 0.492 s.
 # Pooling pays at N = 207 too; the floor stays above its batches because
 # moving it changes which path, and so which bytes, they take (ROADMAP
-# item 8).
+# item 8). Its serial side also pays on small graphs: the same epoch on a
+# ring plus about 3N random arcs (pool_breakeven's alternated `timed`,
+# 9 repeats) took 0.027 -> 0.043 s at N = 30, 0.037 -> 0.047 s at 50,
+# 0.060 -> 0.082 s at 80, 0.075 -> 0.076 s at 120 and 0.131 -> 0.108 s at
+# 207, so a floor low enough to pool every batch would slow N <= 120.
 _BATCH_POOL_FLOOR = 5_000
 
 
@@ -129,13 +133,7 @@ def kfold_split(buckets, folds: int, seed: int, shuffle: bool = True):
     if folds > n:
         raise ContractError(f"cannot split {n} buckets into {folds} folds")
     order = np.random.default_rng(seed).permutation(n) if shuffle else np.arange(n)
-    base, extra = divmod(n, folds)
-    chunks = []
-    at = 0
-    for i in range(folds):
-        size = base + (1 if i < extra else 0)
-        chunks.append([int(j) for j in order[at:at + size]])
-        at += size
+    chunks = np.array_split(order, folds)
     pairs = []
     for i in range(folds):
         test = [buckets[j] for j in chunks[i]]

@@ -68,7 +68,6 @@ def test_01_gradients_match_central_differences():
     mixer = Tensor(rng.normal(size=(3, 4)))
     check(lambda x, m: ad.mean_all(ad.multiply(ad.softmax_rows(x), m)),
           [Tensor(rng.normal(size=(3, 4))), mixer])
-    check(lambda x: ad.mean_all(ad.scalar_multiply(x, 1.7)), [Tensor(rng.normal(size=(3, 4)))])
     check(lambda x: ad.mean_all(ad.square(x)), [Tensor(rng.normal(size=(3, 4)))])
 
     sig = _tiny_signal()
@@ -213,18 +212,18 @@ def test_06_attention_cell_leads(chickenpox_corpus, chickenpox_run):
     labeled = chickenpox_corpus["labeled"]
     a3_mse = chickenpox_run["report"].mean_mse
     others = {}
-    for kind in ("tgcn", "gconvgru"):
+    for kind in ("tgcn", "gconv_gru"):
         report, _ = cross_validate(labeled, TRAIN, ModelConfig(kind, input_channels=1))
         others[kind] = report.mean_mse
     slack = 0.02
     ok = all(a3_mse <= mse + slack for mse in others.values())
     record("6 cell ordering (soft)", ok,
            f"a3tgcn {a3_mse:.4f} vs tgcn {others['tgcn']:.4f}, "
-           f"gconvgru {others['gconvgru']:.4f}")
+           f"gconv_gru {others['gconv_gru']:.4f}")
     if chickenpox_run["ordering_ok"] and not ok:
         return  # reported above; only binding when the ordering check failed
     assert a3_mse <= others["tgcn"] + slack
-    assert a3_mse <= others["gconvgru"] + slack
+    assert a3_mse <= others["gconv_gru"] + slack
 
 
 def test_07_delivery_smoke_pipeline(pedalme_raw_path, tmp_path):

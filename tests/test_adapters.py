@@ -211,11 +211,11 @@ class TestAdapterErrors:
                            match=r"metrala: edges\[1\]: expected an integer node index"):
             adapt_dataset(dump(tmp_path, doc), "metrala", check_counts=False)
 
-    def test_kind_is_case_insensitive(self, tmp_path):
-        fx = [[0.0, 1.0]]
-        path = dump(tmp_path, {"edges": [[0, 1]], "FX": fx})
-        signal = adapt_dataset(path, "ChickenPox", check_counts=False)
-        assert signal.name == "chickenpox"
+    @pytest.mark.parametrize("spelling", ["ChickenPox", "CHICKENPOX", "MetrLA"])
+    def test_other_kind_spellings_refused(self, tmp_path, spelling):
+        path = dump(tmp_path, {"edges": [[0, 1]], "FX": [[0.0, 1.0]]})
+        with pytest.raises(ContractError, match=f"expected one of {', '.join(DATASET_KINDS)}"):
+            adapt_dataset(path, spelling, check_counts=False)
 
 
 class TestFlatReaderMemory:

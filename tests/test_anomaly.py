@@ -49,9 +49,10 @@ class TestAlarmPolicy:
         assert policy.mode == "fixed"
         assert (policy.threshold, policy.window, policy.multiplier) == (0.7, 20, 3.0)
 
-    @pytest.mark.parametrize("spelling", ["zscore", "z-score", "Z_SCORE"])
-    def test_mode_spellings(self, spelling):
-        assert AlarmPolicy(mode=spelling).mode == "zscore"
+    @pytest.mark.parametrize("spelling", ["z-score", "Z_SCORE", "ZScore", "Fixed"])
+    def test_other_mode_spellings_refused(self, spelling):
+        with pytest.raises(ConfigError, match=r"expected one of \('fixed', 'zscore'\)"):
+            AlarmPolicy(mode=spelling)
 
     @pytest.mark.parametrize(
         "kwargs",

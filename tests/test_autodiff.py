@@ -145,7 +145,6 @@ OPERATIONS = {
     "subtract": ad.subtract,
     "elementwise-multiply": ad.multiply,
     "concat-columns": ad.concat_columns,
-    "scalar-multiply": lambda t: ad.scalar_multiply(t, 1.7),
 }
 
 
@@ -156,7 +155,7 @@ def _random_inputs(kind, rng):
         # keep entries away from the kink so finite differences are valid
         x += 0.2 * np.sign(x)
     if kind in ("sigmoid", "tanh", "relu", "mean-rows", "mean-all",
-                "softmax-over-rows", "square", "scalar-multiply"):
+                "softmax-over-rows", "square"):
         return [Tensor(x, requires_grad=True)]
     if kind == "matmul":
         return [Tensor(rng.normal(size=(3, 2)), requires_grad=True),
@@ -229,8 +228,8 @@ def test_concat_then_split_is_identity():
     a2, b2 = Tensor(av.copy(), requires_grad=True), Tensor(bv.copy(), requires_grad=True)
     with Tape():
         # mean over the joined 3x6 block = weighted sum of per-part means
-        la = ad.scalar_multiply(ad.mean_all(ad.square(a2)), 2 / 6)
-        lb = ad.scalar_multiply(ad.mean_all(ad.square(b2)), 4 / 6)
+        la = ad.matmul(ad.mean_all(ad.square(a2)), Tensor([[2 / 6]]))
+        lb = ad.matmul(ad.mean_all(ad.square(b2)), Tensor([[4 / 6]]))
         backward(ad.add(la, lb))
     assert np.allclose(a1.grad, a2.grad, atol=1e-15)
     assert np.allclose(b1.grad, b2.grad, atol=1e-15)

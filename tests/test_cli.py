@@ -903,6 +903,79 @@ class TestReport:
         assert len(rows) == 3
 
 
+    def test_reports_of_different_fold_splits_are_refused_without_override(
+            self, ws, evaluated, base_dir, tmp_path, capsys):
+        blocks = tmp_path / "blocks"
+        assert cli.main([
+            "train", "--dataset", str(ws.dataset), "--buckets", str(ws.buckets),
+            *TRAIN_FLAGS, "--epochs", "1", "--no-shuffle-folds", "--out-dir", str(blocks),
+        ]) == 0
+        assert cli.main(["eval", "--run-dir", str(blocks)]) == 0
+        capsys.readouterr()
+
+        # the baseline carries no split, so it merges with either model report
+        inputs = [str(evaluated / "metrics.json"), str(blocks / "eval" / "metrics.json"),
+                  str(base_dir / "baseline_tsr.json")]
+        for pair in (inputs[::2], inputs[1:]):
+            assert cli.main(["report", "--inputs", *pair, "--out-dir", str(tmp_path / "r0")]) == 0
+        code = cli.main(["report", "--inputs", *inputs, "--out-dir", str(tmp_path / "r1")])
+        assert code == 2
+        assert "reports disagree on shuffle_folds" in stderr_line(capsys)["message"]
+        assert not (tmp_path / "r1" / "comparison.csv").exists()
+
+        assert cli.main(["report", "--inputs", *inputs, "--allow-mixed",
+                         "--out-dir", str(tmp_path / "r2")]) == 0
+        rows = (tmp_path / "r2" / "comparison.csv").read_text().strip().splitlines()
+        assert len(rows) == 4
+
+
+def run_arguments(ws, evaluated, base_dir, tmp_path):
+    """Each command's arguments for a run that succeeds, and the flag naming its input file."""
+    raw = tmp_path / "raw.json"
+    raw.write_text(json.dumps(TestConvert().raw_doc()))
+    return {
+        "convert": (["--input", raw, "--kind", "chickenpox", "--lenient-counts"], "--input"),
+        "prepare": (["--dataset", ws.dataset, "-L", "4"], "--dataset"),
+        "train": (["--dataset", ws.dataset, "--buckets", ws.buckets, *TRAIN_FLAGS,
+                   "--epochs", "1"], "--buckets"),
+        "eval": (["--run-dir", ws.train_dir], "--run-dir"),
+        "baseline": (["--dataset", ws.dataset, "--buckets", ws.buckets], "--buckets"),
+        "detect": (["--dataset", ws.dataset,
+                    "--checkpoint", ws.train_dir / "checkpoint_fold_0.json"], "--checkpoint"),
+        "report": (["--inputs", evaluated / "metrics.json", base_dir / "baseline_tsr.json"],
+                   "--inputs"),
+    }
+
+
+def file_bytes(directory):
+    return {path.name: path.read_bytes() for path in directory.iterdir() if path.is_file()}
+
+
+class TestRunRecord:
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+    def test_a_run_leaves_a_record_that_replays_to_the_same_bytes(
+            self, ws, evaluated, base_dir, tmp_path, capsys, command):
+        arguments, _ = run_arguments(ws, evaluated, base_dir, tmp_path)[command]
+        out = tmp_path / "out"
+        assert cli.main([command, *map(str, arguments), "--out-dir", str(out)]) == 0
+        written = file_bytes(out)
+        assert json.loads(written["run_config.json"])["command"] == command
+        # the replay writes to the recorded --out-dir, over the first run's files
+        assert cli.main([command, "--config", str(out / "run_config.json")]) == 0
+        assert file_bytes(out) == written
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("command", sorted(cli.build_parser()[1]))
+    def test_a_refused_run_leaves_no_record(self, ws, evaluated, base_dir, tmp_path, capsys,
+                                            command):
+        arguments, flag = run_arguments(ws, evaluated, base_dir, tmp_path)[command]
+        arguments[arguments.index(flag) + 1] = tmp_path / "gone.json"
+        out = tmp_path / "out"
+        assert cli.main([command, *map(str, arguments), "--out-dir", str(out)]) == 2
+        assert "gone.json" in stderr_line(capsys)["message"]
+        assert not (out / "run_config.json").exists()
+
+
 BAD_JSON = {
     "non_utf8": b'{"name": "caf\xe9"}',
     "truncated": b'{"name": "toy", "edges": [[0, 1], [1',

@@ -110,10 +110,10 @@ def path_a_hat(n):
 
 
 class TestModelConfig:
-    def test_kind_spellings_normalize(self):
-        assert ModelConfig("GConvGRU", 1).cell_kind == "gconv_gru"
-        assert ModelConfig("TGCN", 1).cell_kind == "tgcn"
-        assert ModelConfig("A3TGCN", 1).cell_kind == "a3tgcn"
+    @pytest.mark.parametrize("spelling", ["GConvGRU", "gconvgru", "gconv-gru", "TGCN", "A3TGCN"])
+    def test_other_kind_spellings_refused(self, spelling):
+        with pytest.raises(ConfigError, match="expected one of gconv_gru, tgcn, a3tgcn"):
+            ModelConfig(spelling, 1)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ConfigError, match="nosuch"):
